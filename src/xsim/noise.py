@@ -23,7 +23,7 @@ import numpy as np
 from .circuits import Circuit, gate_matrix
 from .errors import ContractError
 from .linalg import I2, kron
-from .rng import READOUT_STREAM_OFFSET, substream
+from .rng import READOUT_STREAM_OFFSET, multinomial_counts, substream
 from .tomography import ShotRecord, setting_index
 
 _RATE_FIELDS = ("p_depol_1q", "p_depol_2q", "gamma_ad", "gamma_pd", "p_readout")
@@ -169,7 +169,7 @@ def readout_flip(rec: ShotRecord, p: float, seed: int) -> ShotRecord:
         n_k = int(rec.counts[k])
         if n_k == 0:
             continue
-        moved = rng.multinomial(n_k, pattern_probs)
+        moved = multinomial_counts(rng, n_k, pattern_probs)
         for m in range(4):
-            new_counts[k ^ m] += int(moved[m])
+            new_counts[k ^ m] += moved[m]
     return ShotRecord(rec.setting, rec.shots, tuple(new_counts))

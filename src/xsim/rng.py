@@ -9,6 +9,12 @@ sampled artifact can be replayed byte for byte from (seed, structure):
 * readout bit-flips for a setting use ``substream(seed, 9 + setting_index)``,
 * sweep experiments derive one seed per grid/time point with
   ``derive_seed(master_seed, point_index)`` (a SeedSequence spawn).
+
+Counts are drawn by ``multinomial_counts``: numpy's own chain of binomial
+draws, with each conditional probability snapped onto the nearby point where
+numpy's binomial sampler changes branch (0, 1/2, 1 and a few points that
+depend on the shot count) when it lies within ``SNAP_ATOL`` of one, so that
+roundoff in the probabilities cannot change the counts.
 """
 
 from __future__ import annotations
@@ -16,6 +22,17 @@ from __future__ import annotations
 import numpy as np
 
 READOUT_STREAM_OFFSET = 9
+
+# numpy's binomial sampler for n draws is discontinuous in p at a few known
+# points: at p = 0 it consumes no draw; above 1/2 it draws the complement;
+# it switches between inversion and BTPE where n min(p, 1-p) = 30; and BTPE
+# starts from the mode floor((n+1) min(p, 1-p)), which jumps where (n+1) p
+# is an integer. Symmetric states and rational weights put conditional
+# probabilities exactly on such points, where a 1e-16 change of the state
+# would otherwise change the counts. Within SNAP_ATOL of one of them, p is
+# moved onto it. The constant is far above roundoff and far below any
+# probability a shot count can resolve.
+SNAP_ATOL = 1e-12
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
@@ -28,3 +45,34 @@ def derive_seed(master: int, *path: int) -> int:
     """Collapse (master, path...) into a fresh 63-bit seed, reproducibly."""
     ss = np.random.SeedSequence(entropy=int(master), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
+
+
+def _snap(p: float, n: int) -> float:
+    k = round(p * (n + 1))
+    for anchor in (0.0, 0.5, 1.0, 30.0 / n, 1.0 - 30.0 / n, k / (n + 1)):
+        if abs(p - anchor) <= SNAP_ATOL:
+            return anchor
+    return min(max(p, 0.0), 1.0)
+
+
+def multinomial_counts(rng: np.random.Generator, n: int, probs) -> tuple:
+    """Counts of n draws over the outcome probabilities ``probs``.
+
+    The same chain as ``Generator.multinomial``, one binomial per outcome but
+    the last, consuming the generator in the same order; only the snapped
+    conditional probabilities differ. O(1) in n.
+    """
+    counts = [0] * len(probs)
+    left = int(n)
+    remaining = 1.0
+    for j in range(len(probs) - 1):
+        p = _snap(float(probs[j]) / remaining, left) if remaining > 0.0 else 1.0
+        if p > 0.0:
+            counts[j] = int(rng.binomial(left, p))
+            left -= counts[j]
+        if left <= 0:
+            break
+        remaining -= float(probs[j])
+    if left > 0:
+        counts[-1] = left
+    return tuple(counts)

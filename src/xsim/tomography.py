@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractError, ProtocolError
 from .linalg import PAULI, fidelity, herm_eig, kron
-from .rng import substream
+from .rng import multinomial_counts, substream
 from .xstate import XState, leakage
 
 PAULI_ORDER = "XYZ"
@@ -121,8 +121,7 @@ def sample_setting(rho: np.ndarray, setting: str, shots: int, seed: int) -> Shot
         raise ContractError("shots must be >= 1; use exact_record for the exact limit")
     probs = outcome_probabilities(rho, setting)
     rng = substream(seed, setting_index(setting))
-    counts = rng.multinomial(shots, probs)
-    return ShotRecord(setting=setting, shots=shots, counts=tuple(int(c) for c in counts))
+    return ShotRecord(setting=setting, shots=shots, counts=multinomial_counts(rng, shots, probs))
 
 
 def exact_record(rho: np.ndarray, setting: str) -> ShotRecord:
