@@ -1,0 +1,138 @@
+"""Golden outputs of all six experiments at small sizes.
+
+    PYTHONPATH=src python tests/goldens.py --write
+
+regenerates ``tests/goldens.json``; ``test_goldens.py`` recomputes every case
+and compares it with that file, which it never writes. Each experiment runs
+sampled and ``--exact``, under the default and the all-zero noise model.
+Float values must agree within ``FLOAT_ATOL``; everything else must agree
+exactly, including the integer shot counts of every (point, setting), which
+are captured by wrapping ``sample_setting``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from itertools import zip_longest
+from pathlib import Path
+
+import pytest
+
+GOLDEN_PATH = Path(__file__).with_name("goldens.json")
+# Reordered float sums and LAPACK in place of the Jacobi solver move the
+# float columns by up to ~2e-8; a changed shot count moves them by at least
+# 1/SHOTS.
+FLOAT_ATOL = 1e-7
+SHOTS = 200
+SEED = 3
+
+ZERO_NOISE = {"p_depol_1q": 0.0, "p_depol_2q": 0.0, "gamma_ad": 0.0, "gamma_pd": 0.0, "p_readout": 0.0}
+SIZES = {
+    "tetra_sweep": {"resolution": 2},
+    "heisenberg_conc": {"time_points": 5},
+    "field_conc": {"time_points": 5},
+    "heisenberg_fidelity": {"time_points": 5},
+    "field_fidelity": {"time_points": 5},
+    "xprep_single": {
+        "target": {
+            "kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
+            "w_re": 0.12, "w_im": -0.15, "z_re": -0.05, "z_im": 0.1,
+        }
+    },
+}
+SPECTRAL_TARGET = {"kind": "spectral", "p": [0.45, 0.3, 0.15, 0.1], "theta": 0.4, "phi": 1.1}
+
+
+def cases() -> dict:
+    """Case name -> (experiment, params)."""
+    out = {}
+    for experiment, size in SIZES.items():
+        for noise_name, noise in (("default", None), ("zero", ZERO_NOISE)):
+            for exact in (False, True):
+                name = f"{experiment}-{noise_name}-{'exact' if exact else 'sampled'}"
+                out[name] = (experiment, {**size, "shots": SHOTS, "seed": SEED, "noise": noise, "exact": exact})
+    out["xprep_single-spectral-default-sampled"] = (
+        "xprep_single", {"target": SPECTRAL_TARGET, "shots": SHOTS, "seed": SEED})
+    return out
+
+
+def run_case(experiment: str, params: dict, monkeypatch) -> dict:
+    """Run one case with ``sample_setting`` wrapped to record its counts."""
+    import xsim.tomography
+    from xsim.experiments import run_experiment
+
+    original = xsim.tomography.sample_setting
+    counts = []
+
+    def recording(rho, setting, shots, seed):
+        rec = original(rho, setting, shots, seed)
+        counts.append([seed, setting, list(rec.counts)])
+        return rec
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("xsim.")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, recording)
+    _, result = run_experiment(experiment, params)
+    return json.loads(json.dumps({
+        "columns": result.columns,
+        "rows": result.rows,
+        "report": result.report,
+        "counts": counts,
+    }))
+
+
+def _flatten(value, path=""):
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _flatten(value[key], f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _flatten(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b) <= FLOAT_ATOL
+    return type(a) is type(b) and a == b
+
+
+def _entry_same(want, have) -> bool:
+    return want is not None and have is not None and want[0] == have[0] and _same(want[1], have[1])
+
+
+def first_difference(golden: dict, got: dict):
+    """Description of the first differing row, count or report entry, or None."""
+    for section in ("columns", "rows", "counts"):
+        for i, (want, have) in enumerate(zip_longest(golden[section], got[section])):
+            if not all(_entry_same(w, h) for w, h in zip_longest(_flatten(want), _flatten(have))):
+                return f"{section}[{i}]: got {have}, golden {want}"
+    for want, have in zip_longest(_flatten(golden["report"]), _flatten(got["report"])):
+        if not _entry_same(want, have):
+            return f"report: got {have}, golden {want}"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden outputs.")
+    parser.add_argument("--write", action="store_true", help=f"overwrite {GOLDEN_PATH.name}")
+    args = parser.parse_args(argv)
+    if not args.write:
+        parser.error("nothing to do without --write")
+    goldens = {}
+    for name, (experiment, params) in cases().items():
+        with pytest.MonkeyPatch.context() as mp:
+            goldens[name] = {"experiment": experiment, "params": params,
+                             **run_case(experiment, params, mp)}
+    GOLDEN_PATH.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(goldens)} cases to {GOLDEN_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    sys.exit(main())
