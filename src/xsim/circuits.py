@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .linalg import I2, SX, kron, validate_unitary
+from .linalg import apply_local, conjugate, validate_unitary
 from .xstate import XSpectral, strip_phases, to_spectral
 
 GATE_KINDS = ("rx", "ry", "rz", "u_lambda", "w", "pauli_z", "cnot", "generic_1q")
@@ -73,6 +73,8 @@ def w_matrix(x: float) -> np.ndarray:
 
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# CNOT on (control, target), control as the leading tensor factor.
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,16 @@ class Gate:
         if len(self.params) != n_params[self.kind]:
             raise ContractError(f"gate {self.kind} expects {n_params[self.kind]} params")
 
+    @property
+    def qubits(self) -> tuple:
+        """Qubits the gate acts on, in the tensor-factor order of local_matrix."""
+        return (self.target,) if self.control is None else (self.control, self.target)
+
     def local_matrix(self) -> np.ndarray:
-        """The 2x2 matrix of a single-qubit gate."""
+        """The 2x2 matrix of a single-qubit gate; for CNOT the 4x4 matrix on
+        (control, target)."""
+        if self.kind == "cnot":
+            return _CNOT
         if self.kind == "rx":
             return rx_matrix(self.params[0])
         if self.kind == "ry":
@@ -117,7 +127,7 @@ class Gate:
                 dtype=complex,
             )
             return validate_unitary(m)
-        raise ContractError("cnot has no single local matrix")
+        raise ContractError(f"no matrix for gate kind {self.kind!r}")
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "params": list(self.params), "target": self.target}
@@ -174,32 +184,20 @@ class Circuit:
         return Circuit.from_json(json.loads(text))
 
 
-def _embed_single(m: np.ndarray, qubit: int, width: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for q in range(width):
-        out = kron(out, m if q == qubit else I2)
-    return out
+def _identity_tensor(width: int) -> np.ndarray:
+    return np.eye(2**width, dtype=complex).reshape((2,) * (2 * width))
 
 
 def gate_matrix(g: Gate, width: int) -> np.ndarray:
     """Full 2^width unitary of one gate."""
-    if g.kind == "cnot":
-        p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        term0 = np.eye(1, dtype=complex)
-        term1 = np.eye(1, dtype=complex)
-        for q in range(width):
-            term0 = kron(term0, p0 if q == g.control else I2)
-            term1 = kron(term1, p1 if q == g.control else (SX if q == g.target else I2))
-        return term0 + term1
-    return _embed_single(g.local_matrix(), g.target, width)
+    return apply_local(_identity_tensor(width), g.local_matrix(), g.qubits).reshape(2**width, 2**width)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    u = np.eye(2**c.width, dtype=complex)
+    u = _identity_tensor(c.width)
     for g in c.gates:
-        u = gate_matrix(g, c.width) @ u
-    return u
+        u = apply_local(u, g.local_matrix(), g.qubits)
+    return u.reshape(2**c.width, 2**c.width)
 
 
 def run_pure(c: Circuit, basis_index: int = 0) -> np.ndarray:
@@ -209,22 +207,28 @@ def run_pure(c: Circuit, basis_index: int = 0) -> np.ndarray:
         raise DimensionError(f"basis index {basis_index} outside register of dim {dim}")
     psi = np.zeros(dim, dtype=complex)
     psi[basis_index] = 1.0
+    psi = psi.reshape((2,) * c.width)
     for g in c.gates:
-        psi = gate_matrix(g, c.width) @ psi
-    return psi
+        psi = apply_local(psi, g.local_matrix(), g.qubits)
+    return psi.reshape(dim)
+
+
+def density_tensor(c: Circuit, rho: np.ndarray) -> np.ndarray:
+    """A copy of ``rho``, checked against the circuit width, as a (2,)*2width
+    tensor."""
+    rho = np.array(rho, dtype=complex)
+    dim = 2**c.width
+    if rho.shape != (dim, dim):
+        raise DimensionError(f"density matrix shape {rho.shape} does not match width {c.width}")
+    return rho.reshape((2,) * (2 * c.width))
 
 
 def run_density(c: Circuit, rho: np.ndarray) -> np.ndarray:
     """Conjugate a density matrix through the circuit, gate by gate."""
-    rho = np.asarray(rho, dtype=complex)
-    dim = 2**c.width
-    if rho.shape != (dim, dim):
-        raise DimensionError(f"density matrix shape {rho.shape} does not match width {c.width}")
-    out = rho.copy()
+    out = density_tensor(c, rho)
     for g in c.gates:
-        u = gate_matrix(g, c.width)
-        out = u @ out @ u.conj().T
-    return out
+        out = conjugate(out, g.local_matrix(), g.qubits, c.width)
+    return out.reshape(2**c.width, 2**c.width)
 
 
 def classical_prep_angles(p) -> tuple:

@@ -58,7 +58,7 @@ from .xstate import (
     XSpectral,
     XState,
     canonicalize_spectral,
-    concurrence_wootters_oracle,
+    concurrence_wootters,
     concurrence_x,
     from_spectral,
     leakage,
@@ -265,7 +265,7 @@ def run_tetra_sweep(params: dict) -> ExperimentResult:
         c_analytic = concurrence_x(target)
         circ = build_xstate_circuit(p, theta, phi)
         noisy_pair = _prepared_pair(circ, nm)
-        c_noisy = concurrence_wootters_oracle(noisy_pair)
+        c_noisy = concurrence_wootters(noisy_pair)
         point_seed = derive_seed(params["seed"], index)
         records = _partial_records(noisy_pair, PARTIAL3, params["shots"], point_seed, nm, params["exact"])
         c_shot = concurrence_x(reconstruct_x3(records))
@@ -301,7 +301,7 @@ def run_heisenberg_conc(params: dict) -> ExperimentResult:
     circuits = []
     for index, t in enumerate(_time_grid(params, hp)):
         spectral, target = _zero_field_target(params, hp, t)
-        c_analytic = concurrence_wootters_oracle(target.matrix())
+        c_analytic = concurrence_x(target)
         circ = build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
         noisy_pair = _prepared_pair(circ, nm)
         point_seed = derive_seed(params["seed"], index)
@@ -323,7 +323,7 @@ def run_field_conc(params: dict) -> ExperimentResult:
     circuits = []
     for index, t in enumerate(_time_grid(params, hp)):
         target = _field_target(params, hp, t)
-        c_analytic = concurrence_wootters_oracle(target.matrix())
+        c_analytic = concurrence_x(target)
         circ, _, _ = build_complex_xstate_circuit(target.matrix())
         noisy_pair = _prepared_pair(circ, nm)
         point_seed = derive_seed(params["seed"], index)
@@ -431,8 +431,8 @@ def run_xprep_single(params: dict) -> ExperimentResult:
         "reconstruction": report.to_json(),
         "concurrence": {
             "analytic": concurrence_x(target_x),
-            "ideal": concurrence_wootters_oracle(ideal_pair),
-            "noisy": concurrence_wootters_oracle(noisy_pair),
+            "ideal": concurrence_wootters(ideal_pair),
+            "noisy": concurrence_wootters(noisy_pair),
             "reconstructed": concurrence_x(x5),
         },
     }

@@ -8,11 +8,16 @@ Conventions used across the whole package:
 * supported operator dimensions are 2, 4, and 16 (one, two, and four qubits),
 * all functions are pure and never mutate their arguments.
 
-The eigensolver is a cyclic Jacobi iteration specialised to Hermitian
-matrices of these sizes. It is deliberately self-contained: it serves as the
-independent oracle behind matrix square roots, matrix exponentials, fidelity,
-and the spectral concurrence check, so it must not share code with the
-closed-form implementations it is used to validate.
+Every gate, channel and measurement basis change goes through one kernel,
+``apply_local``: it contracts a small operator into chosen axes of a state
+viewed as a tensor of shape ``(2,)*k`` (a ket of k qubits, or a density
+matrix of k/2 qubits with its row axes first), so no operator is ever
+embedded into the full register.
+
+Production code diagonalizes with LAPACK (``numpy.linalg.eigh`` and
+``svd``). The cyclic Jacobi eigensolver ``herm_eig`` and the routes built on
+it (``expm_oracle``, ``sqrtm_psd``) are kept as independent oracles for the
+tests: they must not share code with the implementations they validate.
 """
 
 from __future__ import annotations
@@ -80,6 +85,40 @@ def validate_density(rho: np.ndarray, atol: float = PSD_ATOL) -> np.ndarray:
     if evals.min() < -atol:
         raise ContractError(f"density matrix has eigenvalue {evals.min():.3e} < 0")
     return rho
+
+
+def apply_local(state: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
+    """Contract ``op`` into the listed axes of a qubit tensor.
+
+    ``state`` has shape ``(2,)*k``; ``op`` is a 2^m x 2^m matrix whose m
+    tensor factors act on ``axes`` in the order listed, and every other axis
+    is left alone. On a density tensor of n qubits, row axis q is qubit q and
+    column axis n + q its conjugate side, so a unitary acts through its
+    superoperator on the row and column axes together (``conjugate``) and a
+    one-qubit channel through its superoperator on axes (q, n + q). The
+    result may be a non-contiguous view.
+    """
+    axes = tuple(axes)
+    perm = axes + tuple(a for a in range(state.ndim) if a not in axes)
+    moved = state.transpose(perm)
+    out = (op @ moved.reshape(op.shape[1], -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(perm))
+
+
+def superop(kraus) -> np.ndarray:
+    """Superoperator sum_k K (x) conj(K) of a Kraus set (or a one-element
+    list holding a unitary), acting on a density matrix's (row, column)
+    index pairs: rho'[a, b] = sum S[(a, b), (c, d)] rho[c, d]."""
+    k = np.asarray(kraus, dtype=complex)
+    d = k.shape[-1]
+    return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(d * d, d * d)
+
+
+def conjugate(state: np.ndarray, u: np.ndarray, qubits, width: int) -> np.ndarray:
+    """U rho U^dagger for a unitary U acting on ``qubits`` of a density
+    tensor of ``width`` qubits."""
+    qubits = tuple(qubits)
+    return apply_local(state, superop([u]), qubits + tuple(width + q for q in qubits))
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
@@ -190,24 +229,37 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def psd_factor(m: np.ndarray, who: str) -> np.ndarray:
+    """A factor L with m = L L^dagger, from the LAPACK eigendecomposition.
+
+    Raises ContractError when m is not Hermitian or has an eigenvalue below
+    -PSD_ATOL; eigenvalues in between are clamped to zero.
+    """
+    if not is_hermitian(m):
+        raise ContractError(f"{who}: input is not Hermitian within {HERMITIAN_ATOL}")
+    w, v = np.linalg.eigh(m)
+    if w[0] < -PSD_ATOL:
+        raise ContractError(f"{who}: input is not positive semidefinite")
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Squared-Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Symmetric in its arguments and equal to |<psi|phi>|^2 on pure states;
     against the maximally mixed two-qubit state any pure state scores 1/4.
+    Computed as the squared sum of the singular values of L_rho^dagger
+    L_sigma for factors rho = L_rho L_rho^dagger, which equals the trace
+    above without taking square roots of the near-zero eigenvalues of
+    sqrt(rho) sigma sqrt(rho): a rank-deficient state scores 1 against
+    itself to roundoff, where that route is off by ~1e-8.
     """
     rho = _square(rho, "fidelity")
     sigma = _square(sigma, "fidelity")
     if rho.shape != sigma.shape:
         raise DimensionError("fidelity: operands have different dimensions")
-    wr, vr = herm_eig(rho)
-    ws, _ = herm_eig(sigma)
-    if wr.min() < -PSD_ATOL or ws.min() < -PSD_ATOL:
-        raise ContractError("fidelity: input is not positive semidefinite")
-    root = (vr * np.sqrt(np.clip(wr, 0.0, None))) @ vr.conj().T
-    mid = root @ sigma @ root
-    wm, _ = herm_eig((mid + mid.conj().T) / 2.0)
-    return float(np.sum(np.sqrt(np.clip(wm, 0.0, None))) ** 2)
+    overlap = psd_factor(rho, "fidelity").conj().T @ psd_factor(sigma, "fidelity")
+    return float(np.sum(np.linalg.svd(overlap, compute_uv=False)) ** 2)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, gate_matrix
+from .circuits import Circuit, density_tensor
 from .errors import ContractError
-from .linalg import I2, kron
+from .linalg import apply_local, conjugate, superop
 from .rng import READOUT_STREAM_OFFSET, multinomial_counts, substream
 from .tomography import ShotRecord, setting_index
 
@@ -42,6 +43,25 @@ class NoiseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ContractError(f"noise rate {name}={v} outside [0, 1]")
+
+    @cached_property
+    def gate_noise(self) -> dict:
+        """Gate arity -> the one-qubit superoperator applied to each touched
+        qubit after a gate of that arity, or None when all its rates are zero.
+
+        Depolarizing, amplitude damping and phase damping are composed in
+        that order into one 4x4 matrix, built once per model.
+        """
+        out = {}
+        for arity, depol in ((1, self.p_depol_1q), (2, self.p_depol_2q)):
+            total = None
+            for rate, family in ((depol, depolarizing_kraus), (self.gamma_ad, amplitude_damping_kraus),
+                                 (self.gamma_pd, phase_damping_kraus)):
+                if rate > 0.0:
+                    s = channel_superop(family(rate))
+                    total = s if total is None else s @ total
+            out[arity] = total
+        return out
 
     @classmethod
     def zero(cls) -> "NoiseModel":
@@ -90,11 +110,13 @@ def phase_damping_kraus(gamma: float) -> list:
     ]
 
 
-def _embed(k: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for q in range(n_qubits):
-        out = kron(out, k if q == qubit else I2)
-    return out
+def channel_superop(kraus) -> np.ndarray:
+    """Superoperator of a one-qubit Kraus set, after checking that the set
+    is trace preserving."""
+    total = sum(k.conj().T @ k for k in kraus)
+    if np.max(np.abs(total - np.eye(2))) > 1e-10:
+        raise ContractError("Kraus set is not trace preserving")
+    return superop(kraus)
 
 
 def apply_channel(rho: np.ndarray, kraus, qubits) -> np.ndarray:
@@ -104,18 +126,15 @@ def apply_channel(rho: np.ndarray, kraus, qubits) -> np.ndarray:
     n_qubits = dim.bit_length() - 1
     if rho.shape != (dim, dim) or 2**n_qubits != dim:
         raise ContractError("density matrix dimension must be a power of 2")
-    total = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(total - np.eye(2))) > 1e-10:
-        raise ContractError("Kraus set is not trace preserving")
+    s = channel_superop(kraus)
     if isinstance(qubits, int):
         qubits = (qubits,)
-    out = rho
+    out = rho.reshape((2,) * (2 * n_qubits))
     for q in qubits:
         if not 0 <= q < n_qubits:
             raise ContractError(f"qubit index {q} outside register of {n_qubits}")
-        big = [_embed(k, q, n_qubits) for k in kraus]
-        out = sum(k @ out @ k.conj().T for k in big)
-    return out
+        out = apply_local(out, s, (q, n_qubits + q))
+    return out.reshape(dim, dim)
 
 
 def run_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
@@ -124,23 +143,15 @@ def run_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
     With an all-zero model every channel is skipped and the arithmetic is
     identical to run_density.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dim = 2**c.width
-    if rho.shape != (dim, dim):
-        raise ContractError(f"density matrix shape {rho.shape} does not match width {c.width}")
-    out = rho.copy()
+    out = density_tensor(c, rho)
+    noise = nm.gate_noise
     for g in c.gates:
-        u = gate_matrix(g, c.width)
-        out = u @ out @ u.conj().T
-        touched = (g.target,) if g.control is None else (g.control, g.target)
-        depol = nm.p_depol_2q if len(touched) == 2 else nm.p_depol_1q
-        if depol > 0.0:
-            out = apply_channel(out, depolarizing_kraus(depol), touched)
-        if nm.gamma_ad > 0.0:
-            out = apply_channel(out, amplitude_damping_kraus(nm.gamma_ad), touched)
-        if nm.gamma_pd > 0.0:
-            out = apply_channel(out, phase_damping_kraus(nm.gamma_pd), touched)
-    return out
+        out = conjugate(out, g.local_matrix(), g.qubits, c.width)
+        s = noise[len(g.qubits)]
+        if s is not None:
+            for q in g.qubits:
+                out = apply_local(out, s, (q, c.width + q))
+    return out.reshape(2**c.width, 2**c.width)
 
 
 def readout_flip(rec: ShotRecord, p: float, seed: int) -> ShotRecord:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ProtocolError
-from .linalg import PAULI, fidelity, herm_eig, kron
+from .linalg import PAULI, conjugate, fidelity, kron
 from .rng import multinomial_counts, substream
 from .xstate import XState, leakage
 
@@ -40,15 +40,18 @@ PARTIAL5 = ("XX", "YY", "ZZ", "XY", "YX")
 PARTIAL3 = ("XX", "YY", "ZZ")
 PROTOCOLS = {"full": FULL, "partial5": PARTIAL5, "partial3": PARTIAL3}
 
-# +1/-1 eigenprojectors of each local Pauli.
-_PROJ = {
-    "X": (np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-          np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)),
-    "Y": (np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
-          np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)),
-    "Z": (np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-          np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)),
+# Rows are the +1 and -1 eigenbras of each local Pauli: conjugating by the
+# basis of a setting puts its outcome probabilities on the diagonal.
+_MEASUREMENT_BASIS = {
+    "X": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
+    "Y": np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0),
+    "Z": np.eye(2, dtype=complex),
 }
+
+# [i, j] -> sigma_i (x) sigma_j with sigma = (I, X, Y, Z): the operator basis
+# of the linear inversion.
+_PAULI_STACK = np.array([PAULI[k] for k in "IXYZ"])
+_PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULI_STACK, _PAULI_STACK).reshape(4, 4, 4, 4)
 
 
 def setting_index(setting: str) -> int:
@@ -68,16 +71,11 @@ def outcome_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ContractError("outcome_probabilities expects a 4x4 density matrix")
-    p1, m1 = _PROJ[setting[0]]
-    p2, m2 = _PROJ[setting[1]]
-    probs = np.array(
-        [
-            np.trace(rho @ kron(p1, p2)).real,
-            np.trace(rho @ kron(p1, m2)).real,
-            np.trace(rho @ kron(m1, p2)).real,
-            np.trace(rho @ kron(m1, m2)).real,
-        ]
-    )
+    setting_index(setting)
+    rotated = rho.reshape(2, 2, 2, 2)
+    for qubit, pauli in enumerate(setting):
+        rotated = conjugate(rotated, _MEASUREMENT_BASIS[pauli], (qubit,), 2)
+    probs = np.diagonal(rotated.reshape(4, 4)).real
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if total <= 0.0:
@@ -163,19 +161,17 @@ def psd_project(rho_hat: np.ndarray) -> np.ndarray:
         raise ContractError("psd_project expects a Hermitian matrix")
     if abs(np.trace(rho_hat).real - 1.0) > 1e-10:
         raise ContractError("psd_project expects unit trace")
-    w, v = herm_eig(rho_hat)
-    if w.min() >= 0.0:
+    w, v = np.linalg.eigh(rho_hat)
+    if w[0] >= 0.0:
         return rho_hat
-    order = np.argsort(w)
-    lam = w[order].copy()
+    lam = w.copy()
     for i in range(n):
         if lam[i] < 0.0:
             if i == n - 1:
                 raise ContractError("cannot repair: all eigenvalue mass negative")
             lam[i + 1:] += lam[i] / (n - 1 - i)
             lam[i] = 0.0
-    vecs = v[:, order]
-    out = (vecs * lam) @ vecs.conj().T
+    out = (v * lam) @ v.conj().T
     return (out + out.conj().T) / 2.0
 
 
@@ -194,11 +190,7 @@ def reconstruct_full(records) -> np.ndarray:
             t[i + 1, j + 1] = joint
             t[i + 1, 0] += first / 3.0
             t[0, j + 1] += second / 3.0
-    basis = {0: np.eye(2, dtype=complex), 1: PAULI["X"], 2: PAULI["Y"], 3: PAULI["Z"]}
-    rho_hat = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            rho_hat += t[i, j] * kron(basis[i], basis[j])
+    rho_hat = np.einsum("ij,ijab->ab", t, _PAULI_PAIRS)
     return psd_project(rho_hat / 4.0)
 
 

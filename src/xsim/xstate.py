@@ -45,9 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InfeasibleStateError, ShapeError
-from .linalg import SY, herm_eig, kron
+from .linalg import SY, herm_eig, kron, psd_factor
 
 _DEGENERATE_ATOL = 1e-12
+
+# sy (x) sy, the spin flip of the Wootters concurrence.
+_YY = kron(SY, SY).real
 
 # Row/column index pairs that must vanish for a matrix to be X-shaped.
 NON_X_INDICES = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
@@ -250,6 +253,22 @@ def concurrence_wootters_oracle(rho: np.ndarray) -> float:
     emb[4:, :4] = a.conj().T
     sing, _ = herm_eig(emb)
     lam = sing[:4]
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def concurrence_wootters(rho: np.ndarray) -> float:
+    """Concurrence of an arbitrary two-qubit density matrix.
+
+    The production twin of ``concurrence_wootters_oracle``: the same
+    factored route, max(0, s1 - s2 - s3 - s4) over the singular values of
+    L+ Y conj(L) with rho = L L+, but with the factor and the singular
+    values taken from LAPACK.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ContractError("concurrence_wootters expects a 4x4 density matrix")
+    factor = psd_factor(rho, "concurrence_wootters")
+    lam = np.linalg.svd(factor.conj().T @ _YY @ factor.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
