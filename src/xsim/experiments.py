@@ -156,14 +156,45 @@ class ExperimentResult:
     circuits: tuple = field(default_factory=tuple)  # (label, Circuit) pairs
 
 
+# Largest accepted values of the size parameters. Larger requests are
+# rejected as configuration errors rather than left to overflow or to run
+# for hours: 10^9 shots per setting, 10^5 time points, and resolution 64
+# (47,905 simplex points).
+LIMITS = {"shots": 10**9, "time_points": 100_000, "resolution": 64}
+
+
+def _reject_non_finite(value, path: str) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"parameter {path} must be finite, got {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{path}[{i}]")
+
+
+def _number(key: str, value, kind):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"parameter {key!r} must be a number, got {value!r}") from exc
+
+
 def resolve_params(experiment: str, given: dict) -> dict:
-    """Fill defaults and reject unknown keys; returns plain resolved values."""
+    """Fill defaults and reject unknown keys; returns plain resolved values.
+
+    Every number must be finite, and the size parameters are capped by
+    LIMITS.
+    """
     if experiment not in PARAM_SPECS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     spec = PARAM_SPECS[experiment]
     unknown = set(given) - set(spec)
     if unknown:
         raise ConfigError(f"unknown parameter keys for {experiment}: {sorted(unknown)}")
+    for key, value in given.items():
+        _reject_non_finite(value, key)
     out = {}
     for key, default in spec.items():
         if key in given:
@@ -176,46 +207,50 @@ def resolve_params(experiment: str, given: dict) -> dict:
         out["noise"] = NoiseModel() if out["noise"] is None else NoiseModel.from_json(out["noise"])
     except Exception as exc:
         raise ConfigError(f"invalid noise model: {exc}") from exc
-    out["shots"] = int(out["shots"])
-    out["seed"] = int(out["seed"])
     out["exact"] = bool(out["exact"])
+    for key in spec:
+        if key in ("shots", "seed", "time_points", "resolution"):
+            out[key] = _number(key, out[key], int)
+        elif key not in ("exact", "noise", "target") and not (key == "t_max" and out[key] is None):
+            out[key] = _number(key, out[key], float)
     if out["shots"] < 1:
         raise ConfigError("shots must be >= 1")
-    for key in spec:
-        if key in ("shots", "seed", "exact", "noise", "target", "resolution", "time_points", "t_max"):
-            continue
-        out[key] = float(out[key])
+    if out["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
     if "lambda" in out and not -1.0 <= out["lambda"] <= 1.0:
         raise ConfigError("lambda must lie in [-1, 1]")
-    if "resolution" in out:
-        out["resolution"] = int(out["resolution"])
-    if "time_points" in out:
-        out["time_points"] = int(out["time_points"])
-        if out["time_points"] < 2:
-            raise ConfigError("time_points must be >= 2")
+    if "time_points" in out and out["time_points"] < 2:
+        raise ConfigError("time_points must be >= 2")
+    for key, limit in LIMITS.items():
+        if key in out and out[key] > limit:
+            raise ConfigError(f"{key} must be <= {limit}, got {out[key]}")
     return out
 
 
 def _couplings(params: dict) -> HeisenbergParams:
-    return HeisenbergParams.from_j_kappa(
+    hp = HeisenbergParams.from_j_kappa(
         j=params["J"],
         kappa=params["kappa"],
         jz=params["Jz"],
         B=params.get("B", 0.0),
         b=params.get("b", 0.0),
     )
+    if not all(math.isfinite(v) for v in (hp.Jx, hp.Jy, hp.j, hp.j_kappa, hp.xi, hp.eta)):
+        raise ConfigError(f"couplings overflow: {hp.to_json()}")
+    return hp
 
 
 def _time_grid(params: dict, hp: HeisenbergParams) -> np.ndarray:
+    scale = max(abs(hp.j), abs(hp.j_kappa), hp.xi, hp.eta)
     t_max = params["t_max"]
     if t_max is None:
-        scale = max(abs(hp.j), abs(hp.j_kappa), hp.xi, hp.eta)
         if scale <= 0.0:
             raise ConfigError("all energy scales vanish; give t_max explicitly")
         t_max = 2.0 * math.pi / scale
-    t_max = float(t_max)
     if t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
+    if not math.isfinite(t_max * max(scale, abs(hp.Jz))):
+        raise ConfigError(f"phases overflow: t_max {t_max} times the coupling scale {scale}")
     return np.linspace(0.0, t_max, params["time_points"])
 
 

@@ -75,7 +75,11 @@ class NoiseModel:
         extra = set(obj) - set(_RATE_FIELDS)
         if extra:
             raise ContractError(f"unknown noise fields {sorted(extra)}")
-        return NoiseModel(**{name: float(obj[name]) for name in obj})
+        rates = {name: float(obj[name]) for name in obj}
+        for name, v in rates.items():
+            if not math.isfinite(v):
+                raise ContractError(f"noise rate {name}={v} is not finite")
+        return NoiseModel(**rates)
 
 
 def depolarizing_kraus(p: float) -> list:

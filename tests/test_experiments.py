@@ -325,3 +325,23 @@ def test_cli_exact_flag_reaches_runner(tmp_path):
         # sqrt(b c) in the concurrence amplifies ~1e-16 population noise
         # from the circuit path to ~1e-9 wherever b or c vanishes
         assert row[2] == pytest.approx(row[1], abs=1e-7)
+
+
+@pytest.mark.parametrize("experiment, params, message", [
+    ("heisenberg_conc", {"J": float("nan")}, "J must be finite"),
+    ("heisenberg_conc", {"t_max": float("inf")}, "t_max must be finite"),
+    ("heisenberg_conc", {"shots": 1e30}, "shots must be <="),
+    ("heisenberg_conc", {"noise": {"gamma_ad": float("nan")}}, "noise.gamma_ad must be finite"),
+    ("heisenberg_conc", {"J": 1e308}, "couplings overflow"),
+    ("heisenberg_conc", {"J": 1e300, "t_max": 1e10}, "phases overflow"),
+    ("heisenberg_conc", {"time_points": 10**6}, "time_points must be <="),
+    ("tetra_sweep", {"resolution": 65}, "resolution must be <="),
+    ("heisenberg_conc", {"seed": -1}, "seed must be >= 0"),
+    ("heisenberg_conc", {"kappa": "x"}, "'kappa' must be a number"),
+    ("xprep_single", {"target": {"kind": "spectral", "p": [float("nan"), 0, 0, 1], "theta": 0, "phi": 0}},
+     "target.p[0] must be finite"),
+])
+def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, experiment, params, message):
+    cfg = _write_config(tmp_path, {"params": params})
+    assert main([experiment, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
