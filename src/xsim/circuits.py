@@ -107,7 +107,7 @@ class Gate:
         """The 2x2 matrix of a single-qubit gate; for CNOT the 4x4 matrix on
         (control, target)."""
         if self.kind == "cnot":
-            return _CNOT
+            return _CNOT.copy()
         if self.kind == "rx":
             return rx_matrix(self.params[0])
         if self.kind == "ry":
