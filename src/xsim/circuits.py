@@ -163,6 +163,12 @@ class Circuit:
             if any(q < 0 or q >= self.width for q in used):
                 raise DimensionError(f"gate {g} addresses qubits outside width {self.width}")
 
+    @property
+    def topology(self) -> tuple:
+        """Width and the (kind, qubits) of every gate in order: circuits with
+        equal topology differ only in gate parameters."""
+        return (self.width,) + tuple((g.kind, g.qubits) for g in self.gates)
+
     def extended(self, more) -> "Circuit":
         return Circuit(self.width, self.gates + tuple(more))
 
@@ -185,7 +191,8 @@ class Circuit:
 
 
 def _identity_tensor(width: int) -> np.ndarray:
-    return np.eye(2**width, dtype=complex).reshape((2,) * (2 * width))
+    """The identity as a stack of one (2,)*2width tensor."""
+    return np.eye(2**width, dtype=complex).reshape((1,) + (2,) * (2 * width))
 
 
 def gate_matrix(g: Gate, width: int) -> np.ndarray:
@@ -207,20 +214,20 @@ def run_pure(c: Circuit, basis_index: int = 0) -> np.ndarray:
         raise DimensionError(f"basis index {basis_index} outside register of dim {dim}")
     psi = np.zeros(dim, dtype=complex)
     psi[basis_index] = 1.0
-    psi = psi.reshape((2,) * c.width)
+    psi = psi.reshape((1,) + (2,) * c.width)
     for g in c.gates:
         psi = apply_local(psi, g.local_matrix(), g.qubits)
     return psi.reshape(dim)
 
 
 def density_tensor(c: Circuit, rho: np.ndarray) -> np.ndarray:
-    """A copy of ``rho``, checked against the circuit width, as a (2,)*2width
-    tensor."""
+    """A copy of ``rho``, checked against the circuit width, as a stack of
+    one (2,)*2width tensor."""
     rho = np.array(rho, dtype=complex)
     dim = 2**c.width
     if rho.shape != (dim, dim):
         raise DimensionError(f"density matrix shape {rho.shape} does not match width {c.width}")
-    return rho.reshape((2,) * (2 * c.width))
+    return rho.reshape((1,) + (2,) * (2 * c.width))
 
 
 def run_density(c: Circuit, rho: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from .circuits import Circuit, build_complex_xstate_circuit, build_xstate_circui
 from .errors import ConfigError, ContractError
 from .heisenberg import HeisenbergParams, evolve_diagonal
 from .linalg import fidelity, partial_trace
-from .noise import NoiseModel, readout_flip, run_noisy
+from .noise import NoiseModel, readout_flip, run_noisy, run_noisy_stack
 from .rng import derive_seed
 from .tomography import (
     PARTIAL3,
@@ -84,6 +84,23 @@ _TIME_DEFAULTS = {
     "Jz": 0.0,
 }
 
+# Each concurrence experiment and its fidelity twin take the same parameters.
+_HEISENBERG_DEFAULTS = {
+    **_COMMON_DEFAULTS,
+    **_TIME_DEFAULTS,
+    "kappa": 0.75,
+    "gamma": 2.0 * math.acos(math.sqrt(7.0 / 8.0)),
+}
+
+_FIELD_DEFAULTS = {
+    **_COMMON_DEFAULTS,
+    **_TIME_DEFAULTS,
+    "kappa": 0.95,
+    "gamma": 2.0 * math.acos(math.sqrt(3.0 / 4.0)),
+    "B": 1.0,
+    "b": 0.5,
+}
+
 PARAM_SPECS = {
     "tetra_sweep": {
         **_COMMON_DEFAULTS,
@@ -91,34 +108,10 @@ PARAM_SPECS = {
         "theta": math.pi / 6,
         "phi": math.pi / 6,
     },
-    "heisenberg_conc": {
-        **_COMMON_DEFAULTS,
-        **_TIME_DEFAULTS,
-        "kappa": 0.75,
-        "gamma": 2.0 * math.acos(math.sqrt(7.0 / 8.0)),
-    },
-    "heisenberg_fidelity": {
-        **_COMMON_DEFAULTS,
-        **_TIME_DEFAULTS,
-        "kappa": 0.75,
-        "gamma": 2.0 * math.acos(math.sqrt(7.0 / 8.0)),
-    },
-    "field_conc": {
-        **_COMMON_DEFAULTS,
-        **_TIME_DEFAULTS,
-        "kappa": 0.95,
-        "gamma": 2.0 * math.acos(math.sqrt(3.0 / 4.0)),
-        "B": 1.0,
-        "b": 0.5,
-    },
-    "field_fidelity": {
-        **_COMMON_DEFAULTS,
-        **_TIME_DEFAULTS,
-        "kappa": 0.95,
-        "gamma": 2.0 * math.acos(math.sqrt(3.0 / 4.0)),
-        "B": 1.0,
-        "b": 0.5,
-    },
+    "heisenberg_conc": _HEISENBERG_DEFAULTS,
+    "heisenberg_fidelity": _HEISENBERG_DEFAULTS,
+    "field_conc": _FIELD_DEFAULTS,
+    "field_fidelity": _FIELD_DEFAULTS,
     "xprep_single": {
         **_COMMON_DEFAULTS,
         "target": _REQUIRED,
@@ -174,17 +167,26 @@ def _reject_non_finite(value, path: str) -> None:
             _reject_non_finite(item, f"{path}[{i}]")
 
 
-def _number(key: str, value, kind):
+def _number(key: str, value, integral: bool = False):
+    """A JSON number as a float, or as an int when ``integral``; an integral
+    float such as 1e6 counts as an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"parameter {key!r} must be a number, got {value!r}")
+    if integral:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"parameter {key!r} must be an integer, got {value!r}")
+        return int(value)
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"parameter {key!r} must be a number, got {value!r}") from exc
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"parameter {key!r} must be finite, got {value!r}") from exc
 
 
 def resolve_params(experiment: str, given: dict) -> dict:
     """Fill defaults and reject unknown keys; returns plain resolved values.
 
-    Every number must be finite, and the size parameters are capped by
+    Every number must be a finite JSON number, ``exact`` a JSON boolean,
+    the shot count, seed and sizes integral, and the sizes are capped by
     LIMITS.
     """
     if experiment not in PARAM_SPECS:
@@ -207,12 +209,13 @@ def resolve_params(experiment: str, given: dict) -> dict:
         out["noise"] = NoiseModel() if out["noise"] is None else NoiseModel.from_json(out["noise"])
     except Exception as exc:
         raise ConfigError(f"invalid noise model: {exc}") from exc
-    out["exact"] = bool(out["exact"])
+    if not isinstance(out["exact"], bool):
+        raise ConfigError(f"parameter 'exact' must be true or false, got {out['exact']!r}")
     for key in spec:
         if key in ("shots", "seed", "time_points", "resolution"):
-            out[key] = _number(key, out[key], int)
+            out[key] = _number(key, out[key], integral=True)
         elif key not in ("exact", "noise", "target") and not (key == "t_max" and out[key] is None):
-            out[key] = _number(key, out[key], float)
+            out[key] = _number(key, out[key])
     if out["shots"] < 1:
         raise ConfigError("shots must be >= 1")
     if out["seed"] < 0:
@@ -277,6 +280,41 @@ def _prepared_pair(circ: Circuit, nm: NoiseModel) -> np.ndarray:
     return partial_trace(rho, keep=(2, 3))
 
 
+# Sweep points evolved as one stack. Fixed, so that a sweep of any length
+# holds at most this many 4-qubit density matrices at a time.
+_BLOCK = 64
+
+
+def _prepare_points(points, build, nm: NoiseModel) -> tuple:
+    """(targets, circuits, noisy output pairs) of every sweep point, in
+    point order.
+
+    ``build(point)`` returns the point's (target, circuit). Points whose
+    circuits share a topology are evolved together, in stacks of up to
+    _BLOCK points, and each result is reduced to the output pair.
+    """
+    targets, circuits = [], []
+    for point in points:
+        target, circ = build(point)
+        targets.append(target)
+        circuits.append(circ)
+    groups = {}
+    for index, circ in enumerate(circuits):
+        groups.setdefault(circ.topology, []).append(index)
+    pairs = np.empty((len(circuits), 4, 4), dtype=complex)
+    for members in groups.values():
+        for start in range(0, len(members), _BLOCK):
+            block = members[start : start + _BLOCK]
+            stack = [circuits[i] for i in block]
+            rho = run_noisy_stack(stack, _initial_density(stack[0].width), nm)
+            pairs[block] = partial_trace(rho, keep=(2, 3))
+    return targets, circuits, pairs
+
+
+def _labelled(prefix: str, circuits) -> tuple:
+    return tuple((f"{prefix}_{index}", circ) for index, circ in enumerate(circuits))
+
+
 def _partial_records(rho_pair: np.ndarray, settings, shots: int, seed: int, nm: NoiseModel, exact: bool):
     records = []
     for setting in settings:
@@ -293,99 +331,78 @@ def _partial_records(rho_pair: np.ndarray, settings, shots: int, seed: int, nm: 
 def run_tetra_sweep(params: dict) -> ExperimentResult:
     nm = params["noise"]
     theta, phi = params["theta"], params["phi"]
-    rows = []
-    circuits = []
-    for index, p in enumerate(SimplexGrid(params["resolution"]).points()):
+    points = list(SimplexGrid(params["resolution"]).points())
+
+    def build(p):
         target = from_spectral(XSpectral(p[0], p[1], p[2], p[3], theta, phi).validate())
-        c_analytic = concurrence_x(target)
-        circ = build_xstate_circuit(p, theta, phi)
-        noisy_pair = _prepared_pair(circ, nm)
-        c_noisy = concurrence_wootters(noisy_pair)
+        return target, build_xstate_circuit(p, theta, phi)
+
+    targets, circuits, pairs = _prepare_points(points, build, nm)
+    rows = []
+    for index, (p, target, noisy_pair) in enumerate(zip(points, targets, pairs)):
         point_seed = derive_seed(params["seed"], index)
         records = _partial_records(noisy_pair, PARTIAL3, params["shots"], point_seed, nm, params["exact"])
         c_shot = concurrence_x(reconstruct_x3(records))
-        rows.append((p[0], p[1], p[2], p[3], c_analytic, c_noisy, c_shot))
-        circuits.append((f"point_{index}", circ))
+        rows.append((p[0], p[1], p[2], p[3], concurrence_x(target), concurrence_wootters(noisy_pair), c_shot))
     return ExperimentResult(
         columns=("p00", "p01", "p10", "p11", "c_analytic", "c_noisy_sim", "c_shot_tomo"),
         rows=tuple(rows),
-        circuits=tuple(circuits),
+        circuits=_labelled("point", circuits),
     )
 
 
-def _zero_field_target(params: dict, hp: HeisenbergParams, t: float) -> tuple:
-    """(spectral, XState) of the zero-field evolved mixture at time t."""
+def _zero_field_point(params: dict, hp: HeisenbergParams, t: float) -> tuple:
+    """(XState, circuit) of the zero-field evolved mixture at time t."""
     spectral = canonicalize_spectral(_circuit_weights(params), hp.j_kappa * t, hp.j * t)
-    return spectral, from_spectral(spectral)
+    return from_spectral(spectral), build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
 
 
-def _field_target(params: dict, hp: HeisenbergParams, t: float) -> XState:
-    """Exact evolution of the matching diagonal initial state.
+def _field_point(params: dict, hp: HeisenbergParams, t: float) -> tuple:
+    """(XState, circuit) of the exact evolution of the matching diagonal
+    initial state.
 
     The computational-basis populations are the t -> 0 limit of the
     zero-field construction: (q0 r0, q1 r1, q0 r1, q1 r0)."""
     w00, w01, w10, w11 = _circuit_weights(params)
-    populations = (w00, w11, w01, w10)
-    return evolve_diagonal(hp, populations, t)
+    target = evolve_diagonal(hp, (w00, w11, w01, w10), t)
+    circ, _, _ = build_complex_xstate_circuit(target.matrix())
+    return target, circ
+
+
+def _conc_experiment(params: dict, point, settings, reconstruct) -> ExperimentResult:
+    """Concurrence vs time: analytic, and reconstructed from ``settings``."""
+    nm = params["noise"]
+    hp = _couplings(params)
+    times = _time_grid(params, hp)
+    targets, circuits, pairs = _prepare_points(times, lambda t: point(params, hp, t), nm)
+    rows = []
+    for index, (t, target, noisy_pair) in enumerate(zip(times, targets, pairs)):
+        point_seed = derive_seed(params["seed"], index)
+        records = _partial_records(noisy_pair, settings, params["shots"], point_seed, nm, params["exact"])
+        rows.append((float(t), concurrence_x(target), concurrence_x(reconstruct(records))))
+    return ExperimentResult(
+        columns=("t", "c_analytic", "c_reconstructed"),
+        rows=tuple(rows),
+        circuits=_labelled("t", circuits),
+    )
 
 
 def run_heisenberg_conc(params: dict) -> ExperimentResult:
-    nm = params["noise"]
-    hp = _couplings(params)
-    rows = []
-    circuits = []
-    for index, t in enumerate(_time_grid(params, hp)):
-        spectral, target = _zero_field_target(params, hp, t)
-        c_analytic = concurrence_x(target)
-        circ = build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
-        noisy_pair = _prepared_pair(circ, nm)
-        point_seed = derive_seed(params["seed"], index)
-        records = _partial_records(noisy_pair, PARTIAL3, params["shots"], point_seed, nm, params["exact"])
-        c_rec = concurrence_x(reconstruct_x3(records))
-        rows.append((float(t), c_analytic, c_rec))
-        circuits.append((f"t_{index}", circ))
-    return ExperimentResult(
-        columns=("t", "c_analytic", "c_reconstructed"),
-        rows=tuple(rows),
-        circuits=tuple(circuits),
-    )
+    return _conc_experiment(params, _zero_field_point, PARTIAL3, reconstruct_x3)
 
 
 def run_field_conc(params: dict) -> ExperimentResult:
-    nm = params["noise"]
-    hp = _couplings(params)
-    rows = []
-    circuits = []
-    for index, t in enumerate(_time_grid(params, hp)):
-        target = _field_target(params, hp, t)
-        c_analytic = concurrence_x(target)
-        circ, _, _ = build_complex_xstate_circuit(target.matrix())
-        noisy_pair = _prepared_pair(circ, nm)
-        point_seed = derive_seed(params["seed"], index)
-        records = _partial_records(noisy_pair, PARTIAL5, params["shots"], point_seed, nm, params["exact"])
-        c_rec = concurrence_x(reconstruct_x5(records))
-        rows.append((float(t), c_analytic, c_rec))
-        circuits.append((f"t_{index}", circ))
-    return ExperimentResult(
-        columns=("t", "c_analytic", "c_reconstructed"),
-        rows=tuple(rows),
-        circuits=tuple(circuits),
-    )
+    return _conc_experiment(params, _field_point, PARTIAL5, reconstruct_x5)
 
 
 def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
     nm = params["noise"]
     hp = _couplings(params)
+    times = _time_grid(params, hp)
+    point = _field_point if with_field else _zero_field_point
+    targets, circuits, pairs = _prepare_points(times, lambda t: point(params, hp, t), nm)
     rows = []
-    circuits = []
-    for index, t in enumerate(_time_grid(params, hp)):
-        if with_field:
-            target = _field_target(params, hp, t)
-            circ, _, _ = build_complex_xstate_circuit(target.matrix())
-        else:
-            spectral, target = _zero_field_target(params, hp, t)
-            circ = build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
-        noisy_pair = _prepared_pair(circ, nm)
+    for index, (t, target, noisy_pair) in enumerate(zip(times, targets, pairs)):
         point_seed = derive_seed(params["seed"], index)
         full, p5, p3 = robustness_report(
             target.matrix(),
@@ -401,10 +418,9 @@ def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
             rows.append(
                 (float(t), full.fidelity_to_target, p5.fidelity_to_target, p3.fidelity_to_target, full.leakage)
             )
-        circuits.append((f"t_{index}", circ))
     columns = ("t", "f_full", "f_partial5", "leakage") if with_field else (
         "t", "f_full", "f_partial5", "f_partial3", "leakage")
-    return ExperimentResult(columns=columns, rows=tuple(rows), circuits=tuple(circuits))
+    return ExperimentResult(columns=columns, rows=tuple(rows), circuits=_labelled("t", circuits))
 
 
 def _parse_target(obj) -> tuple:

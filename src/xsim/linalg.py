@@ -8,11 +8,12 @@ Conventions used across the whole package:
 * supported operator dimensions are 2, 4, and 16 (one, two, and four qubits),
 * all functions are pure and never mutate their arguments.
 
-Every gate, channel and measurement basis change goes through one kernel,
-``apply_local``: it contracts a small operator into chosen axes of a state
+Every gate and channel goes through one kernel, ``apply_local``: it
+contracts a small operator into chosen axes of a stack of states, each
 viewed as a tensor of shape ``(2,)*k`` (a ket of k qubits, or a density
 matrix of k/2 qubits with its row axes first), so no operator is ever
-embedded into the full register.
+embedded into the full register. The operator is shared by the stack or
+given per state, so the points of a sweep evolve together.
 
 Production code diagonalizes with LAPACK (``numpy.linalg.eigh`` and
 ``svd``). The cyclic Jacobi eigensolver ``herm_eig`` and the routes built on
@@ -88,37 +89,42 @@ def validate_density(rho: np.ndarray, atol: float = PSD_ATOL) -> np.ndarray:
 
 
 def apply_local(state: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
-    """Contract ``op`` into the listed axes of a qubit tensor.
+    """Contract ``op`` into the listed axes of a stack of qubit tensors.
 
-    ``state`` has shape ``(2,)*k``; ``op`` is a 2^m x 2^m matrix whose m
-    tensor factors act on ``axes`` in the order listed, and every other axis
-    is left alone. On a density tensor of n qubits, row axis q is qubit q and
-    column axis n + q its conjugate side, so a unitary acts through its
-    superoperator on the row and column axes together (``conjugate``) and a
-    one-qubit channel through its superoperator on axes (q, n + q). The
-    result may be a non-contiguous view.
+    ``state`` has shape ``(P,) + (2,)*k``: P tensors of k axes each, a stack
+    of one for a single state. ``op`` is one 2^m x 2^m matrix shared by the
+    whole stack, or a ``(P, 2^m, 2^m)`` stack of them, one per tensor; its m
+    tensor factors act on ``axes`` (counted within each tensor, the stack
+    axis excluded) in the order listed, and every other axis is left alone.
+    On a density tensor of n qubits, row axis q is qubit q and column axis
+    n + q its conjugate side, so a unitary acts through its superoperator on
+    the row and column axes together (``conjugate``) and a one-qubit channel
+    through its superoperator on axes (q, n + q). The result may be a
+    non-contiguous view.
     """
-    axes = tuple(axes)
-    perm = axes + tuple(a for a in range(state.ndim) if a not in axes)
+    axes = tuple(a + 1 for a in axes)
+    perm = (0,) + axes + tuple(a for a in range(1, state.ndim) if a not in axes)
     moved = state.transpose(perm)
-    out = (op @ moved.reshape(op.shape[1], -1)).reshape(moved.shape)
-    return out.transpose(np.argsort(perm))
+    out = op @ moved.reshape(moved.shape[0], op.shape[-1], -1)
+    return out.reshape(moved.shape).transpose(np.argsort(perm))
 
 
 def superop(kraus) -> np.ndarray:
     """Superoperator sum_k K (x) conj(K) of a Kraus set (or a one-element
     list holding a unitary), acting on a density matrix's (row, column)
-    index pairs: rho'[a, b] = sum S[(a, b), (c, d)] rho[c, d]."""
+    index pairs: rho'[a, b] = sum S[(a, b), (c, d)] rho[c, d]. Leading axes
+    before the Kraus axis give a stack of superoperators."""
     k = np.asarray(kraus, dtype=complex)
     d = k.shape[-1]
-    return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(d * d, d * d)
+    return np.einsum("...kac,...kbd->...abcd", k, k.conj()).reshape(k.shape[:-3] + (d * d, d * d))
 
 
 def conjugate(state: np.ndarray, u: np.ndarray, qubits, width: int) -> np.ndarray:
-    """U rho U^dagger for a unitary U acting on ``qubits`` of a density
-    tensor of ``width`` qubits."""
+    """U rho U^dagger for a unitary U acting on ``qubits`` of a stack of
+    density tensors of ``width`` qubits; ``u`` is one matrix or a stack of
+    one per tensor."""
     qubits = tuple(qubits)
-    return apply_local(state, superop([u]), qubits + tuple(width + q for q in qubits))
+    return apply_local(state, superop(np.expand_dims(u, -3)), qubits + tuple(width + q for q in qubits))
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
@@ -127,13 +133,16 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     Parameters
     ----------
     rho : ndarray
-        Density matrix on n qubits, n <= 4 (dimension 2, 4, 8, or 16).
+        Density matrix on n qubits, n <= 4 (dimension 2, 4, 8, or 16), or a
+        stack of them along leading axes.
     keep : iterable of int
         Qubit indices to retain, 0 = leftmost factor. Order in the output
         follows ascending qubit index.
     """
-    rho = _square(rho, "partial_trace")
-    dim = rho.shape[0]
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise DimensionError(f"partial_trace: expected square matrices, got shape {rho.shape}")
+    dim = rho.shape[-1]
     n = dim.bit_length() - 1
     if 2**n != dim or not 1 <= n <= 4:
         raise DimensionError(f"partial_trace: dimension {dim} is not a small qubit register")
@@ -147,9 +156,10 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
         if q not in keep:
             ket[q] = bra[q]
     out = "".join(bra[q] for q in keep) + "".join(ket[q] for q in keep)
-    sub = "".join(bra) + "".join(ket) + "->" + out
+    sub = "..." + "".join(bra) + "".join(ket) + "->..." + out
     k = len(keep)
-    return np.einsum(sub, rho.reshape([2] * (2 * n))).reshape(2**k, 2**k)
+    stack = rho.shape[:-2]
+    return np.einsum(sub, rho.reshape(stack + (2,) * (2 * n))).reshape(stack + (2**k, 2**k))
 
 
 def herm_eig(m: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):

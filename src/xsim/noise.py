@@ -24,7 +24,7 @@ import numpy as np
 from .circuits import Circuit, density_tensor
 from .errors import ContractError
 from .linalg import apply_local, conjugate, superop
-from .rng import READOUT_STREAM_OFFSET, multinomial_counts, substream
+from .rng import READOUT_STREAM_OFFSET, keyed_stream, multinomial_counts
 from .tomography import ShotRecord, setting_index
 
 _RATE_FIELDS = ("p_depol_1q", "p_depol_2q", "gamma_ad", "gamma_pd", "p_readout")
@@ -75,6 +75,9 @@ class NoiseModel:
         extra = set(obj) - set(_RATE_FIELDS)
         if extra:
             raise ContractError(f"unknown noise fields {sorted(extra)}")
+        for name, v in obj.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ContractError(f"noise rate {name} must be a number, got {v!r}")
         rates = {name: float(obj[name]) for name in obj}
         for name, v in rates.items():
             if not math.isfinite(v):
@@ -133,7 +136,7 @@ def apply_channel(rho: np.ndarray, kraus, qubits) -> np.ndarray:
     s = channel_superop(kraus)
     if isinstance(qubits, int):
         qubits = (qubits,)
-    out = rho.reshape((2,) * (2 * n_qubits))
+    out = rho.reshape((1,) + (2,) * (2 * n_qubits))
     for q in qubits:
         if not 0 <= q < n_qubits:
             raise ContractError(f"qubit index {q} outside register of {n_qubits}")
@@ -147,15 +150,35 @@ def run_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
     With an all-zero model every channel is skipped and the arithmetic is
     identical to run_density.
     """
-    out = density_tensor(c, rho)
+    return run_noisy_stack((c,), rho, nm)[0]
+
+
+def run_noisy_stack(circuits, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
+    """``run_noisy`` of each circuit on the same input, as one (P, D, D) stack.
+
+    The circuits must share one ``topology``. Each gate position applies one
+    operator to the whole stack when every circuit gives that gate the same
+    parameters, and a stack of per-circuit operators otherwise; either way
+    each state gets the arithmetic of its own ``run_noisy``.
+    """
+    first = circuits[0]
+    if any(c.topology != first.topology for c in circuits):
+        raise ContractError("stacked circuits must share one gate topology")
+    width = first.width
+    out = np.repeat(density_tensor(first, rho), len(circuits), axis=0)
     noise = nm.gate_noise
-    for g in c.gates:
-        out = conjugate(out, g.local_matrix(), g.qubits, c.width)
+    for column in zip(*(c.gates for c in circuits)):
+        g = column[0]
+        if all(h.params == g.params for h in column):
+            u = g.local_matrix()
+        else:
+            u = np.array([h.local_matrix() for h in column])
+        out = conjugate(out, u, g.qubits, width)
         s = noise[len(g.qubits)]
         if s is not None:
             for q in g.qubits:
-                out = apply_local(out, s, (q, c.width + q))
-    return out.reshape(2**c.width, 2**c.width)
+                out = apply_local(out, s, (q, width + q))
+    return out.reshape(len(circuits), 2**width, 2**width)
 
 
 def readout_flip(rec: ShotRecord, p: float, seed: int) -> ShotRecord:
@@ -178,7 +201,7 @@ def readout_flip(rec: ShotRecord, p: float, seed: int) -> ShotRecord:
             for m in range(4):
                 new_probs[k ^ m] += probs[k] * pattern_probs[m]
         return ShotRecord(rec.setting, 0, tuple(float(x) for x in new_probs))
-    rng = substream(seed, READOUT_STREAM_OFFSET + setting_index(rec.setting))
+    rng = keyed_stream(seed, READOUT_STREAM_OFFSET + setting_index(rec.setting))
     new_counts = [0, 0, 0, 0]
     for k in range(4):
         n_k = int(rec.counts[k])

@@ -7,6 +7,9 @@ sampled artifact can be replayed byte for byte from (seed, structure):
 * measurement settings draw from ``substream(seed, setting_index)`` where the
   setting index enumerates Pauli pairs row-major (XX=0, XY=1, ..., ZZ=8),
 * readout bit-flips for a setting use ``substream(seed, 9 + setting_index)``,
+* the samplers get these streams from ``keyed_stream``, which re-keys one bit
+  generator instead of building one per stream; ``substream`` is the
+  reference it must match,
 * sweep experiments derive one seed per grid/time point with
   ``derive_seed(master_seed, point_index)`` (a SeedSequence spawn).
 
@@ -35,10 +38,41 @@ READOUT_STREAM_OFFSET = 9
 SNAP_ATOL = 1e-12
 
 
+def _key(seed: int, stream: int) -> np.ndarray:
+    return np.array([np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF), np.uint64(int(stream))])
+
+
 def substream(seed: int, stream: int) -> np.random.Generator:
     """Independent generator keyed by (seed, stream)."""
-    key = np.array([np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF), np.uint64(int(stream))])
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream)))
+
+
+# The one bit generator that keyed_stream re-keys, made on first use:
+# building a Philox runs a SeedSequence, about four times the cost of
+# re-keying one.
+_philox = None
+
+
+def keyed_stream(seed: int, stream: int) -> np.random.Generator:
+    """A generator that draws exactly what ``substream(seed, stream)`` draws.
+
+    It wraps one shared Philox bit generator, reset to counter 0 under the
+    key (seed, stream), so the next call re-keys it: draw from the result
+    only inside the call that made it, and keep no reference to it. Not
+    safe to share between threads.
+    """
+    global _philox
+    if _philox is None:
+        _philox = np.random.Philox(0)
+    _philox.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(seed, stream)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(_philox)
 
 
 def derive_seed(master: int, *path: int) -> int:
@@ -48,10 +82,22 @@ def derive_seed(master: int, *path: int) -> int:
 
 
 def _snap(p: float, n: int) -> float:
-    k = round(p * (n + 1))
-    for anchor in (0.0, 0.5, 1.0, 30.0 / n, 1.0 - 30.0 / n, k / (n + 1)):
-        if abs(p - anchor) <= SNAP_ATOL:
-            return anchor
+    # Anchors are tried in a fixed order, the first match wins: for large n,
+    # 30/n and k/(n+1) can both lie within SNAP_ATOL of p.
+    if abs(p) <= SNAP_ATOL:
+        return 0.0
+    if abs(p - 0.5) <= SNAP_ATOL:
+        return 0.5
+    if abs(p - 1.0) <= SNAP_ATOL:
+        return 1.0
+    anchor = 30.0 / n
+    if abs(p - anchor) <= SNAP_ATOL:
+        return anchor
+    if abs(p - (1.0 - anchor)) <= SNAP_ATOL:
+        return 1.0 - anchor
+    anchor = round(p * (n + 1)) / (n + 1)
+    if abs(p - anchor) <= SNAP_ATOL:
+        return anchor
     return min(max(p, 0.0), 1.0)
 
 

@@ -17,7 +17,8 @@ Im w = -(<XY> + <YX>)/4, Im z = (<XY> - <YX>)/4, with the ZZ outcome
 frequencies giving the diagonal directly.
 
 Sampling is seeded per setting through a documented split: setting (i, j)
-with Pauli indices i, j in (X, Y, Z) order draws from substream(seed, 3i+j).
+with Pauli indices i, j in (X, Y, Z) order draws from substream(seed, 3i+j),
+through rng.keyed_stream.
 A ShotRecord with shots = 0 is the exact-probability limit; its counts hold
 the outcome distribution itself.
 """
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ProtocolError
-from .linalg import PAULI, conjugate, fidelity, kron
-from .rng import multinomial_counts, substream
+from .linalg import PAULI, fidelity, kron
+from .rng import keyed_stream, multinomial_counts
 from .xstate import XState, leakage
 
 PAULI_ORDER = "XYZ"
@@ -47,6 +48,16 @@ _MEASUREMENT_BASIS = {
     "Y": np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0),
     "Z": np.eye(2, dtype=complex),
 }
+
+
+def _outcome_map(setting: str) -> np.ndarray:
+    """4x16 map from a flattened two-qubit density matrix to the diagonal of
+    B rho B^dagger, B the setting's basis: M[k, (a, b)] = B[k, a] conj(B[k, b])."""
+    b = kron(_MEASUREMENT_BASIS[setting[0]], _MEASUREMENT_BASIS[setting[1]])
+    return np.einsum("ka,kb->kab", b, b.conj()).reshape(4, 16)
+
+
+_OUTCOME_MAPS = {setting: _outcome_map(setting) for setting in FULL}
 
 # [i, j] -> sigma_i (x) sigma_j with sigma = (I, X, Y, Z): the operator basis
 # of the linear inversion.
@@ -72,10 +83,7 @@ def outcome_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     if rho.shape != (4, 4):
         raise ContractError("outcome_probabilities expects a 4x4 density matrix")
     setting_index(setting)
-    rotated = rho.reshape(2, 2, 2, 2)
-    for qubit, pauli in enumerate(setting):
-        rotated = conjugate(rotated, _MEASUREMENT_BASIS[pauli], (qubit,), 2)
-    probs = np.diagonal(rotated.reshape(4, 4)).real
+    probs = (_OUTCOME_MAPS[setting] @ rho.reshape(16)).real
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if total <= 0.0:
@@ -118,7 +126,7 @@ def sample_setting(rho: np.ndarray, setting: str, shots: int, seed: int) -> Shot
     if shots < 1:
         raise ContractError("shots must be >= 1; use exact_record for the exact limit")
     probs = outcome_probabilities(rho, setting)
-    rng = substream(seed, setting_index(setting))
+    rng = keyed_stream(seed, setting_index(setting))
     return ShotRecord(setting=setting, shots=shots, counts=multinomial_counts(rng, shots, probs))
 
 

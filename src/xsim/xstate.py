@@ -38,7 +38,6 @@ populations or entanglement (``strip_phases``).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -337,7 +336,3 @@ def bell_coherence_block(block: np.ndarray) -> float:
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     rotated = h @ block @ h
     return float(2.0 * abs(rotated[0, 1]))
-
-
-def xstate_json_dumps(x: XState) -> str:
-    return json.dumps(x.to_json(), sort_keys=True)

@@ -4,16 +4,24 @@ import math
 import numpy as np
 import pytest
 
+from xsim.circuits import build_xstate_circuit
 from xsim.cli import main
-from xsim.errors import ConfigError
+from xsim.errors import ConfigError, ContractError
 from xsim.experiments import (
     ExperimentResult,
     SimplexGrid,
+    _couplings,
+    _field_point,
+    _prepare_points,
+    _time_grid,
+    _zero_field_point,
     format_csv,
     format_json,
     resolve_params,
     run_experiment,
 )
+from xsim.linalg import partial_trace
+from xsim.noise import NoiseModel, run_noisy, run_noisy_stack
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
 
@@ -340,8 +348,67 @@ def test_cli_exact_flag_reaches_runner(tmp_path):
     ("heisenberg_conc", {"kappa": "x"}, "'kappa' must be a number"),
     ("xprep_single", {"target": {"kind": "spectral", "p": [float("nan"), 0, 0, 1], "theta": 0, "phi": 0}},
      "target.p[0] must be finite"),
+    ("heisenberg_conc", {"exact": "no"}, "'exact' must be true or false"),
+    ("heisenberg_conc", {"exact": 1}, "'exact' must be true or false"),
+    ("heisenberg_conc", {"time_points": 2.5}, "'time_points' must be an integer"),
+    ("heisenberg_conc", {"shots": 100.5}, "'shots' must be an integer"),
+    ("heisenberg_conc", {"seed": 0.5}, "'seed' must be an integer"),
+    ("tetra_sweep", {"resolution": 2.5}, "'resolution' must be an integer"),
+    ("heisenberg_conc", {"shots": "8000"}, "'shots' must be a number"),
+    ("heisenberg_conc", {"time_points": True}, "'time_points' must be a number"),
+    ("heisenberg_conc", {"J": 10**400}, "'J' must be finite"),
+    ("heisenberg_conc", {"noise": {"p_readout": "0.1"}}, "noise rate p_readout must be a number"),
+    ("heisenberg_conc", {"noise": {"gamma_ad": True}}, "noise rate gamma_ad must be a number"),
 ])
 def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, experiment, params, message):
     cfg = _write_config(tmp_path, {"params": params})
     assert main([experiment, "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_integral_floats_are_accepted_as_sizes(tmp_path):
+    cfg = _write_config(tmp_path, {"params": {"time_points": 3.0, "shots": 1e2, "seed": 4.0, "exact": False}})
+    out = tmp_path / "o.json"
+    assert main(["heisenberg_conc", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    blob = json.loads(out.read_text())
+    assert (blob["provenance"]["shots"], blob["provenance"]["seed"], blob["provenance"]["exact"]) == (100, 4, False)
+    assert len(blob["rows"]) == 3
+
+
+@pytest.mark.parametrize("experiment, params, point", [
+    # 165 points, 37 of them factorized (alpha = 0, two gates fewer); the
+    # other 128 span two stacks
+    ("tetra_sweep", {"resolution": 8}, None),
+    # 150 points whose circuits carry no, one or two trailing RZ gates
+    ("field_conc", {"time_points": 150}, _field_point),
+    ("heisenberg_conc", {"time_points": 150}, _zero_field_point),
+])
+def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, point):
+    params = resolve_params(experiment, params)
+    nm = params["noise"]
+    if point is None:
+        grid = list(SimplexGrid(params["resolution"]).points())
+        theta, phi = params["theta"], params["phi"]
+        _, circuits, pairs = _prepare_points(grid, lambda p: (None, build_xstate_circuit(p, theta, phi)), nm)
+    else:
+        hp = _couplings(params)
+        times = _time_grid(params, hp)
+        _, circuits, pairs = _prepare_points(times, lambda t: point(params, hp, t), nm)
+    topologies = {c.topology for c in circuits}
+    assert len(topologies) > 1
+    assert max(sum(c.topology == top for c in circuits) for top in topologies) > 64
+    assert pairs.shape == (len(circuits), 4, 4)
+    rho0 = np.zeros((16, 16), dtype=complex)
+    rho0[0, 0] = 1.0
+    for circ, pair in zip(circuits, pairs):
+        np.testing.assert_allclose(pair, partial_trace(run_noisy(circ, rho0, nm), keep=(2, 3)), rtol=0, atol=1e-14)
+
+
+def test_run_noisy_stack_rejects_mixed_topologies():
+    rho0 = np.zeros((16, 16), dtype=complex)
+    rho0[0, 0] = 1.0
+    factorized = build_xstate_circuit((0.25, 0.25, 0.25, 0.25), 0.3, 0.2)
+    correlated = build_xstate_circuit((0.5, 0.0, 0.0, 0.5), 0.3, 0.2)
+    assert factorized.topology != correlated.topology
+    with pytest.raises(ContractError):
+        run_noisy_stack([factorized, correlated], rho0, NoiseModel())

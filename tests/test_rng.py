@@ -1,6 +1,6 @@
 import numpy as np
 
-from xsim.rng import multinomial_counts, substream
+from xsim.rng import SNAP_ATOL, _snap, keyed_stream, multinomial_counts, substream
 
 
 def test_multinomial_counts_follow_numpy_draw_for_draw():
@@ -32,3 +32,37 @@ def test_multinomial_counts_are_stable_under_roundoff():
             assert multinomial_counts(substream(5, 1), shots, nudged) == base
             unstable += tuple(substream(5, 1).multinomial(shots, nudged)) != base
     assert unstable > 0  # numpy's multinomial alone moves on these inputs
+
+
+def _snap_reference(p, n):
+    """The anchor loop that _snap must reproduce, kept as the reference."""
+    k = round(p * (n + 1))
+    for anchor in (0.0, 0.5, 1.0, 30.0 / n, 1.0 - 30.0 / n, k / (n + 1)):
+        if abs(p - anchor) <= SNAP_ATOL:
+            return anchor
+    return min(max(p, 0.0), 1.0)
+
+
+def test_snap_matches_reference_on_random_and_anchor_adjacent_inputs():
+    src = np.random.default_rng(11)
+    ns = src.choice([1, 2, 29, 30, 31, 50, 119, 120, 8000, 10**6, 10**7, 3 * 10**7, 10**9], size=120_000)
+    ns = np.where(src.random(ns.size) < 0.3, src.integers(1, 10**9, size=ns.size), ns)
+    kind = src.integers(0, 7, size=ns.size)
+    offsets = src.choice([0.0, 1e-13, -1e-13, 9.9e-13, -9.9e-13, 1.01e-12, -1.01e-12, 1e-16], size=ns.size)
+    for n, k, off, u in zip(ns.tolist(), kind.tolist(), offsets.tolist(), src.random(ns.size).tolist()):
+        p = (u, 0.0, 0.5, 1.0, 30.0 / n, 1.0 - 30.0 / n, round(u * (n + 1)) / (n + 1))[k] + off
+        assert _snap(p, n) == _snap_reference(p, n), (p, n)
+
+
+def test_keyed_stream_draws_what_substream_draws():
+    # numpy keeps its binomial set-up per Generator and reuses it when
+    # (n, p) repeats; a re-keyed stream must still match a fresh one
+    cases = [(8000, (0.3, 0.2, 0.4, 0.1)), (8000, (0.3, 0.2, 0.4, 0.1)), (50, (0.5, 0.5, 0.0, 0.0)),
+             (8000, (0.3, 0.2, 0.4, 0.1)), (10**6, (0.25, 0.25, 0.25, 0.25)), (10**6, (0.25, 0.25, 0.25, 0.25))]
+    for seed in (0, 7, 2**63 + 5):
+        for stream, (n, probs) in enumerate(cases * 3):
+            stream %= 18
+            want = multinomial_counts(substream(seed, stream), n, probs)
+            assert multinomial_counts(keyed_stream(seed, stream), n, probs) == want
+            rng = keyed_stream(seed, stream)
+            assert np.array_equal(rng.binomial(n, 0.37, size=3), substream(seed, stream).binomial(n, 0.37, size=3))
