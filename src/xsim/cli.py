@@ -56,6 +56,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xsim",
@@ -112,11 +120,9 @@ def main(argv=None) -> int:
         if out_path is None:
             sys.stdout.write(text)
         else:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write(out_path, text)
         if args.dump_circuit:
-            with open(out_path + ".circuit.json", "w", encoding="utf-8") as fh:
-                fh.write(format_circuit_dump(result))
+            _write(out_path + ".circuit.json", format_circuit_dump(result))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -38,22 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, build_complex_xstate_circuit, build_xstate_circuit, run_density
+from .circuits import build_complex_xstate_circuit, build_xstate_circuit, run_density
 from .errors import ConfigError, ContractError
 from .heisenberg import HeisenbergParams, evolve_diagonal
 from .linalg import fidelity, partial_trace
-from .noise import NoiseModel, readout_flip, run_noisy, run_noisy_stack
+from .noise import NoiseModel, run_noisy, run_noisy_stack
 from .rng import derive_seed
-from .tomography import (
-    PARTIAL3,
-    PARTIAL5,
-    TomographyReport,
-    exact_record,
-    reconstruct_x3,
-    reconstruct_x5,
-    robustness_report,
-    sample_setting,
-)
+from .tomography import PARTIAL3, PARTIAL5, TomographyReport, measure, reconstruct_x3, reconstruct_x5, robustness_report
 from .xstate import (
     XSpectral,
     XState,
@@ -274,12 +265,6 @@ def _initial_density(width: int) -> np.ndarray:
     return rho
 
 
-def _prepared_pair(circ: Circuit, nm: NoiseModel) -> np.ndarray:
-    """Run the 4-qubit preparation under noise, reduced to the output pair."""
-    rho = run_noisy(circ, _initial_density(circ.width), nm)
-    return partial_trace(rho, keep=(2, 3))
-
-
 # Sweep points evolved as one stack. Fixed, so that a sweep of any length
 # holds at most this many 4-qubit density matrices at a time.
 _BLOCK = 64
@@ -311,44 +296,40 @@ def _prepare_points(points, build, nm: NoiseModel) -> tuple:
     return targets, circuits, pairs
 
 
-def _labelled(prefix: str, circuits) -> tuple:
-    return tuple((f"{prefix}_{index}", circ) for index, circ in enumerate(circuits))
+def _sweep(params: dict, points, build, row, columns: tuple, label: str) -> ExperimentResult:
+    """The pipeline of every sweep: one row per point, in point order.
 
-
-def _partial_records(rho_pair: np.ndarray, settings, shots: int, seed: int, nm: NoiseModel, exact: bool):
-    records = []
-    for setting in settings:
-        if exact:
-            rec = exact_record(rho_pair, setting)
-        else:
-            rec = sample_setting(rho_pair, setting, shots, seed)
-        if nm.p_readout > 0.0:
-            rec = readout_flip(rec, nm.p_readout, seed)
-        records.append(rec)
-    return records
+    ``build(point)`` gives the point's (target, circuit), and
+    _prepare_points evolves every circuit to its noisy output pair. Then
+    ``row(point, target, pair, draw)`` returns each point's row; ``draw``
+    holds the keyword arguments (shots, seed, p_readout, exact) that it
+    passes to ``measure`` or ``robustness_report``, with the seed that
+    derive_seed gives for the master seed and the point index. Circuits
+    are labelled ``{label}_{index}``.
+    """
+    targets, circuits, pairs = _prepare_points(points, build, params["noise"])
+    draw = {"shots": params["shots"], "p_readout": params["noise"].p_readout, "exact": params["exact"]}
+    rows = tuple(
+        row(point, target, pair, {**draw, "seed": derive_seed(params["seed"], index)})
+        for index, (point, target, pair) in enumerate(zip(points, targets, pairs))
+    )
+    labelled = tuple((f"{label}_{index}", circ) for index, circ in enumerate(circuits))
+    return ExperimentResult(columns=columns, rows=rows, circuits=labelled)
 
 
 def run_tetra_sweep(params: dict) -> ExperimentResult:
-    nm = params["noise"]
     theta, phi = params["theta"], params["phi"]
-    points = list(SimplexGrid(params["resolution"]).points())
 
     def build(p):
         target = from_spectral(XSpectral(p[0], p[1], p[2], p[3], theta, phi).validate())
         return target, build_xstate_circuit(p, theta, phi)
 
-    targets, circuits, pairs = _prepare_points(points, build, nm)
-    rows = []
-    for index, (p, target, noisy_pair) in enumerate(zip(points, targets, pairs)):
-        point_seed = derive_seed(params["seed"], index)
-        records = _partial_records(noisy_pair, PARTIAL3, params["shots"], point_seed, nm, params["exact"])
-        c_shot = concurrence_x(reconstruct_x3(records))
-        rows.append((p[0], p[1], p[2], p[3], concurrence_x(target), concurrence_wootters(noisy_pair), c_shot))
-    return ExperimentResult(
-        columns=("p00", "p01", "p10", "p11", "c_analytic", "c_noisy_sim", "c_shot_tomo"),
-        rows=tuple(rows),
-        circuits=_labelled("point", circuits),
-    )
+    def row(p, target, pair, draw):
+        c_shot = concurrence_x(reconstruct_x3(measure(pair, PARTIAL3, **draw).values()))
+        return (*p, concurrence_x(target), concurrence_wootters(pair), c_shot)
+
+    columns = ("p00", "p01", "p10", "p11", "c_analytic", "c_noisy_sim", "c_shot_tomo")
+    return _sweep(params, list(SimplexGrid(params["resolution"]).points()), build, row, columns, "point")
 
 
 def _zero_field_point(params: dict, hp: HeisenbergParams, t: float) -> tuple:
@@ -369,82 +350,80 @@ def _field_point(params: dict, hp: HeisenbergParams, t: float) -> tuple:
     return target, circ
 
 
-def _conc_experiment(params: dict, point, settings, reconstruct) -> ExperimentResult:
-    """Concurrence vs time: analytic, and reconstructed from ``settings``."""
-    nm = params["noise"]
+def _time_sweep(params: dict, point, row, columns: tuple) -> ExperimentResult:
+    """A sweep over the time grid, point t built by ``point(params, hp, t)``."""
     hp = _couplings(params)
-    times = _time_grid(params, hp)
-    targets, circuits, pairs = _prepare_points(times, lambda t: point(params, hp, t), nm)
-    rows = []
-    for index, (t, target, noisy_pair) in enumerate(zip(times, targets, pairs)):
-        point_seed = derive_seed(params["seed"], index)
-        records = _partial_records(noisy_pair, settings, params["shots"], point_seed, nm, params["exact"])
-        rows.append((float(t), concurrence_x(target), concurrence_x(reconstruct(records))))
-    return ExperimentResult(
-        columns=("t", "c_analytic", "c_reconstructed"),
-        rows=tuple(rows),
-        circuits=_labelled("t", circuits),
-    )
+    return _sweep(params, _time_grid(params, hp), lambda t: point(params, hp, t), row, columns, "t")
+
+
+def _conc_row(settings, reconstruct):
+    """Row (t, analytic, reconstructed from ``settings``) of a concurrence sweep."""
+    def row(t, target, pair, draw):
+        estimate = reconstruct(measure(pair, settings, **draw).values())
+        return float(t), concurrence_x(target), concurrence_x(estimate)
+    return row
 
 
 def run_heisenberg_conc(params: dict) -> ExperimentResult:
-    return _conc_experiment(params, _zero_field_point, PARTIAL3, reconstruct_x3)
+    row = _conc_row(PARTIAL3, reconstruct_x3)
+    return _time_sweep(params, _zero_field_point, row, ("t", "c_analytic", "c_reconstructed"))
 
 
 def run_field_conc(params: dict) -> ExperimentResult:
-    return _conc_experiment(params, _field_point, PARTIAL5, reconstruct_x5)
+    row = _conc_row(PARTIAL5, reconstruct_x5)
+    return _time_sweep(params, _field_point, row, ("t", "c_analytic", "c_reconstructed"))
 
 
 def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
-    nm = params["noise"]
-    hp = _couplings(params)
-    times = _time_grid(params, hp)
+    """Fidelity of all three protocols vs time; with the field the evolved
+    corners are complex, so the 3-observable protocol is left out."""
+    partial3 = () if with_field else ("f_partial3",)
+
+    def row(t, target, pair, draw):
+        full, p5, p3 = robustness_report(target.matrix(), pair, **draw)
+        f3 = () if with_field else (p3.fidelity_to_target,)
+        return (float(t), full.fidelity_to_target, p5.fidelity_to_target, *f3, full.leakage)
+
     point = _field_point if with_field else _zero_field_point
-    targets, circuits, pairs = _prepare_points(times, lambda t: point(params, hp, t), nm)
-    rows = []
-    for index, (t, target, noisy_pair) in enumerate(zip(times, targets, pairs)):
-        point_seed = derive_seed(params["seed"], index)
-        full, p5, p3 = robustness_report(
-            target.matrix(),
-            noisy_pair,
-            params["shots"],
-            point_seed,
-            p_readout=nm.p_readout,
-            exact=params["exact"],
-        )
-        if with_field:
-            rows.append((float(t), full.fidelity_to_target, p5.fidelity_to_target, full.leakage))
-        else:
-            rows.append(
-                (float(t), full.fidelity_to_target, p5.fidelity_to_target, p3.fidelity_to_target, full.leakage)
-            )
-    columns = ("t", "f_full", "f_partial5", "leakage") if with_field else (
-        "t", "f_full", "f_partial5", "f_partial3", "leakage")
-    return ExperimentResult(columns=columns, rows=tuple(rows), circuits=_labelled("t", circuits))
+    return _time_sweep(params, point, row, ("t", "f_full", "f_partial5", *partial3, "leakage"))
 
 
 def _parse_target(obj) -> tuple:
-    """Returns (XState, XSpectral or None) from the xprep_single target key."""
+    """Returns (XState, XSpectral or None) from the xprep_single target key.
+
+    Every field must be a JSON number (``p`` a list of them), and keys other
+    than ``kind`` and the fields of that kind are rejected."""
+    fields = {"spectral": ("p", "theta", "phi"), "xstate": ("a", "b", "c", "d", "w_re", "w_im", "z_re", "z_im")}
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("target must be an object with a 'kind' key")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in fields:
+        raise ConfigError(f"unknown target kind {kind!r}")
     body = {k: v for k, v in obj.items() if k != "kind"}
+    unknown = set(body) - set(fields[kind])
+    if unknown:
+        raise ConfigError(f"unknown target keys for kind {kind}: {sorted(unknown)}")
+    for key, value in body.items():
+        if key == "p" and isinstance(value, list):
+            for i, item in enumerate(value):
+                _number(f"target.p[{i}]", item)
+        else:
+            _number(f"target.{key}", value)
     # decoding problems are configuration mistakes; a well-formed but
     # unphysical target is a contract violation and propagates as such
-    if obj["kind"] == "spectral":
+    if kind == "spectral":
         try:
             spectral = XSpectral.from_json(body)
         except (KeyError, TypeError, ValueError, ContractError) as exc:
             raise ConfigError(f"malformed spectral target: {exc}") from exc
         spectral.validate()
         return from_spectral(spectral), spectral
-    if obj["kind"] == "xstate":
-        try:
-            x = XState.from_json(body)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed xstate target: {exc}") from exc
-        x.validate()
-        return x, None
-    raise ConfigError(f"unknown target kind {obj['kind']!r}")
+    try:
+        x = XState.from_json(body)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed xstate target: {exc}") from exc
+    x.validate()
+    return x, None
 
 
 def run_xprep_single(params: dict) -> ExperimentResult:
@@ -456,10 +435,9 @@ def run_xprep_single(params: dict) -> ExperimentResult:
     else:
         circ, spectral, phases = build_complex_xstate_circuit(target_x.matrix())
     ideal_pair = partial_trace(run_density(circ, _initial_density(circ.width)), keep=(2, 3))
-    noisy_pair = _prepared_pair(circ, nm)
+    noisy_pair = partial_trace(run_noisy(circ, _initial_density(circ.width), nm), keep=(2, 3))
     seed = params["seed"]
-    records = _partial_records(noisy_pair, PARTIAL5, params["shots"], seed, nm, params["exact"])
-    x5 = reconstruct_x5(records)
+    x5 = reconstruct_x5(measure(noisy_pair, PARTIAL5, params["shots"], seed, nm.p_readout, params["exact"]).values())
     report = TomographyReport(
         protocol="partial5",
         reconstructed=x5.matrix(),

@@ -1,4 +1,4 @@
-"""Kraus-channel noise for circuit execution, plus readout bit flips.
+"""Kraus-channel noise for circuit execution.
 
 The gate-noise model is deliberately plain: after every gate, each touched
 qubit gets a depolarizing kick (rate chosen by gate arity), then amplitude
@@ -7,10 +7,9 @@ Default rates are order-of-magnitude typical for small superconducting
 devices of the 2019-2021 era and are fully overridable; nothing here claims
 to calibrate a particular machine.
 
-Readout error is separate: it acts on recorded counts, not on the state,
-flipping each outcome bit independently. In the exact-probability limit
-(ShotRecord with shots = 0) the flip is applied as a deterministic
-stochastic map on the outcome distribution.
+The model's readout rate p_readout is not applied here: readout error acts
+on recorded counts, not on the state, so it is applied where the settings
+are measured, by ``measure`` and ``readout_flip`` next to ``ShotRecord``.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ import numpy as np
 from .circuits import Circuit, density_tensor
 from .errors import ContractError
 from .linalg import apply_local, conjugate, superop
-from .rng import READOUT_STREAM_OFFSET, keyed_stream, multinomial_counts
-from .tomography import ShotRecord, setting_index
 
 _RATE_FIELDS = ("p_depol_1q", "p_depol_2q", "gamma_ad", "gamma_pd", "p_readout")
 
@@ -180,34 +177,3 @@ def run_noisy_stack(circuits, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
                 out = apply_local(out, s, (q, width + q))
     return out.reshape(len(circuits), 2**width, 2**width)
 
-
-def readout_flip(rec: ShotRecord, p: float, seed: int) -> ShotRecord:
-    """Flip each recorded outcome bit independently with probability p.
-
-    Sampled records are re-binned with multinomial draws from a dedicated
-    substream (offset past the nine setting streams); exact records get the
-    flip map applied to their probabilities directly.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ContractError(f"readout flip probability {p} outside [0, 1]")
-    if p == 0.0:
-        return rec
-    # Probability of flip pattern m = (f1 f2) as a 2-bit index.
-    pattern_probs = np.array([(1 - p) * (1 - p), (1 - p) * p, p * (1 - p), p * p])
-    if rec.shots == 0:
-        probs = np.asarray(rec.counts, dtype=float)
-        new_probs = np.zeros(4)
-        for k in range(4):
-            for m in range(4):
-                new_probs[k ^ m] += probs[k] * pattern_probs[m]
-        return ShotRecord(rec.setting, 0, tuple(float(x) for x in new_probs))
-    rng = keyed_stream(seed, READOUT_STREAM_OFFSET + setting_index(rec.setting))
-    new_counts = [0, 0, 0, 0]
-    for k in range(4):
-        n_k = int(rec.counts[k])
-        if n_k == 0:
-            continue
-        moved = multinomial_counts(rng, n_k, pattern_probs)
-        for m in range(4):
-            new_counts[k ^ m] += moved[m]
-    return ShotRecord(rec.setting, rec.shots, tuple(new_counts))

@@ -18,9 +18,17 @@ frequencies giving the diagonal directly.
 
 Sampling is seeded per setting through a documented split: setting (i, j)
 with Pauli indices i, j in (X, Y, Z) order draws from substream(seed, 3i+j),
-through rng.keyed_stream.
-A ShotRecord with shots = 0 is the exact-probability limit; its counts hold
-the outcome distribution itself.
+and its readout flips from substream(seed, 9 + 3i+j), both through
+rng.keyed_stream. A ShotRecord with shots = 0 is the exact-probability
+limit; its counts hold the outcome distribution itself.
+
+Readout error acts on recorded counts, not on the state: ``readout_flip``
+flips each outcome bit independently, and on an exact record it applies the
+flip as a deterministic stochastic map on the distribution. ``measure`` is
+the one place that records settings: it draws (or computes) each listed
+setting and then applies the readout flips, so a setting's record depends
+only on (state, setting, shots, seed, p_readout) and not on which other
+settings are measured with it.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 
 from .errors import ContractError, ProtocolError
 from .linalg import PAULI, fidelity, kron
-from .rng import keyed_stream, multinomial_counts
+from .rng import READOUT_STREAM_OFFSET, keyed_stream, multinomial_counts
 from .xstate import XState, leakage
 
 PAULI_ORDER = "XYZ"
@@ -133,6 +141,52 @@ def sample_setting(rho: np.ndarray, setting: str, shots: int, seed: int) -> Shot
 def exact_record(rho: np.ndarray, setting: str) -> ShotRecord:
     probs = outcome_probabilities(rho, setting)
     return ShotRecord(setting=setting, shots=0, counts=tuple(float(p) for p in probs))
+
+
+def readout_flip(rec: ShotRecord, p: float, seed: int) -> ShotRecord:
+    """Flip each recorded outcome bit independently with probability p.
+
+    Sampled records are re-binned with multinomial draws from the setting's
+    readout substream, 9 + setting_index (past the nine setting streams);
+    exact records get the flip map applied to their probabilities directly.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ContractError(f"readout flip probability {p} outside [0, 1]")
+    if p == 0.0:
+        return rec
+    # Probability of flip pattern m = (f1 f2) as a 2-bit index.
+    pattern_probs = np.array([(1 - p) * (1 - p), (1 - p) * p, p * (1 - p), p * p])
+    if rec.shots == 0:
+        probs = np.asarray(rec.counts, dtype=float)
+        new_probs = np.zeros(4)
+        for k in range(4):
+            for m in range(4):
+                new_probs[k ^ m] += probs[k] * pattern_probs[m]
+        return ShotRecord(rec.setting, 0, tuple(float(x) for x in new_probs))
+    rng = keyed_stream(seed, READOUT_STREAM_OFFSET + setting_index(rec.setting))
+    new_counts = [0, 0, 0, 0]
+    for k in range(4):
+        n_k = int(rec.counts[k])
+        if n_k == 0:
+            continue
+        moved = multinomial_counts(rng, n_k, pattern_probs)
+        for m in range(4):
+            new_counts[k ^ m] += moved[m]
+    return ShotRecord(rec.setting, rec.shots, tuple(new_counts))
+
+
+def measure(rho: np.ndarray, settings, shots: int, seed: int, p_readout: float = 0.0, exact: bool = False) -> dict:
+    """{setting: ShotRecord} of each listed setting, in the order listed.
+
+    Each record is sampled with ``shots`` shots (or exact when ``exact``),
+    then readout-flipped with probability ``p_readout``, all keyed by
+    ``seed`` and the setting alone.
+    """
+    records = {}
+    for setting in settings:
+        rec = exact_record(rho, setting) if exact else sample_setting(rho, setting, shots, seed)
+        records[setting] = readout_flip(rec, p_readout, seed)
+    return records
 
 
 def expectations_from_counts(rec: ShotRecord) -> tuple:
@@ -274,49 +328,10 @@ def robustness_report(
     not in sampling luck. Returns (full, partial5, partial3) reports;
     leakage is that of noisy_output.
     """
-    from .noise import readout_flip
-
+    records = measure(noisy_output, FULL, shots, seed, p_readout, exact).values()
     leak = leakage(noisy_output)
-    records = {}
-    for setting in FULL:
-        if exact:
-            rec = exact_record(noisy_output, setting)
-        else:
-            rec = sample_setting(noisy_output, setting, shots, seed)
-        if p_readout > 0.0:
-            rec = readout_flip(rec, p_readout, seed)
-        records[setting] = rec
-
-    rho_full = reconstruct_full(records.values())
-    x5 = reconstruct_x5([records[s] for s in PARTIAL5])
-    x3 = reconstruct_x3([records[s] for s in PARTIAL3])
-    reports = []
-    for protocol, mat in (("full", rho_full), ("partial5", x5.matrix()), ("partial3", x3.matrix())):
-        reports.append(
-            TomographyReport(
-                protocol=protocol,
-                reconstructed=mat,
-                fidelity_to_target=fidelity(mat, target),
-                leakage=leak,
-                shots=0 if exact else shots,
-                seed=seed,
-            )
-        )
-    return tuple(reports)
-
-
-SWEEP_COLUMNS = ("experiment_id", "t", "protocol", "fidelity", "concurrence_estimate", "leakage", "shots", "seed")
-
-
-def sweep_row(experiment_id: str, t: float, report: TomographyReport, concurrence_estimate: float) -> dict:
-    """One long-format row of a tomography sweep, keyed by SWEEP_COLUMNS."""
-    return {
-        "experiment_id": experiment_id,
-        "t": t,
-        "protocol": report.protocol,
-        "fidelity": report.fidelity_to_target,
-        "concurrence_estimate": concurrence_estimate,
-        "leakage": report.leakage,
-        "shots": report.shots,
-        "seed": report.seed,
-    }
+    estimates = (reconstruct_full(records), reconstruct_x5(records).matrix(), reconstruct_x3(records).matrix())
+    return tuple(
+        TomographyReport(protocol, mat, fidelity(mat, target), leak, 0 if exact else shots, seed)
+        for protocol, mat in zip(("full", "partial5", "partial3"), estimates)
+    )

@@ -335,6 +335,10 @@ def test_cli_exact_flag_reaches_runner(tmp_path):
         assert row[2] == pytest.approx(row[1], abs=1e-7)
 
 
+XSTATE_TARGET = {"kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
+                 "w_re": 0.12, "w_im": -0.15, "z_re": -0.05, "z_im": 0.1}
+
+
 @pytest.mark.parametrize("experiment, params, message", [
     ("heisenberg_conc", {"J": float("nan")}, "J must be finite"),
     ("heisenberg_conc", {"t_max": float("inf")}, "t_max must be finite"),
@@ -359,10 +363,24 @@ def test_cli_exact_flag_reaches_runner(tmp_path):
     ("heisenberg_conc", {"J": 10**400}, "'J' must be finite"),
     ("heisenberg_conc", {"noise": {"p_readout": "0.1"}}, "noise rate p_readout must be a number"),
     ("heisenberg_conc", {"noise": {"gamma_ad": True}}, "noise rate gamma_ad must be a number"),
+    ("heisenberg_conc --out /no/such/dir/x.csv", {"time_points": 2, "shots": 10}, "cannot write output"),
+    ("heisenberg_conc --out .", {"time_points": 2, "shots": 10}, "cannot write output"),
+    ("xprep_single", {"target": {"kind": "spectral", "p": "1000", "theta": "0.3", "phi": True}},
+     "'target.p' must be a number"),
+    ("xprep_single", {"target": {"kind": "spectral", "p": [1, 0, 0, 0], "theta": 0.3, "phi": True}},
+     "'target.phi' must be a number"),
+    ("xprep_single", {"target": {"kind": "spectral", "p": [1, "0", 0, 0], "theta": 0.3, "phi": 0}},
+     "'target.p[1]' must be a number"),
+    ("xprep_single", {"target": {**XSTATE_TARGET, "a": "0.5"}}, "'target.a' must be a number"),
+    ("xprep_single", {"target": {**XSTATE_TARGET, "w_im": False}}, "'target.w_im' must be a number"),
+    ("xprep_single", {"target": {**XSTATE_TARGET, "extra": 1}}, "unknown target keys for kind xstate: ['extra']"),
+    ("xprep_single", {"target": {"kind": "spectral", "p": [1, 0, 0, 0], "theta": 0, "phi": 0, "extra": 1}},
+     "unknown target keys for kind spectral: ['extra']"),
 ])
 def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, experiment, params, message):
+    # an entry's first field may carry command-line flags after the experiment
     cfg = _write_config(tmp_path, {"params": params})
-    assert main([experiment, "--config", cfg]) == 2
+    assert main([*experiment.split(), "--config", cfg]) == 2
     assert message in capsys.readouterr().err
 
 

@@ -11,10 +11,9 @@ from xsim.noise import (
     apply_channel,
     depolarizing_kraus,
     phase_damping_kraus,
-    readout_flip,
     run_noisy,
 )
-from xsim.tomography import ShotRecord, exact_record, expectations_from_counts, sample_setting
+from xsim.tomography import ShotRecord, exact_record, expectations_from_counts, readout_flip, sample_setting
 from xsim.xstate import leakage
 
 BELL = np.zeros((4, 4), dtype=complex)

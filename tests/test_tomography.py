@@ -10,10 +10,10 @@ from xsim.tomography import (
     PARTIAL3,
     PARTIAL5,
     ShotRecord,
-    SWEEP_COLUMNS,
     TomographyReport,
     exact_record,
     expectations_from_counts,
+    measure,
     outcome_probabilities,
     pauli_pair_matrix,
     psd_project,
@@ -23,7 +23,6 @@ from xsim.tomography import (
     robustness_report,
     sample_setting,
     setting_index,
-    sweep_row,
 )
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -217,11 +216,17 @@ def test_tomography_report_json():
     np.testing.assert_allclose(np.array(blob["reconstructed_re"]), x.matrix().real, atol=0)
 
 
-def test_sweep_row_schema():
-    x = random_xstate(np.random.default_rng(37))
-    rep = TomographyReport("partial3", x.matrix(), 0.9, 0.02, 1000, 3)
-    row = sweep_row("heisenberg_fidelity", 0.5, rep, 0.4)
-    assert tuple(row.keys()) == SWEEP_COLUMNS
-    assert row["protocol"] == "partial3"
-    assert row["t"] == 0.5
-    assert row["concurrence_estimate"] == 0.4
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_measure_records_do_not_depend_on_the_other_settings(exact):
+    # The concurrence and fidelity sweeps, and the three protocols of
+    # robustness_report, measure different setting lists through one loop;
+    # a setting's record must be the same whichever list it is drawn in.
+    rho = random_density(np.random.default_rng(41))
+    full = measure(rho, FULL, 3000, 17, p_readout=0.05, exact=exact)
+    assert tuple(full) == FULL
+    for settings in (PARTIAL5, PARTIAL3):
+        subset = measure(rho, settings, 3000, 17, p_readout=0.05, exact=exact)
+        assert tuple(subset) == settings
+        assert all(subset[s] == full[s] for s in settings)
+    assert full["XX"] != measure(rho, ("XX",), 3000, 17, exact=exact)["XX"]
