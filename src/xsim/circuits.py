@@ -11,7 +11,8 @@ Gate conventions (fixed by explicit matrices; tests compare entrywise):
     CNOT = |0><0| x I + |1><1| x X   (control, target any distinct pair)
 
 Qubit 0 is the leftmost tensor factor. Gates in a Circuit are stored in
-application order: ``gates[0]`` acts first.
+application order: ``gates[0]`` acts first. ``circuit_unitary`` is the gate
+loop of unitaries, and ``run_stack`` the one executor of density matrices.
 
 The X-state preparation circuit acts on four qubits. A first block turns
 |0000> into sum_ij sqrt(p_ij)|ij>|ij>, so that qubits (2, 3) carry the
@@ -72,9 +73,12 @@ def w_matrix(x: float) -> np.ndarray:
     return np.array([[np.exp(-1j * x), 0.0], [0.0, 1j * np.exp(1j * x)]], dtype=complex)
 
 
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-# CNOT on (control, target), control as the leading tensor factor.
-_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+# Parameter-free gates; CNOT acts on (control, target), control leading.
+_FIXED = {
+    "pauli_z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+_ROTATIONS = {"rx": rx_matrix, "ry": ry_matrix, "rz": rz_matrix, "u_lambda": u_lambda_matrix, "w": w_matrix}
 
 
 @dataclass(frozen=True)
@@ -106,28 +110,16 @@ class Gate:
     def local_matrix(self) -> np.ndarray:
         """The 2x2 matrix of a single-qubit gate; for CNOT the 4x4 matrix on
         (control, target)."""
-        if self.kind == "cnot":
-            return _CNOT.copy()
-        if self.kind == "rx":
-            return rx_matrix(self.params[0])
-        if self.kind == "ry":
-            return ry_matrix(self.params[0])
-        if self.kind == "rz":
-            return rz_matrix(self.params[0])
-        if self.kind == "u_lambda":
-            return u_lambda_matrix(self.params[0])
-        if self.kind == "w":
-            return w_matrix(self.params[0])
-        if self.kind == "pauli_z":
-            return _Z.copy()
-        if self.kind == "generic_1q":
-            p = self.params
-            m = np.array(
-                [[p[0] + 1j * p[1], p[2] + 1j * p[3]], [p[4] + 1j * p[5], p[6] + 1j * p[7]]],
-                dtype=complex,
-            )
-            return validate_unitary(m)
-        raise ContractError(f"no matrix for gate kind {self.kind!r}")
+        if self.kind in _FIXED:
+            return _FIXED[self.kind].copy()
+        if self.kind in _ROTATIONS:
+            return _ROTATIONS[self.kind](self.params[0])
+        p = self.params  # generic_1q
+        m = np.array(
+            [[p[0] + 1j * p[1], p[2] + 1j * p[3]], [p[4] + 1j * p[5], p[6] + 1j * p[7]]],
+            dtype=complex,
+        )
+        return validate_unitary(m)
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "params": list(self.params), "target": self.target}
@@ -190,21 +182,17 @@ class Circuit:
         return Circuit.from_json(json.loads(text))
 
 
-def _identity_tensor(width: int) -> np.ndarray:
-    """The identity as a stack of one (2,)*2width tensor."""
-    return np.eye(2**width, dtype=complex).reshape((1,) + (2,) * (2 * width))
+def circuit_unitary(c: Circuit) -> np.ndarray:
+    """The circuit's unitary: the one loop over gates acting on kets."""
+    u = np.eye(2**c.width, dtype=complex).reshape((1,) + (2,) * (2 * c.width))
+    for g in c.gates:
+        u = apply_local(u, g.local_matrix(), g.qubits)
+    return u.reshape(2**c.width, 2**c.width)
 
 
 def gate_matrix(g: Gate, width: int) -> np.ndarray:
     """Full 2^width unitary of one gate."""
-    return apply_local(_identity_tensor(width), g.local_matrix(), g.qubits).reshape(2**width, 2**width)
-
-
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    u = _identity_tensor(c.width)
-    for g in c.gates:
-        u = apply_local(u, g.local_matrix(), g.qubits)
-    return u.reshape(2**c.width, 2**c.width)
+    return circuit_unitary(Circuit(width, (g,)))
 
 
 def run_pure(c: Circuit, basis_index: int = 0) -> np.ndarray:
@@ -212,30 +200,46 @@ def run_pure(c: Circuit, basis_index: int = 0) -> np.ndarray:
     dim = 2**c.width
     if not 0 <= basis_index < dim:
         raise DimensionError(f"basis index {basis_index} outside register of dim {dim}")
-    psi = np.zeros(dim, dtype=complex)
-    psi[basis_index] = 1.0
-    psi = psi.reshape((1,) + (2,) * c.width)
-    for g in c.gates:
-        psi = apply_local(psi, g.local_matrix(), g.qubits)
-    return psi.reshape(dim)
+    return circuit_unitary(c)[:, basis_index]
 
 
-def density_tensor(c: Circuit, rho: np.ndarray) -> np.ndarray:
-    """A copy of ``rho``, checked against the circuit width, as a stack of
-    one (2,)*2width tensor."""
-    rho = np.array(rho, dtype=complex)
-    dim = 2**c.width
-    if rho.shape != (dim, dim):
-        raise DimensionError(f"density matrix shape {rho.shape} does not match width {c.width}")
-    return rho.reshape((1,) + (2,) * (2 * c.width))
+def run_stack(circuits, rho: np.ndarray, gate_noise=None) -> np.ndarray:
+    """Each circuit applied to ``rho``, as a (P, D, D) stack in input order:
+    the one executor of density matrices.
+
+    ``gate_noise`` is a ``NoiseModel.gate_noise`` mapping: gate arity to the
+    one-qubit superoperator applied to each touched qubit after the gate,
+    or to None. Without it the run is noiseless. Circuits of equal
+    ``topology`` share one gate loop, with one operator per gate where
+    their parameters agree and a stack of them elsewhere, so each state
+    gets the arithmetic of its own run.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    out = np.empty((len(circuits),) + rho.shape, dtype=complex)
+    groups = {}
+    for index, c in enumerate(circuits):
+        groups.setdefault(c.topology, []).append(index)
+    for members in groups.values():
+        width = circuits[members[0]].width
+        if rho.shape != (2**width, 2**width):
+            raise DimensionError(f"density matrix shape {rho.shape} does not match width {width}")
+        state = np.repeat(rho.reshape((1,) + (2,) * (2 * width)), len(members), axis=0)
+        for column in zip(*(circuits[i].gates for i in members)):
+            g = column[0]
+            same = all(h.params == g.params for h in column)
+            u = g.local_matrix() if same else np.array([h.local_matrix() for h in column])
+            state = conjugate(state, u, g.qubits, width)
+            s = None if gate_noise is None else gate_noise[len(g.qubits)]
+            if s is not None:
+                for q in g.qubits:
+                    state = apply_local(state, s, (q, width + q))
+        out[members] = state.reshape((len(members),) + rho.shape)
+    return out
 
 
 def run_density(c: Circuit, rho: np.ndarray) -> np.ndarray:
     """Conjugate a density matrix through the circuit, gate by gate."""
-    out = density_tensor(c, rho)
-    for g in c.gates:
-        out = conjugate(out, g.local_matrix(), g.qubits, c.width)
-    return out.reshape(2**c.width, 2**c.width)
+    return run_stack((c,), rho)[0]
 
 
 def classical_prep_angles(p) -> tuple:

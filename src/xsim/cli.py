@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, ContractError
@@ -54,6 +55,15 @@ def _load_config(path: str) -> dict:
     if not isinstance(params, dict):
         raise ConfigError("config 'params' must be an object")
     return cfg
+
+
+def _check_writable(path) -> None:
+    """Reject, before anything runs, an output path that cannot be written as a file."""
+    if isinstance(path, str) and os.path.basename(path) and not os.path.isdir(path):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(parent) and os.access(path if os.path.exists(path) else parent, os.W_OK):
+            return
+    raise ConfigError(f"cannot write output {path!r}: not a writable file path")
 
 
 def _write(path: str, text: str) -> None:
@@ -107,6 +117,10 @@ def main(argv=None) -> int:
             raise ConfigError("xprep_single produces a JSON report; use --format json")
         if args.dump_circuit and out_path is None:
             raise ConfigError("--dump-circuit needs --out to name the sidecar file")
+        if out_path is not None:
+            _check_writable(out_path)
+        if args.dump_circuit:
+            _check_writable(out_path + ".circuit.json")
 
         params, result = run_experiment(args.experiment, raw_params)
         if fmt == "csv":

@@ -16,9 +16,9 @@ Six experiments are registered:
     xprep_single         one-state pipeline inspection, JSON only
 
 Analytic columns are pure functions of the physics parameters; shots, seed,
-and noise touch only the simulated columns. Per-point sampling seeds are
-derived from the master seed and the point index, so rerunning any
-experiment with the same config is byte-identical.
+and noise touch only the simulated columns, evolved by ``circuits.run_stack``.
+Per-point sampling seeds come from the master seed and the point index, so
+rerunning any experiment with the same config is byte-identical.
 
 The time-sweep initial state is a two-sector classical mixture: sector
 weights (r0, r1) = (cos^2(gamma/2), sin^2(gamma/2)) and an imbalance lambda
@@ -38,13 +38,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import build_complex_xstate_circuit, build_xstate_circuit, run_density
+from .circuits import build_complex_xstate_circuit, build_xstate_circuit, run_density, run_stack
 from .errors import ConfigError, ContractError
 from .heisenberg import HeisenbergParams, evolve_diagonal
 from .linalg import fidelity, partial_trace
-from .noise import NoiseModel, run_noisy, run_noisy_stack
+from .noise import NoiseModel, run_noisy
 from .rng import derive_seed
-from .tomography import PARTIAL3, PARTIAL5, TomographyReport, measure, reconstruct_x3, reconstruct_x5, robustness_report
+from .tomography import FIDELITY_CONVENTION, PARTIAL3, PARTIAL5, TomographyReport, measure
+from .tomography import reconstruct_x3, reconstruct_x5, robustness_report
 from .xstate import (
     XSpectral,
     XState,
@@ -55,8 +56,6 @@ from .xstate import (
     leakage,
     xstate_from_matrix,
 )
-
-FIDELITY_CONVENTION = "squared-uhlmann"
 
 _REQUIRED = object()
 
@@ -265,8 +264,8 @@ def _initial_density(width: int) -> np.ndarray:
     return rho
 
 
-# Sweep points evolved as one stack. Fixed, so that a sweep of any length
-# holds at most this many 4-qubit density matrices at a time.
+# Sweep points handed to the executor at once. Fixed, so that a sweep of
+# any length holds at most this many 4-qubit density matrices at a time.
 _BLOCK = 64
 
 
@@ -274,25 +273,16 @@ def _prepare_points(points, build, nm: NoiseModel) -> tuple:
     """(targets, circuits, noisy output pairs) of every sweep point, in
     point order.
 
-    ``build(point)`` returns the point's (target, circuit). Points whose
-    circuits share a topology are evolved together, in stacks of up to
-    _BLOCK points, and each result is reduced to the output pair.
+    ``build(point)`` returns the point's (target, circuit). Consecutive
+    slices of _BLOCK circuits run through the executor and are reduced to
+    their output pairs.
     """
-    targets, circuits = [], []
-    for point in points:
-        target, circ = build(point)
-        targets.append(target)
-        circuits.append(circ)
-    groups = {}
-    for index, circ in enumerate(circuits):
-        groups.setdefault(circ.topology, []).append(index)
+    targets, circuits = zip(*map(build, points))
     pairs = np.empty((len(circuits), 4, 4), dtype=complex)
-    for members in groups.values():
-        for start in range(0, len(members), _BLOCK):
-            block = members[start : start + _BLOCK]
-            stack = [circuits[i] for i in block]
-            rho = run_noisy_stack(stack, _initial_density(stack[0].width), nm)
-            pairs[block] = partial_trace(rho, keep=(2, 3))
+    for start in range(0, len(circuits), _BLOCK):
+        block = circuits[start : start + _BLOCK]
+        rho = run_stack(block, _initial_density(block[0].width), nm.gate_noise)
+        pairs[start : start + _BLOCK] = partial_trace(rho, keep=(2, 3))
     return targets, circuits, pairs
 
 

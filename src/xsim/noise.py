@@ -1,11 +1,12 @@
-"""Kraus-channel noise for circuit execution.
+"""The gate-noise model and its one-qubit Kraus channels.
 
-The gate-noise model is deliberately plain: after every gate, each touched
-qubit gets a depolarizing kick (rate chosen by gate arity), then amplitude
-damping, then phase damping. Channel order is part of the model definition.
+The model is deliberately plain: after every gate, each touched qubit gets
+a depolarizing kick (rate chosen by gate arity), then amplitude damping,
+then phase damping. Channel order is part of the model definition.
 Default rates are order-of-magnitude typical for small superconducting
 devices of the 2019-2021 era and are fully overridable; nothing here claims
-to calibrate a particular machine.
+to calibrate a particular machine. ``NoiseModel.gate_noise`` composes the
+channels for the executor ``circuits.run_stack``, which holds the gate loop.
 
 The model's readout rate p_readout is not applied here: readout error acts
 on recorded counts, not on the state, so it is applied where the settings
@@ -20,9 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, density_tensor
+from .circuits import Circuit, run_stack
 from .errors import ContractError
-from .linalg import apply_local, conjugate, superop
+from .linalg import apply_local, superop
 
 _RATE_FIELDS = ("p_depol_1q", "p_depol_2q", "gamma_ad", "gamma_pd", "p_readout")
 
@@ -142,38 +143,6 @@ def apply_channel(rho: np.ndarray, kraus, qubits) -> np.ndarray:
 
 
 def run_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """Execute a circuit with per-gate noise on the touched qubits.
-
-    With an all-zero model every channel is skipped and the arithmetic is
-    identical to run_density.
-    """
-    return run_noisy_stack((c,), rho, nm)[0]
-
-
-def run_noisy_stack(circuits, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """``run_noisy`` of each circuit on the same input, as one (P, D, D) stack.
-
-    The circuits must share one ``topology``. Each gate position applies one
-    operator to the whole stack when every circuit gives that gate the same
-    parameters, and a stack of per-circuit operators otherwise; either way
-    each state gets the arithmetic of its own ``run_noisy``.
-    """
-    first = circuits[0]
-    if any(c.topology != first.topology for c in circuits):
-        raise ContractError("stacked circuits must share one gate topology")
-    width = first.width
-    out = np.repeat(density_tensor(first, rho), len(circuits), axis=0)
-    noise = nm.gate_noise
-    for column in zip(*(c.gates for c in circuits)):
-        g = column[0]
-        if all(h.params == g.params for h in column):
-            u = g.local_matrix()
-        else:
-            u = np.array([h.local_matrix() for h in column])
-        out = conjugate(out, u, g.qubits, width)
-        s = noise[len(g.qubits)]
-        if s is not None:
-            for q in g.qubits:
-                out = apply_local(out, s, (q, width + q))
-    return out.reshape(len(circuits), 2**width, 2**width)
-
+    """Execute a circuit with per-gate noise on the touched qubits; with an
+    all-zero model the arithmetic is identical to run_density."""
+    return run_stack((c,), rho, nm.gate_noise)[0]

@@ -47,7 +47,6 @@ PAULI_ORDER = "XYZ"
 FULL = ("XX", "XY", "XZ", "YX", "YY", "YZ", "ZX", "ZY", "ZZ")
 PARTIAL5 = ("XX", "YY", "ZZ", "XY", "YX")
 PARTIAL3 = ("XX", "YY", "ZZ")
-PROTOCOLS = {"full": FULL, "partial5": PARTIAL5, "partial3": PARTIAL3}
 
 # Rows are the +1 and -1 eigenbras of each local Pauli: conjugating by the
 # basis of a setting puts its outcome probabilities on the diagonal.
@@ -290,6 +289,9 @@ def reconstruct_x3(records) -> XState:
     return XState(float(a), float(b), float(c), float(d), w, z)
 
 
+FIDELITY_CONVENTION = "squared-uhlmann"  # that of linalg.fidelity, named in every report
+
+
 @dataclass(frozen=True)
 class TomographyReport:
     protocol: str
@@ -306,7 +308,7 @@ class TomographyReport:
             "reconstructed_re": m.real.tolist(),
             "reconstructed_im": m.imag.tolist(),
             "fidelity_to_target": self.fidelity_to_target,
-            "fidelity_convention": "squared-uhlmann",
+            "fidelity_convention": FIDELITY_CONVENTION,
             "leakage": self.leakage,
             "shots": self.shots,
             "seed": self.seed,

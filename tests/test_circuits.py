@@ -21,6 +21,7 @@ from xsim.circuits import (
     decompose_x_unitary,
     eigenbasis_block,
     exchange_unitary_params,
+    gate_matrix,
     run_density,
     run_pure,
     rx_matrix,
@@ -74,6 +75,8 @@ def test_circuit_width_and_bounds():
         Circuit(5, ())
     with pytest.raises(DimensionError):
         Circuit(2, (Gate("ry", (0.1,), 3),))
+    with pytest.raises(DimensionError):
+        gate_matrix(Gate("ry", (0.1,), 5), 2)
 
 
 def test_cnot_truth_table():

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from xsim.circuits import build_xstate_circuit
+from xsim.circuits import build_xstate_circuit, run_density, run_stack
 from xsim.cli import main
-from xsim.errors import ConfigError, ContractError
+from xsim.errors import ConfigError
 from xsim.experiments import (
     ExperimentResult,
     SimplexGrid,
@@ -21,7 +21,7 @@ from xsim.experiments import (
     run_experiment,
 )
 from xsim.linalg import partial_trace
-from xsim.noise import NoiseModel, run_noisy, run_noisy_stack
+from xsim.noise import NoiseModel, run_noisy
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
 
@@ -384,6 +384,30 @@ def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, experiment, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, output", [
+    (["--out", "missing/x.csv"], {}),
+    (["--out", "."], {}),
+    (["--out", "x.csv", "--dump-circuit"], {}),  # the sidecar path is a directory
+    ([], {"path": ""}),
+    ([], {"path": 5}),
+])
+def test_cli_checks_output_paths_before_running(tmp_path, capsys, monkeypatch, flags, output):
+    import xsim.cli as cli
+
+    def not_called(*args):
+        raise AssertionError("the experiment ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", not_called)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv.circuit.json").mkdir()
+    cfg = _write_config(tmp_path, {"output": output})
+    assert main(["heisenberg_conc", "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err
+    assert "# {" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_integral_floats_are_accepted_as_sizes(tmp_path):
     cfg = _write_config(tmp_path, {"params": {"time_points": 3.0, "shots": 1e2, "seed": 4.0, "exact": False}})
     out = tmp_path / "o.json"
@@ -415,6 +439,7 @@ def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, p
     topologies = {c.topology for c in circuits}
     assert len(topologies) > 1
     assert max(sum(c.topology == top for c in circuits) for top in topologies) > 64
+    assert any(len({c.topology for c in circuits[i : i + 64]}) > 1 for i in range(0, len(circuits), 64))
     assert pairs.shape == (len(circuits), 4, 4)
     rho0 = np.zeros((16, 16), dtype=complex)
     rho0[0, 0] = 1.0
@@ -422,11 +447,31 @@ def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, p
         np.testing.assert_allclose(pair, partial_trace(run_noisy(circ, rho0, nm), keep=(2, 3)), rtol=0, atol=1e-14)
 
 
-def test_run_noisy_stack_rejects_mixed_topologies():
+def test_run_stack_keeps_input_order_across_mixed_topologies():
     rho0 = np.zeros((16, 16), dtype=complex)
     rho0[0, 0] = 1.0
-    factorized = build_xstate_circuit((0.25, 0.25, 0.25, 0.25), 0.3, 0.2)
-    correlated = build_xstate_circuit((0.5, 0.0, 0.0, 0.5), 0.3, 0.2)
-    assert factorized.topology != correlated.topology
-    with pytest.raises(ContractError):
-        run_noisy_stack([factorized, correlated], rho0, NoiseModel())
+    factorized = [build_xstate_circuit((0.25, 0.25, 0.25, 0.25), 0.3 + 0.1 * k, 0.2) for k in range(3)]
+    correlated = [build_xstate_circuit((0.5, 0.0, 0.1, 0.4), 0.3, 0.2 + 0.1 * k) for k in range(3)]
+    assert factorized[0].topology != correlated[0].topology
+    circuits = [c for pair in zip(factorized, correlated) for c in pair]
+    nm = NoiseModel()
+    for got, circ in zip(run_stack(circuits, rho0), circuits):
+        np.testing.assert_allclose(got, run_density(circ, rho0), rtol=0, atol=1e-14)
+    for got, circ in zip(run_stack(circuits, rho0, nm.gate_noise), circuits):
+        np.testing.assert_allclose(got, run_noisy(circ, rho0, nm), rtol=0, atol=1e-14)
+
+
+def test_sweep_hands_the_executor_at_most_64_circuits(monkeypatch):
+    import xsim.experiments as experiments
+
+    sizes = []
+
+    def counting(circuits, rho, gate_noise=None):
+        sizes.append(len(circuits))
+        return run_stack(circuits, rho, gate_noise)
+
+    monkeypatch.setattr(experiments, "run_stack", counting)
+    _, result = run_experiment("heisenberg_conc", {"time_points": 150, "shots": 10})
+    assert len(result.rows) == 150
+    assert sum(sizes) == 150
+    assert max(sizes) <= 64
