@@ -8,173 +8,3 @@ circuit through configurable gate and readout noise, sample measurement
 settings, reconstruct the pair state from full or reduced observable sets,
 and score the result with concurrence, fidelity, and leakage.
 """
-
-from .circuits import (
-    Circuit,
-    Gate,
-    XUnitaryParams,
-    assemble_x_unitary,
-    build_complex_xstate_circuit,
-    build_equi_entangled_circuit,
-    build_sector_circuit,
-    build_xstate_circuit,
-    build_xstate_circuit_alt,
-    circuit_unitary,
-    classical_prep_angles,
-    decompose_x_unitary,
-    exchange_unitary_params,
-    run_density,
-    run_pure,
-)
-from .errors import (
-    ConfigError,
-    ContractError,
-    DimensionError,
-    InfeasibleStateError,
-    ProtocolError,
-    ShapeError,
-)
-from .heisenberg import (
-    HeisenbergParams,
-    SectorState,
-    block_amplitudes,
-    concurrence_analytic,
-    embed_sector,
-    evolve_diagonal,
-    evolve_even,
-    evolve_odd,
-    hamiltonian,
-    propagator,
-    propagator_x_params,
-    spectrum,
-)
-from .linalg import (
-    apply_local,
-    expm_oracle,
-    fidelity,
-    herm_eig,
-    partial_trace,
-    trace_distance,
-    validate_density,
-    validate_unitary,
-)
-from .noise import (
-    NoiseModel,
-    amplitude_damping_kraus,
-    apply_channel,
-    depolarizing_kraus,
-    phase_damping_kraus,
-    run_noisy,
-)
-from .tomography import (
-    FULL,
-    PARTIAL3,
-    PARTIAL5,
-    ShotRecord,
-    TomographyReport,
-    exact_record,
-    expectations_from_counts,
-    measure,
-    outcome_probabilities,
-    psd_project,
-    reconstruct_full,
-    reconstruct_x3,
-    reconstruct_x5,
-    readout_flip,
-    robustness_report,
-    sample_setting,
-)
-from .xstate import (
-    XSpectral,
-    XState,
-    bell_coherence,
-    canonicalize_spectral,
-    concurrence_wootters,
-    concurrence_wootters_oracle,
-    concurrence_x,
-    from_spectral,
-    leakage,
-    strip_phases,
-    to_spectral,
-    xstate_from_matrix,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Circuit",
-    "ConfigError",
-    "ContractError",
-    "DimensionError",
-    "FULL",
-    "Gate",
-    "HeisenbergParams",
-    "InfeasibleStateError",
-    "NoiseModel",
-    "PARTIAL3",
-    "PARTIAL5",
-    "ProtocolError",
-    "SectorState",
-    "ShapeError",
-    "ShotRecord",
-    "TomographyReport",
-    "XSpectral",
-    "XState",
-    "XUnitaryParams",
-    "amplitude_damping_kraus",
-    "apply_channel",
-    "apply_local",
-    "assemble_x_unitary",
-    "bell_coherence",
-    "block_amplitudes",
-    "build_complex_xstate_circuit",
-    "build_equi_entangled_circuit",
-    "build_sector_circuit",
-    "build_xstate_circuit",
-    "build_xstate_circuit_alt",
-    "canonicalize_spectral",
-    "circuit_unitary",
-    "classical_prep_angles",
-    "concurrence_analytic",
-    "concurrence_wootters",
-    "concurrence_wootters_oracle",
-    "concurrence_x",
-    "decompose_x_unitary",
-    "depolarizing_kraus",
-    "embed_sector",
-    "evolve_diagonal",
-    "evolve_even",
-    "evolve_odd",
-    "exact_record",
-    "exchange_unitary_params",
-    "expectations_from_counts",
-    "expm_oracle",
-    "fidelity",
-    "from_spectral",
-    "hamiltonian",
-    "herm_eig",
-    "leakage",
-    "measure",
-    "outcome_probabilities",
-    "partial_trace",
-    "phase_damping_kraus",
-    "propagator",
-    "propagator_x_params",
-    "psd_project",
-    "readout_flip",
-    "reconstruct_full",
-    "reconstruct_x3",
-    "reconstruct_x5",
-    "robustness_report",
-    "run_density",
-    "run_noisy",
-    "run_pure",
-    "sample_setting",
-    "spectrum",
-    "strip_phases",
-    "to_spectral",
-    "trace_distance",
-    "validate_density",
-    "validate_unitary",
-    "xstate_from_matrix",
-]

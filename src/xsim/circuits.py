@@ -81,6 +81,34 @@ _FIXED = {
 _ROTATIONS = {"rx": rx_matrix, "ry": ry_matrix, "rz": rz_matrix, "u_lambda": u_lambda_matrix, "w": w_matrix}
 
 
+def _json_object(what: str, obj, required: set, optional: frozenset = frozenset()) -> None:
+    """Reject anything but a JSON object with every ``required`` field and no
+    field outside ``required`` and ``optional``."""
+    if not isinstance(obj, dict):
+        raise ContractError(f"{what} must be a JSON object, got {obj!r}")
+    extra, missing = set(obj) - required - optional, required - set(obj)
+    if extra or missing:
+        raise ContractError(f"{what} fields: unknown {sorted(extra)}, missing {sorted(missing)}")
+
+
+def _json_number(name: str, value, integral: bool = False):
+    """A finite JSON number from circuit JSON as a float, or as an int when
+    ``integral`` (2.0 counts as 2); booleans, strings and 2.5 are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ContractError(f"circuit field {name!r} must be a number, got {value!r}")
+    if integral:
+        if isinstance(value, float) and not value.is_integer():
+            raise ContractError(f"circuit field {name!r} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ContractError(f"circuit field {name!r} must be finite, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate instance: kind, parameters, target, optional control."""
@@ -129,14 +157,15 @@ class Gate:
 
     @staticmethod
     def from_json(obj: dict) -> "Gate":
-        extra = set(obj) - {"kind", "params", "target", "control"}
-        if extra:
-            raise ContractError(f"unknown gate fields {sorted(extra)}")
+        _json_object("gate", obj, {"kind", "target"}, {"params", "control"})
+        params = obj.get("params", [])
+        if not isinstance(params, list):
+            raise ContractError(f"gate params must be a list, got {params!r}")
         return Gate(
             kind=str(obj["kind"]),
-            params=tuple(float(p) for p in obj.get("params", [])),
-            target=int(obj["target"]),
-            control=int(obj["control"]) if "control" in obj else None,
+            params=tuple(_json_number("params", p) for p in params),
+            target=_json_number("target", obj["target"], integral=True),
+            control=_json_number("control", obj["control"], integral=True) if "control" in obj else None,
         )
 
 
@@ -172,10 +201,10 @@ class Circuit:
 
     @staticmethod
     def from_json(obj: dict) -> "Circuit":
-        extra = set(obj) - {"width", "gates"}
-        if extra:
-            raise ContractError(f"unknown circuit fields {sorted(extra)}")
-        return Circuit(int(obj["width"]), tuple(Gate.from_json(g) for g in obj["gates"]))
+        _json_object("circuit", obj, {"width", "gates"})
+        if not isinstance(obj["gates"], list):
+            raise ContractError(f"circuit gates must be a list, got {obj['gates']!r}")
+        return Circuit(_json_number("width", obj["width"], integral=True), tuple(Gate.from_json(g) for g in obj["gates"]))
 
     @staticmethod
     def loads(text: str) -> "Circuit":

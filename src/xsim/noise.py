@@ -9,8 +9,8 @@ to calibrate a particular machine. ``NoiseModel.gate_noise`` composes the
 channels for the executor ``circuits.run_stack``, which holds the gate loop.
 
 The model's readout rate p_readout is not applied here: readout error acts
-on recorded counts, not on the state, so it is applied where the settings
-are measured, by ``measure`` and ``readout_flip`` next to ``ShotRecord``.
+on recorded outcomes, not on the state, so ``tomography.measure`` folds it
+into each setting's outcome distribution.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ fully determined by its two-word key. The split rules are fixed so that every
 sampled artifact can be replayed byte for byte from (seed, structure):
 
 * measurement settings draw from ``substream(seed, setting_index)`` where the
-  setting index enumerates Pauli pairs row-major (XX=0, XY=1, ..., ZZ=8),
-* readout bit-flips for a setting use ``substream(seed, 9 + setting_index)``,
+  setting index enumerates Pauli pairs row-major (XX=0, XY=1, ..., ZZ=8);
+  readout bit-flips are folded into the setting's distribution and take no
+  stream of their own,
 * the samplers get these streams from ``keyed_stream``, which re-keys one bit
   generator instead of building one per stream; ``substream`` is the
   reference it must match,
@@ -23,8 +24,6 @@ roundoff in the probabilities cannot change the counts.
 from __future__ import annotations
 
 import numpy as np
-
-READOUT_STREAM_OFFSET = 9
 
 # numpy's binomial sampler for n draws is discontinuous in p at a few known
 # points: at p = 0 it consumes no draw; above 1/2 it draws the complement;

@@ -16,19 +16,17 @@ so the reconstructors use Re w = (<XX> - <YY>)/4, Re z = (<XX> + <YY>)/4,
 Im w = -(<XY> + <YX>)/4, Im z = (<XY> - <YX>)/4, with the ZZ outcome
 frequencies giving the diagonal directly.
 
-Sampling is seeded per setting through a documented split: setting (i, j)
-with Pauli indices i, j in (X, Y, Z) order draws from substream(seed, 3i+j),
-and its readout flips from substream(seed, 9 + 3i+j), both through
-rng.keyed_stream. A ShotRecord with shots = 0 is the exact-probability
-limit; its counts hold the outcome distribution itself.
+Setting (i, j), with Pauli indices in (X, Y, Z) order, draws from
+rng.keyed_stream(seed, 3i+j). A ShotRecord with shots = 0 is the
+exact-probability limit; its counts hold the outcome distribution itself.
 
-Readout error acts on recorded counts, not on the state: ``readout_flip``
-flips each outcome bit independently, and on an exact record it applies the
-flip as a deterministic stochastic map on the distribution. ``measure`` is
-the one place that records settings: it draws (or computes) each listed
-setting and then applies the readout flips, so a setting's record depends
-only on (state, setting, shots, seed, p_readout) and not on which other
-settings are measured with it.
+Readout error flips each recorded outcome bit independently with probability
+p_readout. A shot drawn from probs and then flipped is one draw from
+F @ probs, F[j, k] = P(flip pattern j ^ k), so ``recorded_probabilities``
+folds the flips into each setting's distribution, which is then drawn with
+one multinomial chain or recorded exactly. ``measure`` is the one place that
+records settings; a setting's record depends only on (state, setting, shots,
+seed, p_readout), not on which other settings are measured with it.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import numpy as np
 
 from .errors import ContractError, ProtocolError
 from .linalg import PAULI, fidelity, kron
-from .rng import READOUT_STREAM_OFFSET, keyed_stream, multinomial_counts
+from .rng import keyed_stream, multinomial_counts
 from .xstate import XState, leakage
 
 PAULI_ORDER = "XYZ"
@@ -65,6 +63,9 @@ def _outcome_map(setting: str) -> np.ndarray:
 
 
 _OUTCOME_MAPS = {setting: _outcome_map(setting) for setting in FULL}
+
+# _XOR[k, j] = k ^ j: flip pattern m moves outcome k to k ^ m.
+_XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 # [i, j] -> sigma_i (x) sigma_j with sigma = (I, X, Y, Z): the operator basis
 # of the linear inversion.
@@ -128,64 +129,46 @@ class ShotRecord:
         return np.asarray(self.counts, dtype=float) / self.shots
 
 
-def sample_setting(rho: np.ndarray, setting: str, shots: int, seed: int) -> ShotRecord:
-    """Multinomial shot sample of one Pauli-pair measurement."""
+def recorded_probabilities(rho: np.ndarray, setting: str, p_readout: float = 0.0) -> np.ndarray:
+    """Probabilities of the recorded outcomes: F @ outcome_probabilities,
+    with each outcome bit flipped independently with probability p_readout."""
+    if not 0.0 <= p_readout <= 1.0:
+        raise ContractError(f"readout flip probability {p_readout} outside [0, 1]")
+    probs = outcome_probabilities(rho, setting)
+    if p_readout == 0.0:
+        return probs
+    q = 1.0 - p_readout
+    flip = np.array([q * q, q * p_readout, p_readout * q, p_readout * p_readout])[_XOR]
+    # Summed over k in order, so each entry is one fixed float sum.
+    return sum(probs[k] * flip[k] for k in range(4))
+
+
+def sample_setting(rho: np.ndarray, setting: str, shots: int, seed: int, p_readout: float = 0.0) -> ShotRecord:
+    """Multinomial shot sample of one Pauli-pair measurement, readout error included."""
     if shots < 1:
         raise ContractError("shots must be >= 1; use exact_record for the exact limit")
-    probs = outcome_probabilities(rho, setting)
+    probs = recorded_probabilities(rho, setting, p_readout)
     rng = keyed_stream(seed, setting_index(setting))
     return ShotRecord(setting=setting, shots=shots, counts=multinomial_counts(rng, shots, probs))
 
 
-def exact_record(rho: np.ndarray, setting: str) -> ShotRecord:
-    probs = outcome_probabilities(rho, setting)
+def exact_record(rho: np.ndarray, setting: str, p_readout: float = 0.0) -> ShotRecord:
+    probs = recorded_probabilities(rho, setting, p_readout)
     return ShotRecord(setting=setting, shots=0, counts=tuple(float(p) for p in probs))
-
-
-def readout_flip(rec: ShotRecord, p: float, seed: int) -> ShotRecord:
-    """Flip each recorded outcome bit independently with probability p.
-
-    Sampled records are re-binned with multinomial draws from the setting's
-    readout substream, 9 + setting_index (past the nine setting streams);
-    exact records get the flip map applied to their probabilities directly.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ContractError(f"readout flip probability {p} outside [0, 1]")
-    if p == 0.0:
-        return rec
-    # Probability of flip pattern m = (f1 f2) as a 2-bit index.
-    pattern_probs = np.array([(1 - p) * (1 - p), (1 - p) * p, p * (1 - p), p * p])
-    if rec.shots == 0:
-        probs = np.asarray(rec.counts, dtype=float)
-        new_probs = np.zeros(4)
-        for k in range(4):
-            for m in range(4):
-                new_probs[k ^ m] += probs[k] * pattern_probs[m]
-        return ShotRecord(rec.setting, 0, tuple(float(x) for x in new_probs))
-    rng = keyed_stream(seed, READOUT_STREAM_OFFSET + setting_index(rec.setting))
-    new_counts = [0, 0, 0, 0]
-    for k in range(4):
-        n_k = int(rec.counts[k])
-        if n_k == 0:
-            continue
-        moved = multinomial_counts(rng, n_k, pattern_probs)
-        for m in range(4):
-            new_counts[k ^ m] += moved[m]
-    return ShotRecord(rec.setting, rec.shots, tuple(new_counts))
 
 
 def measure(rho: np.ndarray, settings, shots: int, seed: int, p_readout: float = 0.0, exact: bool = False) -> dict:
     """{setting: ShotRecord} of each listed setting, in the order listed.
 
-    Each record is sampled with ``shots`` shots (or exact when ``exact``),
-    then readout-flipped with probability ``p_readout``, all keyed by
-    ``seed`` and the setting alone.
+    Each record is sampled with ``shots`` shots (or exact when ``exact``)
+    from the setting's distribution with readout error ``p_readout``,
+    keyed by ``seed`` and the setting alone.
     """
-    records = {}
-    for setting in settings:
-        rec = exact_record(rho, setting) if exact else sample_setting(rho, setting, shots, seed)
-        records[setting] = readout_flip(rec, p_readout, seed)
-    return records
+    return {
+        setting: exact_record(rho, setting, p_readout) if exact
+        else sample_setting(rho, setting, shots, seed, p_readout)
+        for setting in settings
+    }
 
 
 def expectations_from_counts(rec: ShotRecord) -> tuple:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from xsim import XSpectral, XState, from_spectral
+from xsim.xstate import XSpectral, XState, from_spectral
 
 
 def random_spectral(rng, interior=False):

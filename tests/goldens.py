@@ -2,17 +2,21 @@
 
     PYTHONPATH=src python tests/goldens.py --write
 
-regenerates ``tests/goldens.json``; ``test_goldens.py`` recomputes every case
-and compares it with that file, which it never writes. Each experiment runs
-sampled and ``--exact``, under the default and the all-zero noise model.
+regenerates ``tests/goldens.json``. It rewrites only the cases that no
+longer match the file, so the diff names exactly the cases a change moved.
+``test_goldens.py`` recomputes every case and compares it with that file,
+which it never writes. Each experiment runs sampled and ``--exact``, under
+the default and the all-zero noise model.
 Float values must agree within ``FLOAT_ATOL``; everything else must agree
 exactly, including the integer shot counts of every (point, setting), which
-are captured by wrapping ``sample_setting``.
+are captured by wrapping ``sample_setting``; they are the recorded counts,
+readout error included.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from itertools import zip_longest
@@ -66,9 +70,12 @@ def run_case(experiment: str, params: dict, monkeypatch) -> dict:
     original = xsim.tomography.sample_setting
     counts = []
 
-    def recording(rho, setting, shots, seed):
-        rec = original(rho, setting, shots, seed)
-        counts.append([seed, setting, list(rec.counts)])
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        rec = original(*args, **kwargs)
+        seed = signature.bind(*args, **kwargs).arguments["seed"]
+        counts.append([seed, rec.setting, list(rec.counts)])
         return rec
 
     for module in [m for n, m in sys.modules.items() if n.startswith("xsim.")]:
@@ -123,13 +130,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.write:
         parser.error("nothing to do without --write")
-    goldens = {}
+    previous = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
+    goldens, rewritten = {}, []
     for name, (experiment, params) in cases().items():
         with pytest.MonkeyPatch.context() as mp:
-            goldens[name] = {"experiment": experiment, "params": params,
-                             **run_case(experiment, params, mp)}
+            entry = {"experiment": experiment, "params": params, **run_case(experiment, params, mp)}
+        kept = previous.get(name)
+        if kept and kept["params"] == params and first_difference(kept, entry) is None:
+            goldens[name] = kept
+        else:
+            goldens[name] = entry
+            rewritten.append(name)
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(goldens)} cases to {GOLDEN_PATH}")
+    print(f"wrote {len(goldens)} cases to {GOLDEN_PATH}; rewritten: {rewritten}")
     return 0
 
 

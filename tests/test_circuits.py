@@ -255,6 +255,40 @@ def test_circuit_json_round_trip():
         Circuit.from_json(blob)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"width": 2.9, "gates": []}',
+        '{"width": true, "gates": []}',
+        '{"width": "2", "gates": []}',
+        '{"width": 2, "gates": [{"kind": "ry", "params": ["0.5"], "target": 1}]}',
+        '{"width": 2, "gates": [{"kind": "ry", "params": [true], "target": 1}]}',
+        '{"width": 2, "gates": [{"kind": "ry", "params": [NaN], "target": 1}]}',
+        '{"width": 2, "gates": [{"kind": "ry", "params": 0.5, "target": 1}]}',
+        '{"width": 2, "gates": [{"kind": "ry", "params": [0.5], "target": 1.7}]}',
+        '{"width": 2, "gates": [{"kind": "ry", "params": [0.5], "target": true}]}',
+        '{"width": 2, "gates": [{"kind": "cnot", "params": [], "target": 1, "control": 0.5}]}',
+        '{"width": 2, "gates": [{"kind": "cnot", "params": [], "target": 1, "control": false}]}',
+        '{"width": 2, "gates": {"kind": "pauli_z", "target": 0}}',
+        '{"width": 2}',
+        '[2]',
+        '{"width": 2, "gates": [{"kind": "ry", "params": [0.5]}]}',
+        '{"width": 2, "gates": [3]}',
+    ],
+)
+def test_circuit_json_rejects_non_numbers_and_fractions(text):
+    with pytest.raises(ContractError):
+        Circuit.loads(text)
+
+
+def test_circuit_json_accepts_integral_floats_and_round_trips():
+    text = '{"width": 2.0, "gates": [{"kind": "ry", "params": [1], "target": 1.0}, {"kind": "cnot", "target": 0, "control": 1}]}'
+    circ = Circuit.loads(text)
+    assert circ == Circuit(2, (Gate("ry", (1.0,), 1), Gate("cnot", (), 0, 1)))
+    assert isinstance(circ.width, int) and isinstance(circ.gates[0].target, int)
+    assert Circuit.loads(circ.dumps()) == circ
+
+
 def test_run_pure_rejects_bad_index():
     c = Circuit(2, ())
     with pytest.raises(DimensionError):

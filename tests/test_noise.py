@@ -1,3 +1,7 @@
+import itertools
+import math
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,14 @@ from xsim.noise import (
     phase_damping_kraus,
     run_noisy,
 )
-from xsim.tomography import ShotRecord, exact_record, expectations_from_counts, readout_flip, sample_setting
+from xsim.rng import keyed_stream, multinomial_counts
+from xsim.tomography import (
+    expectations_from_counts,
+    measure,
+    outcome_probabilities,
+    recorded_probabilities,
+    setting_index,
+)
 from xsim.xstate import leakage
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -128,21 +139,24 @@ def test_noisy_prepared_state_leakage_grows_mildly_with_rates():
 
 
 def test_readout_flip_identity_at_zero():
-    rec = ShotRecord("ZZ", 100, (40, 30, 20, 10))
-    assert readout_flip(rec, 0.0, 1) is rec
+    rho = random_density(np.random.default_rng(4))
+    probs = outcome_probabilities(rho, "ZZ")
+    assert measure(rho, ("ZZ",), 100, 1, p_readout=0.0, exact=True)["ZZ"].counts == tuple(probs)
+    unflipped = multinomial_counts(keyed_stream(1, setting_index("ZZ")), 100, probs)
+    assert measure(rho, ("ZZ",), 100, 1, p_readout=0.0)["ZZ"].counts == unflipped
 
 
 def test_readout_flip_preserves_shots_and_setting():
-    rec = ShotRecord("XY", 1000, (400, 300, 200, 100))
-    out = readout_flip(rec, 0.1, 5)
+    rho = random_density(np.random.default_rng(5))
+    out = measure(rho, ("XY",), 1000, 5, p_readout=0.1)["XY"]
     assert out.setting == "XY"
+    assert out.shots == 1000
     assert sum(out.counts) == 1000
-    assert out != rec
+    assert out != measure(rho, ("XY",), 1000, 5)["XY"]
 
 
 def test_readout_flip_deterministic_on_exact_records():
-    rec = exact_record(BELL, "ZZ")
-    out = readout_flip(rec, 0.02, 0)
+    out = measure(BELL, ("ZZ",), 0, 0, p_readout=0.02, exact=True)["ZZ"]
     assert out.shots == 0
     # exact mixing map: joint expectation shrinks by (1-2p)^2
     joint, _, _ = expectations_from_counts(out)
@@ -152,16 +166,74 @@ def test_readout_flip_deterministic_on_exact_records():
 def test_readout_flip_shrinks_sampled_correlators():
     shots = 200000
     p = 0.05
-    rec = sample_setting(BELL, "ZZ", shots, 9)
-    flipped = readout_flip(rec, p, 9)
+    flipped = measure(BELL, ("ZZ",), shots, 9, p_readout=p)["ZZ"]
     joint, _, _ = expectations_from_counts(flipped)
     assert joint == pytest.approx((1.0 - 2 * p) ** 2, abs=0.01)
 
 
 def test_readout_flip_half_probability_scrambles_exact_record():
-    rec = exact_record(BELL, "ZZ")
-    out = readout_flip(rec, 0.5, 0)
+    out = measure(BELL, ("ZZ",), 0, 0, p_readout=0.5, exact=True)["ZZ"]
     np.testing.assert_allclose(out.counts, [0.25, 0.25, 0.25, 0.25], atol=1e-12)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_readout_rate_outside_unit_interval_is_rejected(exact):
+    for p in (1.5, -0.01, float("nan")):
+        with pytest.raises(ContractError):
+            measure(BELL, ("ZZ",), 100, 0, p_readout=p, exact=exact)
+
+
+def _multinomial_pmf(n, probs):
+    """{counts: probability} of n draws over the four outcomes."""
+    pmf = {}
+    for counts in itertools.product(range(n + 1), repeat=4):
+        if sum(counts) == n:
+            weight = math.factorial(n) / math.prod(math.factorial(c) for c in counts)
+            pmf[counts] = weight * math.prod(float(q) ** c for q, c in zip(probs, counts))
+    return pmf
+
+
+def _flip_pattern(p):
+    return [(1 - p) * (1 - p), (1 - p) * p, p * (1 - p), p * p]
+
+
+def _sample_then_flip_pmf(n, probs, p):
+    """The former two-stage route: a multinomial draw of the outcomes, then
+    each outcome's shots re-binned over the flip patterns m, k -> k ^ m."""
+    out = defaultdict(float)
+    for counts, weight in _multinomial_pmf(n, probs).items():
+        partial = {(0, 0, 0, 0): weight}
+        for k, n_k in enumerate(counts):
+            rebinned = defaultdict(float)
+            for acc, w in partial.items():
+                for moved, w_moved in _multinomial_pmf(n_k, _flip_pattern(p)).items():
+                    new = list(acc)
+                    for m, c in enumerate(moved):
+                        new[k ^ m] += c
+                    rebinned[tuple(new)] += w * w_moved
+            partial = rebinned
+        for final, w in partial.items():
+            out[final] += w
+    return out
+
+
+@pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 0.5, 1.0])
+def test_folded_readout_matches_sample_then_flip(p):
+    # One draw from F @ probs, F[j, k] = pattern[j ^ k], has the same count
+    # distribution as sampling first and flipping every shot afterwards.
+    pattern = _flip_pattern(p)
+    flip = np.array([[pattern[j ^ k] for k in range(4)] for j in range(4)])
+    rng = np.random.default_rng(12)
+    vectors = [[0.4, 0.3, 0.2, 0.1], [0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0], [0.25] * 4, rng.dirichlet(np.ones(4))]
+    for probs in vectors:
+        folded = recorded_probabilities(np.diag(np.asarray(probs, dtype=complex)), "ZZ", p)
+        np.testing.assert_allclose(folded, flip @ np.asarray(probs), rtol=0, atol=1e-15)
+        for n in range(1, 5):
+            old = _sample_then_flip_pmf(n, probs, p)
+            new = _multinomial_pmf(n, folded)
+            assert set(new) == set(old)
+            for counts in new:
+                assert new[counts] == pytest.approx(old.get(counts, 0.0), rel=0, abs=1e-15)
 
 
 def test_two_qubit_gates_use_the_heavier_rate():
