@@ -18,7 +18,9 @@ Six experiments are registered:
 Analytic columns are pure functions of the physics parameters; shots, seed,
 and noise touch only the simulated columns, evolved by ``circuits.run_stack``.
 Per-point sampling seeds come from the master seed and the point index, so
-rerunning any experiment with the same config is byte-identical.
+rerunning any experiment with the same config is byte-identical. A sweep
+evolves, measures, reconstructs and scores its points in blocks of 64 as
+(P, ...) stacks; a point's row does not depend on the block it falls in.
 
 The time-sweep initial state is a two-sector classical mixture: sector
 weights (r0, r1) = (cos^2(gamma/2), sin^2(gamma/2)) and an imbalance lambda
@@ -44,8 +46,8 @@ from .heisenberg import HeisenbergParams, evolve_diagonal
 from .linalg import fidelity, partial_trace
 from .noise import NoiseModel, run_noisy
 from .rng import derive_seed
-from .tomography import FIDELITY_CONVENTION, PARTIAL3, PARTIAL5, TomographyReport, measure
-from .tomography import reconstruct_x3, reconstruct_x5, robustness_report
+from .tomography import FIDELITY_CONVENTION, PARTIAL3, PARTIAL5, TomographyReport, measure_block
+from .tomography import reconstruct_x3, reconstruct_x5, score_protocols
 from .xstate import (
     XSpectral,
     XState,
@@ -286,25 +288,30 @@ def _prepare_points(points, build, nm: NoiseModel) -> tuple:
     return targets, circuits, pairs
 
 
-def _sweep(params: dict, points, build, row, columns: tuple, label: str) -> ExperimentResult:
+def _sweep(params: dict, points, build, columns, names: tuple, label: str) -> ExperimentResult:
     """The pipeline of every sweep: one row per point, in point order.
 
     ``build(point)`` gives the point's (target, circuit), and
     _prepare_points evolves every circuit to its noisy output pair. Then
-    ``row(point, target, pair, draw)`` returns each point's row; ``draw``
-    holds the keyword arguments (shots, seed, p_readout, exact) that it
-    passes to ``measure`` or ``robustness_report``, with the seed that
-    derive_seed gives for the master seed and the point index. Circuits
-    are labelled ``{label}_{index}``.
+    each consecutive block of _BLOCK points is measured, reconstructed and
+    scored as stacks: ``columns(points, targets, pairs, draw)``, with the
+    block's targets as one XState stack, returns one sequence of floats
+    per column named in ``names``. ``draw`` holds the keyword arguments
+    (shots, seeds, p_readout, exact) that it passes to ``measure_block``
+    or ``score_protocols``, with the seed that derive_seed gives for the
+    master seed and each point's index. Circuits are labelled
+    ``{label}_{index}``.
     """
     targets, circuits, pairs = _prepare_points(points, build, params["noise"])
     draw = {"shots": params["shots"], "p_readout": params["noise"].p_readout, "exact": params["exact"]}
-    rows = tuple(
-        row(point, target, pair, {**draw, "seed": derive_seed(params["seed"], index)})
-        for index, (point, target, pair) in enumerate(zip(points, targets, pairs))
-    )
+    seeds = [derive_seed(params["seed"], index) for index in range(len(circuits))]
+    rows = []
+    for start in range(0, len(circuits), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        cols = columns(points[block], XState.stack(targets[block]), pairs[block], {**draw, "seeds": seeds[block]})
+        rows.extend(zip(*(np.asarray(col, dtype=float).tolist() for col in cols)))
     labelled = tuple((f"{label}_{index}", circ) for index, circ in enumerate(circuits))
-    return ExperimentResult(columns=columns, rows=rows, circuits=labelled)
+    return ExperimentResult(columns=names, rows=tuple(rows), circuits=labelled)
 
 
 def run_tetra_sweep(params: dict) -> ExperimentResult:
@@ -314,12 +321,12 @@ def run_tetra_sweep(params: dict) -> ExperimentResult:
         target = from_spectral(XSpectral(p[0], p[1], p[2], p[3], theta, phi).validate())
         return target, build_xstate_circuit(p, theta, phi)
 
-    def row(p, target, pair, draw):
-        c_shot = concurrence_x(reconstruct_x3(measure(pair, PARTIAL3, **draw).values()))
-        return (*p, concurrence_x(target), concurrence_wootters(pair), c_shot)
+    def columns(ps, targets, pairs, draw):
+        c_shot = concurrence_x(reconstruct_x3(measure_block(pairs, PARTIAL3, **draw)))
+        return (*zip(*ps), concurrence_x(targets), concurrence_wootters(pairs), c_shot)
 
-    columns = ("p00", "p01", "p10", "p11", "c_analytic", "c_noisy_sim", "c_shot_tomo")
-    return _sweep(params, list(SimplexGrid(params["resolution"]).points()), build, row, columns, "point")
+    names = ("p00", "p01", "p10", "p11", "c_analytic", "c_noisy_sim", "c_shot_tomo")
+    return _sweep(params, list(SimplexGrid(params["resolution"]).points()), build, columns, names, "point")
 
 
 def _zero_field_point(params: dict, hp: HeisenbergParams, t: float) -> tuple:
@@ -340,28 +347,29 @@ def _field_point(params: dict, hp: HeisenbergParams, t: float) -> tuple:
     return target, circ
 
 
-def _time_sweep(params: dict, point, row, columns: tuple) -> ExperimentResult:
+def _time_sweep(params: dict, point, columns, names: tuple) -> ExperimentResult:
     """A sweep over the time grid, point t built by ``point(params, hp, t)``."""
     hp = _couplings(params)
-    return _sweep(params, _time_grid(params, hp), lambda t: point(params, hp, t), row, columns, "t")
+    return _sweep(params, _time_grid(params, hp), lambda t: point(params, hp, t), columns, names, "t")
 
 
-def _conc_row(settings, reconstruct):
-    """Row (t, analytic, reconstructed from ``settings``) of a concurrence sweep."""
-    def row(t, target, pair, draw):
-        estimate = reconstruct(measure(pair, settings, **draw).values())
-        return float(t), concurrence_x(target), concurrence_x(estimate)
-    return row
+def _conc_columns(settings, reconstruct):
+    """Columns (t, analytic, reconstructed from ``settings``) of a
+    concurrence sweep."""
+    def columns(ts, targets, pairs, draw):
+        estimate = reconstruct(measure_block(pairs, settings, **draw))
+        return ts, concurrence_x(targets), concurrence_x(estimate)
+    return columns
 
 
 def run_heisenberg_conc(params: dict) -> ExperimentResult:
-    row = _conc_row(PARTIAL3, reconstruct_x3)
-    return _time_sweep(params, _zero_field_point, row, ("t", "c_analytic", "c_reconstructed"))
+    columns = _conc_columns(PARTIAL3, reconstruct_x3)
+    return _time_sweep(params, _zero_field_point, columns, ("t", "c_analytic", "c_reconstructed"))
 
 
 def run_field_conc(params: dict) -> ExperimentResult:
-    row = _conc_row(PARTIAL5, reconstruct_x5)
-    return _time_sweep(params, _field_point, row, ("t", "c_analytic", "c_reconstructed"))
+    columns = _conc_columns(PARTIAL5, reconstruct_x5)
+    return _time_sweep(params, _field_point, columns, ("t", "c_analytic", "c_reconstructed"))
 
 
 def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
@@ -369,13 +377,12 @@ def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
     corners are complex, so the 3-observable protocol is left out."""
     partial3 = () if with_field else ("f_partial3",)
 
-    def row(t, target, pair, draw):
-        full, p5, p3 = robustness_report(target.matrix(), pair, **draw)
-        f3 = () if with_field else (p3.fidelity_to_target,)
-        return (float(t), full.fidelity_to_target, p5.fidelity_to_target, *f3, full.leakage)
+    def columns(ts, targets, pairs, draw):
+        _, (f_full, f_p5, f_p3) = score_protocols(targets.matrix(), pairs, **draw)
+        return (ts, f_full, f_p5, *(() if with_field else (f_p3,)), leakage(pairs))
 
     point = _field_point if with_field else _zero_field_point
-    return _time_sweep(params, point, row, ("t", "f_full", "f_partial5", *partial3, "leakage"))
+    return _time_sweep(params, point, columns, ("t", "f_full", "f_partial5", *partial3, "leakage"))
 
 
 def _parse_target(obj) -> tuple:
@@ -427,12 +434,17 @@ def run_xprep_single(params: dict) -> ExperimentResult:
     ideal_pair = partial_trace(run_density(circ, _initial_density(circ.width)), keep=(2, 3))
     noisy_pair = partial_trace(run_noisy(circ, _initial_density(circ.width), nm), keep=(2, 3))
     seed = params["seed"]
-    x5 = reconstruct_x5(measure(noisy_pair, PARTIAL5, params["shots"], seed, nm.p_readout, params["exact"]).values())
+    freqs = measure_block(noisy_pair[None], PARTIAL5, params["shots"], (seed,), nm.p_readout, params["exact"])
+    x5 = reconstruct_x5(freqs[0])
+    x5_matrix, leak = x5.matrix(), leakage(noisy_pair)
+    # Each pair of scores is one stack of two.
+    c_analytic, c_reconstructed = concurrence_x(XState.stack([target_x, x5]))
+    c_ideal, c_noisy = concurrence_wootters(np.array([ideal_pair, noisy_pair]))
     report = TomographyReport(
         protocol="partial5",
-        reconstructed=x5.matrix(),
-        fidelity_to_target=fidelity(x5.matrix(), target_x.matrix()),
-        leakage=leakage(noisy_pair),
+        reconstructed=x5_matrix,
+        fidelity_to_target=fidelity(x5_matrix, target_x.matrix()),
+        leakage=leak,
         shots=0 if params["exact"] else params["shots"],
         seed=seed,
     )
@@ -445,15 +457,10 @@ def run_xprep_single(params: dict) -> ExperimentResult:
         "noisy_output": {
             "re": noisy_pair.real.tolist(),
             "im": noisy_pair.imag.tolist(),
-            "leakage": leakage(noisy_pair),
+            "leakage": leak,
         },
         "reconstruction": report.to_json(),
-        "concurrence": {
-            "analytic": concurrence_x(target_x),
-            "ideal": concurrence_wootters(ideal_pair),
-            "noisy": concurrence_wootters(noisy_pair),
-            "reconstructed": concurrence_x(x5),
-        },
+        "concurrence": {"analytic": c_analytic, "ideal": c_ideal, "noisy": c_noisy, "reconstructed": c_reconstructed},
     }
     return ExperimentResult(columns=(), rows=(), report=payload, circuits=(("target", circ),))
 

@@ -15,10 +15,10 @@ matrix of k/2 qubits with its row axes first), so no operator is ever
 embedded into the full register. The operator is shared by the stack or
 given per state, so the points of a sweep evolve together.
 
-Production code diagonalizes with LAPACK (``numpy.linalg.eigh`` and
-``svd``). The cyclic Jacobi eigensolver ``herm_eig`` and the routes built on
-it (``expm_oracle``, ``sqrtm_psd``) are kept as independent oracles for the
-tests: they must not share code with the implementations they validate.
+The code diagonalizes with LAPACK (``numpy.linalg.eigh`` and ``svd``),
+on single matrices and on stacks alike. The independent oracles that check
+it (the Jacobi eigensolver ``herm_eig`` and the routes built on it) live
+with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
 
-_DIMS = (2, 4, 16)
-
 HERMITIAN_ATOL = 1e-10
 PSD_ATOL = 1e-9
 
@@ -47,19 +45,26 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=complex).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
+
+
+def cabs(z) -> np.ndarray:
+    """|z| entry by entry through C hypot, as Python's abs(complex) gives it;
+    numpy's vectorized complex abs can differ from it in the last bit."""
+    return np.hypot(z.real, z.imag)
 
 
 def _square(m: np.ndarray, who: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{who}: expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"{who}: expected square matrices, got shape {m.shape}")
     return m
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     m = _square(m, "is_hermitian")
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+    return bool(np.max(np.abs(m - dagger(m))) <= atol)
 
 
 def validate_unitary(u: np.ndarray, atol: float = 1e-10) -> np.ndarray:
@@ -67,25 +72,6 @@ def validate_unitary(u: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > atol:
         raise ContractError("matrix is not unitary within tolerance")
     return u
-
-
-def validate_density(rho: np.ndarray, atol: float = PSD_ATOL) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity of a density matrix.
-
-    Positivity is enforced up to ``-atol`` on the smallest eigenvalue;
-    genuinely indefinite input raises ContractError.
-    """
-    rho = _square(rho, "validate_density")
-    if rho.shape[0] not in _DIMS:
-        raise DimensionError(f"unsupported density-matrix dimension {rho.shape[0]}")
-    if not is_hermitian(rho):
-        raise ContractError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-12:
-        raise ContractError(f"density matrix trace {np.trace(rho)} != 1")
-    evals, _ = herm_eig(rho)
-    if evals.min() < -atol:
-        raise ContractError(f"density matrix has eigenvalue {evals.min():.3e} < 0")
-    return rho
 
 
 def apply_local(state: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
@@ -162,98 +148,22 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     return np.einsum(sub, rho.reshape(stack + (2,) * (2 * n))).reshape(stack + (2**k, 2**k))
 
 
-def herm_eig(m: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Each sweep annihilates every off-diagonal pair with a complex Givens
-    rotation; sweeps repeat until the off-diagonal Frobenius norm falls below
-    ``tol`` (relative to the matrix norm). Deterministic, no libraries beyond
-    numpy array arithmetic.
-
-    Returns
-    -------
-    (w, v) : eigenvalues sorted in descending order, and the matching
-        orthonormal eigenvectors as columns of ``v``.
-    """
-    a = _square(m, "herm_eig")
-    if a.shape[0] not in _DIMS and a.shape[0] != 8:
-        raise DimensionError(f"herm_eig: unsupported dimension {a.shape[0]}")
-    if not is_hermitian(a):
-        raise ContractError("herm_eig: input is not Hermitian within 1e-10")
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= 1e-18 * scale:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                sgn = 1.0 if tau >= 0 else -1.0
-                t = -sgn / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # A <- G^dag A G with G = [[c, -s e^{i phi}], [s e^{-i phi}, c]]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vol_p = v[:, p].copy()
-                vol_q = v[:, q].copy()
-                v[:, p] = c * vol_p + s * np.conj(phase) * vol_q
-                v[:, q] = -s * phase * vol_p + c * vol_q
-    else:
-        raise ContractError("herm_eig: Jacobi iteration failed to converge")
-    w = np.real(np.diag(a))
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
-
-
-def expm_oracle(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Unitary exp(-i h t) of a Hermitian generator, via the eigensolver."""
-    w, v = herm_eig(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root; eigenvalues below zero are clamped to zero."""
-    w, v = herm_eig(m)
-    if w.min() < -PSD_ATOL:
-        raise ContractError(f"sqrtm_psd: eigenvalue {w.min():.3e} too negative")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def psd_factor(m: np.ndarray, who: str) -> np.ndarray:
-    """A factor L with m = L L^dagger, from the LAPACK eigendecomposition.
+    """A factor L with m = L L^dagger, from the LAPACK eigendecomposition;
+    a stack of matrices gives the stack of their factors.
 
-    Raises ContractError when m is not Hermitian or has an eigenvalue below
-    -PSD_ATOL; eigenvalues in between are clamped to zero.
+    Raises ContractError when a matrix is not Hermitian or has an
+    eigenvalue below -PSD_ATOL; eigenvalues in between are clamped to zero.
     """
     if not is_hermitian(m):
         raise ContractError(f"{who}: input is not Hermitian within {HERMITIAN_ATOL}")
     w, v = np.linalg.eigh(m)
-    if w[0] < -PSD_ATOL:
+    if w.min() < -PSD_ATOL:
         raise ContractError(f"{who}: input is not positive semidefinite")
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    return v * np.sqrt(w.clip(0.0, None))[..., None, :]
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray):
     """Squared-Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Symmetric in its arguments and equal to |<psi|phi>|^2 on pure states;
@@ -263,19 +173,17 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     above without taking square roots of the near-zero eigenvalues of
     sqrt(rho) sigma sqrt(rho): a rank-deficient state scores 1 against
     itself to roundoff, where that route is off by ~1e-8.
+
+    Stacks of states broadcast against each other and give a stack of
+    fidelities; each matrix is factored once, so a (P, d, d) stack of
+    targets scores a (K, P, d, d) stack of estimates with P factorizations.
     """
     rho = _square(rho, "fidelity")
     sigma = _square(sigma, "fidelity")
-    if rho.shape != sigma.shape:
+    if rho.shape[-1] != sigma.shape[-1]:
         raise DimensionError("fidelity: operands have different dimensions")
-    overlap = psd_factor(rho, "fidelity").conj().T @ psd_factor(sigma, "fidelity")
-    return float(np.sum(np.linalg.svd(overlap, compute_uv=False)) ** 2)
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of the difference of two Hermitian operators."""
-    w, _ = herm_eig(np.asarray(rho, complex) - np.asarray(sigma, complex))
-    return float(0.5 * np.sum(np.abs(w)))
+    overlap = dagger(psd_factor(rho, "fidelity")) @ psd_factor(sigma, "fidelity")
+    return np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2
 
 
 def relative_phase(target: np.ndarray, candidate: np.ndarray) -> complex:

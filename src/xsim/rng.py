@@ -38,7 +38,7 @@ SNAP_ATOL = 1e-12
 
 
 def _key(seed: int, stream: int) -> np.ndarray:
-    return np.array([np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF), np.uint64(int(stream))])
+    return np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)], dtype=np.uint64)
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
@@ -48,8 +48,10 @@ def substream(seed: int, stream: int) -> np.random.Generator:
 
 # The one bit generator that keyed_stream re-keys, made on first use:
 # building a Philox runs a SeedSequence, about four times the cost of
-# re-keying one.
+# re-keying one. Setting its state copies the arrays, so one zero block
+# serves every reset.
 _philox = None
+_ZEROS = np.zeros(4, dtype=np.uint64)
 
 
 def keyed_stream(seed: int, stream: int) -> np.random.Generator:
@@ -65,8 +67,8 @@ def keyed_stream(seed: int, stream: int) -> np.random.Generator:
         _philox = np.random.Philox(0)
     _philox.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(seed, stream)},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": _ZEROS, "key": _key(seed, stream)},
+        "buffer": _ZEROS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

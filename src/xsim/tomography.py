@@ -22,11 +22,20 @@ exact-probability limit; its counts hold the outcome distribution itself.
 
 Readout error flips each recorded outcome bit independently with probability
 p_readout. A shot drawn from probs and then flipped is one draw from
-F @ probs, F[j, k] = P(flip pattern j ^ k), so ``recorded_probabilities``
+F @ probs, F[j, k] = P(flip pattern j ^ k), so ``setting_probabilities``
 folds the flips into each setting's distribution, which is then drawn with
-one multinomial chain or recorded exactly. ``measure`` is the one place that
-records settings; a setting's record depends only on (state, setting, shots,
-seed, p_readout), not on which other settings are measured with it.
+one multinomial chain or recorded exactly.
+
+Sweeps measure, reconstruct and score a block of points at a time.
+``measure_block`` takes a (P, 4, 4) stack of states: the distributions of
+all its settings come from one contraction of the stack, and each (point,
+setting) is one ``sample_setting`` draw, point-major with the settings in
+the listed order. A record therefore depends only on (state, setting,
+shots, seed, p_readout), not on the block or the other settings. The
+reconstructions and ``psd_project`` take the (P, S, 4) frequency stacks,
+and ``score_protocols`` scores all three protocols of a block. One state is
+a stack of one; ``measure`` gives its ShotRecords, which the
+reconstructions also accept.
 """
 
 from __future__ import annotations
@@ -37,11 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ProtocolError
-from .linalg import PAULI, fidelity, kron
+from .linalg import PAULI, cabs, dagger, fidelity, kron
 from .rng import keyed_stream, multinomial_counts
-from .xstate import XState, leakage
+from .xstate import XState, leakage, sqrt_nonneg
 
-PAULI_ORDER = "XYZ"
 FULL = ("XX", "XY", "XZ", "YX", "YY", "YZ", "ZX", "ZY", "ZZ")
 PARTIAL5 = ("XX", "YY", "ZZ", "XY", "YX")
 PARTIAL3 = ("XX", "YY", "ZZ")
@@ -62,7 +70,8 @@ def _outcome_map(setting: str) -> np.ndarray:
     return np.einsum("ka,kb->kab", b, b.conj()).reshape(4, 16)
 
 
-_OUTCOME_MAPS = {setting: _outcome_map(setting) for setting in FULL}
+# The (9, 4, 16) maps of the settings in FULL order, that is by setting_index.
+_OUTCOME_MAPS = np.array([_outcome_map(setting) for setting in FULL])
 
 # _XOR[k, j] = k ^ j: flip pattern m moves outcome k to k ^ m.
 _XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
@@ -73,11 +82,15 @@ _PAULI_STACK = np.array([PAULI[k] for k in "IXYZ"])
 _PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULI_STACK, _PAULI_STACK).reshape(4, 4, 4, 4)
 
 
+_SETTING_INDEX = {setting: index for index, setting in enumerate(FULL)}
+
+
 def setting_index(setting: str) -> int:
     """Substream index of a setting: 3*first + second in (X, Y, Z) order."""
-    if len(setting) != 2 or any(ch not in PAULI_ORDER for ch in setting):
+    index = _SETTING_INDEX.get(setting) if isinstance(setting, str) else None
+    if index is None:
         raise ProtocolError(f"unknown setting {setting!r}")
-    return 3 * PAULI_ORDER.index(setting[0]) + PAULI_ORDER.index(setting[1])
+    return index
 
 
 def pauli_pair_matrix(setting: str) -> np.ndarray:
@@ -85,18 +98,41 @@ def pauli_pair_matrix(setting: str) -> np.ndarray:
     return kron(PAULI[setting[0]], PAULI[setting[1]])
 
 
-def outcome_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
-    """Four outcome probabilities (++, +-, -+, --), clipped and renormalized."""
+def setting_probabilities(rho: np.ndarray, settings, p_readout: float = 0.0) -> np.ndarray:
+    """Recorded outcome probabilities (..., S, 4) of a state, or of a
+    (..., 4, 4) stack of states, in each of the S listed settings.
+
+    One contraction with the outcome maps of all S settings meets each
+    state as a matrix-vector product, so a state's probabilities are the
+    same floats in a stack of any size. Each setting's four probabilities
+    are clipped at zero and renormalized, then readout error is folded in:
+    F @ probs, with each outcome bit flipped independently with
+    probability p_readout.
+    """
+    if not 0.0 <= p_readout <= 1.0:
+        raise ContractError(f"readout flip probability {p_readout} outside [0, 1]")
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ContractError("outcome_probabilities expects a 4x4 density matrix")
-    setting_index(setting)
-    probs = (_OUTCOME_MAPS[setting] @ rho.reshape(16)).real
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total <= 0.0:
+    if rho.shape[-2:] != (4, 4):
+        raise ContractError("outcome probabilities need 4x4 density matrices")
+    maps = _OUTCOME_MAPS[[setting_index(s) for s in settings]].reshape(-1, 16)
+    probs = np.clip(np.matmul(maps, rho.reshape(-1, 16, 1))[..., 0].real, 0.0, None)
+    probs = probs.reshape(rho.shape[:-2] + (len(settings), 4))
+    total = probs.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise ContractError("outcome probabilities sum to zero")
-    return probs / total
+    probs = probs / total
+    if p_readout == 0.0:
+        return probs
+    q = 1.0 - p_readout
+    flip = np.array([q * q, q * p_readout, p_readout * q, p_readout * p_readout])[_XOR]
+    # Summed over k in order, so each entry is one fixed float sum.
+    return sum(probs[..., k, None] * flip[k] for k in range(4))
+
+
+def outcome_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
+    """Four outcome probabilities (++, +-, -+, --) of one setting, clipped
+    and renormalized; (..., 4) for a stack of states."""
+    return setting_probabilities(rho, (setting,))[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -113,10 +149,14 @@ class ShotRecord:
 
     def __post_init__(self):
         setting_index(self.setting)
-        if len(self.counts) != 4 or any(c < 0 for c in self.counts):
+        if len(self.counts) != 4 or min(self.counts) < 0:
             raise ContractError("counts must be four nonnegative numbers")
         if self.shots < 0:
             raise ContractError("shots must be nonnegative")
+        # bool is a subclass of int but not of type int
+        integers = all(type(v) is int or isinstance(v, np.integer) for v in (self.shots, *self.counts))
+        if self.shots >= 1 and not integers:
+            raise ContractError(f"sampled shots and counts must be integers, got {self.shots}, {self.counts}")
         total = sum(self.counts)
         if self.shots > 0 and abs(total - self.shots) > 1e-9:
             raise ContractError(f"counts sum to {total}, expected {self.shots}")
@@ -130,24 +170,23 @@ class ShotRecord:
 
 
 def recorded_probabilities(rho: np.ndarray, setting: str, p_readout: float = 0.0) -> np.ndarray:
-    """Probabilities of the recorded outcomes: F @ outcome_probabilities,
-    with each outcome bit flipped independently with probability p_readout."""
-    if not 0.0 <= p_readout <= 1.0:
-        raise ContractError(f"readout flip probability {p_readout} outside [0, 1]")
-    probs = outcome_probabilities(rho, setting)
-    if p_readout == 0.0:
-        return probs
-    q = 1.0 - p_readout
-    flip = np.array([q * q, q * p_readout, p_readout * q, p_readout * p_readout])[_XOR]
-    # Summed over k in order, so each entry is one fixed float sum.
-    return sum(probs[k] * flip[k] for k in range(4))
+    """Probabilities of the recorded outcomes of one setting, readout error
+    included; (..., 4) for a stack of states."""
+    return setting_probabilities(rho, (setting,), p_readout)[..., 0, :]
 
 
-def sample_setting(rho: np.ndarray, setting: str, shots: int, seed: int, p_readout: float = 0.0) -> ShotRecord:
-    """Multinomial shot sample of one Pauli-pair measurement, readout error included."""
+def sample_setting(probs: np.ndarray, setting: str, shots: int, seed: int, p_readout: float = 0.0) -> ShotRecord:
+    """Multinomial shot sample of one Pauli-pair measurement, drawn with one
+    chain on the stream keyed_stream(seed, setting_index(setting)).
+
+    ``probs`` is the setting's recorded distribution, as
+    ``recorded_probabilities`` gives it; a 4x4 state in its place is first
+    taken through ``recorded_probabilities`` with ``p_readout``.
+    """
     if shots < 1:
         raise ContractError("shots must be >= 1; use exact_record for the exact limit")
-    probs = recorded_probabilities(rho, setting, p_readout)
+    if np.ndim(probs) == 2:
+        probs = recorded_probabilities(probs, setting, p_readout)
     rng = keyed_stream(seed, setting_index(setting))
     return ShotRecord(setting=setting, shots=shots, counts=multinomial_counts(rng, shots, probs))
 
@@ -158,118 +197,152 @@ def exact_record(rho: np.ndarray, setting: str, p_readout: float = 0.0) -> ShotR
 
 
 def measure(rho: np.ndarray, settings, shots: int, seed: int, p_readout: float = 0.0, exact: bool = False) -> dict:
-    """{setting: ShotRecord} of each listed setting, in the order listed.
+    """{setting: ShotRecord} of one state, in the order listed: the records
+    behind ``measure_block`` on a stack of one, from the same draws."""
+    return {s: exact_record(rho, s, p_readout) if exact else sample_setting(rho, s, shots, seed, p_readout)
+            for s in settings}
 
-    Each record is sampled with ``shots`` shots (or exact when ``exact``)
-    from the setting's distribution with readout error ``p_readout``,
-    keyed by ``seed`` and the setting alone.
+
+def measure_block(rho: np.ndarray, settings, shots: int, seeds, p_readout: float = 0.0, exact: bool = False) -> np.ndarray:
+    """Recorded outcome frequencies (P, S, 4) of a (P, 4, 4) stack of states
+    in each of the S listed settings.
+
+    The distributions come from one ``setting_probabilities`` contraction;
+    exact, they are the frequencies. Sampled, each (point, setting) is one
+    ``sample_setting`` draw keyed by the point's seed ``seeds[i]`` and the
+    setting alone, point-major with settings in the order listed.
     """
-    return {
-        setting: exact_record(rho, setting, p_readout) if exact
-        else sample_setting(rho, setting, shots, seed, p_readout)
-        for setting in settings
-    }
+    probs = setting_probabilities(rho, settings, p_readout)
+    if exact:
+        return probs
+    counts = [[sample_setting(p, s, shots, seed).counts for s, p in zip(settings, point)]
+              for seed, point in zip(seeds, probs)]
+    return np.array(counts, dtype=float) / shots
+
+
+def _last_axis_first(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last axis moved to the front, to unpack entry by entry."""
+    return a.transpose(-1, *range(a.ndim - 1))
+
+
+def _correlators(f: np.ndarray) -> tuple:
+    """(joint, first-qubit marginal, second-qubit marginal) of outcome
+    frequencies f of shape (..., 4)."""
+    fpp, fpm, fmp, fmm = _last_axis_first(f)
+    return fpp - fpm - fmp + fmm, fpp + fpm - fmp - fmm, fpp - fpm + fmp - fmm
 
 
 def expectations_from_counts(rec: ShotRecord) -> tuple:
     """(joint, marginal of first qubit, marginal of second qubit)."""
-    fpp, fpm, fmp, fmm = rec.frequencies()
-    joint = fpp - fpm - fmp + fmm
-    first = fpp + fpm - fmp - fmm
-    second = fpp - fpm + fmp - fmm
-    return float(joint), float(first), float(second)
+    return tuple(float(v) for v in _correlators(rec.frequencies()))
 
 
-def _index_records(records, required) -> dict:
-    by_setting = {}
-    for rec in records:
-        if rec.setting in by_setting:
-            raise ProtocolError(f"duplicate record for setting {rec.setting}")
-        by_setting[rec.setting] = rec
-    missing = [s for s in required if s not in by_setting]
+def _frequency_stack(data, settings) -> np.ndarray:
+    """Frequencies (..., S, 4) in the order of ``settings``: a frequency
+    stack as given, or the ShotRecords of one state, indexed by setting."""
+    if isinstance(data, np.ndarray):
+        if data.shape[-2:] != (len(settings), 4):
+            raise ProtocolError(f"expected frequencies of shape (..., {len(settings)}, 4), got {data.shape}")
+        return data
+    records = list(data)
+    by_setting = {rec.setting: rec for rec in records}
+    if len(by_setting) < len(records):
+        raise ProtocolError(f"duplicate records for settings {[rec.setting for rec in records]}")
+    missing = [s for s in settings if s not in by_setting]
     if missing:
         raise ProtocolError(f"missing settings {missing}")
-    return by_setting
+    return np.array([by_setting[s].frequencies() for s in settings])
 
 
 def psd_project(rho_hat: np.ndarray) -> np.ndarray:
-    """Nearest-valid-state repair by eigenvalue truncation.
+    """Nearest-valid-state repair by eigenvalue truncation, of one matrix or
+    of each matrix of a stack.
 
     Negative eigenvalues are zeroed in ascending order, each one's mass
-    spread uniformly over the eigenvalues above it. Already-PSD input is
-    returned unchanged.
+    spread uniformly over the eigenvalues above it. A stack is repaired
+    one eigenvalue column at a time, masked to the matrices negative in
+    that column, so each matrix sees the float operations of a repair of
+    it alone. Input without a negative eigenvalue is returned unchanged.
     """
     rho_hat = np.asarray(rho_hat, dtype=complex)
-    n = rho_hat.shape[0]
-    if np.max(np.abs(rho_hat - rho_hat.conj().T)) > 1e-10:
-        raise ContractError("psd_project expects a Hermitian matrix")
-    if abs(np.trace(rho_hat).real - 1.0) > 1e-10:
+    n = rho_hat.shape[-1]
+    if np.max(np.abs(rho_hat - dagger(rho_hat))) > 1e-10:
+        raise ContractError("psd_project expects Hermitian matrices")
+    if (np.abs(np.trace(rho_hat, axis1=-2, axis2=-1).real - 1.0) > 1e-10).any():
         raise ContractError("psd_project expects unit trace")
     w, v = np.linalg.eigh(rho_hat)
-    if w[0] >= 0.0:
+    repair = w[..., 0] < 0.0
+    if not repair.any():
         return rho_hat
-    lam = w.copy()
+    lam, v = w[repair], v[repair]
     for i in range(n):
-        if lam[i] < 0.0:
-            if i == n - 1:
-                raise ContractError("cannot repair: all eigenvalue mass negative")
-            lam[i + 1:] += lam[i] / (n - 1 - i)
-            lam[i] = 0.0
-    out = (v * lam) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+        neg = lam[:, i] < 0.0
+        if i == n - 1 and neg.any():
+            raise ContractError("cannot repair: all eigenvalue mass negative")
+        lam[neg, i + 1:] += (lam[neg, i] / (n - 1 - i))[:, None]
+        lam[neg, i] = 0.0
+    out = (v * lam[:, None, :]) @ dagger(v)
+    repaired = rho_hat.copy()
+    repaired[repair] = (out + dagger(out)) / 2.0
+    return repaired
 
 
-def reconstruct_full(records) -> np.ndarray:
-    """Linear inversion from all nine settings, then PSD repair.
+def reconstruct_full(data) -> np.ndarray:
+    """Linear inversion from all nine settings, then PSD repair: (..., 4, 4)
+    from frequencies (..., 9, 4) in FULL order, or 4x4 from the records of
+    one state.
 
     The two single-qubit terms are each estimable from three settings;
     averaging the three estimates uses every record's marginals.
     """
-    by_setting = _index_records(records, FULL)
-    t = np.zeros((4, 4))
-    t[0, 0] = 1.0
-    for i, p1 in enumerate(PAULI_ORDER):
-        for j, p2 in enumerate(PAULI_ORDER):
-            joint, first, second = expectations_from_counts(by_setting[p1 + p2])
-            t[i + 1, j + 1] = joint
-            t[i + 1, 0] += first / 3.0
-            t[0, j + 1] += second / 3.0
-    rho_hat = np.einsum("ij,ijab->ab", t, _PAULI_PAIRS)
+    f = _frequency_stack(data, FULL)
+    t = np.zeros(f.shape[:-2] + (4, 4))
+    t[..., 0, 0] = 1.0
+    joint, first, second = _correlators(f)
+    for i in range(3):
+        for j in range(3):
+            t[..., i + 1, j + 1] = joint[..., 3 * i + j]
+            t[..., i + 1, 0] += first[..., 3 * i + j] / 3.0
+            t[..., 0, j + 1] += second[..., 3 * i + j] / 3.0
+    rho_hat = np.einsum("...ij,ijab->...ab", t, _PAULI_PAIRS)
     return psd_project(rho_hat / 4.0)
 
 
-def _clamped_corner(value: complex, bound: float) -> complex:
-    mag = abs(value)
-    if mag <= bound or mag == 0.0:
-        return value
-    return value * (bound / mag)
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
-def reconstruct_x5(records) -> XState:
-    """X-state estimate from {XX, YY, ZZ, XY, YX}; corners block-clamped."""
-    by_setting = _index_records(records, PARTIAL5)
-    a, b, c, d = by_setting["ZZ"].frequencies()
-    xx, _, _ = expectations_from_counts(by_setting["XX"])
-    yy, _, _ = expectations_from_counts(by_setting["YY"])
-    xy, _, _ = expectations_from_counts(by_setting["XY"])
-    yx, _, _ = expectations_from_counts(by_setting["YX"])
-    w = complex((xx - yy) / 4.0, -(xy + yx) / 4.0)
-    z = complex((xx + yy) / 4.0, (xy - yx) / 4.0)
-    w = _clamped_corner(w, math.sqrt(max(a * d, 0.0)))
-    z = _clamped_corner(z, math.sqrt(max(b * c, 0.0)))
-    return XState(float(a), float(b), float(c), float(d), w, z)
+def _clamped_corner(value: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    mag = cabs(value)
+    keep = (mag <= bound) | (mag == 0.0)
+    return np.where(keep, value, value * (bound / np.where(keep, 1.0, mag)))
 
 
-def reconstruct_x3(records) -> XState:
+def _clamped_xstate(zz: np.ndarray, corners: np.ndarray) -> XState:
+    """X-state with diagonal zz and corners (w, z), each block-clamped."""
+    a, b, c, d = _last_axis_first(zz)
+    w, z = _clamped_corner(corners, sqrt_nonneg(np.array([a * d, b * c])))
+    return XState(a, b, c, d, w, z)
+
+
+def reconstruct_x5(data) -> XState:
+    """X-state estimate from {XX, YY, ZZ, XY, YX}; corners block-clamped.
+    Frequencies (..., 5, 4) in PARTIAL5 order give a stack of X-states."""
+    f = _frequency_stack(data, PARTIAL5)
+    xx, yy, _, xy, yx = _last_axis_first(_correlators(f)[0])
+    return _clamped_xstate(f[..., 2, :], _complex(np.array([xx - yy, xx + yy]) / 4.0,
+                                                  np.array([-(xy + yx), xy - yx]) / 4.0))
+
+
+def reconstruct_x3(data) -> XState:
     """Real-X-state estimate from {XX, YY, ZZ}; imaginary parts are zero by
-    protocol assumption."""
-    by_setting = _index_records(records, PARTIAL3)
-    a, b, c, d = by_setting["ZZ"].frequencies()
-    xx, _, _ = expectations_from_counts(by_setting["XX"])
-    yy, _, _ = expectations_from_counts(by_setting["YY"])
-    w = _clamped_corner(complex((xx - yy) / 4.0), math.sqrt(max(a * d, 0.0)))
-    z = _clamped_corner(complex((xx + yy) / 4.0), math.sqrt(max(b * c, 0.0)))
-    return XState(float(a), float(b), float(c), float(d), w, z)
+    protocol assumption. Frequencies (..., 3, 4) in PARTIAL3 order give a
+    stack of X-states."""
+    f = _frequency_stack(data, PARTIAL3)
+    xx, yy, _ = _last_axis_first(_correlators(f)[0])
+    return _clamped_xstate(f[..., 2, :], _complex(np.array([xx - yy, xx + yy]) / 4.0, 0.0))
 
 
 FIDELITY_CONVENTION = "squared-uhlmann"  # that of linalg.fidelity, named in every report
@@ -298,25 +371,34 @@ class TomographyReport:
         }
 
 
-def robustness_report(
-    target: np.ndarray,
-    noisy_output: np.ndarray,
-    shots: int,
-    seed: int,
-    p_readout: float = 0.0,
-    exact: bool = False,
-) -> tuple:
-    """Run all three protocols on one shared dataset of nine records.
+PROTOCOLS = ("full", "partial5", "partial3")
+_PARTIAL5_ROWS = [FULL.index(s) for s in PARTIAL5]
+_PARTIAL3_ROWS = [FULL.index(s) for s in PARTIAL3]
 
-    Sharing the per-setting samples between protocols isolates what the
-    comparison is about: the protocols differ in which settings they use,
-    not in sampling luck. Returns (full, partial5, partial3) reports;
-    leakage is that of noisy_output.
+
+def score_protocols(target, noisy_output, shots: int, seeds, p_readout: float = 0.0, exact: bool = False) -> tuple:
+    """Estimates (3, P, 4, 4) and fidelities (3, P) of the PROTOCOLS for a
+    (P, 4, 4) stack of noisy outputs against a stack of targets.
+
+    All three protocols read one shared dataset of nine records per point
+    (``measure_block`` over FULL), which isolates what the comparison is
+    about: the protocols differ in which settings they use, not in
+    sampling luck. Each target is factored once for its three scores.
     """
-    records = measure(noisy_output, FULL, shots, seed, p_readout, exact).values()
-    leak = leakage(noisy_output)
-    estimates = (reconstruct_full(records), reconstruct_x5(records).matrix(), reconstruct_x3(records).matrix())
-    return tuple(
-        TomographyReport(protocol, mat, fidelity(mat, target), leak, 0 if exact else shots, seed)
-        for protocol, mat in zip(("full", "partial5", "partial3"), estimates)
-    )
+    f = measure_block(noisy_output, FULL, shots, seeds, p_readout, exact)
+    estimates = np.stack([
+        reconstruct_full(f),
+        reconstruct_x5(f[:, _PARTIAL5_ROWS]).matrix(),
+        reconstruct_x3(f[:, _PARTIAL3_ROWS]).matrix(),
+    ])
+    return estimates, fidelity(estimates, target)
+
+
+def robustness_report(target, noisy_output, shots: int, seed: int, p_readout: float = 0.0, exact: bool = False) -> tuple:
+    """(full, partial5, partial3) reports of one state: ``score_protocols``
+    on a stack of one. Leakage is that of noisy_output."""
+    stack = (np.asarray(target)[None], np.asarray(noisy_output)[None])
+    estimates, fids = score_protocols(*stack, shots, (seed,), p_readout, exact)
+    leak, shots = leakage(noisy_output), 0 if exact else shots
+    return tuple(TomographyReport(name, mat[0], float(f[0]), leak, shots, seed)
+                 for name, mat, f in zip(PROTOCOLS, estimates, fids))

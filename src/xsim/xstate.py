@@ -31,6 +31,10 @@ and the concurrence of any X-state (complex corners included) is
 
     C = 2 max{0, |w| - sqrt(b c), |z| - sqrt(a d)}.
 
+XState entries may also be numpy arrays of one shape: such an XState is a
+stack of X-states, and ``matrix``, ``concurrence_x``,
+``concurrence_wootters`` and ``leakage`` work on stacks entry by entry.
+
 Complex corner phases are local: a diagonal unitary
 diag(1, e^{i alpha}) x diag(1, e^{i beta}) removes them without touching
 populations or entanglement (``strip_phases``).
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InfeasibleStateError, ShapeError
-from .linalg import SY, herm_eig, kron, psd_factor
+from .linalg import SY, cabs, dagger, kron, psd_factor
 
 _DEGENERATE_ATOL = 1e-12
 
@@ -53,6 +57,7 @@ _YY = kron(SY, SY).real
 
 # Row/column index pairs that must vanish for a matrix to be X-shaped.
 NON_X_INDICES = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
+_NON_X_ROWS, _NON_X_COLS = np.array(NON_X_INDICES).T
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,17 @@ class XState:
         return self
 
     def matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.a, self.b, self.c, self.d
-        m[0, 3], m[3, 0] = self.w, np.conj(self.w)
-        m[1, 2], m[2, 1] = self.z, np.conj(self.z)
+        """The 4x4 matrix, or a (..., 4, 4) stack of them for array entries."""
+        m = np.zeros(np.shape(self.a) + (4, 4), dtype=complex)
+        m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], m[..., 3, 3] = self.a, self.b, self.c, self.d
+        m[..., 0, 3], m[..., 3, 0] = self.w, np.conj(self.w)
+        m[..., 1, 2], m[..., 2, 1] = self.z, np.conj(self.z)
         return m
+
+    @staticmethod
+    def stack(states) -> "XState":
+        """One XState whose entries are arrays over the X-states ``states``."""
+        return XState(*(np.array([getattr(x, name) for x in states]) for name in ("a", "b", "c", "d", "w", "z")))
 
     def is_real(self, atol: float = 1e-12) -> bool:
         return abs(complex(self.w).imag) <= atol and abs(complex(self.z).imag) <= atol
@@ -221,62 +232,47 @@ def canonicalize_spectral(p, theta: float, phi: float) -> XSpectral:
     return XSpectral(p00, p01, p10, p11, theta, phi)
 
 
-def concurrence_x(x: XState) -> float:
-    """Closed-form concurrence of an X-state."""
-    t1 = abs(x.w) - math.sqrt(max(x.b * x.c, 0.0))
-    t2 = abs(x.z) - math.sqrt(max(x.a * x.d, 0.0))
-    return 2.0 * max(0.0, t1, t2)
+def sqrt_nonneg(v):
+    """sqrt(max(v, 0.0)) entry by entry, signed zeros included."""
+    return np.sqrt(np.where(0.0 > v, 0.0, v))
 
 
-def concurrence_wootters_oracle(rho: np.ndarray) -> float:
-    """Spectral concurrence of an arbitrary two-qubit density matrix.
+def concurrence_x(x: XState):
+    """Closed-form concurrence of an X-state, or of each one of a stack."""
+    t1, t2 = cabs(np.array([x.w, x.z])) - sqrt_nonneg(np.array([x.b * x.c, x.a * x.d]))
+    # A magnitude minus a root is never -0.0, so no maximum meets a signed zero tie.
+    return 2.0 * np.maximum(np.maximum(t1, t2), 0.0)
 
-    Oracle route: with Y = sy x sy and the spin-flipped state
-    rho~ = Y conj(rho) Y, the concurrence is max(0, l1 - l2 - l3 - l4)
-    where l_i are the decreasing square roots of the eigenvalues of
-    rho rho~. Factoring rho = L L+ turns them into the singular values of
-    L+ Y conj(L), which stay accurate at machine precision even when rho
-    is rank deficient (a direct sqrt of near-zero eigenvalues would
-    amplify roundoff to ~1e-8). The singular values come from the
-    Hermitian embedding [[0, A], [A+, 0]], whose spectrum is {+/- s_i}.
+
+def concurrence_wootters(rho: np.ndarray):
+    """Concurrence of an arbitrary two-qubit density matrix, or of each
+    matrix of a (..., 4, 4) stack.
+
+    With Y = sy x sy and the spin-flipped state Y conj(rho) Y, the
+    concurrence is max(0, s1 - s2 - s3 - s4) over the decreasing square
+    roots s_i of the eigenvalues of rho Y conj(rho) Y. Factoring rho = L L+
+    makes them the singular values of L+ Y conj(L), which stay accurate
+    when rho is rank deficient; factor and singular values come from
+    LAPACK. The test oracle ``concurrence_wootters_oracle`` takes the same
+    route with the Jacobi eigensolver.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ContractError("concurrence_wootters_oracle expects a 4x4 density matrix")
-    yy = kron(SY, SY).real
-    w, v = herm_eig((rho + rho.conj().T) / 2.0)
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
-    a = factor.conj().T @ yy @ factor.conj()
-    emb = np.zeros((8, 8), dtype=complex)
-    emb[:4, 4:] = a
-    emb[4:, :4] = a.conj().T
-    sing, _ = herm_eig(emb)
-    lam = sing[:4]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def concurrence_wootters(rho: np.ndarray) -> float:
-    """Concurrence of an arbitrary two-qubit density matrix.
-
-    The production twin of ``concurrence_wootters_oracle``: the same
-    factored route, max(0, s1 - s2 - s3 - s4) over the singular values of
-    L+ Y conj(L) with rho = L L+, but with the factor and the singular
-    values taken from LAPACK.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ContractError("concurrence_wootters expects a 4x4 density matrix")
+    if rho.shape[-2:] != (4, 4):
+        raise ContractError("concurrence_wootters expects 4x4 density matrices")
     factor = psd_factor(rho, "concurrence_wootters")
-    lam = np.linalg.svd(factor.conj().T @ _YY @ factor.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.linalg.svd(dagger(factor) @ _YY @ factor.conj(), compute_uv=False)
+    # Singular values are >= +0.0, so the difference is never -0.0 either.
+    return np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
 
 
-def leakage(rho: np.ndarray) -> float:
-    """Sum of absolute values of the eight entries outside the X shape."""
+def leakage(rho: np.ndarray):
+    """Sum of absolute values of the eight entries outside the X shape, of
+    a matrix or of each matrix of a (..., 4, 4) stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ContractError("leakage expects a 4x4 matrix")
-    return float(sum(abs(rho[i, j]) for i, j in NON_X_INDICES))
+    if rho.shape[-2:] != (4, 4):
+        raise ContractError("leakage expects 4x4 matrices")
+    # cumsum adds in index order, as a sum over the eight entries one by one
+    return cabs(rho[..., _NON_X_ROWS, _NON_X_COLS]).cumsum(axis=-1)[..., -1][()]
 
 
 def xstate_from_matrix(rho: np.ndarray, atol: float = 1e-9) -> XState:

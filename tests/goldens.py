@@ -1,9 +1,13 @@
 """Golden outputs of all six experiments at small sizes.
 
     PYTHONPATH=src python tests/goldens.py --write
+    PYTHONPATH=src python tests/goldens.py --check
 
-regenerates ``tests/goldens.json``. It rewrites only the cases that no
-longer match the file, so the diff names exactly the cases a change moved.
+``--write`` regenerates ``tests/goldens.json``. It rewrites only the cases
+that no longer match the file, so the diff names exactly the cases a change
+moved. ``--check`` recomputes every case without writing, prints each
+case's first difference and its largest float drift from the file, and
+exits 1 on any mismatch.
 ``test_goldens.py`` recomputes every case and compares it with that file,
 which it never writes. Each experiment runs sampled and ``--exact``, under
 the default and the all-zero noise model.
@@ -124,17 +128,52 @@ def first_difference(golden: dict, got: dict):
     return None
 
 
+def float_drift(golden: dict, got: dict) -> float:
+    """Largest |golden - got| over the float entries at matching paths."""
+    drift = 0.0
+    for section in ("rows", "counts", "report"):
+        for want, have in zip(_flatten(golden[section]), _flatten(got[section])):
+            if want[0] == have[0] and isinstance(want[1], float) and isinstance(have[1], float):
+                drift = max(drift, abs(want[1] - have[1]))
+    return drift
+
+
+def check(previous: dict, computed: dict) -> int:
+    """Print each case's first difference and float drift; 1 on any mismatch."""
+    failed, worst = [], 0.0
+    for name in sorted(set(previous) | set(computed)):
+        kept, entry = previous.get(name), computed.get(name)
+        if kept is None or entry is None:
+            diff, drift = "missing from " + ("the file" if kept is None else "the cases"), 0.0
+        elif (kept["experiment"], kept["params"]) != (entry["experiment"], entry["params"]):
+            diff, drift = "experiment or params differ", 0.0
+        else:
+            diff, drift = first_difference(kept, entry), float_drift(kept, entry)
+        worst = max(worst, drift)
+        if diff is not None:
+            failed.append(name)
+        print(f"{name}: {'ok' if diff is None else diff}; largest float drift {drift:.3g}")
+    print(f"{len(computed)} cases, {len(failed)} mismatched {failed}; largest float drift {worst:.3g}"
+          f" (FLOAT_ATOL {FLOAT_ATOL:g})")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate the golden outputs.")
-    parser.add_argument("--write", action="store_true", help=f"overwrite {GOLDEN_PATH.name}")
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden outputs.")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true", help=f"overwrite {GOLDEN_PATH.name}")
+    mode.add_argument("--check", action="store_true", help=f"compare with {GOLDEN_PATH.name}, writing nothing")
     args = parser.parse_args(argv)
-    if not args.write:
-        parser.error("nothing to do without --write")
     previous = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
-    goldens, rewritten = {}, []
+    computed = {}
     for name, (experiment, params) in cases().items():
         with pytest.MonkeyPatch.context() as mp:
-            entry = {"experiment": experiment, "params": params, **run_case(experiment, params, mp)}
+            computed[name] = {"experiment": experiment, "params": params, **run_case(experiment, params, mp)}
+    if args.check:
+        return check(previous, computed)
+    goldens, rewritten = {}, []
+    for name, entry in computed.items():
+        params = entry["params"]
         kept = previous.get(name)
         if kept and kept["params"] == params and first_difference(kept, entry) is None:
             goldens[name] = kept

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 from conftest import random_density, random_spectral, random_xstate_raw
+from oracles import concurrence_wootters_oracle, expm_oracle
 from xsim.circuits import (
     assemble_x_unitary,
     build_xstate_circuit,
@@ -37,7 +38,7 @@ from xsim.heisenberg import (
     propagator,
     spectrum,
 )
-from xsim.linalg import expm_oracle, partial_trace, relative_phase
+from xsim.linalg import partial_trace, relative_phase
 from xsim.noise import NoiseModel, run_noisy
 from xsim.tomography import (
     FULL,
@@ -52,7 +53,6 @@ from xsim.tomography import (
 from xsim.xstate import (
     XSpectral,
     canonicalize_spectral,
-    concurrence_wootters_oracle,
     concurrence_x,
     from_spectral,
     leakage,

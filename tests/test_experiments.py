@@ -20,8 +20,12 @@ from xsim.experiments import (
     resolve_params,
     run_experiment,
 )
+from xsim import tomography
 from xsim.linalg import partial_trace
 from xsim.noise import NoiseModel, run_noisy
+from xsim.rng import derive_seed
+from xsim.tomography import PARTIAL3, PARTIAL5, measure, reconstruct_x3, reconstruct_x5, robustness_report
+from xsim.xstate import XSpectral, concurrence_wootters, concurrence_x, from_spectral
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
 
@@ -475,3 +479,81 @@ def test_sweep_hands_the_executor_at_most_64_circuits(monkeypatch):
     assert len(result.rows) == 150
     assert sum(sizes) == 150
     assert max(sizes) <= 64
+
+
+READOUT_NOISE = {"p_depol_1q": 0.001, "p_depol_2q": 0.01, "gamma_ad": 0.001, "gamma_pd": 0.001, "p_readout": 0.05}
+SWEEPS = ("tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity")
+
+
+def _per_point_rows(experiment, params):
+    """A sweep's rows computed one point at a time through the single-state
+    functions (measure and ShotRecords, robustness_report)."""
+    nm = params["noise"]
+    if experiment == "tetra_sweep":
+        theta, phi = params["theta"], params["phi"]
+        points = list(SimplexGrid(params["resolution"]).points())
+        targets, _, pairs = _prepare_points(points, lambda p: (
+            from_spectral(XSpectral(*p, theta, phi)), build_xstate_circuit(p, theta, phi)), nm)
+    else:
+        hp = _couplings(params)
+        points = _time_grid(params, hp)
+        point = _field_point if experiment.startswith("field") else _zero_field_point
+        targets, _, pairs = _prepare_points(points, lambda t: point(params, hp, t), nm)
+    rows = []
+    for index, (p, target, pair) in enumerate(zip(points, targets, pairs)):
+        draw = (params["shots"], derive_seed(params["seed"], index), nm.p_readout, params["exact"])
+        if experiment == "tetra_sweep":
+            c_shot = concurrence_x(reconstruct_x3(measure(pair, PARTIAL3, *draw).values()))
+            rows.append((*p, concurrence_x(target), concurrence_wootters(pair), c_shot))
+        elif experiment.endswith("conc"):
+            settings, reconstruct = (PARTIAL5, reconstruct_x5) if experiment == "field_conc" else (PARTIAL3, reconstruct_x3)
+            estimate = reconstruct(measure(pair, settings, *draw).values())
+            rows.append((p, concurrence_x(target), concurrence_x(estimate)))
+        else:
+            full, p5, p3 = robustness_report(target.matrix(), pair, *draw)
+            f3 = () if experiment == "field_fidelity" else (p3.fidelity_to_target,)
+            rows.append((p, full.fidelity_to_target, p5.fidelity_to_target, *f3, full.leakage))
+    return rows
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("experiment", SWEEPS)
+def test_blocked_row_stage_matches_the_per_point_route(experiment, exact, monkeypatch):
+    # 150 time points (165 simplex points) are not a multiple of the block;
+    # at 50 shots with readout error, PSD repairs and corner clamps fire.
+    size = {"resolution": 8} if experiment == "tetra_sweep" else {"time_points": 150}
+    raw = {**size, "shots": 50, "seed": 5, "noise": READOUT_NOISE, "exact": exact}
+    draws, repairs, clamps = [], [], []
+    sample, psd, clamp = tomography.sample_setting, tomography.psd_project, tomography._clamped_corner
+
+    def recording(probs, setting, shots, seed, p_readout=0.0):
+        rec = sample(probs, setting, shots, seed, p_readout)
+        draws.append((seed, rec.setting, rec.counts))
+        return rec
+
+    def repairing(rho_hat):
+        out = psd(rho_hat)
+        repairs.append(int(np.sum(np.any(out != rho_hat, axis=(-2, -1)))))
+        return out
+
+    def clamping(value, bound):
+        out = clamp(value, bound)
+        clamps.append(int(np.sum(out != value)))
+        return out
+
+    monkeypatch.setattr(tomography, "sample_setting", recording)
+    monkeypatch.setattr(tomography, "psd_project", repairing)
+    monkeypatch.setattr(tomography, "_clamped_corner", clamping)
+    params, blocked = run_experiment(experiment, raw)
+    if not exact:
+        assert sum(clamps) > 0
+        assert sum(repairs) > 0 or not experiment.endswith("fidelity")
+    blocked_draws = list(draws)
+    draws.clear()
+    per_point = _per_point_rows(experiment, params)
+    assert blocked_draws == draws
+    settings = {"tetra_sweep": 3, "heisenberg_conc": 3, "field_conc": 5}.get(experiment, 9)
+    assert len(draws) == (0 if exact else settings * len(per_point))
+    assert len(blocked.rows) == len(per_point)
+    for got, want in zip(blocked.rows, per_point):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import expm_oracle
 from xsim.circuits import assemble_x_unitary
 from xsim.errors import ContractError
 from xsim.heisenberg import (
@@ -20,7 +21,7 @@ from xsim.heisenberg import (
     propagator_x_params,
     spectrum,
 )
-from xsim.linalg import I2, SX, SY, SZ, expm_oracle, kron
+from xsim.linalg import I2, SX, SY, SZ, kron
 from xsim.xstate import concurrence_x, xstate_from_matrix
 
 

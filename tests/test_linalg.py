@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
+from oracles import expm_oracle, herm_eig, sqrtm_psd, trace_distance, validate_density
 from xsim.errors import ContractError, DimensionError
 from xsim.linalg import (
     I2,
@@ -9,16 +10,11 @@ from xsim.linalg import (
     SY,
     SZ,
     dagger,
-    expm_oracle,
     fidelity,
-    herm_eig,
     is_hermitian,
     kron,
     partial_trace,
     relative_phase,
-    sqrtm_psd,
-    trace_distance,
-    validate_density,
     validate_unitary,
 )
 

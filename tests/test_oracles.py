@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import random_density
+from oracles import concurrence_wootters_oracle, herm_eig, sqrtm_psd
 from xsim.circuits import Circuit, Gate, build_xstate_circuit, circuit_unitary, gate_matrix, run_density, run_pure
 from xsim.experiments import format_csv, run_experiment
-from xsim.linalg import I2, PAULI, SX, fidelity, herm_eig, kron, sqrtm_psd
+from xsim.linalg import I2, PAULI, SX, fidelity, kron
 from xsim.noise import (
     NoiseModel,
     amplitude_damping_kraus,
@@ -22,7 +23,7 @@ from xsim.noise import (
     run_noisy,
 )
 from xsim.tomography import FULL, outcome_probabilities, psd_project
-from xsim.xstate import concurrence_wootters, concurrence_wootters_oracle
+from xsim.xstate import concurrence_wootters
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
 

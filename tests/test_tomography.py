@@ -230,3 +230,62 @@ def test_measure_records_do_not_depend_on_the_other_settings(exact):
         assert tuple(subset) == settings
         assert all(subset[s] == full[s] for s in settings)
     assert full["XX"] != measure(rho, ("XX",), 3000, 17, exact=exact)["XX"]
+
+
+@pytest.mark.parametrize("shots, counts", [(2, (0.5, 0.5, 0.5, 0.5)), (3, (True, True, True, 0))])
+def test_shot_record_rejects_fractional_and_boolean_counts(shots, counts):
+    # Both sum to the shot count, so only the integer check can catch them.
+    with pytest.raises(ContractError):
+        ShotRecord("XX", shots, counts)
+
+
+def _psd_project_one_by_one(rho_hat):
+    """The per-matrix repair: one eigh and one sequential loop per matrix."""
+    w, v = np.linalg.eigh(rho_hat)
+    if w[0] >= 0.0:
+        return rho_hat
+    lam = w.copy()
+    n = len(lam)
+    for i in range(n):
+        if lam[i] < 0.0:
+            lam[i + 1:] += lam[i] / (n - 1 - i)
+            lam[i] = 0.0
+    out = (v * lam) @ v.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def _unit_trace_hermitian(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    h = (q * np.asarray(eigenvalues, dtype=float)) @ q.conj().T
+    h = (h + h.conj().T) / 2.0
+    return h / np.trace(h).real
+
+
+def test_stacked_psd_repair_matches_the_per_matrix_loop():
+    rng = np.random.default_rng(43)
+    spectra = [
+        (0.5, 0.5, 0.0, 0.0),       # rank deficient: roundoff may leave
+        (1.0, 0.0, 0.0, 0.0),       # eigenvalues of -1e-17 to repair
+        (0.7, 0.4, -0.1, 0.0),      # one negative eigenvalue
+        (0.8, 0.5, -0.2, -0.1),     # two, the second pushed up by the first
+        (1.2, 0.1, -0.15, -0.15),   # mass of both spread over the rest
+        (0.9, -0.3, 0.25, 0.15),
+    ]
+    stack = np.array([_unit_trace_hermitian(rng, s) for s in spectra * 5]
+                     + [random_density(rng) + np.diag(rng.uniform(-0.1, 0.02, size=4)) for _ in range(30)])
+    stack /= np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+    got = psd_project(stack)
+    want = np.array([_psd_project_one_by_one(h) for h in stack])
+    repaired = [not np.array_equal(g, h) for g, h in zip(got, stack)]
+    assert 0 < sum(repaired) < len(stack)
+    np.testing.assert_array_equal(got, want)
+    for one, g in zip(stack, got):
+        np.testing.assert_array_equal(psd_project(one), g)
+
+
+def test_psd_project_rejects_all_negative_input_alone_and_in_a_stack():
+    negative = -np.eye(4, dtype=complex) / 4.0
+    with pytest.raises(ContractError):
+        psd_project(negative)
+    with pytest.raises(ContractError):
+        psd_project(np.array([np.eye(4) / 4.0, negative]))

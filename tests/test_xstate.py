@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spectral, random_xstate, random_xstate_raw
+from oracles import concurrence_wootters_oracle
 from xsim.errors import ContractError, ShapeError
 from xsim.xstate import (
     XSpectral,
@@ -12,7 +13,6 @@ from xsim.xstate import (
     bell_coherence,
     bell_coherence_block,
     canonicalize_spectral,
-    concurrence_wootters_oracle,
     concurrence_x,
     from_spectral,
     leakage,
