@@ -46,8 +46,8 @@ from .heisenberg import HeisenbergParams, evolve_diagonal
 from .linalg import fidelity, partial_trace
 from .noise import NoiseModel, run_noisy
 from .rng import derive_seed
-from .tomography import FIDELITY_CONVENTION, PARTIAL3, PARTIAL5, TomographyReport, measure_block
-from .tomography import reconstruct_x3, reconstruct_x5, score_protocols
+from .tomography import FIDELITY_CONVENTION, FULL, PARTIAL3, PARTIAL5, measure_block
+from .tomography import reconstruct_full, reconstruct_x3, reconstruct_x5
 from .xstate import (
     XSpectral,
     XState,
@@ -297,10 +297,9 @@ def _sweep(params: dict, points, build, columns, names: tuple, label: str) -> Ex
     scored as stacks: ``columns(points, targets, pairs, draw)``, with the
     block's targets as one XState stack, returns one sequence of floats
     per column named in ``names``. ``draw`` holds the keyword arguments
-    (shots, seeds, p_readout, exact) that it passes to ``measure_block``
-    or ``score_protocols``, with the seed that derive_seed gives for the
-    master seed and each point's index. Circuits are labelled
-    ``{label}_{index}``.
+    (shots, seeds, p_readout, exact) that it passes to ``measure_block``,
+    with the seed that derive_seed gives for the master seed and each
+    point's index. Circuits are labelled ``{label}_{index}``.
     """
     targets, circuits, pairs = _prepare_points(points, build, params["noise"])
     draw = {"shots": params["shots"], "p_readout": params["noise"].p_readout, "exact": params["exact"]}
@@ -372,14 +371,26 @@ def run_field_conc(params: dict) -> ExperimentResult:
     return _time_sweep(params, _field_point, columns, ("t", "c_analytic", "c_reconstructed"))
 
 
+_PARTIAL5_ROWS = [FULL.index(s) for s in PARTIAL5]
+_PARTIAL3_ROWS = [FULL.index(s) for s in PARTIAL3]
+
+
 def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
     """Fidelity of all three protocols vs time; with the field the evolved
-    corners are complex, so the 3-observable protocol is left out."""
+    corners are complex, so the 3-observable protocol is left out.
+
+    The protocols read one shared dataset of nine settings per point, so
+    they differ in which settings they use, not in sampling luck. Each
+    target is factored once for all its scores.
+    """
     partial3 = () if with_field else ("f_partial3",)
 
     def columns(ts, targets, pairs, draw):
-        _, (f_full, f_p5, f_p3) = score_protocols(targets.matrix(), pairs, **draw)
-        return (ts, f_full, f_p5, *(() if with_field else (f_p3,)), leakage(pairs))
+        f = measure_block(pairs, FULL, **draw)
+        estimates = [reconstruct_full(f), reconstruct_x5(f[:, _PARTIAL5_ROWS]).matrix()]
+        if not with_field:
+            estimates.append(reconstruct_x3(f[:, _PARTIAL3_ROWS]).matrix())
+        return (ts, *fidelity(np.stack(estimates), targets.matrix()), leakage(pairs))
 
     point = _field_point if with_field else _zero_field_point
     return _time_sweep(params, point, columns, ("t", "f_full", "f_partial5", *partial3, "leakage"))
@@ -440,14 +451,6 @@ def run_xprep_single(params: dict) -> ExperimentResult:
     # Each pair of scores is one stack of two.
     c_analytic, c_reconstructed = concurrence_x(XState.stack([target_x, x5]))
     c_ideal, c_noisy = concurrence_wootters(np.array([ideal_pair, noisy_pair]))
-    report = TomographyReport(
-        protocol="partial5",
-        reconstructed=x5_matrix,
-        fidelity_to_target=fidelity(x5_matrix, target_x.matrix()),
-        leakage=leak,
-        shots=0 if params["exact"] else params["shots"],
-        seed=seed,
-    )
     payload = {
         "target": target_x.to_json(),
         "spectral": spectral.to_json(),
@@ -459,7 +462,16 @@ def run_xprep_single(params: dict) -> ExperimentResult:
             "im": noisy_pair.imag.tolist(),
             "leakage": leak,
         },
-        "reconstruction": report.to_json(),
+        "reconstruction": {
+            "protocol": "partial5",
+            "reconstructed_re": x5_matrix.real.tolist(),
+            "reconstructed_im": x5_matrix.imag.tolist(),
+            "fidelity_to_target": fidelity(x5_matrix, target_x.matrix()),
+            "fidelity_convention": FIDELITY_CONVENTION,
+            "leakage": leak,
+            "shots": 0 if params["exact"] else params["shots"],
+            "seed": seed,
+        },
         "concurrence": {"analytic": c_analytic, "ideal": c_ideal, "noisy": c_noisy, "reconstructed": c_reconstructed},
     }
     return ExperimentResult(columns=(), rows=(), report=payload, circuits=(("target", circ),))

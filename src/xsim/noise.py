@@ -9,8 +9,9 @@ to calibrate a particular machine. ``NoiseModel.gate_noise`` composes the
 channels for the executor ``circuits.run_stack``, which holds the gate loop.
 
 The model's readout rate p_readout is not applied here: readout error acts
-on recorded outcomes, not on the state, so ``tomography.measure`` folds it
-into each setting's outcome distribution.
+on recorded outcomes, not on the state, so
+``tomography.setting_probabilities`` folds it into each setting's outcome
+distribution.
 """
 
 from __future__ import annotations

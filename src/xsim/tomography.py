@@ -17,8 +17,7 @@ Im w = -(<XY> + <YX>)/4, Im z = (<XY> - <YX>)/4, with the ZZ outcome
 frequencies giving the diagonal directly.
 
 Setting (i, j), with Pauli indices in (X, Y, Z) order, draws from
-rng.keyed_stream(seed, 3i+j). A ShotRecord with shots = 0 is the
-exact-probability limit; its counts hold the outcome distribution itself.
+rng.keyed_stream(seed, 3i+j).
 
 Readout error flips each recorded outcome bit independently with probability
 p_readout. A shot drawn from probs and then flipped is one draw from
@@ -26,29 +25,26 @@ F @ probs, F[j, k] = P(flip pattern j ^ k), so ``setting_probabilities``
 folds the flips into each setting's distribution, which is then drawn with
 one multinomial chain or recorded exactly.
 
-Sweeps measure, reconstruct and score a block of points at a time.
-``measure_block`` takes a (P, 4, 4) stack of states: the distributions of
-all its settings come from one contraction of the stack, and each (point,
-setting) is one ``sample_setting`` draw, point-major with the settings in
-the listed order. A record therefore depends only on (state, setting,
-shots, seed, p_readout), not on the block or the other settings. The
-reconstructions and ``psd_project`` take the (P, S, 4) frequency stacks,
-and ``score_protocols`` scores all three protocols of a block. One state is
-a stack of one; ``measure`` gives its ShotRecords, which the
-reconstructions also accept.
+Every measurement is recorded as a frequency stack. ``measure_block``
+takes a (P, 4, 4) stack of states and returns the (P, S, 4) outcome
+frequencies of the S listed settings: exact, they are the distributions
+from one contraction of the stack; sampled, each (point, setting) is one
+``sample_setting`` draw, point-major with the settings in the listed order.
+A row therefore depends only on (state, setting, shots, seed, p_readout),
+not on the block or the other settings. The reconstructions and
+``psd_project`` take these stacks; one state is a stack of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ProtocolError
-from .linalg import PAULI, cabs, dagger, fidelity, kron
+from .linalg import PAULI, cabs, dagger, kron
 from .rng import keyed_stream, multinomial_counts
-from .xstate import XState, leakage, sqrt_nonneg
+from .xstate import XState, sqrt_nonneg
 
 FULL = ("XX", "XY", "XZ", "YX", "YY", "YZ", "ZX", "ZY", "ZZ")
 PARTIAL5 = ("XX", "YY", "ZZ", "XY", "YX")
@@ -129,78 +125,13 @@ def setting_probabilities(rho: np.ndarray, settings, p_readout: float = 0.0) -> 
     return sum(probs[..., k, None] * flip[k] for k in range(4))
 
 
-def outcome_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
-    """Four outcome probabilities (++, +-, -+, --) of one setting, clipped
-    and renormalized; (..., 4) for a stack of states."""
-    return setting_probabilities(rho, (setting,))[..., 0, :]
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """Counts for one measurement setting.
-
-    shots >= 1 means sampled integer counts summing to shots; shots = 0
-    marks the exact-probability limit, where counts hold the distribution.
-    """
-
-    setting: str
-    shots: int
-    counts: tuple
-
-    def __post_init__(self):
-        setting_index(self.setting)
-        if len(self.counts) != 4 or min(self.counts) < 0:
-            raise ContractError("counts must be four nonnegative numbers")
-        if self.shots < 0:
-            raise ContractError("shots must be nonnegative")
-        # bool is a subclass of int but not of type int
-        integers = all(type(v) is int or isinstance(v, np.integer) for v in (self.shots, *self.counts))
-        if self.shots >= 1 and not integers:
-            raise ContractError(f"sampled shots and counts must be integers, got {self.shots}, {self.counts}")
-        total = sum(self.counts)
-        if self.shots > 0 and abs(total - self.shots) > 1e-9:
-            raise ContractError(f"counts sum to {total}, expected {self.shots}")
-        if self.shots == 0 and abs(total - 1.0) > 1e-9:
-            raise ContractError("exact record counts must sum to 1")
-
-    def frequencies(self) -> np.ndarray:
-        if self.shots == 0:
-            return np.asarray(self.counts, dtype=float)
-        return np.asarray(self.counts, dtype=float) / self.shots
-
-
-def recorded_probabilities(rho: np.ndarray, setting: str, p_readout: float = 0.0) -> np.ndarray:
-    """Probabilities of the recorded outcomes of one setting, readout error
-    included; (..., 4) for a stack of states."""
-    return setting_probabilities(rho, (setting,), p_readout)[..., 0, :]
-
-
-def sample_setting(probs: np.ndarray, setting: str, shots: int, seed: int, p_readout: float = 0.0) -> ShotRecord:
-    """Multinomial shot sample of one Pauli-pair measurement, drawn with one
-    chain on the stream keyed_stream(seed, setting_index(setting)).
-
-    ``probs`` is the setting's recorded distribution, as
-    ``recorded_probabilities`` gives it; a 4x4 state in its place is first
-    taken through ``recorded_probabilities`` with ``p_readout``.
-    """
+def sample_setting(probs: np.ndarray, setting: str, shots: int, seed: int) -> tuple:
+    """Counts of a multinomial shot sample of one Pauli-pair measurement
+    from its recorded distribution ``probs``, drawn with one chain on the
+    stream keyed_stream(seed, setting_index(setting))."""
     if shots < 1:
-        raise ContractError("shots must be >= 1; use exact_record for the exact limit")
-    if np.ndim(probs) == 2:
-        probs = recorded_probabilities(probs, setting, p_readout)
-    rng = keyed_stream(seed, setting_index(setting))
-    return ShotRecord(setting=setting, shots=shots, counts=multinomial_counts(rng, shots, probs))
-
-
-def exact_record(rho: np.ndarray, setting: str, p_readout: float = 0.0) -> ShotRecord:
-    probs = recorded_probabilities(rho, setting, p_readout)
-    return ShotRecord(setting=setting, shots=0, counts=tuple(float(p) for p in probs))
-
-
-def measure(rho: np.ndarray, settings, shots: int, seed: int, p_readout: float = 0.0, exact: bool = False) -> dict:
-    """{setting: ShotRecord} of one state, in the order listed: the records
-    behind ``measure_block`` on a stack of one, from the same draws."""
-    return {s: exact_record(rho, s, p_readout) if exact else sample_setting(rho, s, shots, seed, p_readout)
-            for s in settings}
+        raise ContractError("shots must be >= 1; the exact limit is measured with exact=True")
+    return multinomial_counts(keyed_stream(seed, setting_index(setting)), shots, probs)
 
 
 def measure_block(rho: np.ndarray, settings, shots: int, seeds, p_readout: float = 0.0, exact: bool = False) -> np.ndarray:
@@ -215,7 +146,7 @@ def measure_block(rho: np.ndarray, settings, shots: int, seeds, p_readout: float
     probs = setting_probabilities(rho, settings, p_readout)
     if exact:
         return probs
-    counts = [[sample_setting(p, s, shots, seed).counts for s, p in zip(settings, point)]
+    counts = [[sample_setting(p, s, shots, seed) for s, p in zip(settings, point)]
               for seed, point in zip(seeds, probs)]
     return np.array(counts, dtype=float) / shots
 
@@ -232,26 +163,13 @@ def _correlators(f: np.ndarray) -> tuple:
     return fpp - fpm - fmp + fmm, fpp + fpm - fmp - fmm, fpp - fpm + fmp - fmm
 
 
-def expectations_from_counts(rec: ShotRecord) -> tuple:
-    """(joint, marginal of first qubit, marginal of second qubit)."""
-    return tuple(float(v) for v in _correlators(rec.frequencies()))
-
-
-def _frequency_stack(data, settings) -> np.ndarray:
-    """Frequencies (..., S, 4) in the order of ``settings``: a frequency
-    stack as given, or the ShotRecords of one state, indexed by setting."""
-    if isinstance(data, np.ndarray):
-        if data.shape[-2:] != (len(settings), 4):
-            raise ProtocolError(f"expected frequencies of shape (..., {len(settings)}, 4), got {data.shape}")
-        return data
-    records = list(data)
-    by_setting = {rec.setting: rec for rec in records}
-    if len(by_setting) < len(records):
-        raise ProtocolError(f"duplicate records for settings {[rec.setting for rec in records]}")
-    missing = [s for s in settings if s not in by_setting]
-    if missing:
-        raise ProtocolError(f"missing settings {missing}")
-    return np.array([by_setting[s].frequencies() for s in settings])
+def _frequency_stack(f, settings) -> np.ndarray:
+    """``f`` as frequencies (..., S, 4) of the S ``settings``, rows in the
+    order listed; any other shape raises ProtocolError."""
+    f = np.asarray(f, dtype=float)
+    if f.shape[-2:] != (len(settings), 4):
+        raise ProtocolError(f"expected frequencies of shape (..., {len(settings)}, 4), got {f.shape}")
+    return f
 
 
 def psd_project(rho_hat: np.ndarray) -> np.ndarray:
@@ -289,11 +207,10 @@ def psd_project(rho_hat: np.ndarray) -> np.ndarray:
 
 def reconstruct_full(data) -> np.ndarray:
     """Linear inversion from all nine settings, then PSD repair: (..., 4, 4)
-    from frequencies (..., 9, 4) in FULL order, or 4x4 from the records of
-    one state.
+    from frequencies (..., 9, 4) in FULL order.
 
     The two single-qubit terms are each estimable from three settings;
-    averaging the three estimates uses every record's marginals.
+    averaging the three estimates uses every setting's marginals.
     """
     f = _frequency_stack(data, FULL)
     t = np.zeros(f.shape[:-2] + (4, 4))
@@ -346,59 +263,3 @@ def reconstruct_x3(data) -> XState:
 
 
 FIDELITY_CONVENTION = "squared-uhlmann"  # that of linalg.fidelity, named in every report
-
-
-@dataclass(frozen=True)
-class TomographyReport:
-    protocol: str
-    reconstructed: np.ndarray
-    fidelity_to_target: float
-    leakage: float
-    shots: int
-    seed: int
-
-    def to_json(self) -> dict:
-        m = np.asarray(self.reconstructed)
-        return {
-            "protocol": self.protocol,
-            "reconstructed_re": m.real.tolist(),
-            "reconstructed_im": m.imag.tolist(),
-            "fidelity_to_target": self.fidelity_to_target,
-            "fidelity_convention": FIDELITY_CONVENTION,
-            "leakage": self.leakage,
-            "shots": self.shots,
-            "seed": self.seed,
-        }
-
-
-PROTOCOLS = ("full", "partial5", "partial3")
-_PARTIAL5_ROWS = [FULL.index(s) for s in PARTIAL5]
-_PARTIAL3_ROWS = [FULL.index(s) for s in PARTIAL3]
-
-
-def score_protocols(target, noisy_output, shots: int, seeds, p_readout: float = 0.0, exact: bool = False) -> tuple:
-    """Estimates (3, P, 4, 4) and fidelities (3, P) of the PROTOCOLS for a
-    (P, 4, 4) stack of noisy outputs against a stack of targets.
-
-    All three protocols read one shared dataset of nine records per point
-    (``measure_block`` over FULL), which isolates what the comparison is
-    about: the protocols differ in which settings they use, not in
-    sampling luck. Each target is factored once for its three scores.
-    """
-    f = measure_block(noisy_output, FULL, shots, seeds, p_readout, exact)
-    estimates = np.stack([
-        reconstruct_full(f),
-        reconstruct_x5(f[:, _PARTIAL5_ROWS]).matrix(),
-        reconstruct_x3(f[:, _PARTIAL3_ROWS]).matrix(),
-    ])
-    return estimates, fidelity(estimates, target)
-
-
-def robustness_report(target, noisy_output, shots: int, seed: int, p_readout: float = 0.0, exact: bool = False) -> tuple:
-    """(full, partial5, partial3) reports of one state: ``score_protocols``
-    on a stack of one. Leakage is that of noisy_output."""
-    stack = (np.asarray(target)[None], np.asarray(noisy_output)[None])
-    estimates, fids = score_protocols(*stack, shots, (seed,), p_readout, exact)
-    leak, shots = leakage(noisy_output), 0 if exact else shots
-    return tuple(TomographyReport(name, mat[0], float(f[0]), leak, shots, seed)
-                 for name, mat, f in zip(PROTOCOLS, estimates, fids))

@@ -77,10 +77,10 @@ def run_case(experiment: str, params: dict, monkeypatch) -> dict:
     signature = inspect.signature(original)
 
     def recording(*args, **kwargs):
-        rec = original(*args, **kwargs)
-        seed = signature.bind(*args, **kwargs).arguments["seed"]
-        counts.append([seed, rec.setting, list(rec.counts)])
-        return rec
+        drawn = original(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs).arguments
+        counts.append([bound["seed"], bound["setting"], list(drawn)])
+        return drawn
 
     for module in [m for n, m in sys.modules.items() if n.startswith("xsim.")]:
         for attr, value in list(vars(module).items()):

@@ -20,12 +20,12 @@ from xsim.experiments import (
     resolve_params,
     run_experiment,
 )
-from xsim import tomography
-from xsim.linalg import partial_trace
+from xsim import experiments, tomography
+from xsim.linalg import fidelity, partial_trace
 from xsim.noise import NoiseModel, run_noisy
 from xsim.rng import derive_seed
-from xsim.tomography import PARTIAL3, PARTIAL5, measure, reconstruct_x3, reconstruct_x5, robustness_report
-from xsim.xstate import XSpectral, concurrence_wootters, concurrence_x, from_spectral
+from xsim.tomography import FULL, PARTIAL3, PARTIAL5, measure_block, reconstruct_full, reconstruct_x3, reconstruct_x5
+from xsim.xstate import XSpectral, concurrence_wootters, concurrence_x, from_spectral, leakage
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
 
@@ -466,8 +466,6 @@ def test_run_stack_keeps_input_order_across_mixed_topologies():
 
 
 def test_sweep_hands_the_executor_at_most_64_circuits(monkeypatch):
-    import xsim.experiments as experiments
-
     sizes = []
 
     def counting(circuits, rho, gate_noise=None):
@@ -486,8 +484,8 @@ SWEEPS = ("tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity",
 
 
 def _per_point_rows(experiment, params):
-    """A sweep's rows computed one point at a time through the single-state
-    functions (measure and ShotRecords, robustness_report)."""
+    """A sweep's rows computed one point at a time, each point measured as
+    a stack of one."""
     nm = params["noise"]
     if experiment == "tetra_sweep":
         theta, phi = params["theta"], params["phi"]
@@ -501,18 +499,20 @@ def _per_point_rows(experiment, params):
         targets, _, pairs = _prepare_points(points, lambda t: point(params, hp, t), nm)
     rows = []
     for index, (p, target, pair) in enumerate(zip(points, targets, pairs)):
-        draw = (params["shots"], derive_seed(params["seed"], index), nm.p_readout, params["exact"])
+        draw = (params["shots"], (derive_seed(params["seed"], index),), nm.p_readout, params["exact"])
         if experiment == "tetra_sweep":
-            c_shot = concurrence_x(reconstruct_x3(measure(pair, PARTIAL3, *draw).values()))
+            c_shot = concurrence_x(reconstruct_x3(measure_block(pair[None], PARTIAL3, *draw)[0]))
             rows.append((*p, concurrence_x(target), concurrence_wootters(pair), c_shot))
         elif experiment.endswith("conc"):
             settings, reconstruct = (PARTIAL5, reconstruct_x5) if experiment == "field_conc" else (PARTIAL3, reconstruct_x3)
-            estimate = reconstruct(measure(pair, settings, *draw).values())
+            estimate = reconstruct(measure_block(pair[None], settings, *draw)[0])
             rows.append((p, concurrence_x(target), concurrence_x(estimate)))
         else:
-            full, p5, p3 = robustness_report(target.matrix(), pair, *draw)
-            f3 = () if experiment == "field_fidelity" else (p3.fidelity_to_target,)
-            rows.append((p, full.fidelity_to_target, p5.fidelity_to_target, *f3, full.leakage))
+            f = measure_block(pair[None], FULL, *draw)[0]
+            estimates = [reconstruct_full(f), reconstruct_x5(f[[FULL.index(s) for s in PARTIAL5]]).matrix()]
+            if experiment == "heisenberg_fidelity":
+                estimates.append(reconstruct_x3(f[[FULL.index(s) for s in PARTIAL3]]).matrix())
+            rows.append((p, *(fidelity(m, target.matrix()) for m in estimates), leakage(pair)))
     return rows
 
 
@@ -526,10 +526,10 @@ def test_blocked_row_stage_matches_the_per_point_route(experiment, exact, monkey
     draws, repairs, clamps = [], [], []
     sample, psd, clamp = tomography.sample_setting, tomography.psd_project, tomography._clamped_corner
 
-    def recording(probs, setting, shots, seed, p_readout=0.0):
-        rec = sample(probs, setting, shots, seed, p_readout)
-        draws.append((seed, rec.setting, rec.counts))
-        return rec
+    def recording(probs, setting, shots, seed):
+        counts = sample(probs, setting, shots, seed)
+        draws.append((seed, setting, counts))
+        return counts
 
     def repairing(rho_hat):
         out = psd(rho_hat)
@@ -557,3 +557,20 @@ def test_blocked_row_stage_matches_the_per_point_route(experiment, exact, monkey
     assert len(blocked.rows) == len(per_point)
     for got, want in zip(blocked.rows, per_point):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("experiment, partial3", [("field_fidelity", False), ("heisenberg_fidelity", True)])
+def test_fidelity_sweep_reconstructs_partial3_only_without_field(experiment, partial3, monkeypatch):
+    # With the field the 3-setting column is left out, so its estimate is
+    # never made.
+    calls = []
+
+    def counting(data):
+        calls.append(np.shape(data))
+        return reconstruct_x3(data)
+
+    for module in (experiments, tomography):
+        monkeypatch.setattr(module, "reconstruct_x3", counting)
+    _, result = run_experiment(experiment, {"time_points": 70, "shots": 50})
+    assert ("f_partial3" in result.columns) == partial3
+    assert (len(calls) > 0) == partial3

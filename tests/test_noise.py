@@ -18,17 +18,23 @@ from xsim.noise import (
     run_noisy,
 )
 from xsim.rng import keyed_stream, multinomial_counts
-from xsim.tomography import (
-    expectations_from_counts,
-    measure,
-    outcome_probabilities,
-    recorded_probabilities,
-    setting_index,
-)
+from xsim.tomography import measure_block, setting_index, setting_probabilities
 from xsim.xstate import leakage
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
+
+# Joint correlator of a setting from its outcome frequencies (++, +-, -+, --).
+JOINT = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _frequencies(rho, setting, shots, seed, p_readout=0.0, exact=False):
+    """Recorded frequencies of one setting of one state: a stack of one."""
+    return measure_block(rho[None], (setting,), shots, (seed,), p_readout, exact)[0, 0]
+
+
+def _counts(rho, setting, shots, seed, p_readout=0.0):
+    return tuple(int(c) for c in np.rint(_frequencies(rho, setting, shots, seed, p_readout) * shots))
 
 
 def _kraus_closure(kraus):
@@ -140,47 +146,45 @@ def test_noisy_prepared_state_leakage_grows_mildly_with_rates():
 
 def test_readout_flip_identity_at_zero():
     rho = random_density(np.random.default_rng(4))
-    probs = outcome_probabilities(rho, "ZZ")
-    assert measure(rho, ("ZZ",), 100, 1, p_readout=0.0, exact=True)["ZZ"].counts == tuple(probs)
+    probs = setting_probabilities(rho, ("ZZ",))[0]
+    assert tuple(_frequencies(rho, "ZZ", 100, 1, p_readout=0.0, exact=True)) == tuple(probs)
     unflipped = multinomial_counts(keyed_stream(1, setting_index("ZZ")), 100, probs)
-    assert measure(rho, ("ZZ",), 100, 1, p_readout=0.0)["ZZ"].counts == unflipped
+    assert _counts(rho, "ZZ", 100, 1, p_readout=0.0) == unflipped
 
 
 def test_readout_flip_preserves_shots_and_setting():
     rho = random_density(np.random.default_rng(5))
-    out = measure(rho, ("XY",), 1000, 5, p_readout=0.1)["XY"]
-    assert out.setting == "XY"
-    assert out.shots == 1000
-    assert sum(out.counts) == 1000
-    assert out != measure(rho, ("XY",), 1000, 5)["XY"]
+    assert measure_block(rho[None], ("XY",), 1000, (5,), p_readout=0.1).shape == (1, 1, 4)
+    out = _counts(rho, "XY", 1000, 5, p_readout=0.1)
+    assert sum(out) == 1000
+    assert out != _counts(rho, "XY", 1000, 5)
 
 
-def test_readout_flip_deterministic_on_exact_records():
-    out = measure(BELL, ("ZZ",), 0, 0, p_readout=0.02, exact=True)["ZZ"]
-    assert out.shots == 0
+def test_readout_flip_deterministic_on_exact_frequencies():
+    out = _frequencies(BELL, "ZZ", 0, 0, p_readout=0.02, exact=True)
     # exact mixing map: joint expectation shrinks by (1-2p)^2
-    joint, _, _ = expectations_from_counts(out)
+    joint = out @ JOINT
     assert joint == pytest.approx((1.0 - 0.04) ** 2, abs=1e-12)
 
 
 def test_readout_flip_shrinks_sampled_correlators():
     shots = 200000
     p = 0.05
-    flipped = measure(BELL, ("ZZ",), shots, 9, p_readout=p)["ZZ"]
-    joint, _, _ = expectations_from_counts(flipped)
+    flipped = _frequencies(BELL, "ZZ", shots, 9, p_readout=p)
+    joint = flipped @ JOINT
     assert joint == pytest.approx((1.0 - 2 * p) ** 2, abs=0.01)
 
 
-def test_readout_flip_half_probability_scrambles_exact_record():
-    out = measure(BELL, ("ZZ",), 0, 0, p_readout=0.5, exact=True)["ZZ"]
-    np.testing.assert_allclose(out.counts, [0.25, 0.25, 0.25, 0.25], atol=1e-12)
+def test_readout_flip_half_probability_scrambles_exact_frequencies():
+    out = _frequencies(BELL, "ZZ", 0, 0, p_readout=0.5, exact=True)
+    np.testing.assert_allclose(out, [0.25, 0.25, 0.25, 0.25], atol=1e-12)
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_readout_rate_outside_unit_interval_is_rejected(exact):
     for p in (1.5, -0.01, float("nan")):
         with pytest.raises(ContractError):
-            measure(BELL, ("ZZ",), 100, 0, p_readout=p, exact=exact)
+            _frequencies(BELL, "ZZ", 100, 0, p_readout=p, exact=exact)
 
 
 def _multinomial_pmf(n, probs):
@@ -226,7 +230,7 @@ def test_folded_readout_matches_sample_then_flip(p):
     rng = np.random.default_rng(12)
     vectors = [[0.4, 0.3, 0.2, 0.1], [0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0], [0.25] * 4, rng.dirichlet(np.ones(4))]
     for probs in vectors:
-        folded = recorded_probabilities(np.diag(np.asarray(probs, dtype=complex)), "ZZ", p)
+        folded = setting_probabilities(np.diag(np.asarray(probs, dtype=complex)), ("ZZ",), p)[0]
         np.testing.assert_allclose(folded, flip @ np.asarray(probs), rtol=0, atol=1e-15)
         for n in range(1, 5):
             old = _sample_then_flip_pmf(n, probs, p)

@@ -22,7 +22,7 @@ from xsim.noise import (
     phase_damping_kraus,
     run_noisy,
 )
-from xsim.tomography import FULL, outcome_probabilities, psd_project
+from xsim.tomography import FULL, psd_project, setting_probabilities
 from xsim.xstate import concurrence_wootters
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
@@ -135,14 +135,14 @@ def test_superoperator_channel_matches_kraus_sum():
             np.testing.assert_allclose(apply_channel(rho, kraus, qubits), want, atol=1e-14)
 
 
-def test_outcome_probabilities_match_projector_traces():
+def test_setting_probabilities_match_projector_traces():
     rng = np.random.default_rng(53)
     for rank in (1, 2, 4):
         rho = random_state(rng, 4, rank)
         for setting in FULL:
             first, second = ((0.5 * (I2 + PAULI[s]), 0.5 * (I2 - PAULI[s])) for s in setting)
             want = [np.trace(rho @ kron(a, b)).real for a in first for b in second]
-            np.testing.assert_allclose(outcome_probabilities(rho, setting), want, atol=1e-14)
+            np.testing.assert_allclose(setting_probabilities(rho, (setting,))[0], want, atol=1e-14)
 
 
 def _fidelity_oracle(rho, sigma):

@@ -3,30 +3,47 @@ import pytest
 
 from conftest import random_density, random_xstate, random_xstate_raw
 from xsim.errors import ContractError, ProtocolError
+from xsim.experiments import run_experiment
 from xsim.linalg import fidelity
 from xsim.xstate import strip_phases
 from xsim.tomography import (
     FULL,
     PARTIAL3,
     PARTIAL5,
-    ShotRecord,
-    TomographyReport,
-    exact_record,
-    expectations_from_counts,
-    measure,
-    outcome_probabilities,
+    measure_block,
     pauli_pair_matrix,
     psd_project,
     reconstruct_full,
     reconstruct_x3,
     reconstruct_x5,
-    robustness_report,
     sample_setting,
     setting_index,
+    setting_probabilities,
 )
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
+
+# (joint, first-qubit, second-qubit) correlators of the outcome frequencies
+# (++, +-, -+, --) of a setting.
+CORRELATORS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+
+
+def _exact(rho, settings):
+    """Exact frequencies (S, 4) of one state: a stack of one."""
+    return measure_block(np.asarray(rho)[None], settings, 1, (0,), exact=True)[0]
+
+
+def _protocol_fidelities(target, noisy, shots, seed, exact=False):
+    """Fidelities of the full, 5- and 3-setting estimates of one state,
+    all read from one nine-setting dataset."""
+    f = measure_block(np.asarray(noisy)[None], FULL, shots, (seed,), exact=exact)[0]
+    estimates = (
+        reconstruct_full(f),
+        reconstruct_x5(f[[FULL.index(s) for s in PARTIAL5]]).matrix(),
+        reconstruct_x3(f[[FULL.index(s) for s in PARTIAL3]]).matrix(),
+    )
+    return tuple(float(fidelity(m, target)) for m in estimates)
 
 
 def test_setting_index_row_major():
@@ -38,15 +55,14 @@ def test_setting_index_row_major():
         setting_index("XQ")
 
 
-def test_outcome_probabilities_zz_reads_diagonal():
+def test_setting_probabilities_zz_reads_diagonal():
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    np.testing.assert_allclose(outcome_probabilities(rho, "ZZ"), [0.4, 0.3, 0.2, 0.1], atol=1e-14)
+    np.testing.assert_allclose(setting_probabilities(rho, ("ZZ",))[0], [0.4, 0.3, 0.2, 0.1], atol=1e-14)
 
 
 def test_bell_state_exact_expectations():
     for setting, joint in (("XX", 1.0), ("YY", -1.0), ("ZZ", 1.0)):
-        rec = exact_record(BELL, setting)
-        got, first, second = expectations_from_counts(rec)
+        got, first, second = CORRELATORS @ _exact(BELL, (setting,))[0]
         assert got == pytest.approx(joint, abs=1e-14)
         assert first == pytest.approx(0.0, abs=1e-14)
         assert second == pytest.approx(0.0, abs=1e-14)
@@ -56,38 +72,47 @@ def test_bell_state_exact_expectations():
 
 
 def test_sample_setting_deterministic_given_seed():
-    rho = random_xstate(np.random.default_rng(3)).matrix()
-    a = sample_setting(rho, "XY", 500, 42)
-    b = sample_setting(rho, "XY", 500, 42)
+    probs = setting_probabilities(random_xstate(np.random.default_rng(3)).matrix(), ("XY",))[0]
+    a = sample_setting(probs, "XY", 500, 42)
+    b = sample_setting(probs, "XY", 500, 42)
     assert a == b
-    c = sample_setting(rho, "XY", 500, 43)
+    c = sample_setting(probs, "XY", 500, 43)
     assert a != c
-    assert sum(a.counts) == 500
+    assert sum(a) == 500
 
 
 def test_sample_zz_on_ground_state_all_first_bin():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    rec = sample_setting(rho, "ZZ", 200, 0)
-    assert rec.counts == (200, 0, 0, 0)
+    counts = sample_setting(setting_probabilities(rho, ("ZZ",))[0], "ZZ", 200, 0)
+    assert counts == (200, 0, 0, 0)
 
 
-def test_shot_record_validation():
-    ShotRecord("XX", 10, (4, 3, 2, 1))
+def test_measure_block_frequency_invariants():
+    # Readout error at 0.05 on sampled and exact stacks. Sampled rows are
+    # integer counts over shots: 1/49 * 49 is not 1 in floating point, so
+    # the counts are read back with rint and must give the row exactly.
+    rho = np.array([random_density(np.random.default_rng(47 + k)) for k in range(3)])
+    for shots in (1, 49, 100, 1000):
+        f = measure_block(rho, FULL, shots, (2, 3, 4), p_readout=0.05)
+        counts = np.rint(f * shots)
+        np.testing.assert_array_equal(f, counts / shots)
+        assert counts.min() >= 0.0
+        np.testing.assert_array_equal(counts.sum(axis=-1), shots)
+    f = measure_block(rho, FULL, 1000, (2, 3, 4), p_readout=0.05, exact=True)
+    assert f.shape == (3, 9, 4) and f.min() >= 0.0
+    np.testing.assert_allclose(f.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
     with pytest.raises(ContractError):
-        ShotRecord("XX", 10, (4, 3, 2, 2))
-    with pytest.raises(ContractError):
-        ShotRecord("XX", 0, (0.5, 0.2, 0.2, 0.2))
-    ShotRecord("XX", 0, (0.5, 0.2, 0.2, 0.1))
+        measure_block(rho, FULL, 0, (2, 3, 4), p_readout=0.05)
 
 
 def test_shot_error_shrinks_with_more_shots():
     rho = random_xstate(np.random.default_rng(5)).matrix()
-    probs = outcome_probabilities(rho, "XX")
+    probs = setting_probabilities(rho, ("XX",))[0]
     lo, hi = [], []
     for seed in range(20):
-        few = sample_setting(rho, "XX", 1000, seed).frequencies()
-        many = sample_setting(rho, "XX", 64000, seed).frequencies()
+        few = np.array(sample_setting(probs, "XX", 1000, seed)) / 1000
+        many = np.array(sample_setting(probs, "XX", 64000, seed)) / 64000
         lo.append(np.max(np.abs(few - probs)))
         hi.append(np.max(np.abs(many - probs)))
     assert np.mean(hi) < np.mean(lo)
@@ -129,16 +154,14 @@ def test_reconstruct_full_exact_identity():
     rng = np.random.default_rng(11)
     for _ in range(25):
         rho = random_density(rng)
-        records = [exact_record(rho, s) for s in FULL]
-        np.testing.assert_allclose(reconstruct_full(records), rho, atol=1e-12)
+        np.testing.assert_allclose(reconstruct_full(_exact(rho, FULL)), rho, atol=1e-12)
 
 
 def test_reconstruct_x5_exact_on_complex_xstates():
     rng = np.random.default_rng(13)
     for _ in range(40):
         x = random_xstate_raw(rng)
-        records = [exact_record(x.matrix(), s) for s in PARTIAL5]
-        got = reconstruct_x5(records)
+        got = reconstruct_x5(_exact(x.matrix(), PARTIAL5))
         np.testing.assert_allclose(got.matrix(), x.matrix(), atol=1e-12)
 
 
@@ -146,97 +169,91 @@ def test_reconstruct_x3_exact_on_real_xstates():
     rng = np.random.default_rng(17)
     for _ in range(40):
         x = random_xstate_raw(rng, complex_corners=False)
-        records = [exact_record(x.matrix(), s) for s in PARTIAL3]
-        got = reconstruct_x3(records)
+        got = reconstruct_x3(_exact(x.matrix(), PARTIAL3))
         np.testing.assert_allclose(got.matrix(), x.matrix(), atol=1e-12)
 
 
 def test_reconstruct_corner_clamping():
     # frequencies claiming |w| > sqrt(a d) must be clamped to the boundary
-    records = [
-        ShotRecord("XX", 0, (1.0, 0.0, 0.0, 0.0)),   # <XX> = 1
-        ShotRecord("YY", 0, (0.0, 0.5, 0.5, 0.0)),   # <YY> = -1
-        ShotRecord("ZZ", 0, (0.45, 0.05, 0.05, 0.45)),
-    ]
-    x = reconstruct_x3(records)
+    freqs = np.array([
+        (1.0, 0.0, 0.0, 0.0),   # XX: <XX> = 1
+        (0.0, 0.5, 0.5, 0.0),   # YY: <YY> = -1
+        (0.45, 0.05, 0.05, 0.45),  # ZZ
+    ])
+    x = reconstruct_x3(freqs)
     assert abs(x.w) <= np.sqrt(x.a * x.d) + 1e-12
     x.validate()
 
 
-def test_protocol_errors_on_missing_and_duplicate():
-    rho = BELL
-    records = [exact_record(rho, s) for s in PARTIAL3]
+def test_protocol_errors_on_wrong_frequency_shape():
+    freqs = _exact(BELL, PARTIAL3)
     with pytest.raises(ProtocolError):
-        reconstruct_x5(records)
+        reconstruct_x5(freqs)
     with pytest.raises(ProtocolError):
-        reconstruct_x3(records[:2])
+        reconstruct_x3(freqs[:2])
     with pytest.raises(ProtocolError):
-        reconstruct_x3([records[0], records[0], records[2]])
+        reconstruct_x3(freqs[:, :3])
+    with pytest.raises(ProtocolError):
+        reconstruct_full(freqs[0])
 
 
 def test_reconstruction_consistency_under_shot_noise():
     rho = random_xstate(np.random.default_rng(19)).matrix()
     shots = 20000
-    records = [sample_setting(rho, s, shots, 7) for s in FULL]
-    full = reconstruct_full(records)
+    freqs = measure_block(rho[None], FULL, shots, (7,))[0]
+    full = reconstruct_full(freqs)
     assert fidelity(full, rho) > 0.995
-    x5 = reconstruct_x5([r for r in records if r.setting in PARTIAL5])
+    x5 = reconstruct_x5(freqs[[FULL.index(s) for s in PARTIAL5]])
     assert fidelity(x5.matrix(), rho) > 0.995
 
 
-def test_robustness_report_exact_zero_noise_recovers_target():
+def test_exact_zero_noise_protocols_recover_target():
     x = random_xstate_raw(np.random.default_rng(23))
-    full, p5, p3 = robustness_report(x.matrix(), x.matrix(), 100, 0, exact=True)
-    assert full.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
-    assert p5.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
-    assert full.protocol == "full" and p5.protocol == "partial5" and p3.protocol == "partial3"
-    assert full.shots == 0
+    full, p5, p3 = _protocol_fidelities(x.matrix(), x.matrix(), 100, 0, exact=True)
+    assert full == pytest.approx(1.0, abs=1e-9)
+    assert p5 == pytest.approx(1.0, abs=1e-9)
     # the 3-observable protocol misses corner phases, so it only recovers
     # targets that are real to begin with
     real_x, _ = strip_phases(x.matrix())
-    full, p5, p3 = robustness_report(real_x.matrix(), real_x.matrix(), 100, 0, exact=True)
-    assert p3.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
+    full, p5, p3 = _protocol_fidelities(real_x.matrix(), real_x.matrix(), 100, 0, exact=True)
+    assert p3 == pytest.approx(1.0, abs=1e-9)
 
 
-def test_robustness_report_shares_shot_records():
+def test_protocol_scores_repeat_on_one_seed():
     x = random_xstate_raw(np.random.default_rng(29), complex_corners=False)
-    full_a, p5_a, p3_a = robustness_report(x.matrix(), x.matrix(), 4000, 11)
-    full_b, p5_b, p3_b = robustness_report(x.matrix(), x.matrix(), 4000, 11)
-    assert full_a.fidelity_to_target == full_b.fidelity_to_target
-    assert p5_a.fidelity_to_target == p5_b.fidelity_to_target
-    assert p3_a.fidelity_to_target == p3_b.fidelity_to_target
+    full_a, p5_a, p3_a = _protocol_fidelities(x.matrix(), x.matrix(), 4000, 11)
+    full_b, p5_b, p3_b = _protocol_fidelities(x.matrix(), x.matrix(), 4000, 11)
+    assert full_a == full_b
+    assert p5_a == p5_b
+    assert p3_a == p3_b
 
 
-def test_tomography_report_json():
+def test_xprep_reconstruction_json():
     x = random_xstate(np.random.default_rng(31))
-    rep = TomographyReport("partial5", x.matrix(), 0.97, 0.01, 800, 5)
-    blob = rep.to_json()
+    target = {"kind": "xstate", **x.to_json()}
+    params, res = run_experiment("xprep_single", {"target": target, "shots": 800, "seed": 5})
+    blob = res.report["reconstruction"]
     assert blob["fidelity_convention"] == "squared-uhlmann"
     assert blob["protocol"] == "partial5"
-    np.testing.assert_allclose(np.array(blob["reconstructed_re"]), x.matrix().real, atol=0)
-
+    assert (blob["shots"], blob["seed"]) == (800, 5)
+    noisy = np.array(res.report["noisy_output"]["re"]) + 1j * np.array(res.report["noisy_output"]["im"])
+    freqs = measure_block(noisy[None], PARTIAL5, 800, (5,), params["noise"].p_readout)
+    np.testing.assert_allclose(np.array(blob["reconstructed_re"]), reconstruct_x5(freqs[0]).matrix().real, atol=0)
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_measure_records_do_not_depend_on_the_other_settings(exact):
-    # The concurrence and fidelity sweeps, and the three protocols of
-    # robustness_report, measure different setting lists through one loop;
-    # a setting's record must be the same whichever list it is drawn in.
-    rho = random_density(np.random.default_rng(41))
-    full = measure(rho, FULL, 3000, 17, p_readout=0.05, exact=exact)
-    assert tuple(full) == FULL
+    # The concurrence and fidelity sweeps, and the three protocols of a
+    # fidelity sweep, measure different setting lists through one loop;
+    # a setting's frequencies must be the same whichever list it is drawn in.
+    rho = random_density(np.random.default_rng(41))[None]
+    full = measure_block(rho, FULL, 3000, (17,), p_readout=0.05, exact=exact)
+    assert full.shape == (1, len(FULL), 4)
     for settings in (PARTIAL5, PARTIAL3):
-        subset = measure(rho, settings, 3000, 17, p_readout=0.05, exact=exact)
-        assert tuple(subset) == settings
-        assert all(subset[s] == full[s] for s in settings)
-    assert full["XX"] != measure(rho, ("XX",), 3000, 17, exact=exact)["XX"]
-
-
-@pytest.mark.parametrize("shots, counts", [(2, (0.5, 0.5, 0.5, 0.5)), (3, (True, True, True, 0))])
-def test_shot_record_rejects_fractional_and_boolean_counts(shots, counts):
-    # Both sum to the shot count, so only the integer check can catch them.
-    with pytest.raises(ContractError):
-        ShotRecord("XX", shots, counts)
+        subset = measure_block(rho, settings, 3000, (17,), p_readout=0.05, exact=exact)
+        assert subset.shape == (1, len(settings), 4)
+        assert all((subset[0, i] == full[0, FULL.index(s)]).all() for i, s in enumerate(settings))
+    assert (full[0, 0] != measure_block(rho, ("XX",), 3000, (17,), exact=exact)[0, 0]).any()
 
 
 def _psd_project_one_by_one(rho_hat):
