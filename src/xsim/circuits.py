@@ -41,10 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .linalg import apply_local, conjugate, validate_unitary
+from .linalg import apply_local, conjugate
 from .xstate import XSpectral, strip_phases, to_spectral
 
-GATE_KINDS = ("rx", "ry", "rz", "u_lambda", "w", "pauli_z", "cnot", "generic_1q")
+GATE_KINDS = ("rx", "ry", "rz", "u_lambda", "w", "pauli_z", "cnot")
 
 
 def rx_matrix(t: float) -> np.ndarray:
@@ -126,7 +126,7 @@ class Gate:
                 raise ContractError("cnot needs distinct control and target")
         elif self.control is not None:
             raise ContractError(f"gate {self.kind} takes no control qubit")
-        n_params = {"rx": 1, "ry": 1, "rz": 1, "u_lambda": 1, "w": 1, "pauli_z": 0, "cnot": 0, "generic_1q": 8}
+        n_params = {"rx": 1, "ry": 1, "rz": 1, "u_lambda": 1, "w": 1, "pauli_z": 0, "cnot": 0}
         if len(self.params) != n_params[self.kind]:
             raise ContractError(f"gate {self.kind} expects {n_params[self.kind]} params")
 
@@ -140,14 +140,7 @@ class Gate:
         (control, target)."""
         if self.kind in _FIXED:
             return _FIXED[self.kind].copy()
-        if self.kind in _ROTATIONS:
-            return _ROTATIONS[self.kind](self.params[0])
-        p = self.params  # generic_1q
-        m = np.array(
-            [[p[0] + 1j * p[1], p[2] + 1j * p[3]], [p[4] + 1j * p[5], p[6] + 1j * p[7]]],
-            dtype=complex,
-        )
-        return validate_unitary(m)
+        return _ROTATIONS[self.kind](self.params[0])
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "params": list(self.params), "target": self.target}
@@ -457,15 +450,3 @@ def decompose_x_unitary(q: XUnitaryParams) -> Circuit:
     ]
     return Circuit(2, tuple(gates))
 
-
-def exchange_unitary_params(j: float, kappa: float, jz: float, t: float) -> XUnitaryParams:
-    """X-unitary parameters of the zero-field spin-exchange propagator."""
-    return XUnitaryParams(
-        a1=0.0,
-        b1=math.pi,
-        a2=math.pi,
-        b2=0.0,
-        x=jz * t,
-        t1=j * kappa * t,
-        t2=j * t + math.pi / 2.0,
-    )

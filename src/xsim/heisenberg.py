@@ -21,6 +21,14 @@ on the even pair (primed analogs with (b, J, eta) on the odd pair), the even
 block carrying phase e^{-i Jz t/2} and the odd block e^{+i Jz t/2}. The
 sin(xi t)/xi ratio is evaluated through a sinc so xi = 0 and eta = 0 are
 exact, not special cases.
+
+Every quantity of the dynamics has one closed form built on these rotors.
+``propagator`` is U(t). ``evolve_diagonal`` evolves any state diagonal in
+the computational basis into an X-state; a population imbalance inside one
+sector is the case with the other sector empty, and ``xstate.concurrence_x``
+of the result is its concurrence. ``propagator_x_params`` places U(t) in the
+X-shaped unitary family, which ``circuits.decompose_x_unitary`` compiles
+into a two-qubit circuit.
 """
 
 from __future__ import annotations
@@ -33,8 +41,6 @@ import numpy as np
 from .circuits import XUnitaryParams
 from .errors import ContractError
 from .xstate import XState
-
-SECTORS = ("even", "odd")
 
 
 @dataclass(frozen=True)
@@ -88,28 +94,6 @@ class HeisenbergParams:
             B=float(obj.get("B", 0.0)),
             b=float(obj.get("b", 0.0)),
         )
-
-
-@dataclass(frozen=True)
-class SectorState:
-    """A 2x2 density block confined to one parity sector."""
-
-    sector: str
-    block: np.ndarray
-
-    def validate(self) -> "SectorState":
-        if self.sector not in SECTORS:
-            raise ContractError(f"unknown sector {self.sector!r}")
-        m = np.asarray(self.block, dtype=complex)
-        if m.shape != (2, 2):
-            raise ContractError("sector block must be 2x2")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12 or abs(np.trace(m).real - 1.0) > 1e-12:
-            raise ContractError("sector block must be Hermitian with unit trace")
-        # 2x2 PSD check: both trace and determinant nonnegative.
-        det = np.linalg.det(m).real
-        if det < -1e-10 or m[0, 0].real < -1e-10:
-            raise ContractError("sector block is not positive semidefinite")
-        return self
 
 
 def hamiltonian(p: HeisenbergParams) -> np.ndarray:
@@ -171,16 +155,6 @@ def _rotor(delta: float, coupling: float, t: float) -> tuple:
     return u, c
 
 
-def block_amplitudes(p: HeisenbergParams, t: float, sector: str) -> tuple:
-    """Sector rotor (u, c); the Jz sector phase is dropped (it cancels in
-    every sector-diagonal density matrix)."""
-    if sector == "even":
-        return _rotor(p.B, p.j_kappa, t)
-    if sector == "odd":
-        return _rotor(p.b, p.j, t)
-    raise ContractError(f"unknown sector {sector!r}")
-
-
 def propagator(p: HeisenbergParams, t: float) -> np.ndarray:
     """Closed-form U(t) = exp(-i H t), X-shaped for all parameters."""
     u, c = _rotor(p.B, p.j_kappa, t)
@@ -196,68 +170,6 @@ def propagator(p: HeisenbergParams, t: float) -> np.ndarray:
     m[1, 2] = odd_phase * cp
     m[2, 1] = odd_phase * (-np.conj(cp))
     m[2, 2] = odd_phase * np.conj(up)
-    return m
-
-
-def evolve_even(lam: float, p: HeisenbergParams, t: float) -> SectorState:
-    """Evolve diag((1+lam)/2, (1-lam)/2) on span{|00>, |11>}.
-
-    lam is the initial population imbalance; it equals the l1 coherence of
-    the initial state in the sector's Bell basis, and scales the whole
-    off-diagonal history: the evolved block is
-
-        [[n0|u|^2 + n1|c|^2,  -lam u c ],
-         [conj(-lam u c),     n0|c|^2 + n1|u|^2]].
-    """
-    if not -1.0 <= lam <= 1.0:
-        raise ContractError(f"imbalance {lam} outside [-1, 1]")
-    u, c = block_amplitudes(p, t, "even")
-    return _evolved_block("even", lam, u, c)
-
-
-def evolve_odd(mu: float, p: HeisenbergParams, t: float) -> SectorState:
-    """Same construction on span{|01>, |10>} with the odd rotor."""
-    if not -1.0 <= mu <= 1.0:
-        raise ContractError(f"imbalance {mu} outside [-1, 1]")
-    u, c = block_amplitudes(p, t, "odd")
-    return _evolved_block("odd", mu, u, c)
-
-
-def _evolved_block(sector: str, imbalance: float, u: complex, c: complex) -> SectorState:
-    n0 = 0.5 * (1.0 + imbalance)
-    n1 = 0.5 * (1.0 - imbalance)
-    off = -imbalance * u * c
-    block = np.array(
-        [
-            [n0 * abs(u) ** 2 + n1 * abs(c) ** 2, off],
-            [np.conj(off), n0 * abs(c) ** 2 + n1 * abs(u) ** 2],
-        ],
-        dtype=complex,
-    )
-    return SectorState(sector, block)
-
-
-def concurrence_analytic(sector: str, imbalance: float, p: HeisenbergParams, t: float) -> float:
-    """Concurrence of the embedded evolved sector state: 2|imbalance||u||c|.
-
-    Zero field reduces to |imbalance||sin(2 Jk t)| (even) and
-    |imbalance||sin(2 J t)| (odd). A vanishing coupling in the active sector
-    gives c = 0, hence no entanglement at any time.
-    """
-    if not -1.0 <= imbalance <= 1.0:
-        raise ContractError(f"imbalance {imbalance} outside [-1, 1]")
-    u, c = block_amplitudes(p, t, sector)
-    return 2.0 * abs(imbalance) * abs(u) * abs(c)
-
-
-def embed_sector(s: SectorState) -> np.ndarray:
-    """Place a sector block into the full 4x4 matrix, zeros elsewhere."""
-    s.validate()
-    m = np.zeros((4, 4), dtype=complex)
-    rows = (0, 3) if s.sector == "even" else (1, 2)
-    for i, ri in enumerate(rows):
-        for k, rk in enumerate(rows):
-            m[ri, rk] = s.block[i, k]
     return m
 
 

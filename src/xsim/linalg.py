@@ -67,13 +67,6 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     return bool(np.max(np.abs(m - dagger(m))) <= atol)
 
 
-def validate_unitary(u: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    u = _square(u, "validate_unitary")
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > atol:
-        raise ContractError("matrix is not unitary within tolerance")
-    return u
-
-
 def apply_local(state: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
     """Contract ``op`` into the listed axes of a stack of qubit tensors.
 

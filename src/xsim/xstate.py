@@ -205,7 +205,7 @@ def to_spectral(x: XState) -> XSpectral:
     phi, p01, p11 = _invert_pair(x.c, x.b, complex(x.z).real)
     weights = (p00, p01, p10, p11)
     if min(weights) < -1e-10 or max(weights) > 1.0 + 1e-10:
-        raise InfeasibleStateError(f"recovered weights outside [0, 1]: {weights}")
+        raise InfeasibleStateError(f"recovered weights outside [0, 1]: {tuple(map(float, weights))}")
     return XSpectral(p00, p01, p10, p11, theta, phi)
 
 
@@ -311,24 +311,3 @@ def strip_phases(rho: np.ndarray, atol: float = 1e-9):
     real_x = XState(x.a, x.b, x.c, x.d, complex(abs(x.w)), complex(abs(x.z)))
     return real_x, (alpha, beta)
 
-
-def bell_coherence(lam: float) -> float:
-    """l1 coherence of diag((1+lam)/2, (1-lam)/2) in its Bell-pair basis."""
-    if not -1.0 - 1e-12 <= lam <= 1.0 + 1e-12:
-        raise ContractError(f"sector coherence parameter {lam} outside [-1, 1]")
-    return abs(float(lam))
-
-
-def bell_coherence_block(block: np.ndarray) -> float:
-    """l1 coherence of a 2x2 sector state in the Bell basis of that sector.
-
-    The Bell pair of either parity sector is (|u> +/- |v>)/sqrt(2) for the
-    sector's computational pair (u, v); rotating by the corresponding
-    Hadamard and doubling the off-diagonal magnitude gives the coherence.
-    """
-    block = np.asarray(block, dtype=complex)
-    if block.shape != (2, 2):
-        raise ContractError("bell_coherence_block expects a 2x2 block")
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-    rotated = h @ block @ h
-    return float(2.0 * abs(rotated[0, 1]))

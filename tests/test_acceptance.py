@@ -21,7 +21,6 @@ from xsim.circuits import (
     circuit_unitary,
     decompose_x_unitary,
     eigenbasis_block,
-    exchange_unitary_params,
     run_density,
     run_pure,
     Circuit,
@@ -30,12 +29,10 @@ from xsim.circuits import (
 from xsim.experiments import format_csv, format_json, run_experiment
 from xsim.heisenberg import (
     HeisenbergParams,
-    concurrence_analytic,
-    embed_sector,
-    evolve_even,
-    evolve_odd,
+    evolve_diagonal,
     hamiltonian,
     propagator,
+    propagator_x_params,
     spectrum,
 )
 from xsim.linalg import fidelity, partial_trace, relative_phase
@@ -57,7 +54,6 @@ from xsim.xstate import (
     leakage,
     strip_phases,
     to_spectral,
-    xstate_from_matrix,
 )
 
 
@@ -153,25 +149,31 @@ def test_criterion_05_parameter_inversion_round_trip():
 
 
 def test_criterion_06_x_unitary_decomposition():
+    def diff(target, got):
+        return np.max(np.abs(relative_phase(target, got) * got - target))
+
     rng = np.random.default_rng(106)
     worst = 0.0
     for _ in range(1000):
         q = XUnitaryParams(*rng.uniform(-math.pi, math.pi, size=5),
                            *rng.uniform(0.0, math.pi, size=2))
-        target = assemble_x_unitary(q)
-        got = circuit_unitary(decompose_x_unitary(q))
-        worst = max(worst, np.max(np.abs(relative_phase(target, got) * got - target)))
-    zf_worst = 0.0
-    for _ in range(100):
+        worst = max(worst, diff(assemble_x_unitary(q), circuit_unitary(decompose_x_unitary(q))))
+    # U(t) through propagator_x_params, assembled and run as the decomposed
+    # two-qubit circuit: 100 zero-field draws, then 100 with field
+    assembled_worst = circuit_worst = 0.0
+    for draw in range(200):
         j, kappa = rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0)
         jz, t = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 6.0)
-        q = exchange_unitary_params(j, kappa, jz, t)
-        target = propagator(HeisenbergParams.from_j_kappa(j, kappa, jz), t)
-        got = assemble_x_unitary(q)
-        zf_worst = max(zf_worst, np.max(np.abs(relative_phase(target, got) * got - target)))
-    ok = worst <= 1e-9 and zf_worst <= 1e-9
-    _line(6, "structured unitary decomposition + exchange specialization", ok,
-          f"decomposition diff {worst:.2e}, specialization diff {zf_worst:.2e}")
+        field = rng.uniform(-2.0, 2.0, size=2) if draw >= 100 else (0.0, 0.0)
+        hp = HeisenbergParams.from_j_kappa(j, kappa, jz, *field)
+        q = propagator_x_params(hp, t)
+        target = propagator(hp, t)
+        assembled_worst = max(assembled_worst, diff(target, assemble_x_unitary(q)))
+        circuit_worst = max(circuit_worst, diff(target, circuit_unitary(decompose_x_unitary(q))))
+    ok = worst <= 1e-9 and assembled_worst <= 1e-9 and circuit_worst <= 1e-9
+    _line(6, "structured unitary decomposition + propagator X-unitary and its circuit", ok,
+          f"decomposition diff {worst:.2e}, propagator X-unitary diff {assembled_worst:.2e}, "
+          f"propagator circuit diff {circuit_worst:.2e}")
 
 
 def test_criterion_07_analytic_concurrence_curves():
@@ -181,22 +183,21 @@ def test_criterion_07_analytic_concurrence_curves():
     p = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.4)
     lam, mu = 0.9, -0.7
     for t in grid:
-        even = concurrence_x(xstate_from_matrix(embed_sector(evolve_even(lam, p, t))))
+        even = concurrence_x(evolve_diagonal(p, ((1.0 + lam) / 2.0, 0.0, 0.0, (1.0 - lam) / 2.0), t))
         worst = max(worst, abs(even - abs(lam * math.sin(2.0 * 0.75 * t))))
-        odd = concurrence_x(xstate_from_matrix(embed_sector(evolve_odd(mu, p, t))))
+        odd = concurrence_x(evolve_diagonal(p, (0.0, (1.0 + mu) / 2.0, (1.0 - mu) / 2.0, 0.0), t))
         worst = max(worst, abs(odd - abs(mu * math.sin(2.0 * t))))
     # field case, even sector closed form
     pf = HeisenbergParams.from_j_kappa(1.0, 0.95, 0.4, B=1.0, b=0.5)
     xi = pf.xi
     for t in grid:
-        even = concurrence_x(xstate_from_matrix(embed_sector(evolve_even(lam, pf, t))))
+        even = concurrence_x(evolve_diagonal(pf, ((1.0 + lam) / 2.0, 0.0, 0.0, (1.0 - lam) / 2.0), t))
         st, ct = math.sin(xi * t), math.cos(xi * t)
         closed = 2.0 * abs(lam) * (0.95 / xi) * abs(st) * math.sqrt(ct * ct + (1.0 / xi**2) * st * st)
         worst = max(worst, abs(even - closed))
-        worst = max(worst, abs(concurrence_analytic("even", lam, pf, t) - closed))
     # isotropic in-plane coupling generates nothing in the even sector
     p0 = HeisenbergParams.from_j_kappa(1.0, 0.0, 0.4, B=0.8, b=0.1)
-    flat = max(concurrence_analytic("even", 1.0, p0, t) for t in grid)
+    flat = max(concurrence_x(evolve_diagonal(p0, (1.0, 0.0, 0.0, 0.0), t)) for t in grid)
     ok = worst <= 1e-10 and flat == 0.0
     _line(7, "pipeline concurrence equals closed forms on 64-point grid", ok,
           f"max curve diff {worst:.2e}, isotropic max {flat:.1e}")

@@ -20,7 +20,6 @@ from xsim.circuits import (
     classical_prep_gates,
     decompose_x_unitary,
     eigenbasis_block,
-    exchange_unitary_params,
     gate_matrix,
     run_density,
     run_pure,
@@ -31,7 +30,6 @@ from xsim.circuits import (
     w_matrix,
 )
 from xsim.errors import ContractError, DimensionError
-from xsim.heisenberg import HeisenbergParams, propagator
 from xsim.linalg import SY, partial_trace, relative_phase
 from xsim.xstate import from_spectral, xstate_from_matrix
 
@@ -235,15 +233,6 @@ def test_decompose_x_unitary_reassembles():
         np.testing.assert_allclose(relative_phase(u, v) * v, u, atol=1e-11)
 
 
-def test_exchange_specialization_equals_propagator():
-    rng = np.random.default_rng(37)
-    for _ in range(40):
-        j, kappa, jz, t = rng.uniform(0.2, 2.0), rng.uniform(-1, 1), rng.uniform(-2, 2), rng.uniform(0, 6)
-        q = exchange_unitary_params(j, kappa, jz, t)
-        hp = HeisenbergParams.from_j_kappa(j, kappa, jz)
-        np.testing.assert_allclose(assemble_x_unitary(q), propagator(hp, t), atol=1e-12)
-
-
 def test_circuit_json_round_trip():
     circ = build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.7)
     back = Circuit.loads(circ.dumps())
@@ -274,6 +263,7 @@ def test_circuit_json_round_trip():
         '[2]',
         '{"width": 2, "gates": [{"kind": "ry", "params": [0.5]}]}',
         '{"width": 2, "gates": [3]}',
+        '{"width": 1, "gates": [{"kind": "generic_1q", "params": [1, 0, 0, 0, 0, 0, 1, 0], "target": 0}]}',
     ],
 )
 def test_circuit_json_rejects_non_numbers_and_fractions(text):

@@ -308,6 +308,17 @@ def test_cli_exit_codes(tmp_path):
     assert main(["xprep_single", "--config", spectral, "--dump-circuit"]) == 2
 
 
+def test_cli_infeasible_weights_message_prints_plain_floats(tmp_path, capsys):
+    # |w| just above sqrt(a d) inverts to a weight of 1 + 1e-10
+    target = {"kind": "xstate", "a": 0.5, "b": 0, "c": 0, "d": 0.5,
+              "w_re": 0.5000000001, "w_im": 0, "z_re": 0, "z_im": 0}
+    cfg = _write_config(tmp_path, {"params": {"target": target}})
+    assert main(["xprep_single", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "recovered weights outside [0, 1]: (1.0000000001," in err
+    assert "np.float64" not in err
+
+
 def test_cli_overrides_beat_config(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

@@ -4,25 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from oracles import expm_oracle
+from oracles import concurrence_wootters_oracle, expm_oracle
 from xsim.circuits import assemble_x_unitary
 from xsim.errors import ContractError
 from xsim.heisenberg import (
     HeisenbergParams,
-    SectorState,
-    block_amplitudes,
-    concurrence_analytic,
-    embed_sector,
+    _rotor,
     evolve_diagonal,
-    evolve_even,
-    evolve_odd,
     hamiltonian,
     propagator,
     propagator_x_params,
     spectrum,
 )
 from xsim.linalg import I2, SX, SY, SZ, kron
-from xsim.xstate import concurrence_x, xstate_from_matrix
+from xsim.xstate import concurrence_x
 
 
 def _random_params(rng, field=True):
@@ -33,6 +28,16 @@ def _random_params(rng, field=True):
     if field:
         return HeisenbergParams(jx, jy, jz, rng.uniform(-2, 2), rng.uniform(-2, 2))
     return HeisenbergParams(jx, jy, jz)
+
+
+def _even(lam, p, t):
+    """The state diag((1+lam)/2, 0, 0, (1-lam)/2) evolved to time t."""
+    return evolve_diagonal(p, ((1.0 + lam) / 2.0, 0.0, 0.0, (1.0 - lam) / 2.0), t)
+
+
+def _odd(mu, p, t):
+    """The state diag(0, (1+mu)/2, (1-mu)/2, 0) evolved to time t."""
+    return evolve_diagonal(p, (0.0, (1.0 + mu) / 2.0, (1.0 - mu) / 2.0, 0.0), t)
 
 
 def test_parameter_conversions():
@@ -106,30 +111,30 @@ def test_propagator_group_property_and_identity():
     )
 
 
-def test_block_amplitudes_roundtrip_unitarity():
+def test_rotor_roundtrip_unitarity():
     p = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.5, B=1.0, b=0.5)
-    for sector in ("even", "odd"):
-        u, c = block_amplitudes(p, 0.9, sector)
+    for delta, coupling in ((p.B, p.j_kappa), (p.b, p.j)):
+        u, c = _rotor(delta, coupling, 0.9)
         assert abs(u) ** 2 + abs(c) ** 2 == pytest.approx(1.0, abs=1e-12)
         assert c.real == pytest.approx(0.0, abs=1e-14)  # coupling amplitude is purely imaginary
 
 
-def test_evolve_even_frozen_point():
+def test_even_sector_frozen_point():
     # lambda = 1, zero field, 2 Jk t = pi/2 gives the fully entangled block
     p = HeisenbergParams.from_j_kappa(1.0, 0.5, 0.0)
     t = math.pi / 2.0
-    s = evolve_even(1.0, p, t)
-    np.testing.assert_allclose(s.block, 0.5 * np.array([[1.0, 1j], [-1j, 1.0]]), atol=1e-12)
-    rho = embed_sector(s)
-    assert concurrence_x(xstate_from_matrix(rho)) == pytest.approx(1.0, abs=1e-12)
+    x = _even(1.0, p, t)
+    expect = np.zeros((4, 4), dtype=complex)
+    expect[0, 0], expect[0, 3], expect[3, 0], expect[3, 3] = 0.5, 0.5j, -0.5j, 0.5
+    np.testing.assert_allclose(x.matrix(), expect, atol=1e-12)
+    assert concurrence_x(x) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_evolve_odd_frozen_point():
+def test_odd_sector_frozen_point():
     # mu = 1, zero field, 2 J t = pi swaps the odd populations completely
     p = HeisenbergParams.from_j_kappa(1.0, 0.5, 0.0)
     t = math.pi / 2.0
-    s = evolve_odd(1.0, p, t)
-    np.testing.assert_allclose(s.block, np.diag([0.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(_odd(1.0, p, t).matrix(), np.diag([0.0, 0.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_evolution_matches_propagator_conjugation():
@@ -138,42 +143,55 @@ def test_evolution_matches_propagator_conjugation():
         p = _random_params(rng)
         t = rng.uniform(0.0, 6.0)
         lam = rng.uniform(-1.0, 1.0)
-        s = evolve_even(lam, p, t)
+        x = _even(lam, p, t)
         u = propagator(p, t)
         init = np.zeros((4, 4), dtype=complex)
         init[0, 0] = (1.0 + lam) / 2.0
         init[3, 3] = (1.0 - lam) / 2.0
         expect = u @ init @ u.conj().T
-        np.testing.assert_allclose(embed_sector(s), expect, atol=1e-12)
+        np.testing.assert_allclose(x.matrix(), expect, atol=1e-12)
         mu = rng.uniform(-1.0, 1.0)
-        s = evolve_odd(mu, p, t)
+        x = _odd(mu, p, t)
         init = np.zeros((4, 4), dtype=complex)
         init[1, 1] = (1.0 + mu) / 2.0
         init[2, 2] = (1.0 - mu) / 2.0
         expect = u @ init @ u.conj().T
-        np.testing.assert_allclose(embed_sector(s), expect, atol=1e-12)
+        np.testing.assert_allclose(x.matrix(), expect, atol=1e-12)
 
 
-def test_sector_state_validation():
-    good = SectorState("even", np.diag([0.6, 0.4]).astype(complex))
-    good.validate()
+def test_evolved_states_are_valid_x_states():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        p = _random_params(rng)
+        t = rng.uniform(0.0, 6.0)
+        for x in (
+            evolve_diagonal(p, rng.dirichlet(np.ones(4)), t),
+            _even(rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)]), p, t),
+            _odd(rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)]), p, t),
+        ):
+            x.validate()  # populations a probability vector, |w| <= sqrt(a d), |z| <= sqrt(b c)
+
+
+def test_evolve_diagonal_rejects_non_probability_populations():
+    p = HeisenbergParams(1.0, 0.5, 0.0)
+    evolve_diagonal(p, (0.6, 0.0, 0.0, 0.4), 0.1)
     with pytest.raises(ContractError):
-        SectorState("sideways", np.diag([0.6, 0.4]).astype(complex)).validate()
+        evolve_diagonal(p, (0.9, 0.0, 0.0, 0.4), 0.1)  # sums to 1.3
     with pytest.raises(ContractError):
-        SectorState("even", np.diag([0.9, 0.4]).astype(complex)).validate()
+        evolve_diagonal(p, (0.6, -0.1, 0.5, 0.0), 0.1)  # negative entry
     with pytest.raises(ContractError):
-        evolve_even(1.5, HeisenbergParams(1.0, 0.5, 0.0), 0.1)
+        _even(1.5, p, 0.1)  # imbalance outside [-1, 1]
 
 
-def test_concurrence_analytic_closed_forms():
+def test_sector_concurrence_closed_forms():
     # zero field: C_even = |lambda sin 2 Jk t|, C_odd = |mu sin 2 J t|
     p = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.3)
     ts = np.linspace(0.0, 7.0, 40)
     for t in ts:
-        assert concurrence_analytic("even", 0.8, p, t) == pytest.approx(
+        assert concurrence_x(_even(0.8, p, t)) == pytest.approx(
             abs(0.8 * math.sin(2 * 0.75 * t)), abs=1e-12
         )
-        assert concurrence_analytic("odd", -0.6, p, t) == pytest.approx(
+        assert concurrence_x(_odd(-0.6, p, t)) == pytest.approx(
             abs(0.6 * math.sin(2 * t)), abs=1e-12
         )
     # field case: 2|lambda| (Jk/xi) |sin xi t| sqrt(cos^2 xi t + (B/xi)^2 sin^2 xi t)
@@ -182,28 +200,28 @@ def test_concurrence_analytic_closed_forms():
     for t in ts:
         s, c = math.sin(xi * t), math.cos(xi * t)
         expect = 2.0 * 0.8 * (0.75 / xi) * abs(s) * math.sqrt(c * c + (1.0 / xi**2) * s * s)
-        assert concurrence_analytic("even", 0.8, p, t) == pytest.approx(expect, abs=1e-12)
+        assert concurrence_x(_even(0.8, p, t)) == pytest.approx(expect, abs=1e-12)
 
 
-def test_concurrence_analytic_matches_full_chain():
+def test_sector_concurrence_matches_wootters_oracle():
     rng = np.random.default_rng(13)
     for _ in range(50):
         p = _random_params(rng)
         t = rng.uniform(0.0, 6.0)
         lam = rng.uniform(-1.0, 1.0)
-        direct = concurrence_x(xstate_from_matrix(embed_sector(evolve_even(lam, p, t))))
-        assert concurrence_analytic("even", lam, p, t) == pytest.approx(direct, abs=1e-10)
+        x = _even(lam, p, t)
+        assert concurrence_x(x) == pytest.approx(concurrence_wootters_oracle(x.matrix()), abs=1e-10)
         mu = rng.uniform(-1.0, 1.0)
-        direct = concurrence_x(xstate_from_matrix(embed_sector(evolve_odd(mu, p, t))))
-        assert concurrence_analytic("odd", mu, p, t) == pytest.approx(direct, abs=1e-10)
+        x = _odd(mu, p, t)
+        assert concurrence_x(x) == pytest.approx(concurrence_wootters_oracle(x.matrix()), abs=1e-10)
 
 
 def test_concurrence_field_limit_matches_zero_field():
     p0 = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.5)
     p1 = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.5, B=1e-8)
     for t in np.linspace(0.0, 5.0, 23):
-        assert concurrence_analytic("even", 0.9, p1, t) == pytest.approx(
-            concurrence_analytic("even", 0.9, p0, t), abs=1e-7
+        assert concurrence_x(_even(0.9, p1, t)) == pytest.approx(
+            concurrence_x(_even(0.9, p0, t)), abs=1e-7
         )
 
 
@@ -211,15 +229,15 @@ def test_isotropic_exchange_generates_nothing_even():
     # kappa = 0 keeps the even sector diagonal for all times
     p = HeisenbergParams.from_j_kappa(1.0, 0.0, 0.7, B=0.9, b=0.1)
     for t in np.linspace(0.0, 9.0, 30):
-        assert concurrence_analytic("even", 1.0, p, t) == 0.0
+        assert concurrence_x(_even(1.0, p, t)) == 0.0
 
 
 def test_concurrence_periodicity_zero_field():
     p = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.0)
     period = math.pi / (2.0 * 0.75)
     for t in np.linspace(0.0, 3.0, 11):
-        assert concurrence_analytic("even", 0.7, p, t) == pytest.approx(
-            concurrence_analytic("even", 0.7, p, t + period), abs=1e-12
+        assert concurrence_x(_even(0.7, p, t)) == pytest.approx(
+            concurrence_x(_even(0.7, p, t + period)), abs=1e-12
         )
 
 
@@ -242,6 +260,13 @@ def test_propagator_x_params_covers_field_case():
         t = rng.uniform(0.0, 6.0)
         q = propagator_x_params(p, t)
         np.testing.assert_allclose(assemble_x_unitary(q), propagator(p, t), atol=1e-11)
+    # B = b = 0: the zero-field exchange propagator
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        j, kappa, jz, t = rng.uniform(0.2, 2.0), rng.uniform(-1, 1), rng.uniform(-2, 2), rng.uniform(0, 6)
+        hp = HeisenbergParams.from_j_kappa(j, kappa, jz)
+        q = propagator_x_params(hp, t)
+        np.testing.assert_allclose(assemble_x_unitary(q), propagator(hp, t), atol=1e-12)
 
 
 def test_heisenberg_json_round_trip():

@@ -15,7 +15,6 @@ from xsim.linalg import (
     kron,
     partial_trace,
     relative_phase,
-    validate_unitary,
 )
 
 
@@ -35,14 +34,6 @@ def test_dagger_and_hermitian_checks():
     np.testing.assert_allclose(dagger(m), m.conj().T)
     assert is_hermitian(SY)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_validate_unitary_accepts_rotation_rejects_scaled():
-    validate_unitary(SX)
-    with pytest.raises(ContractError):
-        validate_unitary(2.0 * SX)
-    with pytest.raises(DimensionError):
-        validate_unitary(np.ones((2, 3)))
 
 
 def test_validate_density_catches_bad_trace_and_negativity():

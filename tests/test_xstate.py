@@ -10,8 +10,6 @@ from xsim.errors import ContractError, ShapeError
 from xsim.xstate import (
     XSpectral,
     XState,
-    bell_coherence,
-    bell_coherence_block,
     canonicalize_spectral,
     concurrence_x,
     from_spectral,
@@ -166,16 +164,6 @@ def test_strip_phases_preserves_spectrum():
     np.testing.assert_allclose(
         np.linalg.eigvalsh(real_x.matrix()), np.linalg.eigvalsh(x.matrix()), atol=1e-12
     )
-
-
-def test_bell_coherence():
-    assert bell_coherence(0.6) == pytest.approx(0.6)
-    assert bell_coherence(-0.25) == pytest.approx(0.25)
-    with pytest.raises(ContractError):
-        bell_coherence(1.5)
-    block = np.diag([0.8, 0.2]).astype(complex)
-    # diag(n0, n1) has Bell-basis coherence |n0 - n1|
-    assert bell_coherence_block(block) == pytest.approx(0.6, abs=1e-14)
 
 
 def test_json_round_trips():
