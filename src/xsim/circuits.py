@@ -5,14 +5,16 @@ Gate conventions (fixed by explicit matrices; tests compare entrywise):
     RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]
     RX(t) = [[cos t/2, -i sin t/2], [-i sin t/2, cos t/2]]
     RZ(t) = diag(e^{-i t/2}, e^{+i t/2})
-    U_LAMBDA(l) = (1/sqrt2) [[sqrt(1+l), -sqrt(1-l)], [sqrt(1-l), sqrt(1+l)]]
     W(x) = diag(e^{-i x}, i e^{+i x})
     Z = diag(1, -1)
     CNOT = |0><0| x I + |1><1| x X   (control, target any distinct pair)
 
-Qubit 0 is the leftmost tensor factor. Gates in a Circuit are stored in
-application order: ``gates[0]`` acts first. ``circuit_unitary`` is the gate
-loop of unitaries, and ``run_stack`` the one executor of density matrices.
+Each gate kind is declared once: in ``_ROTATIONS`` with its one angle, or
+in ``_FIXED`` without a parameter. Qubit 0 is the leftmost tensor factor.
+Gates in a Circuit are stored in application order: ``gates[0]`` acts
+first. ``circuit_unitary`` is the gate loop of unitaries, and ``run_stack``
+the one executor of density matrices. ``to_json`` writes a circuit for the
+``--dump-circuit`` sidecar; the program reads no circuit JSON back.
 
 The X-state preparation circuit acts on four qubits. A first block turns
 |0000> into sum_ij sqrt(p_ij)|ij>|ij>, so that qubits (2, 3) carry the
@@ -34,7 +36,6 @@ classical input the two blocks' single column-sign difference is invisible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -42,9 +43,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .linalg import apply_local, conjugate
-from .xstate import XSpectral, strip_phases, to_spectral
-
-GATE_KINDS = ("rx", "ry", "rz", "u_lambda", "w", "pauli_z", "cnot")
+from .xstate import strip_phases, to_spectral
 
 
 def rx_matrix(t: float) -> np.ndarray:
@@ -61,14 +60,6 @@ def rz_matrix(t: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * t), 0.0], [0.0, np.exp(0.5j * t)]], dtype=complex)
 
 
-def u_lambda_matrix(lam: float) -> np.ndarray:
-    """Real rotation sending |0> to sqrt((1+l)/2)|0> + sqrt((1-l)/2)|1>."""
-    if not -1.0 <= lam <= 1.0:
-        raise ContractError(f"u_lambda parameter {lam} outside [-1, 1]")
-    up, dn = math.sqrt(1.0 + lam), math.sqrt(1.0 - lam)
-    return np.array([[up, -dn], [dn, up]], dtype=complex) / math.sqrt(2.0)
-
-
 def w_matrix(x: float) -> np.ndarray:
     return np.array([[np.exp(-1j * x), 0.0], [0.0, 1j * np.exp(1j * x)]], dtype=complex)
 
@@ -78,35 +69,8 @@ _FIXED = {
     "pauli_z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
     "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
-_ROTATIONS = {"rx": rx_matrix, "ry": ry_matrix, "rz": rz_matrix, "u_lambda": u_lambda_matrix, "w": w_matrix}
-
-
-def _json_object(what: str, obj, required: set, optional: frozenset = frozenset()) -> None:
-    """Reject anything but a JSON object with every ``required`` field and no
-    field outside ``required`` and ``optional``."""
-    if not isinstance(obj, dict):
-        raise ContractError(f"{what} must be a JSON object, got {obj!r}")
-    extra, missing = set(obj) - required - optional, required - set(obj)
-    if extra or missing:
-        raise ContractError(f"{what} fields: unknown {sorted(extra)}, missing {sorted(missing)}")
-
-
-def _json_number(name: str, value, integral: bool = False):
-    """A finite JSON number from circuit JSON as a float, or as an int when
-    ``integral`` (2.0 counts as 2); booleans, strings and 2.5 are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ContractError(f"circuit field {name!r} must be a number, got {value!r}")
-    if integral:
-        if isinstance(value, float) and not value.is_integer():
-            raise ContractError(f"circuit field {name!r} must be an integer, got {value!r}")
-        return int(value)
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ContractError(f"circuit field {name!r} must be finite, got {value!r}")
-    return number
+_ROTATIONS = {"rx": rx_matrix, "ry": ry_matrix, "rz": rz_matrix, "w": w_matrix}
+GATE_KINDS = (*_ROTATIONS, *_FIXED)
 
 
 @dataclass(frozen=True)
@@ -126,9 +90,9 @@ class Gate:
                 raise ContractError("cnot needs distinct control and target")
         elif self.control is not None:
             raise ContractError(f"gate {self.kind} takes no control qubit")
-        n_params = {"rx": 1, "ry": 1, "rz": 1, "u_lambda": 1, "w": 1, "pauli_z": 0, "cnot": 0}
-        if len(self.params) != n_params[self.kind]:
-            raise ContractError(f"gate {self.kind} expects {n_params[self.kind]} params")
+        n_params = 0 if self.kind in _FIXED else 1
+        if len(self.params) != n_params:
+            raise ContractError(f"gate {self.kind} expects {n_params} params")
 
     @property
     def qubits(self) -> tuple:
@@ -147,19 +111,6 @@ class Gate:
         if self.control is not None:
             obj["control"] = self.control
         return obj
-
-    @staticmethod
-    def from_json(obj: dict) -> "Gate":
-        _json_object("gate", obj, {"kind", "target"}, {"params", "control"})
-        params = obj.get("params", [])
-        if not isinstance(params, list):
-            raise ContractError(f"gate params must be a list, got {params!r}")
-        return Gate(
-            kind=str(obj["kind"]),
-            params=tuple(_json_number("params", p) for p in params),
-            target=_json_number("target", obj["target"], integral=True),
-            control=_json_number("control", obj["control"], integral=True) if "control" in obj else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -189,20 +140,6 @@ class Circuit:
     def to_json(self) -> dict:
         return {"width": self.width, "gates": [g.to_json() for g in self.gates]}
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @staticmethod
-    def from_json(obj: dict) -> "Circuit":
-        _json_object("circuit", obj, {"width", "gates"})
-        if not isinstance(obj["gates"], list):
-            raise ContractError(f"circuit gates must be a list, got {obj['gates']!r}")
-        return Circuit(_json_number("width", obj["width"], integral=True), tuple(Gate.from_json(g) for g in obj["gates"]))
-
-    @staticmethod
-    def loads(text: str) -> "Circuit":
-        return Circuit.from_json(json.loads(text))
-
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """The circuit's unitary: the one loop over gates acting on kets."""
@@ -210,19 +147,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     for g in c.gates:
         u = apply_local(u, g.local_matrix(), g.qubits)
     return u.reshape(2**c.width, 2**c.width)
-
-
-def gate_matrix(g: Gate, width: int) -> np.ndarray:
-    """Full 2^width unitary of one gate."""
-    return circuit_unitary(Circuit(width, (g,)))
-
-
-def run_pure(c: Circuit, basis_index: int = 0) -> np.ndarray:
-    """Apply the circuit to a computational basis state; returns the ket."""
-    dim = 2**c.width
-    if not 0 <= basis_index < dim:
-        raise DimensionError(f"basis index {basis_index} outside register of dim {dim}")
-    return circuit_unitary(c)[:, basis_index]
 
 
 def run_stack(circuits, rho: np.ndarray, gate_noise=None) -> np.ndarray:
@@ -339,21 +263,6 @@ def build_xstate_circuit_alt(p, theta: float, phi: float) -> Circuit:
     return Circuit(4, tuple(gates))
 
 
-def build_equi_entangled_circuit(p, theta: float) -> Circuit:
-    """Shortened second block for mixtures of equally entangled basis states.
-
-    When both eigenbasis angles coincide, the three-CNOT block collapses to
-    a single rotation plus one CNOT. Relative to build_xstate_circuit the
-    output corresponds to angles (theta, pi/2 - theta); the two diagonal
-    families of equally entangled bases meet at theta = pi/4, where this is
-    the Bell-diagonal preparation.
-    """
-    gates = classical_prep_gates(p)
-    gates.append(Gate("ry", (2.0 * theta,), 2))
-    gates.append(Gate("cnot", (), 3, control=2))
-    return Circuit(4, tuple(gates))
-
-
 def build_complex_xstate_circuit(rho: np.ndarray) -> tuple:
     """Circuit for an arbitrary (complex) X-state target.
 
@@ -370,19 +279,6 @@ def build_complex_xstate_circuit(rho: np.ndarray) -> tuple:
     if abs(beta) > 1e-14:
         tail.append(Gate("rz", (-beta,), 3))
     return circ.extended(tail), spectral, (alpha, beta)
-
-
-def build_sector_circuit(lam: float, theta: float) -> Circuit:
-    """Two-qubit interferometric block whose output second-qubit moment
-    |<sy>| equals |lam sin(theta)|."""
-    return Circuit(
-        2,
-        (
-            Gate("u_lambda", (lam,), 0),
-            Gate("cnot", (), 1, control=0),
-            Gate("rx", (theta,), 1),
-        ),
-    )
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .circuits import build_complex_xstate_circuit, build_xstate_circuit, run_de
 from .errors import ConfigError, ContractError
 from .heisenberg import HeisenbergParams, evolve_diagonal
 from .linalg import fidelity, partial_trace
-from .noise import NoiseModel, run_noisy
+from .noise import RATE_FIELDS, NoiseModel, run_noisy
 from .rng import derive_seed
 from .tomography import FIDELITY_CONVENTION, FULL, PARTIAL3, PARTIAL5, measure_block
 from .tomography import reconstruct_full, reconstruct_x3, reconstruct_x5
@@ -159,19 +159,37 @@ def _reject_non_finite(value, path: str) -> None:
             _reject_non_finite(item, f"{path}[{i}]")
 
 
-def _number(key: str, value, integral: bool = False):
+def _number(what: str, value, integral: bool = False):
     """A JSON number as a float, or as an int when ``integral``; an integral
-    float such as 1e6 counts as an integer."""
+    float such as 1e6 counts as an integer. ``what`` names the value in
+    error messages."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"parameter {key!r} must be a number, got {value!r}")
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     if integral:
         if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"parameter {key!r} must be an integer, got {value!r}")
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
         return int(value)
     try:
         return float(value)
     except OverflowError as exc:
-        raise ConfigError(f"parameter {key!r} must be finite, got {value!r}") from exc
+        raise ConfigError(f"{what} must be finite, got {value!r}") from exc
+
+
+def _noise_model(value) -> NoiseModel:
+    """The noise parameter: null for the default model, or a JSON object
+    giving any of the rates as numbers; omitted rates keep their defaults."""
+    if value is None:
+        return NoiseModel()
+    if not isinstance(value, dict):
+        raise ConfigError(f"noise must be a JSON object or null, got {value!r}")
+    unknown = set(value) - set(RATE_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown noise fields {sorted(unknown)}")
+    rates = {name: _number(f"noise rate {name}", rate) for name, rate in value.items()}
+    try:
+        return NoiseModel(**rates)
+    except ContractError as exc:
+        raise ConfigError(f"invalid noise model: {exc}") from exc
 
 
 def resolve_params(experiment: str, given: dict) -> dict:
@@ -197,17 +215,14 @@ def resolve_params(experiment: str, given: dict) -> dict:
             raise ConfigError(f"{experiment} requires parameter {key!r}")
         else:
             out[key] = default
-    try:
-        out["noise"] = NoiseModel() if out["noise"] is None else NoiseModel.from_json(out["noise"])
-    except Exception as exc:
-        raise ConfigError(f"invalid noise model: {exc}") from exc
+    out["noise"] = _noise_model(out["noise"])
     if not isinstance(out["exact"], bool):
         raise ConfigError(f"parameter 'exact' must be true or false, got {out['exact']!r}")
     for key in spec:
         if key in ("shots", "seed", "time_points", "resolution"):
-            out[key] = _number(key, out[key], integral=True)
+            out[key] = _number(f"parameter {key!r}", out[key], integral=True)
         elif key not in ("exact", "noise", "target") and not (key == "t_max" and out[key] is None):
-            out[key] = _number(key, out[key])
+            out[key] = _number(f"parameter {key!r}", out[key])
     if out["shots"] < 1:
         raise ConfigError("shots must be >= 1")
     if out["seed"] < 0:
@@ -399,8 +414,9 @@ def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
 def _parse_target(obj) -> tuple:
     """Returns (XState, XSpectral or None) from the xprep_single target key.
 
-    Every field must be a JSON number (``p`` a list of them), and keys other
-    than ``kind`` and the fields of that kind are rejected."""
+    Every field of the kind must be given as a JSON number (``p`` as a list
+    of four), and keys other than ``kind`` and those fields are rejected. A
+    well-formed but unphysical target raises ContractError."""
     fields = {"spectral": ("p", "theta", "phi"), "xstate": ("a", "b", "c", "d", "w_re", "w_im", "z_re", "z_im")}
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("target must be an object with a 'kind' key")
@@ -411,27 +427,22 @@ def _parse_target(obj) -> tuple:
     unknown = set(body) - set(fields[kind])
     if unknown:
         raise ConfigError(f"unknown target keys for kind {kind}: {sorted(unknown)}")
+    values = {}
     for key, value in body.items():
         if key == "p" and isinstance(value, list):
-            for i, item in enumerate(value):
-                _number(f"target.p[{i}]", item)
+            values[key] = [_number(f"parameter 'target.p[{i}]'", item) for i, item in enumerate(value)]
         else:
-            _number(f"target.{key}", value)
-    # decoding problems are configuration mistakes; a well-formed but
-    # unphysical target is a contract violation and propagates as such
+            values[key] = _number(f"parameter 'target.{key}'", value)
+    missing = set(fields[kind]) - set(values)
+    if missing:
+        raise ConfigError(f"malformed {kind} target: missing keys {sorted(missing)}")
     if kind == "spectral":
-        try:
-            spectral = XSpectral.from_json(body)
-        except (KeyError, TypeError, ValueError, ContractError) as exc:
-            raise ConfigError(f"malformed spectral target: {exc}") from exc
-        spectral.validate()
+        if not isinstance(values["p"], list) or len(values["p"]) != 4:
+            raise ConfigError(f"malformed spectral target: p must be a list of four numbers, got {body['p']!r}")
+        spectral = XSpectral(*values["p"], values["theta"], values["phi"]).validate()
         return from_spectral(spectral), spectral
-    try:
-        x = XState.from_json(body)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed xstate target: {exc}") from exc
-    x.validate()
-    return x, None
+    w, z = complex(values["w_re"], values["w_im"]), complex(values["z_re"], values["z_im"])
+    return XState(values["a"], values["b"], values["c"], values["d"], w, z).validate(), None
 
 
 def run_xprep_single(params: dict) -> ExperimentResult:

@@ -82,20 +82,6 @@ class HeisenbergParams:
     def to_json(self) -> dict:
         return {"Jx": self.Jx, "Jy": self.Jy, "Jz": self.Jz, "B": self.B, "b": self.b}
 
-    @staticmethod
-    def from_json(obj: dict) -> "HeisenbergParams":
-        extra = set(obj) - {"Jx", "Jy", "Jz", "B", "b"}
-        if extra:
-            raise ContractError(f"unknown coupling fields {sorted(extra)}")
-        return HeisenbergParams(
-            Jx=float(obj["Jx"]),
-            Jy=float(obj["Jy"]),
-            Jz=float(obj["Jz"]),
-            B=float(obj.get("B", 0.0)),
-            b=float(obj.get("b", 0.0)),
-        )
-
-
 def hamiltonian(p: HeisenbergParams) -> np.ndarray:
     h = np.zeros((4, 4), dtype=complex)
     h[0, 0] = 0.5 * p.Jz + p.B

@@ -6,7 +6,10 @@ then phase damping. Channel order is part of the model definition.
 Default rates are order-of-magnitude typical for small superconducting
 devices of the 2019-2021 era and are fully overridable; nothing here claims
 to calibrate a particular machine. ``NoiseModel.gate_noise`` composes the
-channels for the executor ``circuits.run_stack``, which holds the gate loop.
+channels into one superoperator per gate arity, and the executor
+``circuits.run_stack`` applies it after each gate; no other route applies a
+channel to a state. ``experiments.resolve_params`` builds the model from
+config JSON after checking every rate.
 
 The model's readout rate p_readout is not applied here: readout error acts
 on recorded outcomes, not on the state, so
@@ -24,9 +27,9 @@ import numpy as np
 
 from .circuits import Circuit, run_stack
 from .errors import ContractError
-from .linalg import apply_local, superop
+from .linalg import superop
 
-_RATE_FIELDS = ("p_depol_1q", "p_depol_2q", "gamma_ad", "gamma_pd", "p_readout")
+RATE_FIELDS = ("p_depol_1q", "p_depol_2q", "gamma_ad", "gamma_pd", "p_readout")
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ class NoiseModel:
     p_readout: float = 0.02
 
     def __post_init__(self):
-        for name in _RATE_FIELDS:
+        for name in RATE_FIELDS:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ContractError(f"noise rate {name}={v} outside [0, 1]")
@@ -67,21 +70,7 @@ class NoiseModel:
         return cls(0.0, 0.0, 0.0, 0.0, 0.0)
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in _RATE_FIELDS}
-
-    @staticmethod
-    def from_json(obj: dict) -> "NoiseModel":
-        extra = set(obj) - set(_RATE_FIELDS)
-        if extra:
-            raise ContractError(f"unknown noise fields {sorted(extra)}")
-        for name, v in obj.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ContractError(f"noise rate {name} must be a number, got {v!r}")
-        rates = {name: float(obj[name]) for name in obj}
-        for name, v in rates.items():
-            if not math.isfinite(v):
-                raise ContractError(f"noise rate {name}={v} is not finite")
-        return NoiseModel(**rates)
+        return {name: getattr(self, name) for name in RATE_FIELDS}
 
 
 def depolarizing_kraus(p: float) -> list:
@@ -123,24 +112,6 @@ def channel_superop(kraus) -> np.ndarray:
     if np.max(np.abs(total - np.eye(2))) > 1e-10:
         raise ContractError("Kraus set is not trace preserving")
     return superop(kraus)
-
-
-def apply_channel(rho: np.ndarray, kraus, qubits) -> np.ndarray:
-    """Apply a single-qubit Kraus channel to each listed qubit in turn."""
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    n_qubits = dim.bit_length() - 1
-    if rho.shape != (dim, dim) or 2**n_qubits != dim:
-        raise ContractError("density matrix dimension must be a power of 2")
-    s = channel_superop(kraus)
-    if isinstance(qubits, int):
-        qubits = (qubits,)
-    out = rho.reshape((1,) + (2,) * (2 * n_qubits))
-    for q in qubits:
-        if not 0 <= q < n_qubits:
-            raise ContractError(f"qubit index {q} outside register of {n_qubits}")
-        out = apply_local(out, s, (q, n_qubits + q))
-    return out.reshape(dim, dim)
 
 
 def run_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:

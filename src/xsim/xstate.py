@@ -111,18 +111,6 @@ class XState:
             "z_im": complex(self.z).imag,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "XState":
-        return XState(
-            a=float(obj["a"]),
-            b=float(obj["b"]),
-            c=float(obj["c"]),
-            d=float(obj["d"]),
-            w=complex(float(obj["w_re"]), float(obj["w_im"])),
-            z=complex(float(obj["z_re"]), float(obj["z_im"])),
-        )
-
-
 @dataclass(frozen=True)
 class XSpectral:
     """Spectral parameters of a real X-state: four weights and two angles."""
@@ -150,14 +138,6 @@ class XSpectral:
 
     def to_json(self) -> dict:
         return {"p": [self.p00, self.p01, self.p10, self.p11], "theta": self.theta, "phi": self.phi}
-
-    @staticmethod
-    def from_json(obj: dict) -> "XSpectral":
-        p = [float(x) for x in obj["p"]]
-        if len(p) != 4:
-            raise ContractError("spectral weights must have four entries")
-        return XSpectral(p[0], p[1], p[2], p[3], float(obj["theta"]), float(obj["phi"]))
-
 
 def from_spectral(s: XSpectral) -> XState:
     """Shape map from spectral parameters to the six X-state entries."""

@@ -1,7 +1,11 @@
-"""Shared random-state generators for the test suite."""
+"""Shared random-state generators and helpers for the test suite."""
+
+from dataclasses import replace
 
 import numpy as np
 
+from xsim.circuits import Circuit, Gate
+from xsim.noise import NoiseModel, run_noisy
 from xsim.xstate import XSpectral, XState, from_spectral
 
 
@@ -43,3 +47,12 @@ def random_density(rng, dim=4):
 def random_hermitian(rng, dim=4):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (g + g.conj().T) / 2.0
+
+
+def run_channel(rho, qubits, **rates):
+    """``rho`` after identity RZ(0) gates on ``qubits`` in turn, run by
+    ``run_noisy`` under a model whose only nonzero rates are ``rates``: each
+    listed qubit gets that one-qubit channel once, by the production route."""
+    width = rho.shape[0].bit_length() - 1
+    circuit = Circuit(width, tuple(Gate("rz", (0.0,), q) for q in qubits))
+    return run_noisy(circuit, rho, replace(NoiseModel.zero(), **rates))

@@ -22,7 +22,6 @@ from xsim.circuits import (
     decompose_x_unitary,
     eigenbasis_block,
     run_density,
-    run_pure,
     Circuit,
     XUnitaryParams,
 )
@@ -52,7 +51,6 @@ from xsim.xstate import (
     concurrence_x,
     from_spectral,
     leakage,
-    strip_phases,
     to_spectral,
 )
 

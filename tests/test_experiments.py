@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from xsim.circuits import build_xstate_circuit, run_density, run_stack
+from xsim.circuits import Circuit, Gate, build_xstate_circuit, circuit_unitary, run_density, run_stack
 from xsim.cli import main
 from xsim.errors import ConfigError
 from xsim.experiments import (
@@ -28,6 +28,8 @@ from xsim.tomography import FULL, PARTIAL3, PARTIAL5, measure_block, reconstruct
 from xsim.xstate import XSpectral, concurrence_wootters, concurrence_x, from_spectral, leakage
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
+XSTATE_TARGET = {"kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
+                 "w_re": 0.12, "w_im": -0.15, "z_re": -0.05, "z_im": 0.1}
 
 
 def test_simplex_grid_point_count_and_normalization():
@@ -262,18 +264,25 @@ def test_cli_csv_run_and_determinism(tmp_path, capsys):
     assert "fidelity_convention" in err
 
 
-def test_cli_dump_circuit_sidecar(tmp_path):
-    cfg = _write_config(
-        tmp_path,
-        {"params": {"time_points": 3, "shots": 50, "noise": ZERO_NOISE}},
-    )
-    out = tmp_path / "c.csv"
-    code = main(["heisenberg_conc", "--config", cfg, "--out", str(out), "--dump-circuit"])
-    assert code == 0
-    dumped = json.loads((tmp_path / "c.csv.circuit.json").read_text())
-    assert len(dumped) == 3
-    assert dumped[0]["label"] == "t_0"
-    assert dumped[0]["circuit"]["width"] == 4
+@pytest.mark.parametrize("experiment, params", [
+    ("field_conc", {"time_points": 3, "shots": 50}),
+    ("xprep_single", {"target": XSTATE_TARGET, "shots": 50}),
+])
+def test_cli_dump_circuit_sidecar(tmp_path, experiment, params):
+    # The sidecar holds every circuit that ran, and each one rebuilt from
+    # its dump gives the same unitary to the last bit.
+    cfg = _write_config(tmp_path, {"params": params})
+    out = tmp_path / "c.json"
+    assert main([experiment, "--config", cfg, "--out", str(out), "--format", "json", "--dump-circuit"]) == 0
+    dumped = json.loads((tmp_path / "c.json.circuit.json").read_text())
+    _, result = run_experiment(experiment, params)
+    assert dumped == [{"label": label, "circuit": c.to_json()} for label, c in result.circuits]
+    assert len(dumped) == (3 if experiment == "field_conc" else 1)
+    for entry, (_, circ) in zip(dumped, result.circuits):
+        blob = entry["circuit"]
+        gates = (Gate(g["kind"], tuple(g["params"]), g["target"], g.get("control")) for g in blob["gates"])
+        rebuilt = Circuit(blob["width"], tuple(gates))
+        np.testing.assert_allclose(circuit_unitary(rebuilt), circuit_unitary(circ), rtol=0, atol=0)
 
 
 def test_cli_exit_codes(tmp_path):
@@ -350,10 +359,6 @@ def test_cli_exact_flag_reaches_runner(tmp_path):
         assert row[2] == pytest.approx(row[1], abs=1e-7)
 
 
-XSTATE_TARGET = {"kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
-                 "w_re": 0.12, "w_im": -0.15, "z_re": -0.05, "z_im": 0.1}
-
-
 @pytest.mark.parametrize("experiment, params, message", [
     ("heisenberg_conc", {"J": float("nan")}, "J must be finite"),
     ("heisenberg_conc", {"t_max": float("inf")}, "t_max must be finite"),
@@ -391,6 +396,10 @@ XSTATE_TARGET = {"kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
     ("xprep_single", {"target": {**XSTATE_TARGET, "extra": 1}}, "unknown target keys for kind xstate: ['extra']"),
     ("xprep_single", {"target": {"kind": "spectral", "p": [1, 0, 0, 0], "theta": 0, "phi": 0, "extra": 1}},
      "unknown target keys for kind spectral: ['extra']"),
+    ("heisenberg_conc", {"noise": 5}, "noise must be a JSON object or null"),
+    ("heisenberg_conc", {"noise": [1]}, "noise must be a JSON object or null"),
+    ("xprep_single", {"target": {"kind": "spectral", "p": [1, 0, 0], "theta": 0, "phi": 0}}, "malformed spectral target"),
+    ("xprep_single", {"target": {"kind": "xstate", "a": 1}}, "malformed xstate target"),
 ])
 def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, experiment, params, message):
     # an entry's first field may carry command-line flags after the experiment

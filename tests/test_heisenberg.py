@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -268,10 +267,3 @@ def test_propagator_x_params_covers_field_case():
         q = propagator_x_params(hp, t)
         np.testing.assert_allclose(assemble_x_unitary(q), propagator(hp, t), atol=1e-12)
 
-
-def test_heisenberg_json_round_trip():
-    p = HeisenbergParams(1.3, 0.4, -0.2, 0.9, 0.1)
-    back = HeisenbergParams.from_json(json.loads(json.dumps(p.to_json())))
-    assert back == p
-    with pytest.raises(ContractError):
-        HeisenbergParams.from_json({"Jx": 1.0, "Jy": 1.0, "Jz": 0.0, "extra": 2.0})

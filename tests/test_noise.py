@@ -1,18 +1,20 @@
 import itertools
+import json
 import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from conftest import random_density, random_xstate_raw
+from conftest import random_density, random_xstate_raw, run_channel
 from xsim.circuits import Circuit, Gate, build_xstate_circuit, run_density
 from xsim.errors import ContractError
+from xsim.experiments import resolve_params
 from xsim.linalg import I2, partial_trace
 from xsim.noise import (
     NoiseModel,
     amplitude_damping_kraus,
-    apply_channel,
+    channel_superop,
     depolarizing_kraus,
     phase_damping_kraus,
     run_noisy,
@@ -56,7 +58,7 @@ def test_kraus_families_are_trace_preserving():
 def test_full_depolarizing_erases_the_qubit():
     rng = np.random.default_rng(3)
     rho = random_density(rng, 4)
-    out = apply_channel(rho, depolarizing_kraus(1.0), qubits=0)
+    out = run_channel(rho, (0,), p_depol_1q=1.0)
     np.testing.assert_allclose(partial_trace(out, keep=(0,)), I2 / 2.0, atol=1e-12)
     # the other qubit's marginal is untouched
     np.testing.assert_allclose(
@@ -66,21 +68,21 @@ def test_full_depolarizing_erases_the_qubit():
 
 def test_amplitude_damping_full_strength_resets():
     rho = np.diag([0.0, 1.0]).astype(complex)
-    out = apply_channel(rho, amplitude_damping_kraus(1.0), qubits=0)
+    out = run_channel(rho, (0,), gamma_ad=1.0)
     np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_phase_damping_scales_coherence():
     rho = np.array([[0.6, 0.3], [0.3, 0.4]], dtype=complex)
-    out = apply_channel(rho, phase_damping_kraus(0.2), qubits=0)
+    out = run_channel(rho, (0,), gamma_pd=0.2)
     np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-14)
     assert out[0, 1] == pytest.approx(0.8 * 0.3, abs=1e-14)
 
 
-def test_apply_channel_rejects_non_cptp():
+def test_channel_superop_rejects_non_cptp():
     broken = [np.array([[1.0, 0.0], [0.0, 0.5]])]
     with pytest.raises(ContractError):
-        apply_channel(np.eye(2, dtype=complex) / 2.0, broken, qubits=0)
+        channel_superop(broken)
 
 
 def test_noise_model_validation_and_json():
@@ -90,10 +92,10 @@ def test_noise_model_validation_and_json():
     assert nm.p_readout == 0.02
     with pytest.raises(ContractError):
         NoiseModel(p_depol_1q=-0.2)
-    partial = NoiseModel.from_json({"p_depol_1q": 0.1})  # omitted rates keep defaults
-    assert partial.p_depol_1q == 0.1
+    partial = resolve_params("heisenberg_conc", {"noise": {"p_depol_1q": 0.1}})["noise"]
+    assert partial.p_depol_1q == 0.1  # omitted rates keep defaults
     assert partial.p_depol_2q == 0.01
-    back = NoiseModel.from_json(nm.to_json())
+    back = resolve_params("heisenberg_conc", {"noise": json.loads(json.dumps(nm.to_json()))})["noise"]
     assert back == nm
     assert NoiseModel.zero() == NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -120,8 +122,8 @@ def test_run_noisy_keeps_density_matrix_valid():
 def test_damping_and_depolarizing_preserve_x_shape():
     rng = np.random.default_rng(7)
     x = random_xstate_raw(rng)
-    for kraus in (depolarizing_kraus(0.05), amplitude_damping_kraus(0.1), phase_damping_kraus(0.1)):
-        out = apply_channel(x.matrix(), kraus, qubits=(0, 1))
+    for rate in ({"p_depol_1q": 0.05}, {"gamma_ad": 0.1}, {"gamma_pd": 0.1}):
+        out = run_channel(x.matrix(), (0, 1), **rate)
         assert leakage(out) < 1e-14
 
 

@@ -9,15 +9,14 @@ oracle routes.
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import random_density, run_channel
 from oracles import concurrence_wootters_oracle, herm_eig, sqrtm_psd
-from xsim.circuits import Circuit, Gate, build_xstate_circuit, circuit_unitary, gate_matrix, run_density, run_pure
+from xsim.circuits import Circuit, Gate, build_xstate_circuit, circuit_unitary, run_density
 from xsim.experiments import format_csv, run_experiment
 from xsim.linalg import I2, PAULI, SX, fidelity, kron
 from xsim.noise import (
     NoiseModel,
     amplitude_damping_kraus,
-    apply_channel,
     depolarizing_kraus,
     phase_damping_kraus,
     run_noisy,
@@ -80,14 +79,12 @@ def random_state(rng, dim, rank):
 def random_circuit(rng, width, n_gates=12):
     gates = []
     for _ in range(n_gates):
-        kind = rng.choice(["rx", "ry", "rz", "w", "u_lambda", "pauli_z", "cnot"])
+        kind = rng.choice(["rx", "ry", "rz", "w", "pauli_z", "cnot"])
         if kind == "cnot" and width > 1:
             control, target = rng.choice(width, size=2, replace=False)
             gates.append(Gate("cnot", (), int(target), control=int(control)))
         elif kind == "pauli_z":
             gates.append(Gate("pauli_z", (), int(rng.integers(width))))
-        elif kind == "u_lambda":
-            gates.append(Gate("u_lambda", (float(rng.uniform(-1, 1)),), int(rng.integers(width))))
         elif kind != "cnot":
             gates.append(Gate(str(kind), (float(rng.uniform(-3, 3)),), int(rng.integers(width))))
     return Circuit(width, tuple(gates))
@@ -99,10 +96,9 @@ def test_gate_and_circuit_unitaries_match_kron_reference():
         c = random_circuit(rng, width)
         want = np.eye(2**width, dtype=complex)
         for g in c.gates:
-            np.testing.assert_allclose(gate_matrix(g, width), kron_gate(g, width), atol=1e-15)
+            np.testing.assert_allclose(circuit_unitary(Circuit(width, (g,))), kron_gate(g, width), atol=1e-15)
             want = kron_gate(g, width) @ want
         np.testing.assert_allclose(circuit_unitary(c), want, atol=1e-13)
-        np.testing.assert_allclose(run_pure(c, 1 % 2**width), want[:, 1 % 2**width], atol=1e-13)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 16])
@@ -125,14 +121,15 @@ def test_run_density_and_run_noisy_match_kron_reference(rank):
 
 def test_superoperator_channel_matches_kraus_sum():
     rng = np.random.default_rng(47)
-    for kraus in (depolarizing_kraus(0.3), amplitude_damping_kraus(0.4), phase_damping_kraus(0.25)):
+    for name, rate, family in (("p_depol_1q", 0.3, depolarizing_kraus), ("gamma_ad", 0.4, amplitude_damping_kraus),
+                               ("gamma_pd", 0.25, phase_damping_kraus)):
         for width in (1, 2, 3):
             rho = random_state(rng, 2**width, 1 + int(rng.integers(2**width)))
             qubits = tuple(int(q) for q in rng.permutation(width))
             want = rho
             for q in qubits:
-                want = kron_channel(want, kraus, q, width)
-            np.testing.assert_allclose(apply_channel(rho, kraus, qubits), want, atol=1e-14)
+                want = kron_channel(want, family(rate), q, width)
+            np.testing.assert_allclose(run_channel(rho, qubits, **{name: rate}), want, atol=1e-14)
 
 
 def test_setting_probabilities_match_projector_traces():

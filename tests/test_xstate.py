@@ -7,6 +7,7 @@ import pytest
 from conftest import random_spectral, random_xstate, random_xstate_raw
 from oracles import concurrence_wootters_oracle
 from xsim.errors import ContractError, ShapeError
+from xsim.experiments import _parse_target
 from xsim.xstate import (
     XSpectral,
     XState,
@@ -167,7 +168,8 @@ def test_strip_phases_preserves_spectrum():
 
 
 def test_json_round_trips():
+    # the xprep_single target reader takes each kind's to_json fields back
     x = XState(0.4, 0.1, 0.15, 0.35, 0.2 + 0.1j, -0.05j)
-    assert XState.from_json(json.loads(json.dumps(x.to_json()))) == x
+    assert _parse_target(json.loads(json.dumps({"kind": "xstate", **x.to_json()}))) == (x, None)
     s = XSpectral(0.4, 0.3, 0.2, 0.1, 0.5, 0.7)
-    assert XSpectral.from_json(json.loads(json.dumps(s.to_json()))) == s
+    assert _parse_target(json.loads(json.dumps({"kind": "spectral", **s.to_json()}))) == (from_spectral(s), s)
