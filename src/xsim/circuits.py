@@ -1,9 +1,8 @@
-"""Gate set, circuit container, simulators, and the preparation circuits.
+"""Gate set, circuit container, the executor, and the preparation circuits.
 
 Gate conventions (fixed by explicit matrices; tests compare entrywise):
 
     RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]
-    RX(t) = [[cos t/2, -i sin t/2], [-i sin t/2, cos t/2]]
     RZ(t) = diag(e^{-i t/2}, e^{+i t/2})
     W(x) = diag(e^{-i x}, i e^{+i x})
     Z = diag(1, -1)
@@ -12,9 +11,9 @@ Gate conventions (fixed by explicit matrices; tests compare entrywise):
 Each gate kind is declared once: in ``_ROTATIONS`` with its one angle, or
 in ``_FIXED`` without a parameter. Qubit 0 is the leftmost tensor factor.
 Gates in a Circuit are stored in application order: ``gates[0]`` acts
-first. ``circuit_unitary`` is the gate loop of unitaries, and ``run_stack``
-the one executor of density matrices. ``to_json`` writes a circuit for the
-``--dump-circuit`` sidecar; the program reads no circuit JSON back.
+first. ``run_stack`` is the one executor: it runs circuits on density
+matrices. ``to_json`` writes a circuit for the ``--dump-circuit`` sidecar;
+the program reads no circuit JSON back.
 
 The X-state preparation circuit acts on four qubits. A first block turns
 |0000> into sum_ij sqrt(p_ij)|ij>|ij>, so that qubits (2, 3) carry the
@@ -25,13 +24,9 @@ X-state eigenbasis, |i,j> -> |e_{i, i xor j}>:
     second block = C1 . (RY(theta-phi) x I) . C2 . (RY(theta+phi) x I)
 
 where C1 is CNOT(first -> second) inside the pair, C2 the reverse, and the
-product is read right to left (rightmost factor applied first). An
-alternative block with one extra CNOT,
-
-    C1 . C2 . (RY(theta-phi) x I) . C2 . (RY(theta+phi) x I),
-
-produces the same X-state with phi replaced by pi/2 - phi; on the diagonal
-classical input the two blocks' single column-sign difference is invisible.
+product is read right to left (rightmost factor applied first). The tests
+keep a three-CNOT variant of this block as a reference (acceptance
+criterion 08): it prepares the same X-state with phi replaced by pi/2 - phi.
 """
 
 from __future__ import annotations
@@ -43,12 +38,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .linalg import apply_local, conjugate
-from .xstate import strip_phases, to_spectral
-
-
-def rx_matrix(t: float) -> np.ndarray:
-    c, s = math.cos(t / 2.0), math.sin(t / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+from .xstate import XState, strip_phases, to_spectral
 
 
 def ry_matrix(t: float) -> np.ndarray:
@@ -69,7 +59,7 @@ _FIXED = {
     "pauli_z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
     "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
-_ROTATIONS = {"rx": rx_matrix, "ry": ry_matrix, "rz": rz_matrix, "w": w_matrix}
+_ROTATIONS = {"ry": ry_matrix, "rz": rz_matrix, "w": w_matrix}
 GATE_KINDS = (*_ROTATIONS, *_FIXED)
 
 
@@ -139,14 +129,6 @@ class Circuit:
 
     def to_json(self) -> dict:
         return {"width": self.width, "gates": [g.to_json() for g in self.gates]}
-
-
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """The circuit's unitary: the one loop over gates acting on kets."""
-    u = np.eye(2**c.width, dtype=complex).reshape((1,) + (2,) * (2 * c.width))
-    for g in c.gates:
-        u = apply_local(u, g.local_matrix(), g.qubits)
-    return u.reshape(2**c.width, 2**c.width)
 
 
 def run_stack(circuits, rho: np.ndarray, gate_noise=None) -> np.ndarray:
@@ -235,18 +217,6 @@ def eigenbasis_block(theta: float, phi: float, pair=(0, 1)) -> list:
     ]
 
 
-def eigenbasis_block_alt(theta: float, phi: float, pair=(0, 1)) -> list:
-    """Three-CNOT variant; same X-state output with phi -> pi/2 - phi."""
-    first, second = pair
-    return [
-        Gate("ry", (theta + phi,), first),
-        Gate("cnot", (), first, control=second),
-        Gate("ry", (theta - phi,), first),
-        Gate("cnot", (), first, control=second),
-        Gate("cnot", (), second, control=first),
-    ]
-
-
 def build_xstate_circuit(p, theta: float, phi: float) -> Circuit:
     """Four-qubit circuit preparing the real X-state with weights p and
     eigenbasis angles (theta, phi) on qubits (2, 3)."""
@@ -255,22 +225,14 @@ def build_xstate_circuit(p, theta: float, phi: float) -> Circuit:
     return Circuit(4, tuple(gates))
 
 
-def build_xstate_circuit_alt(p, theta: float, phi: float) -> Circuit:
-    """Same as build_xstate_circuit but with the three-CNOT second block;
-    its output X-state equals build_xstate_circuit(p, theta, pi/2 - phi)."""
-    gates = classical_prep_gates(p)
-    gates += eigenbasis_block_alt(theta, phi, pair=(2, 3))
-    return Circuit(4, tuple(gates))
-
-
-def build_complex_xstate_circuit(rho: np.ndarray) -> tuple:
+def build_complex_xstate_circuit(x: XState) -> tuple:
     """Circuit for an arbitrary (complex) X-state target.
 
     Strips the corner phases, inverts the shape map, builds the real
     preparation, and restores the phases with two trailing RZ gates on the
     output pair. Returns (circuit, spectral, (alpha, beta)).
     """
-    real_x, (alpha, beta) = strip_phases(rho)
+    real_x, (alpha, beta) = strip_phases(x)
     spectral = to_spectral(real_x)
     circ = build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
     tail = []
@@ -304,25 +266,10 @@ class XUnitaryParams:
     t2: float
 
 
-def assemble_x_unitary(q: XUnitaryParams) -> np.ndarray:
-    u = np.zeros((4, 4), dtype=complex)
-    c1, s1 = math.cos(q.t1), math.sin(q.t1)
-    c2, s2 = math.cos(q.t2), math.sin(q.t2)
-    u[0, 0] = np.exp(0.5j * (q.a1 - q.x)) * c1
-    u[0, 3] = -np.exp(0.5j * (q.b1 - q.x)) * s1
-    u[3, 0] = np.exp(-0.5j * (q.b1 + q.x)) * s1
-    u[3, 3] = np.exp(-0.5j * (q.a1 + q.x)) * c1
-    u[1, 1] = -1j * np.exp(0.5j * (q.a2 + q.x)) * s2
-    u[1, 2] = 1j * np.exp(0.5j * (q.b2 + q.x)) * c2
-    u[2, 1] = 1j * np.exp(-0.5j * (q.b2 - q.x)) * c2
-    u[2, 2] = 1j * np.exp(-0.5j * (q.a2 - q.x)) * s2
-    return u
-
-
 def decompose_x_unitary(q: XUnitaryParams) -> Circuit:
-    """Seven-element gate sequence reproducing assemble_x_unitary exactly
-    (global phase 1): local RZ pair, CNOT, RY x W, reverse CNOT, RY, CNOT,
-    closing RZ pair.
+    """Seven-element gate sequence reproducing the XUnitaryParams matrix
+    exactly (global phase 1): local RZ pair, CNOT, RY x W, reverse CNOT,
+    RY, CNOT, closing RZ pair.
 
     The phase gate carries x/2: the target family splits the two parity
     sectors by x in total, and the W gate applies its argument with

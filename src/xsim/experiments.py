@@ -172,7 +172,7 @@ def _number(what: str, value, integral: bool = False):
     try:
         return float(value)
     except OverflowError as exc:
-        raise ConfigError(f"{what} must be finite, got {value!r}") from exc
+        raise ConfigError(f"{what} must be finite, got an integer that overflows a double") from exc
 
 
 def _noise_model(value) -> NoiseModel:
@@ -233,7 +233,7 @@ def resolve_params(experiment: str, given: dict) -> dict:
         raise ConfigError("time_points must be >= 2")
     for key, limit in LIMITS.items():
         if key in out and out[key] > limit:
-            raise ConfigError(f"{key} must be <= {limit}, got {out[key]}")
+            raise ConfigError(f"{key} must be <= {limit}; the value given exceeds the limit")
     return out
 
 
@@ -357,7 +357,7 @@ def _field_point(params: dict, hp: HeisenbergParams, t: float) -> tuple:
     zero-field construction: (q0 r0, q1 r1, q0 r1, q1 r0)."""
     w00, w01, w10, w11 = _circuit_weights(params)
     target = evolve_diagonal(hp, (w00, w11, w01, w10), t)
-    circ, _, _ = build_complex_xstate_circuit(target.matrix())
+    circ, _, _ = build_complex_xstate_circuit(target)
     return target, circ
 
 
@@ -452,7 +452,7 @@ def run_xprep_single(params: dict) -> ExperimentResult:
         circ = build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
         phases = (0.0, 0.0)
     else:
-        circ, spectral, phases = build_complex_xstate_circuit(target_x.matrix())
+        circ, spectral, phases = build_complex_xstate_circuit(target_x)
     ideal_pair = partial_trace(run_density(circ, _initial_density(circ.width)), keep=(2, 3))
     noisy_pair = partial_trace(run_noisy(circ, _initial_density(circ.width), nm), keep=(2, 3))
     seed = params["seed"]

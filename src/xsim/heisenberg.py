@@ -23,12 +23,14 @@ sin(xi t)/xi ratio is evaluated through a sinc so xi = 0 and eta = 0 are
 exact, not special cases.
 
 Every quantity of the dynamics has one closed form built on these rotors.
-``propagator`` is U(t). ``evolve_diagonal`` evolves any state diagonal in
-the computational basis into an X-state; a population imbalance inside one
-sector is the case with the other sector empty, and ``xstate.concurrence_x``
-of the result is its concurrence. ``propagator_x_params`` places U(t) in the
-X-shaped unitary family, which ``circuits.decompose_x_unitary`` compiles
-into a two-qubit circuit.
+``evolve_diagonal`` evolves any state diagonal in the computational basis
+into an X-state; a population imbalance inside one sector is the case with
+the other sector empty, and ``xstate.concurrence_x`` of the result is its
+concurrence. ``propagator_x_params`` is the one closed form of U(t): it
+places U(t) in the X-shaped unitary family, which
+``circuits.decompose_x_unitary`` compiles into a two-qubit circuit. The
+energies are read off ``HeisenbergParams.xi`` and ``eta``. H itself and its
+matrix exponential are test references (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -66,12 +68,6 @@ class HeisenbergParams:
         return 0.5 * (self.Jx - self.Jy)
 
     @property
-    def kappa(self) -> float:
-        if self.Jx + self.Jy == 0.0:
-            raise ContractError("anisotropy undefined when Jx + Jy = 0")
-        return (self.Jx - self.Jy) / (self.Jx + self.Jy)
-
-    @property
     def xi(self) -> float:
         return math.hypot(self.B, self.j_kappa)
 
@@ -82,55 +78,6 @@ class HeisenbergParams:
     def to_json(self) -> dict:
         return {"Jx": self.Jx, "Jy": self.Jy, "Jz": self.Jz, "B": self.B, "b": self.b}
 
-def hamiltonian(p: HeisenbergParams) -> np.ndarray:
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = 0.5 * p.Jz + p.B
-    h[1, 1] = -0.5 * p.Jz + p.b
-    h[2, 2] = -0.5 * p.Jz - p.b
-    h[3, 3] = 0.5 * p.Jz - p.B
-    h[0, 3] = h[3, 0] = p.j_kappa
-    h[1, 2] = h[2, 1] = p.j
-    return h
-
-
-def _sector_basis(delta: float, coupling: float) -> tuple:
-    """Orthonormal eigenvector pair of [[delta, coupling], [coupling, -delta]].
-
-    Returns (v_plus, v_minus) for eigenvalues +r and -r, r = hypot(delta,
-    coupling). Of the two algebraically equivalent eigenvector formulas the
-    one without cancellation in its dominant component is used; r = 0 falls
-    back to the computational pair.
-    """
-    r = math.hypot(delta, coupling)
-    if r == 0.0:
-        return (1.0, 0.0), (0.0, 1.0)
-    if delta >= 0.0:
-        v = (delta + r, coupling)
-    else:
-        v = (coupling, r - delta)
-    n = math.hypot(v[0], v[1])
-    v_plus = (v[0] / n, v[1] / n)
-    return v_plus, (-v_plus[1], v_plus[0])
-
-
-def spectrum(p: HeisenbergParams) -> tuple:
-    """Closed-form energies and eigenvectors.
-
-    Order: (even +xi, even -xi, odd +eta, odd -eta). Eigenvectors are the
-    columns of the returned 4x4 array, embedded into the full space.
-    """
-    energies = np.array(
-        [0.5 * p.Jz + p.xi, 0.5 * p.Jz - p.xi, -0.5 * p.Jz + p.eta, -0.5 * p.Jz - p.eta]
-    )
-    vectors = np.zeros((4, 4), dtype=complex)
-    (e0, e1), (f0, f1) = _sector_basis(p.B, p.j_kappa)
-    vectors[0, 0], vectors[3, 0] = e0, e1
-    vectors[0, 1], vectors[3, 1] = f0, f1
-    (g0, g1), (h0, h1) = _sector_basis(p.b, p.j)
-    vectors[1, 2], vectors[2, 2] = g0, g1
-    vectors[1, 3], vectors[2, 3] = h0, h1
-    return energies, vectors
-
 
 def _rotor(delta: float, coupling: float, t: float) -> tuple:
     """(u, c) of the block propagator exp(-i t [[delta, coupling], [coupling, -delta]])."""
@@ -139,24 +86,6 @@ def _rotor(delta: float, coupling: float, t: float) -> tuple:
     u = complex(math.cos(r * t), -delta * sin_over_r)
     c = complex(0.0, -coupling * sin_over_r)
     return u, c
-
-
-def propagator(p: HeisenbergParams, t: float) -> np.ndarray:
-    """Closed-form U(t) = exp(-i H t), X-shaped for all parameters."""
-    u, c = _rotor(p.B, p.j_kappa, t)
-    up, cp = _rotor(p.b, p.j, t)
-    even_phase = np.exp(-0.5j * p.Jz * t)
-    odd_phase = np.exp(0.5j * p.Jz * t)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = even_phase * u
-    m[0, 3] = even_phase * c
-    m[3, 0] = even_phase * (-np.conj(c))
-    m[3, 3] = even_phase * np.conj(u)
-    m[1, 1] = odd_phase * up
-    m[1, 2] = odd_phase * cp
-    m[2, 1] = odd_phase * (-np.conj(cp))
-    m[2, 2] = odd_phase * np.conj(up)
-    return m
 
 
 def evolve_diagonal(p: HeisenbergParams, populations, t: float) -> XState:

@@ -178,17 +178,3 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray):
     overlap = dagger(psd_factor(rho, "fidelity")) @ psd_factor(sigma, "fidelity")
     return np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2
 
-
-def relative_phase(target: np.ndarray, candidate: np.ndarray) -> complex:
-    """Unit phase g such that g * candidate best matches target.
-
-    Read off the entry of largest magnitude in ``target``; useful for
-    comparing unitaries that are only defined up to a global phase.
-    """
-    target = np.asarray(target, complex)
-    candidate = np.asarray(candidate, complex)
-    idx = np.unravel_index(np.argmax(np.abs(target)), target.shape)
-    if abs(candidate[idx]) < 1e-14:
-        raise ContractError("relative_phase: matrices differ in support")
-    g = target[idx] / candidate[idx]
-    return g / abs(g)

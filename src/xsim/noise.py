@@ -65,10 +65,6 @@ class NoiseModel:
             out[arity] = total
         return out
 
-    @classmethod
-    def zero(cls) -> "NoiseModel":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0)
-
     def to_json(self) -> dict:
         return {name: getattr(self, name) for name in RATE_FIELDS}
 

@@ -4,13 +4,13 @@ Sampling uses numpy's Philox generator, which is counter based: a stream is
 fully determined by its two-word key. The split rules are fixed so that every
 sampled artifact can be replayed byte for byte from (seed, structure):
 
-* measurement settings draw from ``substream(seed, setting_index)`` where the
-  setting index enumerates Pauli pairs row-major (XX=0, XY=1, ..., ZZ=8);
-  readout bit-flips are folded into the setting's distribution and take no
-  stream of their own,
+* measurement settings draw from the Philox stream keyed by
+  (seed, setting_index), where the setting index enumerates Pauli pairs
+  row-major (XX=0, XY=1, ..., ZZ=8); readout bit-flips are folded into the
+  setting's distribution and take no stream of their own,
 * the samplers get these streams from ``keyed_stream``, which re-keys one bit
-  generator instead of building one per stream; ``substream`` is the
-  reference it must match,
+  generator instead of building one per stream; the tests check it against
+  a freshly built generator per key (``substream`` in ``tests/oracles.py``),
 * sweep experiments derive one seed per grid/time point with
   ``derive_seed(master_seed, point_index)`` (a SeedSequence spawn).
 
@@ -41,11 +41,6 @@ def _key(seed: int, stream: int) -> np.ndarray:
     return np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)], dtype=np.uint64)
 
 
-def substream(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator keyed by (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream)))
-
-
 # The one bit generator that keyed_stream re-keys, made on first use:
 # building a Philox runs a SeedSequence, about four times the cost of
 # re-keying one. Setting its state copies the arrays, so one zero block
@@ -55,7 +50,8 @@ _ZEROS = np.zeros(4, dtype=np.uint64)
 
 
 def keyed_stream(seed: int, stream: int) -> np.random.Generator:
-    """A generator that draws exactly what ``substream(seed, stream)`` draws.
+    """A generator that draws exactly what a fresh
+    ``Generator(Philox(key=(seed, stream)))`` draws.
 
     It wraps one shared Philox bit generator, reset to counter 0 under the
     key (seed, stream), so the next call re-keys it: draw from the result

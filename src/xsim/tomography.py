@@ -89,11 +89,6 @@ def setting_index(setting: str) -> int:
     return index
 
 
-def pauli_pair_matrix(setting: str) -> np.ndarray:
-    setting_index(setting)
-    return kron(PAULI[setting[0]], PAULI[setting[1]])
-
-
 def setting_probabilities(rho: np.ndarray, settings, p_readout: float = 0.0) -> np.ndarray:
     """Recorded outcome probabilities (..., S, 4) of a state, or of a
     (..., 4, 4) stack of states, in each of the S listed settings.

@@ -273,8 +273,8 @@ def xstate_from_matrix(rho: np.ndarray, atol: float = 1e-9) -> XState:
     )
 
 
-def strip_phases(rho: np.ndarray, atol: float = 1e-9):
-    """Remove the corner phases of an X-shaped density matrix.
+def strip_phases(x: XState):
+    """Remove the corner phases of an X-state.
 
     Conjugation by diag(1, e^{i alpha}) x diag(1, e^{i beta}) multiplies
     w by e^{-i(alpha+beta)} and z by e^{i(beta-alpha)}; solving for the
@@ -283,7 +283,6 @@ def strip_phases(rho: np.ndarray, atol: float = 1e-9):
     Returns (real XState, (alpha, beta)). Applying the inverse rotation,
     angles (-alpha, -beta), restores the original corners.
     """
-    x = xstate_from_matrix(rho, atol=atol)
     mu = math.atan2(complex(x.w).imag, complex(x.w).real) if abs(x.w) > 0 else 0.0
     nu = math.atan2(complex(x.z).imag, complex(x.z).real) if abs(x.z) > 0 else 0.0
     alpha = (mu + nu) / 2.0

@@ -8,6 +8,8 @@ from xsim.circuits import Circuit, Gate
 from xsim.noise import NoiseModel, run_noisy
 from xsim.xstate import XSpectral, XState, from_spectral
 
+ZERO_NOISE_MODEL = NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0)
+
 
 def random_spectral(rng, interior=False):
     if interior:
@@ -55,4 +57,4 @@ def run_channel(rho, qubits, **rates):
     listed qubit gets that one-qubit channel once, by the production route."""
     width = rho.shape[0].bit_length() - 1
     circuit = Circuit(width, tuple(Gate("rz", (0.0,), q) for q in qubits))
-    return run_noisy(circuit, rho, replace(NoiseModel.zero(), **rates))
+    return run_noisy(circuit, rho, replace(ZERO_NOISE_MODEL, **rates))

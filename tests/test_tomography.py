@@ -4,14 +4,13 @@ import pytest
 from conftest import random_density, random_xstate, random_xstate_raw
 from xsim.errors import ContractError, ProtocolError
 from xsim.experiments import run_experiment
-from xsim.linalg import fidelity
+from xsim.linalg import PAULI, fidelity, kron
 from xsim.xstate import strip_phases
 from xsim.tomography import (
     FULL,
     PARTIAL3,
     PARTIAL5,
     measure_block,
-    pauli_pair_matrix,
     psd_project,
     reconstruct_full,
     reconstruct_x3,
@@ -67,7 +66,7 @@ def test_bell_state_exact_expectations():
         assert first == pytest.approx(0.0, abs=1e-14)
         assert second == pytest.approx(0.0, abs=1e-14)
         # cross-check against the trace formula
-        m = pauli_pair_matrix(setting)
+        m = kron(PAULI[setting[0]], PAULI[setting[1]])
         assert np.trace(m @ BELL).real == pytest.approx(joint, abs=1e-14)
 
 
@@ -214,7 +213,7 @@ def test_exact_zero_noise_protocols_recover_target():
     assert p5 == pytest.approx(1.0, abs=1e-9)
     # the 3-observable protocol misses corner phases, so it only recovers
     # targets that are real to begin with
-    real_x, _ = strip_phases(x.matrix())
+    real_x, _ = strip_phases(x)
     full, p5, p3 = _protocol_fidelities(real_x.matrix(), real_x.matrix(), 100, 0, exact=True)
     assert p3 == pytest.approx(1.0, abs=1e-9)
 

@@ -143,7 +143,7 @@ def test_strip_phases_round_trip():
     rng = np.random.default_rng(41)
     for _ in range(100):
         x = random_xstate_raw(rng)
-        real_x, (alpha, beta) = strip_phases(x.matrix())
+        real_x, (alpha, beta) = strip_phases(x)
         assert complex(real_x.w).imag == 0.0 and complex(real_x.z).imag == 0.0
         assert complex(real_x.w).real >= 0.0 and complex(real_x.z).real >= 0.0
         # populations untouched, concurrence invariant
@@ -161,7 +161,7 @@ def test_strip_phases_round_trip():
 def test_strip_phases_preserves_spectrum():
     rng = np.random.default_rng(43)
     x = random_xstate_raw(rng)
-    real_x, _ = strip_phases(x.matrix())
+    real_x, _ = strip_phases(x)
     np.testing.assert_allclose(
         np.linalg.eigvalsh(real_x.matrix()), np.linalg.eigvalsh(x.matrix()), atol=1e-12
     )
