@@ -11,13 +11,15 @@ Gate conventions (fixed by explicit matrices; tests compare entrywise):
 Each gate kind is declared once: in ``_ROTATIONS`` with its one angle, or
 in ``_FIXED`` without a parameter. Qubit 0 is the leftmost tensor factor.
 Gates in a Circuit are stored in application order: ``gates[0]`` acts
-first. ``run_stack`` is the one executor: it runs circuits on density
-matrices. ``to_json`` writes a circuit for the ``--dump-circuit`` sidecar;
-the program reads no circuit JSON back.
+first. ``run_stack`` is the one executor: it runs circuits from |0...0>
+and returns the density matrices of the qubits it keeps, evolving only
+their light cone. ``to_json`` writes a circuit for the ``--dump-circuit``
+sidecar; the program reads no circuit JSON back.
 
 The X-state preparation circuit acts on four qubits. A first block turns
 |0000> into sum_ij sqrt(p_ij)|ij>|ij>, so that qubits (2, 3) carry the
-classical mixture p after the ancilla pair (0, 1) is traced out. A second
+classical mixture p after the ancilla pair (0, 1) is traced out (each
+right after its CNOT, so the executor holds at most three qubits). A second
 block on qubits (2, 3) rotates the computational basis into the entangled
 X-state eigenbasis, |i,j> -> |e_{i, i xor j}>:
 
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .linalg import apply_local, conjugate
+from .linalg import apply_local, superop
 from .xstate import XState, strip_phases, to_spectral
 
 
@@ -131,43 +133,84 @@ class Circuit:
         return {"width": self.width, "gates": [g.to_json() for g in self.gates]}
 
 
-def run_stack(circuits, rho: np.ndarray, gate_noise=None) -> np.ndarray:
-    """Each circuit applied to ``rho``, as a (P, D, D) stack in input order:
-    the one executor of density matrices.
+def _light_cone(gates, keep) -> tuple:
+    """The indices of the gates that can reach ``keep``, and each reached
+    qubit's last such gate. Read backwards, a gate is run when it touches a
+    qubit that ``keep`` or a later run gate needs; any other gate acts only
+    on qubits that never meet the kept ones again."""
+    needed, run, last = set(keep), set(), {}
+    for index in reversed(range(len(gates))):
+        if needed.intersection(gates[index].qubits):
+            run.add(index)
+            needed.update(gates[index].qubits)
+            for q in gates[index].qubits:
+                last.setdefault(q, index)
+    return run, last
 
-    ``gate_noise`` is a ``NoiseModel.gate_noise`` mapping: gate arity to the
-    one-qubit superoperator applied to each touched qubit after the gate,
-    or to None. Without it the run is noiseless. Circuits of equal
+
+def _enter(state: np.ndarray, live: list, qubits) -> np.ndarray:
+    """``state`` with each of ``qubits`` not yet in ``live`` appended to it,
+    and to ``live``, as |0><0|."""
+    for q in qubits:
+        if q not in live:
+            n, p = len(live), state.shape[0]
+            grown = np.zeros((p, 2**n, 2, 2**n, 2), dtype=complex)
+            grown[:, :, 0, :, 0] = state.reshape(p, 2**n, 2**n)
+            state = grown.reshape((p,) + (2,) * (2 * n + 2))
+            live.append(q)
+    return state
+
+
+def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
+    """The reduced states on qubits ``keep`` that the circuits make of
+    |0...0>, as a (P, 2^k, 2^k) stack in input order, kept qubits in
+    ascending order: the one executor of density matrices.
+
+    Only the light cone of ``keep`` is run. A qubit enters the register as
+    |0><0| at its first gate and, unless kept, is traced out right after its
+    last; a kept qubit that no gate touches joins at the end. ``keep``
+    outside the width raises DimensionError. ``gate_noise`` maps gate arity
+    to the superoperator of the noise on the touched qubits, or to None
+    (``NoiseModel.gate_noise``); it is composed into each gate's
+    superoperator, so a noisy gate is one contraction. Circuits of equal
     ``topology`` share one gate loop, with one operator per gate where
     their parameters agree and a stack of them elsewhere, so each state
     gets the arithmetic of its own run.
     """
-    rho = np.asarray(rho, dtype=complex)
-    out = np.empty((len(circuits),) + rho.shape, dtype=complex)
+    keep = sorted(set(int(q) for q in keep))
+    k, gate_noise = len(keep), gate_noise or {1: None, 2: None}
+    out = np.empty((len(circuits), 2**k, 2**k), dtype=complex)
     groups = {}
     for index, c in enumerate(circuits):
         groups.setdefault(c.topology, []).append(index)
     for members in groups.values():
         width = circuits[members[0]].width
-        if rho.shape != (2**width, 2**width):
-            raise DimensionError(f"density matrix shape {rho.shape} does not match width {width}")
-        state = np.repeat(rho.reshape((1,) + (2,) * (2 * width)), len(members), axis=0)
-        for column in zip(*(circuits[i].gates for i in members)):
+        if not keep or keep[0] < 0 or keep[-1] >= width:
+            raise DimensionError(f"keep={keep} invalid for circuit width {width}")
+        run, last = _light_cone(circuits[members[0]].gates, keep)
+        state, live = np.ones(len(members), dtype=complex), []
+        for index, column in enumerate(zip(*(circuits[i].gates for i in members))):
+            if index not in run:
+                continue
             g = column[0]
+            state = _enter(state, live, g.qubits)
             same = all(h.params == g.params for h in column)
             u = g.local_matrix() if same else np.array([h.local_matrix() for h in column])
-            state = conjugate(state, u, g.qubits, width)
-            s = None if gate_noise is None else gate_noise[len(g.qubits)]
-            if s is not None:
-                for q in g.qubits:
-                    state = apply_local(state, s, (q, width + q))
-        out[members] = state.reshape((len(members),) + rho.shape)
+            s = superop(np.expand_dims(u, -3))
+            if gate_noise[len(g.qubits)] is not None:
+                s = gate_noise[len(g.qubits)] @ s
+            at = [live.index(q) for q in g.qubits]
+            state = apply_local(state, s, at + [len(live) + a for a in at])
+            for q in g.qubits:
+                if last[q] == index and q not in keep:
+                    a = live.index(q)
+                    state = np.trace(state, axis1=1 + a, axis2=1 + len(live) + a)
+                    live.remove(q)
+        state = _enter(state, live, keep)
+        at = [1 + live.index(q) for q in keep]
+        state = state.transpose([0] + at + [k + a for a in at])
+        out[members] = state.reshape(len(members), 2**k, 2**k)
     return out
-
-
-def run_density(c: Circuit, rho: np.ndarray) -> np.ndarray:
-    """Conjugate a density matrix through the circuit, gate by gate."""
-    return run_stack((c,), rho)[0]
 
 
 def classical_prep_angles(p) -> tuple:

@@ -40,11 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import build_complex_xstate_circuit, build_xstate_circuit, run_density, run_stack
+from .circuits import build_complex_xstate_circuit, build_xstate_circuit, run_stack
 from .errors import ConfigError, ContractError
 from .heisenberg import HeisenbergParams, evolve_diagonal
-from .linalg import fidelity, partial_trace
-from .noise import RATE_FIELDS, NoiseModel, run_noisy
+from .linalg import fidelity
+from .noise import RATE_FIELDS, NoiseModel
 from .rng import derive_seed
 from .tomography import FIDELITY_CONVENTION, FULL, PARTIAL3, PARTIAL5, measure_block
 from .tomography import reconstruct_full, reconstruct_x3, reconstruct_x5
@@ -229,6 +229,10 @@ def resolve_params(experiment: str, given: dict) -> dict:
         raise ConfigError("seed must be >= 0")
     if "lambda" in out and not -1.0 <= out["lambda"] <= 1.0:
         raise ConfigError("lambda must lie in [-1, 1]")
+    for key in ("theta", "phi"):
+        # the tolerance of XSpectral.validate, which checks every point
+        if key in out and not -1e-12 <= out[key] <= math.pi / 2 + 1e-12:
+            raise ConfigError(f"{key} must lie in [0, pi/2]")
     if "time_points" in out and out["time_points"] < 2:
         raise ConfigError("time_points must be >= 2")
     for key, limit in LIMITS.items():
@@ -275,14 +279,9 @@ def _circuit_weights(params: dict) -> tuple:
     return (q0 * r0, q0 * r1, q1 * r0, q1 * r1)
 
 
-def _initial_density(width: int) -> np.ndarray:
-    rho = np.zeros((2**width, 2**width), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
-
-
 # Sweep points handed to the executor at once. Fixed, so that a sweep of
-# any length holds at most this many 4-qubit density matrices at a time.
+# any length holds at most this many states at a time; the preparation
+# circuits never hold more than three qubits in the executor's register.
 _BLOCK = 64
 
 
@@ -291,15 +290,13 @@ def _prepare_points(points, build, nm: NoiseModel) -> tuple:
     point order.
 
     ``build(point)`` returns the point's (target, circuit). Consecutive
-    slices of _BLOCK circuits run through the executor and are reduced to
-    their output pairs.
+    slices of _BLOCK circuits run through the executor, which returns
+    their output pairs (2, 3).
     """
     targets, circuits = zip(*map(build, points))
     pairs = np.empty((len(circuits), 4, 4), dtype=complex)
     for start in range(0, len(circuits), _BLOCK):
-        block = circuits[start : start + _BLOCK]
-        rho = run_stack(block, _initial_density(block[0].width), nm.gate_noise)
-        pairs[start : start + _BLOCK] = partial_trace(rho, keep=(2, 3))
+        pairs[start : start + _BLOCK] = run_stack(circuits[start : start + _BLOCK], (2, 3), nm.gate_noise)
     return targets, circuits, pairs
 
 
@@ -453,8 +450,8 @@ def run_xprep_single(params: dict) -> ExperimentResult:
         phases = (0.0, 0.0)
     else:
         circ, spectral, phases = build_complex_xstate_circuit(target_x)
-    ideal_pair = partial_trace(run_density(circ, _initial_density(circ.width)), keep=(2, 3))
-    noisy_pair = partial_trace(run_noisy(circ, _initial_density(circ.width), nm), keep=(2, 3))
+    ideal_pair = run_stack((circ,), (2, 3))[0]
+    noisy_pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]
     seed = params["seed"]
     freqs = measure_block(noisy_pair[None], PARTIAL5, params["shots"], (seed,), nm.p_readout, params["exact"])
     x5 = reconstruct_x5(freqs[0])

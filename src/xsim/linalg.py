@@ -5,25 +5,26 @@ Conventions used across the whole package:
 * operators and states are plain ``numpy`` complex arrays,
 * qubit 0 is the leftmost (most significant) tensor factor, so the basis
   state |i j> of two qubits sits at row index ``2*i + j``,
-* supported operator dimensions are 2, 4, and 16 (one, two, and four qubits),
+* states hold one to four qubits (dimension 2, 4, 8 or 16),
 * all functions are pure and never mutate their arguments.
 
-Every gate and channel goes through one kernel, ``apply_local``: it
-contracts a small operator into chosen axes of a stack of states, each
-viewed as a tensor of shape ``(2,)*k`` (a ket of k qubits, or a density
-matrix of k/2 qubits with its row axes first), so no operator is ever
-embedded into the full register. The operator is shared by the stack or
-given per state, so the points of a sweep evolve together.
+Every gate goes through one kernel, ``apply_local``: it contracts a small
+operator into chosen axes of a stack of states, each viewed as a tensor of
+shape ``(2,)*k`` (a density matrix of k/2 qubits with its row axes first),
+so no operator is ever embedded into the full register. The executor
+hands it each gate's superoperator (``superop``) with the gate's noise
+composed in, so a gate and its noise are one contraction. The operator is
+shared by the stack or given per state, so the points of a sweep evolve
+together.
 
 The code diagonalizes with LAPACK (``numpy.linalg.eigh`` and ``svd``),
 on single matrices and on stacks alike. The independent oracles that check
 it (the Jacobi eigensolver ``herm_eig`` and the routes built on it) live
-with the tests, in ``tests/oracles.py``.
+with the tests, in ``tests/oracles.py``, and so do the reference forms of
+the partial trace and of U rho U^dagger.
 """
 
 from __future__ import annotations
-
-import string
 
 import numpy as np
 
@@ -76,10 +77,9 @@ def apply_local(state: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
     tensor factors act on ``axes`` (counted within each tensor, the stack
     axis excluded) in the order listed, and every other axis is left alone.
     On a density tensor of n qubits, row axis q is qubit q and column axis
-    n + q its conjugate side, so a unitary acts through its superoperator on
-    the row and column axes together (``conjugate``) and a one-qubit channel
-    through its superoperator on axes (q, n + q). The result may be a
-    non-contiguous view.
+    n + q its conjugate side, so a gate on qubits (q1, ..., qm) acts through
+    its superoperator on axes (q1, ..., qm, n + q1, ..., n + qm). The result
+    may be a non-contiguous view.
     """
     axes = tuple(a + 1 for a in axes)
     perm = (0,) + axes + tuple(a for a in range(1, state.ndim) if a not in axes)
@@ -96,49 +96,6 @@ def superop(kraus) -> np.ndarray:
     k = np.asarray(kraus, dtype=complex)
     d = k.shape[-1]
     return np.einsum("...kac,...kbd->...abcd", k, k.conj()).reshape(k.shape[:-3] + (d * d, d * d))
-
-
-def conjugate(state: np.ndarray, u: np.ndarray, qubits, width: int) -> np.ndarray:
-    """U rho U^dagger for a unitary U acting on ``qubits`` of a stack of
-    density tensors of ``width`` qubits; ``u`` is one matrix or a stack of
-    one per tensor."""
-    qubits = tuple(qubits)
-    return apply_local(state, superop(np.expand_dims(u, -3)), qubits + tuple(width + q for q in qubits))
-
-
-def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
-    """Trace out every qubit not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : ndarray
-        Density matrix on n qubits, n <= 4 (dimension 2, 4, 8, or 16), or a
-        stack of them along leading axes.
-    keep : iterable of int
-        Qubit indices to retain, 0 = leftmost factor. Order in the output
-        follows ascending qubit index.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise DimensionError(f"partial_trace: expected square matrices, got shape {rho.shape}")
-    dim = rho.shape[-1]
-    n = dim.bit_length() - 1
-    if 2**n != dim or not 1 <= n <= 4:
-        raise DimensionError(f"partial_trace: dimension {dim} is not a small qubit register")
-    keep = sorted(set(int(q) for q in keep))
-    if not keep or any(q < 0 or q >= n for q in keep):
-        raise DimensionError(f"partial_trace: keep={keep} invalid for {n} qubits")
-    letters = string.ascii_lowercase
-    bra = list(letters[:n])
-    ket = list(letters[n : 2 * n])
-    for q in range(n):
-        if q not in keep:
-            ket[q] = bra[q]
-    out = "".join(bra[q] for q in keep) + "".join(ket[q] for q in keep)
-    sub = "..." + "".join(bra) + "".join(ket) + "->..." + out
-    k = len(keep)
-    stack = rho.shape[:-2]
-    return np.einsum(sub, rho.reshape(stack + (2,) * (2 * n))).reshape(stack + (2**k, 2**k))
 
 
 def psd_factor(m: np.ndarray, who: str) -> np.ndarray:

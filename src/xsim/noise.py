@@ -6,10 +6,11 @@ then phase damping. Channel order is part of the model definition.
 Default rates are order-of-magnitude typical for small superconducting
 devices of the 2019-2021 era and are fully overridable; nothing here claims
 to calibrate a particular machine. ``NoiseModel.gate_noise`` composes the
-channels into one superoperator per gate arity, and the executor
-``circuits.run_stack`` applies it after each gate; no other route applies a
-channel to a state. ``experiments.resolve_params`` builds the model from
-config JSON after checking every rate.
+channels into one superoperator per gate arity, over every qubit such a
+gate touches, and the executor ``circuits.run_stack`` composes it into each
+gate's own superoperator, so a gate and its noise are one contraction; no
+other route applies a channel to a state. ``experiments.resolve_params``
+builds the model from config JSON after checking every rate.
 
 The model's readout rate p_readout is not applied here: readout error acts
 on recorded outcomes, not on the state, so
@@ -25,7 +26,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, run_stack
 from .errors import ContractError
 from .linalg import superop
 
@@ -48,11 +48,15 @@ class NoiseModel:
 
     @cached_property
     def gate_noise(self) -> dict:
-        """Gate arity -> the one-qubit superoperator applied to each touched
-        qubit after a gate of that arity, or None when all its rates are zero.
+        """Gate arity -> the superoperator of the noise on the touched
+        qubits after a gate of that arity, or None when all its rates are
+        zero.
 
         Depolarizing, amplitude damping and phase damping are composed in
-        that order into one 4x4 matrix, built once per model.
+        that order into one 4x4 one-qubit matrix. Arity 1 maps to it; arity
+        2 to the 16x16 product of it on both touched qubits, in the axis
+        order of a two-qubit gate's superoperator: (row control, row
+        target, column control, column target). Built once per model.
         """
         out = {}
         for arity, depol in ((1, self.p_depol_1q), (2, self.p_depol_2q)):
@@ -62,6 +66,9 @@ class NoiseModel:
                 if rate > 0.0:
                     s = channel_superop(family(rate))
                     total = s if total is None else s @ total
+            if arity == 2 and total is not None:
+                one = total.reshape(2, 2, 2, 2)
+                total = np.einsum("aAbB,cCdD->acACbdBD", one, one).reshape(16, 16)
             out[arity] = total
         return out
 
@@ -108,9 +115,3 @@ def channel_superop(kraus) -> np.ndarray:
     if np.max(np.abs(total - np.eye(2))) > 1e-10:
         raise ContractError("Kraus set is not trace preserving")
     return superop(kraus)
-
-
-def run_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """Execute a circuit with per-gate noise on the touched qubits; with an
-    all-zero model the arithmetic is identical to run_density."""
-    return run_stack((c,), rho, nm.gate_noise)[0]

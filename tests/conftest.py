@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from xsim.circuits import Circuit, Gate
-from xsim.noise import NoiseModel, run_noisy
+from xsim.circuits import Circuit, Gate, run_stack
+from xsim.noise import NoiseModel
 from xsim.xstate import XSpectral, XState, from_spectral
 
 ZERO_NOISE_MODEL = NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -51,10 +51,30 @@ def random_hermitian(rng, dim=4):
     return (g + g.conj().T) / 2.0
 
 
-def run_channel(rho, qubits, **rates):
-    """``rho`` after identity RZ(0) gates on ``qubits`` in turn, run by
-    ``run_noisy`` under a model whose only nonzero rates are ``rates``: each
-    listed qubit gets that one-qubit channel once, by the production route."""
-    width = rho.shape[0].bit_length() - 1
-    circuit = Circuit(width, tuple(Gate("rz", (0.0,), q) for q in qubits))
-    return run_noisy(circuit, rho, replace(ZERO_NOISE_MODEL, **rates))
+def random_circuit(rng, width, n_gates=12):
+    """``n_gates`` draws over every gate kind on ``width`` qubits (a CNOT
+    drawn on one qubit is skipped)."""
+    gates = []
+    for _ in range(n_gates):
+        kind = rng.choice(["ry", "rz", "w", "pauli_z", "cnot"])
+        if kind == "cnot" and width > 1:
+            control, target = rng.choice(width, size=2, replace=False)
+            gates.append(Gate("cnot", (), int(target), control=int(control)))
+        elif kind == "pauli_z":
+            gates.append(Gate("pauli_z", (), int(rng.integers(width))))
+        elif kind != "cnot":
+            gates.append(Gate(str(kind), (float(rng.uniform(-3, 3)),), int(rng.integers(width))))
+    return Circuit(width, tuple(gates))
+
+
+def run_channel(prefix, qubits, keep=None, **rates):
+    """(before, after): the state that ``prefix`` makes of |0...0>, and that
+    state after identity RZ(0) gates on ``qubits`` in turn, both reduced to
+    ``keep`` (every qubit by default) by ``run_stack`` under a model whose
+    only nonzero rates are ``rates``. So each listed qubit gets that
+    one-qubit channel once, by the production route; the prefix runs under
+    the same model, which makes its output mixed."""
+    probes = prefix.extended(Gate("rz", (0.0,), q) for q in qubits)
+    keep = range(prefix.width) if keep is None else keep
+    before, after = run_stack((prefix, probes), keep, replace(ZERO_NOISE_MODEL, **rates).gate_noise)
+    return before, after

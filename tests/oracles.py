@@ -18,6 +18,10 @@ The other references are what the program does not run:
   embedded by Kronecker products (``kron_gate``), sharing no code with the
   executor ``circuits.run_stack``; the ket a circuit makes of basis state
   ``k`` is its column ``k``,
+* ``partial_trace``, one einsum over the whole register, against which the
+  executor's reduced states are checked, and ``conjugate``, U rho U^dagger
+  through the local-axis kernel on the whole register, the executor's
+  noiseless gate step without its light cone,
 * ``build_xstate_circuit_alt``, the three-CNOT preparation whose output is
   that of ``circuits.build_xstate_circuit`` at phi -> pi/2 - phi,
 * ``relative_phase``, for unitaries equal up to a global phase,
@@ -28,13 +32,14 @@ The other references are what the program does not run:
 from __future__ import annotations
 
 import math
+import string
 
 import numpy as np
 
 from xsim.circuits import Circuit, Gate, XUnitaryParams, classical_prep_gates
 from xsim.errors import ContractError, DimensionError
 from xsim.heisenberg import HeisenbergParams
-from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, is_hermitian, kron
+from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, apply_local, is_hermitian, kron, superop
 
 _DIMS = (2, 4, 16)
 
@@ -226,6 +231,49 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     for g in c.gates:
         u = kron_gate(g, c.width) @ u
     return u
+
+
+def conjugate(state: np.ndarray, u: np.ndarray, qubits, width: int) -> np.ndarray:
+    """U rho U^dagger for a unitary U acting on ``qubits`` of a stack of
+    density tensors of ``width`` qubits; ``u`` is one matrix or a stack of
+    one per tensor."""
+    qubits = tuple(qubits)
+    return apply_local(state, superop(np.expand_dims(u, -3)), qubits + tuple(width + q for q in qubits))
+
+
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
+    """Trace out every qubit not listed in ``keep``.
+
+    Parameters
+    ----------
+    rho : ndarray
+        Density matrix on n qubits, n <= 4 (dimension 2, 4, 8, or 16), or a
+        stack of them along leading axes.
+    keep : iterable of int
+        Qubit indices to retain, 0 = leftmost factor. Order in the output
+        follows ascending qubit index.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise DimensionError(f"partial_trace: expected square matrices, got shape {rho.shape}")
+    dim = rho.shape[-1]
+    n = dim.bit_length() - 1
+    if 2**n != dim or not 1 <= n <= 4:
+        raise DimensionError(f"partial_trace: dimension {dim} is not a small qubit register")
+    keep = sorted(set(int(q) for q in keep))
+    if not keep or any(q < 0 or q >= n for q in keep):
+        raise DimensionError(f"partial_trace: keep={keep} invalid for {n} qubits")
+    letters = string.ascii_lowercase
+    bra = list(letters[:n])
+    ket = list(letters[n : 2 * n])
+    for q in range(n):
+        if q not in keep:
+            ket[q] = bra[q]
+    out = "".join(bra[q] for q in keep) + "".join(ket[q] for q in keep)
+    sub = "..." + "".join(bra) + "".join(ket) + "->..." + out
+    k = len(keep)
+    stack = rho.shape[:-2]
+    return np.einsum(sub, rho.reshape(stack + (2,) * (2 * n))).reshape(stack + (2**k, 2**k))
 
 
 def eigenbasis_block_alt(theta: float, phi: float, pair=(0, 1)) -> list:

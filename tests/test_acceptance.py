@@ -26,14 +26,14 @@ from xsim.circuits import (
     build_xstate_circuit,
     decompose_x_unitary,
     eigenbasis_block,
-    run_density,
+    run_stack,
     Circuit,
     XUnitaryParams,
 )
 from xsim.experiments import format_csv, format_json, run_experiment
 from xsim.heisenberg import HeisenbergParams, evolve_diagonal, propagator_x_params
-from xsim.linalg import fidelity, partial_trace
-from xsim.noise import NoiseModel, run_noisy
+from xsim.linalg import fidelity
+from xsim.noise import NoiseModel
 from xsim.tomography import (
     FULL,
     PARTIAL3,
@@ -57,12 +57,6 @@ def _line(num, name, ok, detail):
     verdict = "PASS" if ok else "FAIL"
     print(f"[{verdict}] criterion {num:02d} {name}: {detail}")
     assert ok, f"criterion {num:02d} {name}: {detail}"
-
-
-def _ground_state(width=4):
-    rho = np.zeros((2**width, 2**width), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
 
 
 def test_criterion_01_concurrence_oracle_equivalence():
@@ -113,7 +107,7 @@ def test_criterion_04_preparation_circuit_matches_shape_map():
     for _ in range(500):
         s = random_spectral(rng)
         circ = build_xstate_circuit(s.probs, s.theta, s.phi)
-        pair = partial_trace(run_density(circ, _ground_state()), keep=(2, 3))
+        pair = run_stack((circ,), (2, 3))[0]
         worst = max(worst, np.max(np.abs(pair - from_spectral(s).matrix())))
     # basis map of the entangling block on all four basis inputs
     th, ph = 0.7, 0.3
@@ -210,12 +204,8 @@ def test_criterion_08_alternate_block_equivalence():
     worst = 0.0
     for _ in range(200):
         s = random_spectral(rng)
-        alt = partial_trace(
-            run_density(build_xstate_circuit_alt(s.probs, s.theta, s.phi), _ground_state()),
-            keep=(2, 3))
-        std = partial_trace(
-            run_density(build_xstate_circuit(s.probs, s.theta, math.pi / 2 - s.phi), _ground_state()),
-            keep=(2, 3))
+        alt = run_stack((build_xstate_circuit_alt(s.probs, s.theta, s.phi),), (2, 3))[0]
+        std = run_stack((build_xstate_circuit(s.probs, s.theta, math.pi / 2 - s.phi),), (2, 3))[0]
         worst = max(worst, np.max(np.abs(alt - std)))
     _line(8, "3-CNOT block equals 2-CNOT block under angle reflection", worst <= 1e-12,
           f"max state diff {worst:.2e} over 200 draws")
@@ -283,7 +273,7 @@ def test_criterion_11_x_shape_robustness_under_default_noise():
                 s = XSpectral(p[0], p[1], p[2], p[3], theta, phi)
                 analytic = concurrence_x(from_spectral(s))
                 circ = build_xstate_circuit(p, theta, phi)
-                pair = partial_trace(run_noisy(circ, _ground_state(), nm), keep=(2, 3))
+                pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]
                 worst_leak = max(worst_leak, leakage(pair))
                 if concurrence_wootters_oracle(pair) > analytic + 1e-12:
                     violations += 1

@@ -15,13 +15,12 @@ from xsim.circuits import (
     classical_prep_gates,
     decompose_x_unitary,
     eigenbasis_block,
-    run_density,
+    run_stack,
     ry_matrix,
     rz_matrix,
     w_matrix,
 )
 from xsim.errors import ContractError, DimensionError
-from xsim.linalg import partial_trace
 from xsim.xstate import from_spectral
 
 
@@ -128,9 +127,7 @@ def test_build_xstate_circuit_matches_shape_map():
     for _ in range(60):
         s = random_spectral(rng)
         circ = build_xstate_circuit(s.probs, s.theta, s.phi)
-        rho0 = np.zeros((16, 16), dtype=complex)
-        rho0[0, 0] = 1.0
-        pair = partial_trace(run_density(circ, rho0), keep=(2, 3))
+        pair = run_stack((circ,), (2, 3))[0]
         np.testing.assert_allclose(pair, from_spectral(s).matrix(), atol=1e-12)
 
 
@@ -138,15 +135,8 @@ def test_alt_block_equals_standard_with_reflected_angle():
     rng = np.random.default_rng(19)
     for _ in range(40):
         s = random_spectral(rng)
-        rho0 = np.zeros((16, 16), dtype=complex)
-        rho0[0, 0] = 1.0
-        alt = partial_trace(
-            run_density(build_xstate_circuit_alt(s.probs, s.theta, s.phi), rho0), keep=(2, 3)
-        )
-        std = partial_trace(
-            run_density(build_xstate_circuit(s.probs, s.theta, math.pi / 2 - s.phi), rho0),
-            keep=(2, 3),
-        )
+        alt = run_stack((build_xstate_circuit_alt(s.probs, s.theta, s.phi),), (2, 3))[0]
+        std = run_stack((build_xstate_circuit(s.probs, s.theta, math.pi / 2 - s.phi),), (2, 3))[0]
         np.testing.assert_allclose(alt, std, atol=1e-13)
 
 
@@ -157,9 +147,7 @@ def test_complex_xstate_circuit_restores_phases():
     for _ in range(40):
         x = random_xstate_raw(rng)
         circ, spectral, (alpha, beta) = build_complex_xstate_circuit(x)
-        rho0 = np.zeros((16, 16), dtype=complex)
-        rho0[0, 0] = 1.0
-        pair = partial_trace(run_density(circ, rho0), keep=(2, 3))
+        pair = run_stack((circ,), (2, 3))[0]
         np.testing.assert_allclose(pair, x.matrix(), atol=1e-11)
         spectral.validate()
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import circuit_unitary
-from xsim.circuits import Circuit, Gate, build_xstate_circuit, run_density, run_stack
+from xsim.circuits import Circuit, Gate, build_xstate_circuit, run_stack
 from xsim.cli import main
 from xsim.errors import ConfigError
 from xsim.experiments import (
@@ -22,8 +22,8 @@ from xsim.experiments import (
     run_experiment,
 )
 from xsim import experiments, tomography
-from xsim.linalg import fidelity, partial_trace
-from xsim.noise import NoiseModel, run_noisy
+from xsim.linalg import fidelity
+from xsim.noise import NoiseModel
 from xsim.rng import derive_seed
 from xsim.tomography import FULL, PARTIAL3, PARTIAL5, measure_block, reconstruct_full, reconstruct_x3, reconstruct_x5
 from xsim.xstate import XSpectral, concurrence_wootters, concurrence_x, from_spectral, leakage
@@ -409,6 +409,16 @@ def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, experiment, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, code", [(5.0, 2), (-0.1, 2), (0.0, 0), (math.pi / 2, 0)])
+@pytest.mark.parametrize("angle", ["theta", "phi"])
+def test_tetra_sweep_angles_outside_quarter_turn_are_config_errors(tmp_path, capsys, angle, value, code):
+    cfg = _write_config(tmp_path, {"params": {angle: value, "resolution": 2, "shots": 10}})
+    assert main(["tetra_sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"{angle} must lie in [0, pi/2]" in err
+
+
 @pytest.mark.parametrize("experiment, params, field", [
     ("heisenberg_conc", {"J": 10**400}, "'J'"),
     ("heisenberg_conc", {"noise": {"gamma_ad": 10**400}}, "gamma_ad"),
@@ -483,32 +493,30 @@ def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, p
     assert max(sum(c.topology == top for c in circuits) for top in topologies) > 64
     assert any(len({c.topology for c in circuits[i : i + 64]}) > 1 for i in range(0, len(circuits), 64))
     assert pairs.shape == (len(circuits), 4, 4)
-    rho0 = np.zeros((16, 16), dtype=complex)
-    rho0[0, 0] = 1.0
+    # each circuit run on its own, as a stack of one
     for circ, pair in zip(circuits, pairs):
-        np.testing.assert_allclose(pair, partial_trace(run_noisy(circ, rho0, nm), keep=(2, 3)), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(pair, run_stack((circ,), (2, 3), nm.gate_noise)[0], rtol=0, atol=1e-14)
 
 
 def test_run_stack_keeps_input_order_across_mixed_topologies():
-    rho0 = np.zeros((16, 16), dtype=complex)
-    rho0[0, 0] = 1.0
     factorized = [build_xstate_circuit((0.25, 0.25, 0.25, 0.25), 0.3 + 0.1 * k, 0.2) for k in range(3)]
     correlated = [build_xstate_circuit((0.5, 0.0, 0.1, 0.4), 0.3, 0.2 + 0.1 * k) for k in range(3)]
     assert factorized[0].topology != correlated[0].topology
     circuits = [c for pair in zip(factorized, correlated) for c in pair]
     nm = NoiseModel()
-    for got, circ in zip(run_stack(circuits, rho0), circuits):
-        np.testing.assert_allclose(got, run_density(circ, rho0), rtol=0, atol=1e-14)
-    for got, circ in zip(run_stack(circuits, rho0, nm.gate_noise), circuits):
-        np.testing.assert_allclose(got, run_noisy(circ, rho0, nm), rtol=0, atol=1e-14)
+    for keep in ((2, 3), (0, 1, 2, 3)):
+        for got, circ in zip(run_stack(circuits, keep), circuits):
+            np.testing.assert_allclose(got, run_stack((circ,), keep)[0], rtol=0, atol=1e-14)
+        for got, circ in zip(run_stack(circuits, keep, nm.gate_noise), circuits):
+            np.testing.assert_allclose(got, run_stack((circ,), keep, nm.gate_noise)[0], rtol=0, atol=1e-14)
 
 
 def test_sweep_hands_the_executor_at_most_64_circuits(monkeypatch):
     sizes = []
 
-    def counting(circuits, rho, gate_noise=None):
+    def counting(circuits, keep, gate_noise=None):
         sizes.append(len(circuits))
-        return run_stack(circuits, rho, gate_noise)
+        return run_stack(circuits, keep, gate_noise)
 
     monkeypatch.setattr(experiments, "run_stack", counting)
     _, result = run_experiment("heisenberg_conc", {"time_points": 150, "shots": 10})

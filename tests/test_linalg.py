@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
-from oracles import expm_oracle, herm_eig, relative_phase, sqrtm_psd, trace_distance, validate_density
+from oracles import expm_oracle, herm_eig, partial_trace, relative_phase, sqrtm_psd, trace_distance, validate_density
 from xsim.errors import ContractError, DimensionError
 from xsim.linalg import (
     I2,
@@ -13,7 +13,6 @@ from xsim.linalg import (
     fidelity,
     is_hermitian,
     kron,
-    partial_trace,
 )
 
 

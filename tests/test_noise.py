@@ -2,22 +2,23 @@ import itertools
 import json
 import math
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import ZERO_NOISE_MODEL, random_density, random_xstate_raw, run_channel
-from xsim.circuits import Circuit, Gate, build_xstate_circuit, run_density
+from oracles import partial_trace
+from xsim.circuits import Circuit, Gate, build_complex_xstate_circuit, build_xstate_circuit, run_stack
 from xsim.errors import ContractError
 from xsim.experiments import resolve_params
-from xsim.linalg import I2, partial_trace
+from xsim.linalg import I2
 from xsim.noise import (
     NoiseModel,
     amplitude_damping_kraus,
     channel_superop,
     depolarizing_kraus,
     phase_damping_kraus,
-    run_noisy,
 )
 from xsim.rng import keyed_stream, multinomial_counts
 from xsim.tomography import measure_block, setting_index, setting_probabilities
@@ -56,9 +57,16 @@ def test_kraus_families_are_trace_preserving():
 
 
 def test_full_depolarizing_erases_the_qubit():
+    # Noiseless one-qubit gates make a random product input on qubits (0, 1).
+    # A CNOT from the fresh ancilla 2 acts as the identity and carries the
+    # two-qubit gate noise, full depolarizing, onto qubit 0 and the ancilla,
+    # which is traced out.
     rng = np.random.default_rng(3)
-    rho = random_density(rng, 4)
-    out = run_channel(rho, (0,), p_depol_1q=1.0)
+    ry, rz = rng.uniform(0.3, 2.8, size=2), rng.uniform(-3, 3, size=2)
+    prefix = Circuit(3, tuple(g for q in (0, 1) for g in (Gate("ry", (ry[q],), q), Gate("rz", (rz[q],), q))))
+    nm = replace(ZERO_NOISE_MODEL, p_depol_2q=1.0)
+    rho, out = run_stack((prefix, prefix.extended([Gate("cnot", (), 0, control=2)])), (0, 1), nm.gate_noise)
+    assert abs(partial_trace(rho, keep=(0,))[0, 1]) > 0.1  # qubit 0 was not already mixed
     np.testing.assert_allclose(partial_trace(out, keep=(0,)), I2 / 2.0, atol=1e-12)
     # the other qubit's marginal is untouched
     np.testing.assert_allclose(
@@ -67,16 +75,19 @@ def test_full_depolarizing_erases_the_qubit():
 
 
 def test_amplitude_damping_full_strength_resets():
-    rho = np.diag([0.0, 1.0]).astype(complex)
-    out = run_channel(rho, (0,), gamma_ad=1.0)
+    # RY(pi) makes |1>, and full damping after the gate resets it
+    flip = Circuit(1, (Gate("ry", (math.pi,), 0),))
+    np.testing.assert_allclose(run_stack((flip,), (0,))[0], np.diag([0.0, 1.0]), atol=1e-14)
+    out = run_stack((flip,), (0,), replace(ZERO_NOISE_MODEL, gamma_ad=1.0).gate_noise)[0]
     np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_phase_damping_scales_coherence():
-    rho = np.array([[0.6, 0.3], [0.3, 0.4]], dtype=complex)
-    out = run_channel(rho, (0,), gamma_pd=0.2)
+    # the input is RY(1.2)|0> after the prefix gate's own phase damping
+    rho, out = run_channel(Circuit(1, (Gate("ry", (1.2,), 0),)), (0,), gamma_pd=0.2)
+    assert abs(rho[0, 1]) > 0.3
     np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-14)
-    assert out[0, 1] == pytest.approx(0.8 * 0.3, abs=1e-14)
+    assert out[0, 1] == pytest.approx(0.8 * rho[0, 1], abs=1e-14)
 
 
 def test_channel_superop_rejects_non_cptp():
@@ -101,35 +112,31 @@ def test_noise_model_validation_and_json():
 
 def test_zero_noise_model_is_the_ideal_simulator():
     circ = build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
-    rho0 = np.zeros((16, 16), dtype=complex)
-    rho0[0, 0] = 1.0
-    noisy = run_noisy(circ, rho0, ZERO_NOISE_MODEL)
-    ideal = run_density(circ, rho0)
+    noisy = run_stack((circ,), range(4), ZERO_NOISE_MODEL.gate_noise)[0]
+    ideal = run_stack((circ,), range(4))[0]
     np.testing.assert_array_equal(noisy, ideal)
 
 
 def test_run_noisy_keeps_density_matrix_valid():
+    # the noisy executor run of the whole register
     circ = build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
-    rho0 = np.zeros((16, 16), dtype=complex)
-    rho0[0, 0] = 1.0
-    out = run_noisy(circ, rho0, NoiseModel())
+    out = run_stack((circ,), range(4), NoiseModel().gate_noise)[0]
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(out)) > -1e-10
 
 
 def test_damping_and_depolarizing_preserve_x_shape():
+    # a random X-state prepared on (2, 3) under the channel's own model
     rng = np.random.default_rng(7)
-    x = random_xstate_raw(rng)
+    prefix, _, _ = build_complex_xstate_circuit(random_xstate_raw(rng))
     for rate in ({"p_depol_1q": 0.05}, {"gamma_ad": 0.1}, {"gamma_pd": 0.1}):
-        out = run_channel(x.matrix(), (0, 1), **rate)
+        _, out = run_channel(prefix, (2, 3), keep=(2, 3), **rate)
         assert leakage(out) < 1e-14
 
 
 def test_noisy_prepared_state_leakage_grows_mildly_with_rates():
     circ = build_xstate_circuit((0.5, 0.2, 0.2, 0.1), 0.6, 0.3)
-    rho0 = np.zeros((16, 16), dtype=complex)
-    rho0[0, 0] = 1.0
     leaks = []
     for scale in (1.0, 2.0):
         nm = NoiseModel(
@@ -139,7 +146,7 @@ def test_noisy_prepared_state_leakage_grows_mildly_with_rates():
             gamma_pd=0.001 * scale,
             p_readout=0.0,
         )
-        pair = partial_trace(run_noisy(circ, rho0, nm), keep=(2, 3))
+        pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]
         leaks.append(leakage(pair))
     assert leaks[0] < 0.1
     assert leaks[1] < 3.0 * leaks[0] + 1e-12
@@ -244,10 +251,8 @@ def test_folded_readout_matches_sample_then_flip(p):
 def test_two_qubit_gates_use_the_heavier_rate():
     # a circuit with only a CNOT: 1q rate zero, 2q rate nonzero must still mix
     circ = Circuit(2, (Gate("cnot", (), 1, 0),))
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[0, 0] = 1.0
     nm = NoiseModel(p_depol_1q=0.0, p_depol_2q=0.2, gamma_ad=0.0, gamma_pd=0.0, p_readout=0.0)
-    out = run_noisy(circ, rho0, nm)
-    ideal = run_density(circ, rho0)
+    out = run_stack((circ,), (0, 1), nm.gate_noise)[0]
+    ideal = run_stack((circ,), (0, 1))[0]
     assert not np.allclose(out, ideal)
     assert np.trace(out @ out).real < 1.0  # purity dropped

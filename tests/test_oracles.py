@@ -2,17 +2,32 @@
 
 Gates, channels and measurement bases are applied by the local-axis kernel in
 production; here they are rebuilt as full-register Kronecker products
-(``oracles.kron_gate`` and ``oracles.circuit_unitary``). The
-LAPACK fidelity, concurrence and PSD repair are checked against the Jacobi
-oracle routes.
+(``oracles.kron_gate`` and ``oracles.circuit_unitary``), and the executor's
+reduced states are checked against the whole register traced by
+``oracles.partial_trace``. The LAPACK fidelity, concurrence and PSD repair
+are checked against the Jacobi oracle routes.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_density, run_channel
-from oracles import circuit_unitary, concurrence_wootters_oracle, embed, herm_eig, kron_gate, sqrtm_psd
-from xsim.circuits import Circuit, Gate, build_xstate_circuit, run_density
+from conftest import ZERO_NOISE_MODEL, random_circuit, random_density, run_channel
+from oracles import (
+    circuit_unitary,
+    concurrence_wootters_oracle,
+    conjugate,
+    embed,
+    herm_eig,
+    kron_gate,
+    partial_trace,
+    sqrtm_psd,
+)
+from xsim.circuits import GATE_KINDS, Circuit, Gate, build_xstate_circuit, run_stack
+from xsim.errors import DimensionError
 from xsim.experiments import format_csv, run_experiment
 from xsim.linalg import I2, PAULI, fidelity, kron
 from xsim.noise import (
@@ -20,7 +35,6 @@ from xsim.noise import (
     amplitude_damping_kraus,
     depolarizing_kraus,
     phase_damping_kraus,
-    run_noisy,
 )
 from xsim.tomography import FULL, psd_project, setting_probabilities
 from xsim.xstate import concurrence_wootters
@@ -50,70 +64,168 @@ def kron_run_noisy(c, rho, nm):
     return out
 
 
+def kron_reduced(c, keep, nm):
+    """The reference of ``run_stack((c,), keep, nm.gate_noise)[0]``: the
+    whole register run from |0...0> by ``kron_run_noisy``, then traced."""
+    rho0 = np.zeros((2**c.width, 2**c.width), dtype=complex)
+    rho0[0, 0] = 1.0
+    return partial_trace(kron_run_noisy(c, rho0, nm), keep)
+
+
 def random_state(rng, dim, rank):
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
-def random_circuit(rng, width, n_gates=12):
-    gates = []
-    for _ in range(n_gates):
-        kind = rng.choice(["ry", "rz", "w", "pauli_z", "cnot"])
-        if kind == "cnot" and width > 1:
-            control, target = rng.choice(width, size=2, replace=False)
-            gates.append(Gate("cnot", (), int(target), control=int(control)))
-        elif kind == "pauli_z":
-            gates.append(Gate("pauli_z", (), int(rng.integers(width))))
-        elif kind != "cnot":
-            gates.append(Gate(str(kind), (float(rng.uniform(-3, 3)),), int(rng.integers(width))))
-    return Circuit(width, tuple(gates))
-
-
 def test_gate_and_circuit_unitaries_match_kron_reference():
-    # run_density conjugates by each gate through the local-axis kernel; the
-    # reference conjugates by the gate's full-register Kronecker matrix
+    # run_stack conjugates by each gate through the local-axis kernel; the
+    # reference conjugates by the gate's full-register Kronecker matrix. The
+    # input is the pure state that a random prefix circuit makes.
     rng = np.random.default_rng(41)
     for width in (1, 2, 3, 4):
+        every = range(width)
+        prefix = random_circuit(rng, width)
         c = random_circuit(rng, width)
-        rho = random_state(rng, 2**width, 1)
+        rho = run_stack((prefix,), every)[0]
         want = rho
         for g in c.gates:
             u = kron_gate(g, width)
-            np.testing.assert_allclose(run_density(Circuit(width, (g,)), rho), u @ rho @ u.conj().T, atol=1e-15)
+            np.testing.assert_allclose(run_stack((prefix.extended((g,)),), every)[0], u @ rho @ u.conj().T,
+                                       atol=1e-15)
             want = u @ want @ u.conj().T
-        np.testing.assert_allclose(run_density(c, rho), want, atol=1e-13)
+        np.testing.assert_allclose(run_stack((prefix.extended(c.gates),), every)[0], want, atol=1e-13)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 16])
 def test_run_density_and_run_noisy_match_kron_reference(rank):
+    # The input of c is what a random prefix makes of |0...0>. Noiseless, an
+    # input of rank up to ``rank`` comes from a prefix over log2(rank) more
+    # qubits, traced out after it, as far as the four-qubit limit allows.
+    # Under noise the prefix runs noisy too, so the input is mixed anyway.
     rng = np.random.default_rng(43 + rank)
     noisy = NoiseModel(p_depol_1q=0.02, p_depol_2q=0.05, gamma_ad=0.03, gamma_pd=0.04, p_readout=0.0)
     partial = NoiseModel(p_depol_1q=0.0, p_depol_2q=0.05, gamma_ad=0.0, gamma_pd=0.04, p_readout=0.0)
     for width in (2, 4):
-        rho = random_state(rng, 2**width, min(rank, 2**width))
+        extra = min(rank.bit_length() - 1, 4 - width)
+        prefix = random_circuit(rng, width + extra, 6 * (width + extra))
         c = random_circuit(rng, width)
+        run, keep = prefix.extended(c.gates), range(width)
         u = circuit_unitary(c)
-        np.testing.assert_allclose(run_density(c, rho), u @ rho @ u.conj().T, atol=1e-13)
+        rho = run_stack((prefix,), keep)[0]
+        if extra:
+            assert np.trace(rho @ rho).real < 0.99
+        np.testing.assert_allclose(run_stack((run,), keep)[0], u @ rho @ u.conj().T, atol=1e-13)
         for nm in (noisy, partial, NoiseModel()):
-            np.testing.assert_allclose(run_noisy(c, rho, nm), kron_run_noisy(c, rho, nm), atol=1e-13)
+            rho = run_stack((prefix,), keep, nm.gate_noise)[0]
+            np.testing.assert_allclose(run_stack((run,), keep, nm.gate_noise)[0], kron_run_noisy(c, rho, nm),
+                                       atol=1e-13)
     circ = build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
-    rho0 = np.zeros((16, 16), dtype=complex)
-    rho0[0, 0] = 1.0
-    np.testing.assert_allclose(run_noisy(circ, rho0, noisy), kron_run_noisy(circ, rho0, noisy), atol=1e-13)
+    np.testing.assert_allclose(run_stack((circ,), range(4), noisy.gate_noise)[0], kron_reduced(circ, range(4), noisy),
+                               atol=1e-13)
+
+
+def test_conjugate_stack_matches_kron_reference():
+    # the kernel step of a gate column whose parameters differ between the
+    # states of the stack: one unitary per state, or one shared
+    rng = np.random.default_rng(71)
+    width = 3
+    states = run_stack([random_circuit(rng, width) for _ in range(4)], range(width))
+    tensors = states.reshape((4,) + (2,) * (2 * width))
+    for column in ([Gate("ry", (float(a),), 1) for a in rng.uniform(-3, 3, 4)],
+                   [Gate("w", (float(a),), 2) for a in rng.uniform(-3, 3, 4)],
+                   [Gate("cnot", (), 0, control=2)] * 4):
+        us = np.array([g.local_matrix() for g in column])
+        got = conjugate(tensors, us, column[0].qubits, width).reshape(states.shape)
+        for rho, g, out in zip(states, column, got):
+            u = kron_gate(g, width)
+            np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-15)
 
 
 def test_superoperator_channel_matches_kraus_sum():
+    # the input is what a random prefix makes under the channel's own model
     rng = np.random.default_rng(47)
     for name, rate, family in (("p_depol_1q", 0.3, depolarizing_kraus), ("gamma_ad", 0.4, amplitude_damping_kraus),
                                ("gamma_pd", 0.25, phase_damping_kraus)):
         for width in (1, 2, 3):
-            rho = random_state(rng, 2**width, 1 + int(rng.integers(2**width)))
             qubits = tuple(int(q) for q in rng.permutation(width))
+            rho, got = run_channel(random_circuit(rng, width), qubits, **{name: rate})
             want = rho
             for q in qubits:
                 want = kron_channel(want, family(rate), q, width)
-            np.testing.assert_allclose(run_channel(rho, qubits, **{name: rate}), want, atol=1e-14)
+            np.testing.assert_allclose(got, want, atol=1e-14)
+
+
+@st.composite
+def circuits_and_keep(draw):
+    """A circuit of width 1-4 over every gate kind, and a non-empty keep set."""
+    width = draw(st.integers(1, 4))
+    kinds = [k for k in GATE_KINDS if width > 1 or k != "cnot"]
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cnot":
+            control, target = draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True))
+            gates.append(Gate("cnot", (), target, control=control))
+        elif kind == "pauli_z":
+            gates.append(Gate(kind, (), draw(st.integers(0, width - 1))))
+        else:
+            gates.append(Gate(kind, (draw(st.floats(-math.pi, math.pi)),), draw(st.integers(0, width - 1))))
+    keep = draw(st.sets(st.integers(0, width - 1), min_size=1))
+    return Circuit(width, tuple(gates)), tuple(sorted(keep))
+
+
+rates = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+models = st.one_of(st.just(ZERO_NOISE_MODEL), st.builds(NoiseModel, rates, rates, rates, rates, st.just(0.0)))
+
+
+def _shifted(c):
+    """``c`` with every angle moved by 0.5: the same topology, other operators."""
+    return Circuit(c.width, tuple(Gate(g.kind, tuple(a + 0.5 for a in g.params), g.target, g.control)
+                                  for g in c.gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits_and_keep(), models)
+def test_run_stack_matches_kron_reference_on_random_circuits(case, nm):
+    # a stack of two circuits of one topology, so that columns whose
+    # parameters differ run as per-state operator stacks
+    c, keep = case
+    pair = (c, _shifted(c))
+    for got, circ in zip(run_stack(pair, keep, nm.gate_noise), pair):
+        np.testing.assert_allclose(got, kron_reduced(circ, keep, nm), rtol=0, atol=1e-13)
+
+
+NOISY = NoiseModel(p_depol_1q=0.05, p_depol_2q=0.1, gamma_ad=0.07, gamma_pd=0.03, p_readout=0.0)
+
+
+@pytest.mark.parametrize("c, keep", [
+    # kept qubit 2 is touched by no gate
+    (Circuit(3, (Gate("ry", (0.7,), 0), Gate("cnot", (), 1, control=0))), (1, 2)),
+    # dropped qubit 2 is touched by no gate
+    (Circuit(3, (Gate("ry", (0.7,), 0), Gate("cnot", (), 1, control=0))), (0, 1)),
+    # dropped qubit 2 and kept qubit 1 are each touched by exactly one gate
+    (Circuit(3, (Gate("ry", (0.7,), 0), Gate("cnot", (), 2, control=0), Gate("cnot", (), 1, control=0),
+                 Gate("rz", (0.4,), 0))), (0, 1)),
+    # the last two gates act on qubit 0 after it last meets kept qubit 1
+    (Circuit(2, (Gate("ry", (0.7,), 0), Gate("cnot", (), 1, control=0), Gate("ry", (0.3,), 0),
+                 Gate("pauli_z", (), 0))), (1,)),
+    # every qubit kept
+    (build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9), (0, 1, 2, 3)),
+    # no gate at all
+    (Circuit(2, ()), (1,)),
+], ids=["kept-untouched", "dropped-untouched", "touched-once", "outside-light-cone", "keep-all", "no-gates"])
+@pytest.mark.parametrize("nm", [ZERO_NOISE_MODEL, NOISY], ids=["zero", "noisy"])
+def test_run_stack_matches_kron_reference_on_edge_cases(c, keep, nm):
+    np.testing.assert_allclose(run_stack((c,), keep, nm.gate_noise)[0], kron_reduced(c, keep, nm),
+                               rtol=0, atol=1e-13)
+
+
+def test_run_stack_rejects_keep_outside_the_width():
+    c = Circuit(3, (Gate("ry", (0.7,), 0),))
+    for keep in ((3,), (0, 3), (-1,), ()):
+        with pytest.raises(DimensionError):
+            run_stack((c,), keep)
 
 
 def test_setting_probabilities_match_projector_traces():
