@@ -12,9 +12,9 @@ Each gate kind is declared once: in ``_ROTATIONS`` with its one angle, or
 in ``_FIXED`` without a parameter. Qubit 0 is the leftmost tensor factor.
 Gates in a Circuit are stored in application order: ``gates[0]`` acts
 first. ``run_stack`` is the one executor: it runs circuits from |0...0>
-and returns the density matrices of the qubits it keeps, evolving only
-their light cone. ``to_json`` writes a circuit for the ``--dump-circuit``
-sidecar; the program reads no circuit JSON back.
+and returns the density matrices of the qubits it keeps, tracing every
+other qubit out after its last gate. ``to_json`` writes a circuit for the
+``--dump-circuit`` sidecar; the program reads no circuit JSON back.
 
 The X-state preparation circuit acts on four qubits. A first block turns
 |0000> into sum_ij sqrt(p_ij)|ij>|ij>, so that qubits (2, 3) carry the
@@ -133,21 +133,6 @@ class Circuit:
         return {"width": self.width, "gates": [g.to_json() for g in self.gates]}
 
 
-def _light_cone(gates, keep) -> tuple:
-    """The indices of the gates that can reach ``keep``, and each reached
-    qubit's last such gate. Read backwards, a gate is run when it touches a
-    qubit that ``keep`` or a later run gate needs; any other gate acts only
-    on qubits that never meet the kept ones again."""
-    needed, run, last = set(keep), set(), {}
-    for index in reversed(range(len(gates))):
-        if needed.intersection(gates[index].qubits):
-            run.add(index)
-            needed.update(gates[index].qubits)
-            for q in gates[index].qubits:
-                last.setdefault(q, index)
-    return run, last
-
-
 def _enter(state: np.ndarray, live: list, qubits) -> np.ndarray:
     """``state`` with each of ``qubits`` not yet in ``live`` appended to it,
     and to ``live``, as |0><0|."""
@@ -166,13 +151,13 @@ def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
     |0...0>, as a (P, 2^k, 2^k) stack in input order, kept qubits in
     ascending order: the one executor of density matrices.
 
-    Only the light cone of ``keep`` is run. A qubit enters the register as
-    |0><0| at its first gate and, unless kept, is traced out right after its
-    last; a kept qubit that no gate touches joins at the end. ``keep``
-    outside the width raises DimensionError. ``gate_noise`` maps gate arity
-    to the superoperator of the noise on the touched qubits, or to None
-    (``NoiseModel.gate_noise``); it is composed into each gate's
-    superoperator, so a noisy gate is one contraction. Circuits of equal
+    A qubit enters the register as |0><0| at its first gate and, unless
+    kept, is traced out right after its last; a kept qubit that no gate
+    touches joins at the end. ``keep`` outside the width raises
+    DimensionError. ``gate_noise`` maps gate arity to the superoperator of
+    the noise on the touched qubits, or to None (``NoiseModel.gate_noise``);
+    it is composed into each gate's superoperator, so a noisy gate is one
+    contraction. Circuits of equal
     ``topology`` share one gate loop, with one operator per gate where
     their parameters agree and a stack of them elsewhere, so each state
     gets the arithmetic of its own run.
@@ -187,11 +172,9 @@ def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
         width = circuits[members[0]].width
         if not keep or keep[0] < 0 or keep[-1] >= width:
             raise DimensionError(f"keep={keep} invalid for circuit width {width}")
-        run, last = _light_cone(circuits[members[0]].gates, keep)
+        last = {q: i for i, g in enumerate(circuits[members[0]].gates) for q in g.qubits}
         state, live = np.ones(len(members), dtype=complex), []
         for index, column in enumerate(zip(*(circuits[i].gates for i in members))):
-            if index not in run:
-                continue
             g = column[0]
             state = _enter(state, live, g.qubits)
             same = all(h.params == g.params for h in column)

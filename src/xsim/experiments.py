@@ -229,10 +229,11 @@ def resolve_params(experiment: str, given: dict) -> dict:
         raise ConfigError("seed must be >= 0")
     if "lambda" in out and not -1.0 <= out["lambda"] <= 1.0:
         raise ConfigError("lambda must lie in [-1, 1]")
-    for key in ("theta", "phi"):
-        # the tolerance of XSpectral.validate, which checks every point
-        if key in out and not -1e-12 <= out[key] <= math.pi / 2 + 1e-12:
-            raise ConfigError(f"{key} must lie in [0, pi/2]")
+    if "theta" in out:
+        try:
+            XSpectral(0.25, 0.25, 0.25, 0.25, out["theta"], out["phi"]).validate()
+        except ContractError as exc:
+            raise ConfigError(str(exc)) from exc
     if "time_points" in out and out["time_points"] < 2:
         raise ConfigError("time_points must be >= 2")
     for key, limit in LIMITS.items():

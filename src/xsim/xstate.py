@@ -130,10 +130,9 @@ class XSpectral:
         p = self.probs
         if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
             raise ContractError(f"spectral weights invalid: {p}")
-        if not (-1e-12 <= self.theta <= math.pi / 2 + 1e-12):
-            raise ContractError(f"theta {self.theta} outside [0, pi/2]")
-        if not (-1e-12 <= self.phi <= math.pi / 2 + 1e-12):
-            raise ContractError(f"phi {self.phi} outside [0, pi/2]")
+        for name, angle in (("theta", self.theta), ("phi", self.phi)):
+            if not -1e-12 <= angle <= math.pi / 2 + 1e-12:
+                raise ContractError(f"{name} must lie in [0, pi/2], got {angle}")
         return self
 
     def to_json(self) -> dict:

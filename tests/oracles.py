@@ -19,9 +19,7 @@ The other references are what the program does not run:
   executor ``circuits.run_stack``; the ket a circuit makes of basis state
   ``k`` is its column ``k``,
 * ``partial_trace``, one einsum over the whole register, against which the
-  executor's reduced states are checked, and ``conjugate``, U rho U^dagger
-  through the local-axis kernel on the whole register, the executor's
-  noiseless gate step without its light cone,
+  executor's reduced states are checked,
 * ``build_xstate_circuit_alt``, the three-CNOT preparation whose output is
   that of ``circuits.build_xstate_circuit`` at phi -> pi/2 - phi,
 * ``relative_phase``, for unitaries equal up to a global phase,
@@ -39,7 +37,7 @@ import numpy as np
 from xsim.circuits import Circuit, Gate, XUnitaryParams, classical_prep_gates
 from xsim.errors import ContractError, DimensionError
 from xsim.heisenberg import HeisenbergParams
-from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, apply_local, is_hermitian, kron, superop
+from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, is_hermitian, kron
 
 _DIMS = (2, 4, 16)
 
@@ -231,14 +229,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     for g in c.gates:
         u = kron_gate(g, c.width) @ u
     return u
-
-
-def conjugate(state: np.ndarray, u: np.ndarray, qubits, width: int) -> np.ndarray:
-    """U rho U^dagger for a unitary U acting on ``qubits`` of a stack of
-    density tensors of ``width`` qubits; ``u`` is one matrix or a stack of
-    one per tensor."""
-    qubits = tuple(qubits)
-    return apply_local(state, superop(np.expand_dims(u, -3)), qubits + tuple(width + q for q in qubits))
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:

@@ -19,7 +19,6 @@ from conftest import ZERO_NOISE_MODEL, random_circuit, random_density, run_chann
 from oracles import (
     circuit_unitary,
     concurrence_wootters_oracle,
-    conjugate,
     embed,
     herm_eig,
     kron_gate,
@@ -123,23 +122,6 @@ def test_run_density_and_run_noisy_match_kron_reference(rank):
     circ = build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
     np.testing.assert_allclose(run_stack((circ,), range(4), noisy.gate_noise)[0], kron_reduced(circ, range(4), noisy),
                                atol=1e-13)
-
-
-def test_conjugate_stack_matches_kron_reference():
-    # the kernel step of a gate column whose parameters differ between the
-    # states of the stack: one unitary per state, or one shared
-    rng = np.random.default_rng(71)
-    width = 3
-    states = run_stack([random_circuit(rng, width) for _ in range(4)], range(width))
-    tensors = states.reshape((4,) + (2,) * (2 * width))
-    for column in ([Gate("ry", (float(a),), 1) for a in rng.uniform(-3, 3, 4)],
-                   [Gate("w", (float(a),), 2) for a in rng.uniform(-3, 3, 4)],
-                   [Gate("cnot", (), 0, control=2)] * 4):
-        us = np.array([g.local_matrix() for g in column])
-        got = conjugate(tensors, us, column[0].qubits, width).reshape(states.shape)
-        for rho, g, out in zip(states, column, got):
-            u = kron_gate(g, width)
-            np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-15)
 
 
 def test_superoperator_channel_matches_kraus_sum():
