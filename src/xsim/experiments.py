@@ -19,8 +19,9 @@ Analytic columns are pure functions of the physics parameters; shots, seed,
 and noise touch only the simulated columns, evolved by ``circuits.run_stack``.
 Per-point sampling seeds come from the master seed and the point index, so
 rerunning any experiment with the same config is byte-identical. A sweep
-evolves, measures, reconstructs and scores its points in blocks of 64 as
-(P, ...) stacks; a point's row does not depend on the block it falls in.
+builds, evolves, measures, reconstructs and scores its points in one pass
+over blocks of 64, as (P, ...) stacks; a point's row does not depend on
+the block it falls in.
 
 The time-sweep initial state is a two-sector classical mixture: sector
 weights (r0, r1) = (cos^2(gamma/2), sin^2(gamma/2)) and an imbalance lambda
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,26 +112,11 @@ PARAM_SPECS = {
 }
 
 
-@dataclass(frozen=True)
-class SimplexGrid:
+def simplex_points(resolution: int) -> list:
     """Probability 4-vectors with components that are multiples of 1/resolution."""
-
-    resolution: int
-
-    def __post_init__(self):
-        if self.resolution < 1:
-            raise ConfigError(f"grid resolution must be >= 1, got {self.resolution}")
-
-    def points(self):
-        n = self.resolution
-        for i in range(n + 1):
-            for j in range(n - i + 1):
-                for k in range(n - i - j + 1):
-                    yield (i / n, j / n, k / n, (n - i - j - k) / n)
-
-    def __len__(self):
-        n = self.resolution
-        return (n + 1) * (n + 2) * (n + 3) // 6
+    n = resolution
+    return [(i / n, j / n, k / n, (n - i - j - k) / n)
+            for i in range(n + 1) for j in range(n - i + 1) for k in range(n - i - j + 1)]
 
 
 @dataclass(frozen=True)
@@ -138,14 +124,15 @@ class ExperimentResult:
     columns: tuple
     rows: tuple
     report: dict | None = None
-    circuits: tuple = field(default_factory=tuple)  # (label, Circuit) pairs
+    circuits: object = tuple  # called with no arguments, yields the (label, Circuit) pairs
 
 
-# Largest accepted values of the size parameters. Larger requests are
-# rejected as configuration errors rather than left to overflow or to run
-# for hours: 10^9 shots per setting, 10^5 time points, and resolution 64
-# (47,905 simplex points).
-LIMITS = {"shots": 10**9, "time_points": 100_000, "resolution": 64}
+# Largest accepted values of the size parameters and the seed. Larger
+# requests are rejected as configuration errors rather than left to
+# overflow, to run for hours or to alias a smaller seed: 10^9 shots per
+# setting, 10^5 time points, resolution 64 (47,905 simplex points), and
+# 2^64 - 1, the largest seed the sampler streams key on.
+LIMITS = {"shots": 10**9, "time_points": 100_000, "resolution": 64, "seed": 2**64 - 1}
 
 
 def _reject_non_finite(value, path: str) -> None:
@@ -239,6 +226,8 @@ def resolve_params(experiment: str, given: dict) -> dict:
     for key, limit in LIMITS.items():
         if key in out and out[key] > limit:
             raise ConfigError(f"{key} must be <= {limit}; the value given exceeds the limit")
+    if "resolution" in out and out["resolution"] < 1:
+        raise ConfigError(f"grid resolution must be >= 1, got {out['resolution']}")
     return out
 
 
@@ -280,49 +269,40 @@ def _circuit_weights(params: dict) -> tuple:
     return (q0 * r0, q0 * r1, q1 * r0, q1 * r1)
 
 
-# Sweep points handed to the executor at once. Fixed, so that a sweep of
-# any length holds at most this many states at a time; the preparation
-# circuits never hold more than three qubits in the executor's register.
+# Sweep points that go through build, evolution, measurement and scoring
+# together. Fixed, so that a sweep of any length holds the targets,
+# circuits and states of at most this many points at a time; only each
+# point's row outlives its block.
 _BLOCK = 64
-
-
-def _prepare_points(points, build, nm: NoiseModel) -> tuple:
-    """(targets, circuits, noisy output pairs) of every sweep point, in
-    point order.
-
-    ``build(point)`` returns the point's (target, circuit). Consecutive
-    slices of _BLOCK circuits run through the executor, which returns
-    their output pairs (2, 3).
-    """
-    targets, circuits = zip(*map(build, points))
-    pairs = np.empty((len(circuits), 4, 4), dtype=complex)
-    for start in range(0, len(circuits), _BLOCK):
-        pairs[start : start + _BLOCK] = run_stack(circuits[start : start + _BLOCK], (2, 3), nm.gate_noise)
-    return targets, circuits, pairs
 
 
 def _sweep(params: dict, points, build, columns, names: tuple, label: str) -> ExperimentResult:
     """The pipeline of every sweep: one row per point, in point order.
 
-    ``build(point)`` gives the point's (target, circuit), and
-    _prepare_points evolves every circuit to its noisy output pair. Then
-    each consecutive block of _BLOCK points is measured, reconstructed and
-    scored as stacks: ``columns(points, targets, pairs, draw)``, with the
-    block's targets as one XState stack, returns one sequence of floats
-    per column named in ``names``. ``draw`` holds the keyword arguments
-    (shots, seeds, p_readout, exact) that it passes to ``measure_block``,
-    with the seed that derive_seed gives for the master seed and each
-    point's index. Circuits are labelled ``{label}_{index}``.
+    One pass over consecutive blocks of _BLOCK points. ``build(point)``
+    gives each point's (target, circuit); the executor evolves the block's
+    circuits to their noisy output pairs (2, 3); then ``columns(points,
+    targets, pairs, draw)``, with the block's targets as one XState stack,
+    returns one sequence of floats per column named in ``names``. ``draw``
+    holds the keyword arguments (shots, seeds, p_readout, exact) that it
+    passes to ``measure_block``, with the seed that derive_seed gives for
+    the master seed and each point's index in the sweep. The result's
+    ``circuits()`` builds the circuits again, labelled ``{label}_{index}``.
     """
-    targets, circuits, pairs = _prepare_points(points, build, params["noise"])
-    draw = {"shots": params["shots"], "p_readout": params["noise"].p_readout, "exact": params["exact"]}
-    seeds = [derive_seed(params["seed"], index) for index in range(len(circuits))]
+    nm = params["noise"]
+    draw = {"shots": params["shots"], "p_readout": nm.p_readout, "exact": params["exact"]}
     rows = []
-    for start in range(0, len(circuits), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        cols = columns(points[block], XState.stack(targets[block]), pairs[block], {**draw, "seeds": seeds[block]})
+    for start in range(0, len(points), _BLOCK):
+        block = points[start : start + _BLOCK]
+        targets, circuits = zip(*map(build, block))
+        pairs = run_stack(circuits, (2, 3), nm.gate_noise)
+        seeds = [derive_seed(params["seed"], index) for index in range(start, start + len(block))]
+        cols = columns(block, XState.stack(targets), pairs, {**draw, "seeds": seeds})
         rows.extend(zip(*(np.asarray(col, dtype=float).tolist() for col in cols)))
-    labelled = tuple((f"{label}_{index}", circ) for index, circ in enumerate(circuits))
+
+    def labelled():
+        return ((f"{label}_{index}", build(point)[1]) for index, point in enumerate(points))
+
     return ExperimentResult(columns=names, rows=tuple(rows), circuits=labelled)
 
 
@@ -338,7 +318,7 @@ def run_tetra_sweep(params: dict) -> ExperimentResult:
         return (*zip(*ps), concurrence_x(targets), concurrence_wootters(pairs), c_shot)
 
     names = ("p00", "p01", "p10", "p11", "c_analytic", "c_noisy_sim", "c_shot_tomo")
-    return _sweep(params, list(SimplexGrid(params["resolution"]).points()), build, columns, names, "point")
+    return _sweep(params, simplex_points(params["resolution"]), build, columns, names, "point")
 
 
 def _zero_field_point(params: dict, hp: HeisenbergParams, t: float) -> tuple:
@@ -483,7 +463,7 @@ def run_xprep_single(params: dict) -> ExperimentResult:
         },
         "concurrence": {"analytic": c_analytic, "ideal": c_ideal, "noisy": c_noisy, "reconstructed": c_reconstructed},
     }
-    return ExperimentResult(columns=(), rows=(), report=payload, circuits=(("target", circ),))
+    return ExperimentResult(columns=(), rows=(), report=payload, circuits=lambda: (("target", circ),))
 
 
 RUNNERS = {
@@ -538,5 +518,5 @@ def format_json(experiment: str, params: dict, result: ExperimentResult) -> str:
 
 
 def format_circuit_dump(result: ExperimentResult) -> str:
-    payload = [{"label": label, "circuit": circ.to_json()} for label, circ in result.circuits]
+    payload = [{"label": label, "circuit": circ.to_json()} for label, circ in result.circuits()]
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

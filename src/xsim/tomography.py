@@ -112,8 +112,6 @@ def setting_probabilities(rho: np.ndarray, settings, p_readout: float = 0.0) -> 
     if (total <= 0.0).any():
         raise ContractError("outcome probabilities sum to zero")
     probs = probs / total
-    if p_readout == 0.0:
-        return probs
     q = 1.0 - p_readout
     flip = np.array([q * q, q * p_readout, p_readout * q, p_readout * p_readout])[_XOR]
     # Summed over k in order, so each entry is one fixed float sum.

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,16 +11,15 @@ from xsim.cli import main
 from xsim.errors import ConfigError
 from xsim.experiments import (
     ExperimentResult,
-    SimplexGrid,
     _couplings,
     _field_point,
-    _prepare_points,
     _time_grid,
     _zero_field_point,
     format_csv,
     format_json,
     resolve_params,
     run_experiment,
+    simplex_points,
 )
 from xsim import experiments, tomography
 from xsim.linalg import fidelity
@@ -34,17 +34,15 @@ XSTATE_TARGET = {"kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
 
 
 def test_simplex_grid_point_count_and_normalization():
-    grid = SimplexGrid(8)
-    pts = list(grid.points())
+    pts = simplex_points(8)
     assert len(pts) == 165
-    assert len(grid) == 165
     for p in pts:
         assert sum(p) == pytest.approx(1.0, abs=1e-12)
         assert min(p) >= 0.0
     assert len(set(pts)) == 165
-    assert len(list(SimplexGrid(1).points())) == 4
-    with pytest.raises(ConfigError):
-        SimplexGrid(0)
+    assert len(simplex_points(1)) == 4
+    with pytest.raises(ConfigError, match="grid resolution must be >= 1, got 0"):
+        resolve_params("tetra_sweep", {"resolution": 0})
 
 
 def test_resolve_params_defaults_and_rejection():
@@ -277,9 +275,10 @@ def test_cli_dump_circuit_sidecar(tmp_path, experiment, params):
     assert main([experiment, "--config", cfg, "--out", str(out), "--format", "json", "--dump-circuit"]) == 0
     dumped = json.loads((tmp_path / "c.json.circuit.json").read_text())
     _, result = run_experiment(experiment, params)
-    assert dumped == [{"label": label, "circuit": c.to_json()} for label, c in result.circuits]
+    circuits = list(result.circuits())
+    assert dumped == [{"label": label, "circuit": c.to_json()} for label, c in circuits]
     assert len(dumped) == (3 if experiment == "field_conc" else 1)
-    for entry, (_, circ) in zip(dumped, result.circuits):
+    for entry, (_, circ) in zip(dumped, circuits):
         blob = entry["circuit"]
         gates = (Gate(g["kind"], tuple(g["params"]), g["target"], g.get("control")) for g in blob["gates"])
         rebuilt = Circuit(blob["width"], tuple(gates))
@@ -316,6 +315,20 @@ def test_cli_exit_codes(tmp_path):
     assert main(["xprep_single", "--config", spectral, "--format", "csv"]) == 2
     # --dump-circuit without --out has nowhere to put the sidecar
     assert main(["xprep_single", "--config", spectral, "--dump-circuit"]) == 2
+
+
+def test_seeds_above_64_bits_are_config_errors(tmp_path, capsys):
+    # The sampler streams key on 64 bits, so a larger seed would draw the
+    # same shots as the seed 2^64 below it.
+    for experiment in sorted(experiments.RUNNERS):
+        params = {"seed": 2**64, "target": XSTATE_TARGET} if experiment == "xprep_single" else {"seed": 2**64}
+        assert main([experiment, "--config", _write_config(tmp_path, {"params": params})]) == 2
+        assert "seed must be <= 18446744073709551615" in capsys.readouterr().err
+    largest = {"seed": 2**64 - 1, "shots": 50}
+    assert main(["heisenberg_conc", "--config", _write_config(tmp_path, {"params": {**largest, "time_points": 3}})]) == 0
+    capsys.readouterr()
+    assert main(["xprep_single", "--config", _write_config(tmp_path, {"params": {**largest, "target": XSTATE_TARGET}})]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["reconstruction"]["seed"] == 2**64 - 1
 
 
 def test_cli_infeasible_weights_message_prints_plain_floats(tmp_path, capsys):
@@ -477,17 +490,26 @@ def test_integral_floats_are_accepted_as_sizes(tmp_path):
     ("field_conc", {"time_points": 150}, _field_point),
     ("heisenberg_conc", {"time_points": 150}, _zero_field_point),
 ])
-def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, point):
-    params = resolve_params(experiment, params)
+def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, point, monkeypatch):
+    # The output pairs of the sweep's blocks, recorded at the executor,
+    # against each point's circuit built and run on its own.
+    blocks = []
+
+    def recording(circuits, keep, gate_noise=None):
+        out = run_stack(circuits, keep, gate_noise)
+        blocks.append(out)
+        return out
+
+    monkeypatch.setattr(experiments, "run_stack", recording)
+    params, _ = run_experiment(experiment, {**params, "exact": True})
     nm = params["noise"]
     if point is None:
-        grid = list(SimplexGrid(params["resolution"]).points())
         theta, phi = params["theta"], params["phi"]
-        _, circuits, pairs = _prepare_points(grid, lambda p: (None, build_xstate_circuit(p, theta, phi)), nm)
+        circuits = [build_xstate_circuit(p, theta, phi) for p in simplex_points(params["resolution"])]
     else:
         hp = _couplings(params)
-        times = _time_grid(params, hp)
-        _, circuits, pairs = _prepare_points(times, lambda t: point(params, hp, t), nm)
+        circuits = [point(params, hp, t)[1] for t in _time_grid(params, hp)]
+    pairs = np.concatenate(blocks)
     topologies = {c.topology for c in circuits}
     assert len(topologies) > 1
     assert max(sum(c.topology == top for c in circuits) for top in topologies) > 64
@@ -525,6 +547,63 @@ def test_sweep_hands_the_executor_at_most_64_circuits(monkeypatch):
     assert max(sizes) <= 64
 
 
+@pytest.mark.parametrize("experiment, builder", [
+    ("tetra_sweep", "build_xstate_circuit"),
+    ("heisenberg_conc", "build_xstate_circuit"),
+    ("field_conc", "build_complex_xstate_circuit"),
+])
+def test_sweep_builds_each_circuit_once_unless_the_circuits_are_read(experiment, builder, monkeypatch):
+    built = []
+    original = getattr(experiments, builder)
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, builder, counting)
+    size = {"resolution": 8} if experiment == "tetra_sweep" else {"time_points": 150}
+    _, result = run_experiment(experiment, {**size, "exact": True})
+    assert len(built) == len(result.rows)
+    assert len(list(result.circuits())) == len(result.rows)
+    assert len(built) == 2 * len(result.rows)
+
+
+@pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
+def test_result_circuits_are_the_circuits_the_executor_ran(experiment, monkeypatch):
+    ran = []
+
+    def recording(circuits, keep, gate_noise=None):
+        ran.extend(circuits)
+        return run_stack(circuits, keep, gate_noise)
+
+    monkeypatch.setattr(experiments, "run_stack", recording)
+    size = {"resolution": 8} if experiment == "tetra_sweep" else {"time_points": 70}
+    _, result = run_experiment(experiment, {**size, "exact": True})
+    label = "point" if experiment == "tetra_sweep" else "t"
+    labelled = list(result.circuits())
+    assert [name for name, _ in labelled] == [f"{label}_{index}" for index in range(len(ran))]
+    assert [circ.to_json() for _, circ in labelled] == [circ.to_json() for circ in ran]
+
+
+def test_sweep_peak_memory_does_not_grow_with_its_length():
+    # Only a point's row outlives its block, so the traced peak of a sweep
+    # grows by a row's worth per point, well under 1 kB.
+    peaks = {}
+    run_experiment("heisenberg_conc", {"time_points": 128, "exact": True})
+    tracemalloc.start()
+    try:
+        for points in (128, 1024):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, result = run_experiment("heisenberg_conc", {"time_points": points, "exact": True})
+            peaks[points] = tracemalloc.get_traced_memory()[1] - base
+            assert len(result.rows) == points
+            del result
+    finally:
+        tracemalloc.stop()
+    assert (peaks[1024] - peaks[128]) / (1024 - 128) < 1024
+
+
 READOUT_NOISE = {"p_depol_1q": 0.001, "p_depol_2q": 0.01, "gamma_ad": 0.001, "gamma_pd": 0.001, "p_readout": 0.05}
 SWEEPS = ("tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity")
 
@@ -535,16 +614,21 @@ def _per_point_rows(experiment, params):
     nm = params["noise"]
     if experiment == "tetra_sweep":
         theta, phi = params["theta"], params["phi"]
-        points = list(SimplexGrid(params["resolution"]).points())
-        targets, _, pairs = _prepare_points(points, lambda p: (
-            from_spectral(XSpectral(*p, theta, phi)), build_xstate_circuit(p, theta, phi)), nm)
+        points = simplex_points(params["resolution"])
+
+        def build(p):
+            return from_spectral(XSpectral(*p, theta, phi)), build_xstate_circuit(p, theta, phi)
     else:
         hp = _couplings(params)
         points = _time_grid(params, hp)
         point = _field_point if experiment.startswith("field") else _zero_field_point
-        targets, _, pairs = _prepare_points(points, lambda t: point(params, hp, t), nm)
+
+        def build(t):
+            return point(params, hp, t)
     rows = []
-    for index, (p, target, pair) in enumerate(zip(points, targets, pairs)):
+    for index, p in enumerate(points):
+        target, circ = build(p)
+        pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]
         draw = (params["shots"], (derive_seed(params["seed"], index),), nm.p_readout, params["exact"])
         if experiment == "tetra_sweep":
             c_shot = concurrence_x(reconstruct_x3(measure_block(pair[None], PARTIAL3, *draw)[0]))

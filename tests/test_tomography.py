@@ -88,21 +88,29 @@ def test_sample_zz_on_ground_state_all_first_bin():
 
 
 def test_measure_block_frequency_invariants():
-    # Readout error at 0.05 on sampled and exact stacks. Sampled rows are
-    # integer counts over shots: 1/49 * 49 is not 1 in floating point, so
-    # the counts are read back with rint and must give the row exactly.
+    # Readout error at 0 and 0.05 on sampled and exact stacks. Sampled rows
+    # are integer counts over shots: 1/49 * 49 is not 1 in floating point,
+    # so the counts are read back with rint and must give the row exactly.
     rho = np.array([random_density(np.random.default_rng(47 + k)) for k in range(3)])
-    for shots in (1, 49, 100, 1000):
-        f = measure_block(rho, FULL, shots, (2, 3, 4), p_readout=0.05)
-        counts = np.rint(f * shots)
-        np.testing.assert_array_equal(f, counts / shots)
-        assert counts.min() >= 0.0
-        np.testing.assert_array_equal(counts.sum(axis=-1), shots)
-    f = measure_block(rho, FULL, 1000, (2, 3, 4), p_readout=0.05, exact=True)
-    assert f.shape == (3, 9, 4) and f.min() >= 0.0
-    np.testing.assert_allclose(f.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
-    with pytest.raises(ContractError):
-        measure_block(rho, FULL, 0, (2, 3, 4), p_readout=0.05)
+    for p_readout in (0.0, 0.05):
+        for shots in (1, 49, 100, 1000):
+            f = measure_block(rho, FULL, shots, (2, 3, 4), p_readout=p_readout)
+            counts = np.rint(f * shots)
+            np.testing.assert_array_equal(f, counts / shots)
+            assert counts.min() >= 0.0
+            np.testing.assert_array_equal(counts.sum(axis=-1), shots)
+        f = measure_block(rho, FULL, 1000, (2, 3, 4), p_readout=p_readout, exact=True)
+        assert f.shape == (3, 9, 4) and f.min() >= 0.0
+        np.testing.assert_allclose(f.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        with pytest.raises(ContractError):
+            measure_block(rho, FULL, 0, (2, 3, 4), p_readout=p_readout)
+    # At p = 0 the readout fold leaves the clipped, renormalized
+    # probabilities bit for bit; in ZZ they are the diagonal, here of
+    # full-rank, rank-deficient and slightly negative states.
+    diagonals = np.array([np.diag(m).real for m in rho] + [[0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0], [0.6, -1e-3, 0.2, 0.201]])
+    zz = measure_block(np.array([np.diag(d).astype(complex) for d in diagonals]), ("ZZ",), 1, range(6), exact=True)[:, 0]
+    clipped = np.clip(diagonals, 0.0, None)
+    np.testing.assert_array_equal(zz, clipped / clipped.sum(axis=-1, keepdims=True))
 
 
 def test_shot_error_shrinks_with_more_shots():
