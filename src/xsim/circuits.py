@@ -5,7 +5,6 @@ Gate conventions (fixed by explicit matrices; tests compare entrywise):
     RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]
     RZ(t) = diag(e^{-i t/2}, e^{+i t/2})
     W(x) = diag(e^{-i x}, i e^{+i x})
-    Z = diag(1, -1)
     CNOT = |0><0| x I + |1><1| x X   (control, target any distinct pair)
 
 Each gate kind is declared once: in ``_ROTATIONS`` with its one angle, or
@@ -58,7 +57,6 @@ def w_matrix(x: float) -> np.ndarray:
 
 # Parameter-free gates; CNOT acts on (control, target), control leading.
 _FIXED = {
-    "pauli_z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
     "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
 _ROTATIONS = {"ry": ry_matrix, "rz": rz_matrix, "w": w_matrix}
@@ -215,20 +213,19 @@ def classical_prep_angles(p) -> tuple:
     return alpha, u - v, u + v
 
 
-def classical_prep_gates(p, qubits=(0, 1, 2, 3)) -> list:
+def classical_prep_gates(p) -> list:
     """Gate list of the first block; drops the leading rotation and CNOT
     when the distribution factorizes (alpha = 0), since they act trivially
     on the all-zeros input."""
-    q0, q1, q2, q3 = qubits
     alpha, beta, gamma = classical_prep_angles(p)
     gates = []
     if abs(alpha) > 1e-12:
-        gates.append(Gate("ry", (alpha,), q0))
-        gates.append(Gate("cnot", (), q1, control=q0))
-    gates.append(Gate("ry", (beta,), q0))
-    gates.append(Gate("ry", (gamma,), q1))
-    gates.append(Gate("cnot", (), q2, control=q0))
-    gates.append(Gate("cnot", (), q3, control=q1))
+        gates.append(Gate("ry", (alpha,), 0))
+        gates.append(Gate("cnot", (), 1, control=0))
+    gates.append(Gate("ry", (beta,), 0))
+    gates.append(Gate("ry", (gamma,), 1))
+    gates.append(Gate("cnot", (), 2, control=0))
+    gates.append(Gate("cnot", (), 3, control=1))
     return gates
 
 

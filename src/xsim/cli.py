@@ -66,12 +66,18 @@ def _check_writable(path) -> None:
     raise ConfigError(f"cannot write output {path!r}: not a writable file path")
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str | None, write, *args) -> None:
+    """Call ``write(*args, fh)`` with the file at ``path`` open as ``fh``,
+    or with stdout when ``path`` is None."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if path is None:
+            write(*args, sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                write(*args, fh)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+        raise ConfigError(f"cannot write output {'to stdout' if path is None else path}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,19 +130,15 @@ def main(argv=None) -> int:
 
         params, result = run_experiment(args.experiment, raw_params)
         if fmt == "csv":
-            text = format_csv(result)
             print(
                 "# " + json.dumps(provenance(args.experiment, params), sort_keys=True),
                 file=sys.stderr,
             )
+            _write(out_path, format_csv, result)
         else:
-            text = format_json(args.experiment, params, result)
-        if out_path is None:
-            sys.stdout.write(text)
-        else:
-            _write(out_path, text)
+            _write(out_path, format_json, args.experiment, params, result)
         if args.dump_circuit:
-            _write(out_path + ".circuit.json", format_circuit_dump(result))
+            _write(out_path + ".circuit.json", format_circuit_dump, result)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -122,7 +122,7 @@ def simplex_points(resolution: int) -> list:
 @dataclass(frozen=True)
 class ExperimentResult:
     columns: tuple
-    rows: tuple
+    rows: np.ndarray  # (points, columns) float64; no rows for a report
     report: dict | None = None
     circuits: object = tuple  # called with no arguments, yields the (label, Circuit) pairs
 
@@ -281,29 +281,32 @@ def _sweep(params: dict, points, build, columns, names: tuple, label: str) -> Ex
 
     One pass over consecutive blocks of _BLOCK points. ``build(point)``
     gives each point's (target, circuit); the executor evolves the block's
-    circuits to their noisy output pairs (2, 3); then ``columns(points,
-    targets, pairs, draw)``, with the block's targets as one XState stack,
-    returns one sequence of floats per column named in ``names``. ``draw``
-    holds the keyword arguments (shots, seeds, p_readout, exact) that it
-    passes to ``measure_block``, with the seed that derive_seed gives for
-    the master seed and each point's index in the sweep. The result's
-    ``circuits()`` builds the circuits again, labelled ``{label}_{index}``.
+    circuits to their noisy output pairs (2, 3); then ``columns(targets,
+    pairs, draw)``, with the block's targets as one XState stack, returns
+    one sequence of floats per computed column. ``draw`` holds the keyword
+    arguments (shots, seeds, p_readout, exact) that it passes to
+    ``measure_block``, with the seed that derive_seed gives for the master
+    seed and each point's index in the sweep. A row is the point's
+    coordinates followed by its computed columns, together the columns
+    named in ``names``; the rows fill one float64 table of shape
+    ``(len(points), len(names))``. The result's ``circuits()`` builds the
+    circuits again, labelled ``{label}_{index}``.
     """
     nm = params["noise"]
     draw = {"shots": params["shots"], "p_readout": nm.p_readout, "exact": params["exact"]}
-    rows = []
+    rows = np.empty((len(points), len(names)))
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
         targets, circuits = zip(*map(build, block))
         pairs = run_stack(circuits, (2, 3), nm.gate_noise)
         seeds = [derive_seed(params["seed"], index) for index in range(start, start + len(block))]
-        cols = columns(block, XState.stack(targets), pairs, {**draw, "seeds": seeds})
-        rows.extend(zip(*(np.asarray(col, dtype=float).tolist() for col in cols)))
+        cols = columns(XState.stack(targets), pairs, {**draw, "seeds": seeds})
+        rows[start : start + len(block)] = np.column_stack([np.asarray(block, dtype=float), *cols])
 
     def labelled():
         return ((f"{label}_{index}", build(point)[1]) for index, point in enumerate(points))
 
-    return ExperimentResult(columns=names, rows=tuple(rows), circuits=labelled)
+    return ExperimentResult(columns=names, rows=rows, circuits=labelled)
 
 
 def run_tetra_sweep(params: dict) -> ExperimentResult:
@@ -313,9 +316,9 @@ def run_tetra_sweep(params: dict) -> ExperimentResult:
         target = from_spectral(XSpectral(p[0], p[1], p[2], p[3], theta, phi).validate())
         return target, build_xstate_circuit(p, theta, phi)
 
-    def columns(ps, targets, pairs, draw):
+    def columns(targets, pairs, draw):
         c_shot = concurrence_x(reconstruct_x3(measure_block(pairs, PARTIAL3, **draw)))
-        return (*zip(*ps), concurrence_x(targets), concurrence_wootters(pairs), c_shot)
+        return concurrence_x(targets), concurrence_wootters(pairs), c_shot
 
     names = ("p00", "p01", "p10", "p11", "c_analytic", "c_noisy_sim", "c_shot_tomo")
     return _sweep(params, simplex_points(params["resolution"]), build, columns, names, "point")
@@ -346,11 +349,11 @@ def _time_sweep(params: dict, point, columns, names: tuple) -> ExperimentResult:
 
 
 def _conc_columns(settings, reconstruct):
-    """Columns (t, analytic, reconstructed from ``settings``) of a
-    concurrence sweep."""
-    def columns(ts, targets, pairs, draw):
+    """The computed columns (analytic, reconstructed from ``settings``) of
+    a concurrence sweep; ``_sweep`` puts t before them."""
+    def columns(targets, pairs, draw):
         estimate = reconstruct(measure_block(pairs, settings, **draw))
-        return ts, concurrence_x(targets), concurrence_x(estimate)
+        return concurrence_x(targets), concurrence_x(estimate)
     return columns
 
 
@@ -378,12 +381,12 @@ def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
     """
     partial3 = () if with_field else ("f_partial3",)
 
-    def columns(ts, targets, pairs, draw):
+    def columns(targets, pairs, draw):
         f = measure_block(pairs, FULL, **draw)
         estimates = [reconstruct_full(f), reconstruct_x5(f[:, _PARTIAL5_ROWS]).matrix()]
         if not with_field:
             estimates.append(reconstruct_x3(f[:, _PARTIAL3_ROWS]).matrix())
-        return (ts, *fidelity(np.stack(estimates), targets.matrix()), leakage(pairs))
+        return (*fidelity(np.stack(estimates), targets.matrix()), leakage(pairs))
 
     point = _field_point if with_field else _zero_field_point
     return _time_sweep(params, point, columns, ("t", "f_full", "f_partial5", *partial3, "leakage"))
@@ -463,7 +466,7 @@ def run_xprep_single(params: dict) -> ExperimentResult:
         },
         "concurrence": {"analytic": c_analytic, "ideal": c_ideal, "noisy": c_noisy, "reconstructed": c_reconstructed},
     }
-    return ExperimentResult(columns=(), rows=(), report=payload, circuits=lambda: (("target", circ),))
+    return ExperimentResult(columns=(), rows=np.empty((0, 0)), report=payload, circuits=lambda: (("target", circ),))
 
 
 RUNNERS = {
@@ -482,17 +485,9 @@ def run_experiment(experiment: str, raw_params: dict) -> tuple:
     return params, RUNNERS[experiment](params)
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return "%.12g" % v
-    return str(v)
-
-
-def format_csv(result: ExperimentResult) -> str:
-    lines = [",".join(result.columns)]
-    for row in result.rows:
-        lines.append(",".join(_fmt_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+def format_csv(result: ExperimentResult, fh) -> None:
+    """Write the header and one line per row, each value as ``%.12g``."""
+    np.savetxt(fh, result.rows, fmt="%.12g", delimiter=",", header=",".join(result.columns), comments="")
 
 
 def provenance(experiment: str, params: dict) -> dict:
@@ -507,16 +502,16 @@ def provenance(experiment: str, params: dict) -> dict:
     return info
 
 
-def format_json(experiment: str, params: dict, result: ExperimentResult) -> str:
+def format_json(experiment: str, params: dict, result: ExperimentResult, fh) -> None:
     payload = {"provenance": provenance(experiment, params)}
     if result.report is not None:
         payload["report"] = result.report
     else:
         payload["columns"] = list(result.columns)
-        payload["rows"] = [list(r) for r in result.rows]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        payload["rows"] = result.rows.tolist()
+    fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def format_circuit_dump(result: ExperimentResult) -> str:
+def format_circuit_dump(result: ExperimentResult, fh) -> None:
     payload = [{"label": label, "circuit": circ.to_json()} for label, circ in result.circuits()]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from .errors import ContractError, ProtocolError
-from .linalg import PAULI, cabs, dagger, kron
+from .linalg import PAULI, cabs, dagger, is_hermitian, kron
 from .rng import keyed_stream, multinomial_counts
 from .xstate import XState, sqrt_nonneg
 
@@ -177,7 +177,7 @@ def psd_project(rho_hat: np.ndarray) -> np.ndarray:
     """
     rho_hat = np.asarray(rho_hat, dtype=complex)
     n = rho_hat.shape[-1]
-    if np.max(np.abs(rho_hat - dagger(rho_hat))) > 1e-10:
+    if not is_hermitian(rho_hat):
         raise ContractError("psd_project expects Hermitian matrices")
     if (np.abs(np.trace(rho_hat, axis1=-2, axis2=-1).real - 1.0) > 1e-10).any():
         raise ContractError("psd_project expects unit trace")

@@ -96,9 +96,6 @@ class XState:
         """One XState whose entries are arrays over the X-states ``states``."""
         return XState(*(np.array([getattr(x, name) for x in states]) for name in ("a", "b", "c", "d", "w", "z")))
 
-    def is_real(self, atol: float = 1e-12) -> bool:
-        return abs(complex(self.w).imag) <= atol and abs(complex(self.z).imag) <= atol
-
     def to_json(self) -> dict:
         return {
             "a": self.a,
@@ -178,7 +175,7 @@ def to_spectral(x: XState) -> XSpectral:
     Raises InfeasibleStateError if the recovered weights fall outside [0, 1]
     beyond 1e-10, and ContractError on complex corners.
     """
-    if not x.is_real(atol=1e-10):
+    if not (abs(complex(x.w).imag) <= 1e-10 and abs(complex(x.z).imag) <= 1e-10):
         raise ContractError("to_spectral needs a real X-state; strip phases first")
     theta, p00, p10 = _invert_pair(x.a, x.d, complex(x.w).real)
     phi, p01, p11 = _invert_pair(x.c, x.b, complex(x.z).real)
@@ -254,13 +251,14 @@ def leakage(rho: np.ndarray):
     return cabs(rho[..., _NON_X_ROWS, _NON_X_COLS]).cumsum(axis=-1)[..., -1][()]
 
 
-def xstate_from_matrix(rho: np.ndarray, atol: float = 1e-9) -> XState:
-    """Read the six X entries off a matrix, rejecting non-X input."""
+def xstate_from_matrix(rho: np.ndarray) -> XState:
+    """Read the six X entries off a matrix, rejecting input whose leakage
+    exceeds 1e-9."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ContractError("xstate_from_matrix expects a 4x4 matrix")
     leak = leakage(rho)
-    if leak > atol:
+    if leak > 1e-9:
         raise ShapeError(f"matrix is not X-shaped (leakage {leak:.3e})", leak)
     return XState(
         a=rho[0, 0].real,

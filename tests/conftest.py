@@ -56,12 +56,10 @@ def random_circuit(rng, width, n_gates=12):
     drawn on one qubit is skipped)."""
     gates = []
     for _ in range(n_gates):
-        kind = rng.choice(["ry", "rz", "w", "pauli_z", "cnot"])
+        kind = rng.choice(["ry", "rz", "w", "cnot"])
         if kind == "cnot" and width > 1:
             control, target = rng.choice(width, size=2, replace=False)
             gates.append(Gate("cnot", (), int(target), control=int(control)))
-        elif kind == "pauli_z":
-            gates.append(Gate("pauli_z", (), int(rng.integers(width))))
         elif kind != "cnot":
             gates.append(Gate(str(kind), (float(rng.uniform(-3, 3)),), int(rng.integers(width))))
     return Circuit(width, tuple(gates))

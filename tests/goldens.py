@@ -89,7 +89,7 @@ def run_case(experiment: str, params: dict, monkeypatch) -> dict:
     _, result = run_experiment(experiment, params)
     return json.loads(json.dumps({
         "columns": result.columns,
-        "rows": result.rows,
+        "rows": result.rows.tolist(),
         "report": result.report,
         "counts": counts,
     }))

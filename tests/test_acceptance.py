@@ -6,6 +6,7 @@ and enforces the contract.
 """
 
 import hashlib
+import io
 import math
 import time
 import warnings
@@ -299,11 +300,11 @@ def test_criterion_12_byte_identical_determinism():
         digests = []
         for _ in range(2):
             params, result = run_experiment(name, dict(raw, seed=7))
-            if name == "xprep_single":
-                text = format_json(name, params, result)
-            else:
-                text = format_csv(result) + format_json(name, params, result)
-            digests.append(hashlib.sha256(text.encode()).hexdigest())
+            out = io.StringIO()
+            if name != "xprep_single":
+                format_csv(result, out)
+            format_json(name, params, result, out)
+            digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
         if digests[0] != digests[1]:
             mismatched.append(name)
     _line(12, "rerun with same config+seed is byte-identical", not mismatched,

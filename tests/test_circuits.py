@@ -73,9 +73,9 @@ def test_cnot_truth_table():
 
 
 def test_gates_apply_in_listed_order():
-    c = Circuit(1, (Gate("ry", (math.pi / 2,), 0), Gate("pauli_z", (), 0)))
+    c = Circuit(1, (Gate("ry", (math.pi / 2,), 0), Gate("rz", (0.7,), 0)))
     u = circuit_unitary(c)
-    expect = np.diag([1.0, -1.0]) @ ry_matrix(math.pi / 2)
+    expect = np.diag(np.exp([-0.35j, 0.35j])) @ ry_matrix(math.pi / 2)
     np.testing.assert_allclose(u, expect, atol=1e-15)
 
 

@@ -1,5 +1,8 @@
+import errno
+import io
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -216,21 +219,32 @@ def test_xprep_single_rejects_bad_targets():
         run_experiment("xprep_single", {"target": {"kind": "spectral", "p": [1, 0, 0]}})
 
 
+def _csv_text(result):
+    out = io.StringIO()
+    format_csv(result, out)
+    return out.getvalue()
+
+
 def test_csv_formatting():
-    res = ExperimentResult(columns=("t", "value"), rows=((0.0, 1.0 / 3.0), (0.5, 2.0)))
-    text = format_csv(res)
+    values = (0.0, 1.0 / 3.0, 0.5, 2.0, -0.0, 1e-05, 1e20, 123456789012345.0, 2.0 / 3.0, 7.0)
+    rows = tuple(zip(values[::2], values[1::2]))
+    text = _csv_text(ExperimentResult(columns=("t", "value"), rows=rows))
     lines = text.strip().split("\n")
     assert lines[0] == "t,value"
     assert lines[1] == "0,0.333333333333"
     assert lines[2] == "0.5,2"
+    assert lines[1:] == [",".join("%.12g" % v for v in row) for row in rows]
     assert text.endswith("\n")
+    assert _csv_text(ExperimentResult(columns=("t", "value"), rows=np.array(rows))) == text
 
 
 def test_json_formatting_carries_provenance():
     params, res = run_experiment(
         "heisenberg_conc", {"time_points": 3, "shots": 50, "noise": ZERO_NOISE}
     )
-    blob = json.loads(format_json("heisenberg_conc", params, res))
+    out = io.StringIO()
+    format_json("heisenberg_conc", params, res, out)
+    blob = json.loads(out.getvalue())
     assert blob["provenance"]["experiment"] == "heisenberg_conc"
     assert blob["provenance"]["fidelity_convention"] == "squared-uhlmann"
     assert blob["provenance"]["shots"] == 50
@@ -586,13 +600,15 @@ def test_result_circuits_are_the_circuits_the_executor_ran(experiment, monkeypat
 
 
 def test_sweep_peak_memory_does_not_grow_with_its_length():
-    # Only a point's row outlives its block, so the traced peak of a sweep
-    # grows by a row's worth per point, well under 1 kB.
+    # Only a point's row outlives its block, one float64 per column, so the
+    # traced peak of a sweep grows by little more than 24 B per point. The
+    # sizes are far apart because the peak also moves by up to about 100 kB
+    # with the circuits of the block where it falls.
     peaks = {}
     run_experiment("heisenberg_conc", {"time_points": 128, "exact": True})
     tracemalloc.start()
     try:
-        for points in (128, 1024):
+        for points in (1024, 8192):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             _, result = run_experiment("heisenberg_conc", {"time_points": points, "exact": True})
@@ -601,11 +617,60 @@ def test_sweep_peak_memory_does_not_grow_with_its_length():
             del result
     finally:
         tracemalloc.stop()
-    assert (peaks[1024] - peaks[128]) / (1024 - 128) < 1024
+    assert (peaks[8192] - peaks[1024]) / (8192 - 1024) < 128
+
+
+def test_cli_peak_memory_of_a_written_sweep_stays_near_its_table(tmp_path):
+    # The rows go into the output file one line at a time, never as one
+    # text, so a run's traced peak grows by little more than its table.
+    out = str(tmp_path / "o.csv")
+    configs = {points: _write_config(tmp_path, {"params": {"time_points": points}}, f"{points}.json")
+               for points in (128, 1024, 8192)}
+    assert main(["heisenberg_conc", "--config", configs[128], "--exact", "--out", out]) == 0
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for points in (1024, 8192):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["heisenberg_conc", "--config", configs[points], "--exact", "--out", out]) == 0
+            peaks[points] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (peaks[8192] - peaks[1024]) / (8192 - 1024) < 160
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_unwritable_stdout_is_a_config_error(tmp_path, capsys, monkeypatch, fmt):
+    class FullDevice(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    cfg = _write_config(tmp_path, {"params": {"time_points": 3, "shots": 10}})
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    assert main(["heisenberg_conc", "--config", cfg, "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "config error: cannot write output to stdout: [Errno 28] No space left on device"
+    assert "Traceback" not in err
 
 
 READOUT_NOISE = {"p_depol_1q": 0.001, "p_depol_2q": 0.01, "gamma_ad": 0.001, "gamma_pd": 0.001, "p_readout": 0.05}
 SWEEPS = ("tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity")
+
+
+@pytest.mark.parametrize("experiment", SWEEPS)
+def test_sweep_rows_are_one_float_table_led_by_the_points(experiment):
+    # 70 points (84 simplex points) fill more than one block.
+    size = {"resolution": 6} if experiment == "tetra_sweep" else {"time_points": 70}
+    params, result = run_experiment(experiment, {**size, "shots": 50})
+    if experiment == "tetra_sweep":
+        points = np.array(simplex_points(6))
+    else:
+        points = _time_grid(params, _couplings(params))[:, None]
+    assert isinstance(result.rows, np.ndarray)
+    assert result.rows.dtype == np.float64
+    assert result.rows.shape == (len(points), len(result.columns))
+    np.testing.assert_array_equal(result.rows[:, : points.shape[1]], points)
 
 
 def _per_point_rows(experiment, params):
