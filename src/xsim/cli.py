@@ -67,8 +67,10 @@ def _check_writable(path) -> None:
 
 
 def _write(path: str | None, write, *args) -> None:
-    """Call ``write(*args, fh)`` with the file at ``path`` open as ``fh``,
-    or with stdout when ``path`` is None."""
+    """Call ``write(*args, fh)`` with the file at ``path`` open as ``fh``, or
+    with stdout when ``path`` is None. After a failed write to the real stdout,
+    fd 1 points at the null device, so that what the write left buffered
+    cannot fail again when the interpreter flushes stdout at exit."""
     try:
         if path is None:
             write(*args, sys.stdout)
@@ -77,6 +79,10 @@ def _write(path: str | None, write, *args) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 write(*args, fh)
     except OSError as exc:
+        if path is None and sys.stdout is sys.__stdout__:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         raise ConfigError(f"cannot write output {'to stdout' if path is None else path}: {exc}") from exc
 
 

@@ -2,6 +2,8 @@ import errno
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -599,45 +601,43 @@ def test_result_circuits_are_the_circuits_the_executor_ran(experiment, monkeypat
     assert [circ.to_json() for _, circ in labelled] == [circ.to_json() for circ in ran]
 
 
-def test_sweep_peak_memory_does_not_grow_with_its_length():
+def _peak_growth_per_point(run) -> float:
+    """Traced peak growth per time point of ``run(points)`` from 1,024 to
+    8,192 points, after one small warm-up run. The sizes are far apart
+    because the peak also moves by up to about 100 kB with the circuits of
+    the block where it falls."""
+    run(128)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for points in (1024, 8192):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(points)
+            peaks[points] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return (peaks[8192] - peaks[1024]) / (8192 - 1024)
+
+
+def test_sweep_peak_memory_does_not_grow_with_its_length(tmp_path):
     # Only a point's row outlives its block, one float64 per column, so the
-    # traced peak of a sweep grows by little more than 24 B per point. The
-    # sizes are far apart because the peak also moves by up to about 100 kB
-    # with the circuits of the block where it falls.
-    peaks = {}
-    run_experiment("heisenberg_conc", {"time_points": 128, "exact": True})
-    tracemalloc.start()
-    try:
-        for points in (1024, 8192):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            _, result = run_experiment("heisenberg_conc", {"time_points": points, "exact": True})
-            peaks[points] = tracemalloc.get_traced_memory()[1] - base
-            assert len(result.rows) == points
-            del result
-    finally:
-        tracemalloc.stop()
-    assert (peaks[8192] - peaks[1024]) / (8192 - 1024) < 128
+    # traced peak of a sweep grows by little more than 24 B per point.
+    def run(points):
+        _, result = run_experiment("heisenberg_conc", {"time_points": points, "exact": True})
+        assert len(result.rows) == points
 
+    assert _peak_growth_per_point(run) < 128
 
-def test_cli_peak_memory_of_a_written_sweep_stays_near_its_table(tmp_path):
-    # The rows go into the output file one line at a time, never as one
-    # text, so a run's traced peak grows by little more than its table.
+    # The CLI writes the rows into the output file one line at a time, never
+    # as one text, so its traced peak grows by little more than the table.
     out = str(tmp_path / "o.csv")
-    configs = {points: _write_config(tmp_path, {"params": {"time_points": points}}, f"{points}.json")
-               for points in (128, 1024, 8192)}
-    assert main(["heisenberg_conc", "--config", configs[128], "--exact", "--out", out]) == 0
-    peaks = {}
-    tracemalloc.start()
-    try:
-        for points in (1024, 8192):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            assert main(["heisenberg_conc", "--config", configs[points], "--exact", "--out", out]) == 0
-            peaks[points] = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert (peaks[8192] - peaks[1024]) / (8192 - 1024) < 160
+
+    def write(points):
+        cfg = _write_config(tmp_path, {"params": {"time_points": points}}, f"{points}.json")
+        assert main(["heisenberg_conc", "--config", cfg, "--exact", "--out", out]) == 0
+
+    assert _peak_growth_per_point(write) < 160
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -652,6 +652,35 @@ def test_cli_unwritable_stdout_is_a_config_error(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == "config error: cannot write output to stdout: [Errno 28] No space left on device"
     assert "Traceback" not in err
+
+
+def _closed_pipe() -> int:
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("device", ["/dev/full", "closed pipe"])
+def test_cli_process_with_unwritable_stdout_exits_2(device):
+    # A real stdout may keep what a failed write left in its buffer (CPython
+    # 3.11 drops it; the trailing write stands in for it), and the process
+    # must still exit 2 rather than fail again when it flushes at exit.
+    if device == "/dev/full" and not os.path.exists(device):
+        pytest.skip("no /dev/full on this system")
+    fd = os.open(device, os.O_WRONLY) if device == "/dev/full" else _closed_pipe()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from xsim.cli import main; "
+             "code = main(['heisenberg_conc', '--shots', '10']); sys.stdout.write('buffered'); sys.exit(code)"],
+            stdout=fd, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(experiments.__file__))},
+        )
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("config error: cannot write output to stdout: [Errno ")
+    assert "Exception ignored" not in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 READOUT_NOISE = {"p_depol_1q": 0.001, "p_depol_2q": 0.01, "gamma_ad": 0.001, "gamma_pd": 0.001, "p_readout": 0.05}
