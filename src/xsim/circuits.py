@@ -1,4 +1,5 @@
-"""Gate set, circuit container, the executor, and the preparation circuits.
+"""Gate set, circuits as an op list plus angles, the executor, and the
+preparation circuits.
 
 Gate conventions (fixed by explicit matrices; tests compare entrywise):
 
@@ -7,13 +8,26 @@ Gate conventions (fixed by explicit matrices; tests compare entrywise):
     W(x) = diag(e^{-i x}, i e^{+i x})
     CNOT = |0><0| x I + |1><1| x X   (control, target any distinct pair)
 
-Each gate kind is declared once: in ``_ROTATIONS`` with its one angle, or
-in ``_FIXED`` without a parameter. Qubit 0 is the leftmost tensor factor.
-Gates in a Circuit are stored in application order: ``gates[0]`` acts
-first. ``run_stack`` is the one executor: it runs circuits from |0...0>
-and returns the density matrices of the qubits it keeps, tracing every
-other qubit out after its last gate. ``to_json`` writes a circuit for the
-``--dump-circuit`` sidecar; the program reads no circuit JSON back.
+A circuit is ``Circuit(width, ops, angles)``. ``ops`` lists each gate as
+``(kind, qubits)`` in application order (``ops[0]`` acts first), with
+``qubits`` = (target,) for a rotation and (control, target) for a CNOT;
+``angles`` holds one float per rotation, in op order. Each gate kind is
+declared once: in ``_ROTATIONS`` with the scalar function that gives its
+matrix rows from its angle, or in ``_FIXED`` without a parameter. Qubit 0 is
+the leftmost tensor factor.
+
+``run_stack`` is the one executor: it runs circuits from |0...0> and returns
+the density matrices of the qubits it keeps, tracing every other qubit out
+after its last gate. The points of a sweep share a few op lists and differ
+only in their angles, so it groups circuits by (width, ops), checks each op
+list once (``_plan``), and stacks a group's angle rows into one float64
+table of shape (P, n_rot): a column that is constant gives one shared
+matrix, any other column a (P, 2, 2) stack. The angles and every matrix
+entry come from scalar ``math`` and ``cmath`` calls, point by point: numpy's
+vectorized arcsin, arctan2 and exp can differ from them in the last bit,
+which would move the floats of the rows and the circuit dumps. ``to_json``
+writes a circuit for the ``--dump-circuit`` sidecar; the program reads no
+circuit JSON back.
 
 The X-state preparation circuit acts on four qubits. A first block turns
 |0000> into sum_ij sqrt(p_ij)|ij>|ij>, so that qubits (2, 3) carry the
@@ -32,8 +46,11 @@ criterion 08): it prepares the same X-state with phi replaced by pi/2 - phi.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,17 +59,18 @@ from .linalg import apply_local, superop
 from .xstate import XState, strip_phases, to_spectral
 
 
-def ry_matrix(t: float) -> np.ndarray:
+def ry_matrix(t: float) -> tuple:
+    """The rows of RY(t); ``rz_matrix`` and ``w_matrix`` likewise."""
     c, s = math.cos(t / 2.0), math.sin(t / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return ((c, -s), (s, c))
 
 
-def rz_matrix(t: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * t), 0.0], [0.0, np.exp(0.5j * t)]], dtype=complex)
+def rz_matrix(t: float) -> tuple:
+    return ((cmath.exp(-0.5j * t), 0.0), (0.0, cmath.exp(0.5j * t)))
 
 
-def w_matrix(x: float) -> np.ndarray:
-    return np.array([[np.exp(-1j * x), 0.0], [0.0, 1j * np.exp(1j * x)]], dtype=complex)
+def w_matrix(x: float) -> tuple:
+    return ((cmath.exp(-1j * x), 0.0), (0.0, 1j * cmath.exp(1j * x)))
 
 
 # Parameter-free gates; CNOT acts on (control, target), control leading.
@@ -63,72 +81,48 @@ _ROTATIONS = {"ry": ry_matrix, "rz": rz_matrix, "w": w_matrix}
 GATE_KINDS = (*_ROTATIONS, *_FIXED)
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate instance: kind, parameters, target, optional control."""
-
-    kind: str
-    params: tuple = ()
-    target: int = 0
-    control: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ContractError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "cnot":
-            if self.control is None or self.control == self.target:
-                raise ContractError("cnot needs distinct control and target")
-        elif self.control is not None:
-            raise ContractError(f"gate {self.kind} takes no control qubit")
-        n_params = 0 if self.kind in _FIXED else 1
-        if len(self.params) != n_params:
-            raise ContractError(f"gate {self.kind} expects {n_params} params")
-
-    @property
-    def qubits(self) -> tuple:
-        """Qubits the gate acts on, in the tensor-factor order of local_matrix."""
-        return (self.target,) if self.control is None else (self.control, self.target)
-
-    def local_matrix(self) -> np.ndarray:
-        """The 2x2 matrix of a single-qubit gate; for CNOT the 4x4 matrix on
-        (control, target)."""
-        if self.kind in _FIXED:
-            return _FIXED[self.kind].copy()
-        return _ROTATIONS[self.kind](self.params[0])
-
-    def to_json(self) -> dict:
-        obj = {"kind": self.kind, "params": list(self.params), "target": self.target}
-        if self.control is not None:
-            obj["control"] = self.control
-        return obj
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """A fixed-width gate list; ``gates[0]`` is applied first."""
+class Circuit(NamedTuple):
+    """A fixed-width op list and the angles of its rotations; ``ops[0]`` is
+    applied first."""
 
     width: int
-    gates: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not 1 <= self.width <= 4:
-            raise DimensionError(f"circuit width {self.width} unsupported")
-        for g in self.gates:
-            used = {g.target} | ({g.control} if g.control is not None else set())
-            if any(q < 0 or q >= self.width for q in used):
-                raise DimensionError(f"gate {g} addresses qubits outside width {self.width}")
-
-    @property
-    def topology(self) -> tuple:
-        """Width and the (kind, qubits) of every gate in order: circuits with
-        equal topology differ only in gate parameters."""
-        return (self.width,) + tuple((g.kind, g.qubits) for g in self.gates)
-
-    def extended(self, more) -> "Circuit":
-        return Circuit(self.width, self.gates + tuple(more))
+    ops: tuple
+    angles: tuple = ()
 
     def to_json(self) -> dict:
-        return {"width": self.width, "gates": [g.to_json() for g in self.gates]}
+        angles, gates = iter(self.angles), []
+        for kind, qubits in self.ops:
+            gate = {"kind": kind, "params": [] if kind in _FIXED else [next(angles)], "target": qubits[-1]}
+            if len(qubits) == 2:
+                gate["control"] = qubits[0]
+            gates.append(gate)
+        return {"width": self.width, "gates": gates}
+
+
+@lru_cache(maxsize=256)
+def _plan(width: int, ops: tuple) -> tuple:
+    """(number of rotations, steps) of an op list, checked once per list.
+    A step is (kind, qubits, angle column or None, the qubits whose last
+    gate it is)."""
+    if not 1 <= width <= 4:
+        raise DimensionError(f"circuit width {width} unsupported")
+    last, n_rot, columns = {}, 0, []
+    for index, (kind, qubits) in enumerate(ops):
+        if kind not in GATE_KINDS:
+            raise ContractError(f"unknown gate kind {kind!r}")
+        if kind == "cnot":
+            if len(qubits) != 2 or qubits[0] == qubits[1]:
+                raise ContractError("cnot needs distinct control and target")
+        elif len(qubits) != 1:
+            raise ContractError(f"gate {kind} takes no control qubit")
+        if any(q < 0 or q >= width for q in qubits):
+            raise DimensionError(f"gate {kind} on {qubits} addresses qubits outside width {width}")
+        columns.append(None if kind in _FIXED else n_rot)
+        n_rot += kind in _ROTATIONS
+        last.update((q, index) for q in qubits)
+    steps = tuple((kind, qubits, column, tuple(q for q in qubits if last[q] == index))
+                  for index, ((kind, qubits), column) in enumerate(zip(ops, columns)))
+    return n_rot, steps
 
 
 def _enter(state: np.ndarray, live: list, qubits) -> np.ndarray:
@@ -144,6 +138,13 @@ def _enter(state: np.ndarray, live: list, qubits) -> np.ndarray:
     return state
 
 
+def _gate_superop(u: np.ndarray, noise) -> np.ndarray:
+    """The superoperator of unitary ``u`` (or of each of a stack) followed
+    by ``noise``, a superoperator or None."""
+    s = superop(u[..., None, :, :])
+    return s if noise is None else noise @ s
+
+
 def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
     """The reduced states on qubits ``keep`` that the circuits make of
     |0...0>, as a (P, 2^k, 2^k) stack in input order, kept qubits in
@@ -152,38 +153,45 @@ def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
     A qubit enters the register as |0><0| at its first gate and, unless
     kept, is traced out right after its last; a kept qubit that no gate
     touches joins at the end. ``keep`` outside the width raises
-    DimensionError. ``gate_noise`` maps gate arity to the superoperator of
-    the noise on the touched qubits, or to None (``NoiseModel.gate_noise``);
-    it is composed into each gate's superoperator, so a noisy gate is one
-    contraction. Circuits of equal
-    ``topology`` share one gate loop, with one operator per gate where
-    their parameters agree and a stack of them elsewhere, so each state
-    gets the arithmetic of its own run.
+    DimensionError, and a circuit whose angle count differs from its
+    rotation count ContractError. ``gate_noise`` maps gate arity to the
+    superoperator of the noise on the touched qubits, or to None
+    (``NoiseModel.gate_noise``); it is composed into each gate's
+    superoperator, so a noisy gate is one contraction. Circuits of equal
+    width and ops share one gate loop over the table of their angles, with
+    one operator per gate where the column is constant and a stack of them
+    elsewhere, so each state gets the arithmetic of its own run.
     """
     keep = sorted(set(int(q) for q in keep))
     k, gate_noise = len(keep), gate_noise or {1: None, 2: None}
     out = np.empty((len(circuits), 2**k, 2**k), dtype=complex)
-    groups = {}
+    groups, fixed = {}, {}  # fixed: kind -> superoperator of a parameter-free gate and its noise
     for index, c in enumerate(circuits):
-        groups.setdefault(c.topology, []).append(index)
-    for members in groups.values():
-        width = circuits[members[0]].width
+        groups.setdefault((c.width, c.ops), []).append(index)
+    for (width, ops), members in groups.items():
+        n_rot, steps = _plan(width, ops)
         if not keep or keep[0] < 0 or keep[-1] >= width:
             raise DimensionError(f"keep={keep} invalid for circuit width {width}")
-        last = {q: i for i, g in enumerate(circuits[members[0]].gates) for q in g.qubits}
+        rows = [circuits[i].angles for i in members]
+        if any(len(row) != n_rot for row in rows):
+            raise ContractError(f"a circuit of {n_rot} rotations needs {n_rot} angles")
+        table = np.array(rows, dtype=float).reshape(len(members), n_rot)
+        shared = (table == table[0]).all(axis=0)
         state, live = np.ones(len(members), dtype=complex), []
-        for index, column in enumerate(zip(*(circuits[i].gates for i in members))):
-            g = column[0]
-            state = _enter(state, live, g.qubits)
-            same = all(h.params == g.params for h in column)
-            u = g.local_matrix() if same else np.array([h.local_matrix() for h in column])
-            s = superop(np.expand_dims(u, -3))
-            if gate_noise[len(g.qubits)] is not None:
-                s = gate_noise[len(g.qubits)] @ s
-            at = [live.index(q) for q in g.qubits]
+        for kind, qubits, column, frees in steps:
+            state = _enter(state, live, qubits)
+            if column is None:
+                if kind not in fixed:
+                    fixed[kind] = _gate_superop(_FIXED[kind], gate_noise[len(qubits)])
+                s = fixed[kind]
+            else:
+                angles = table[:, column].tolist()
+                u = _ROTATIONS[kind](angles[0]) if shared[column] else [_ROTATIONS[kind](t) for t in angles]
+                s = _gate_superop(np.array(u, dtype=complex), gate_noise[1])
+            at = [live.index(q) for q in qubits]
             state = apply_local(state, s, at + [len(live) + a for a in at])
-            for q in g.qubits:
-                if last[q] == index and q not in keep:
+            for q in frees:
+                if q not in keep:
                     a = live.index(q)
                     state = np.trace(state, axis1=1 + a, axis2=1 + len(live) + a)
                     live.remove(q)
@@ -203,49 +211,43 @@ def classical_prep_angles(p) -> tuple:
     atan2 of the amplitude sums and differences. All four prepared
     amplitudes come out nonnegative, equal to sqrt(p_ij).
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,) or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ContractError(f"classical distribution invalid: {p}")
-    r = np.sqrt(np.clip(p, 0.0, None))
+    p = tuple(map(float, p))
+    if len(p) != 4 or min(p) < -1e-12 or abs(p[0] + p[1] + p[2] + p[3] - 1.0) > 1e-9:
+        raise ContractError(f"classical distribution invalid: {np.array(p)}")
+    r = [math.sqrt(max(0.0, v)) for v in p]
     alpha = math.asin(max(-1.0, min(1.0, 2.0 * (r[0] * r[3] - r[1] * r[2]))))
     u = math.atan2(r[1] + r[2], r[0] - r[3])
     v = math.atan2(r[1] - r[2], r[0] + r[3])
     return alpha, u - v, u + v
 
 
-def classical_prep_gates(p) -> list:
-    """Gate list of the first block; drops the leading rotation and CNOT
-    when the distribution factorizes (alpha = 0), since they act trivially
-    on the all-zeros input."""
+_PREP_OPS = (("ry", (0,)), ("cnot", (0, 1)), ("ry", (0,)), ("ry", (1,)), ("cnot", (0, 2)), ("cnot", (1, 3)))
+
+
+def classical_prep_gates(p) -> tuple:
+    """(ops, angles) of the first block; drops the leading rotation and
+    CNOT when the distribution factorizes (alpha = 0), since they act
+    trivially on the all-zeros input."""
     alpha, beta, gamma = classical_prep_angles(p)
-    gates = []
     if abs(alpha) > 1e-12:
-        gates.append(Gate("ry", (alpha,), 0))
-        gates.append(Gate("cnot", (), 1, control=0))
-    gates.append(Gate("ry", (beta,), 0))
-    gates.append(Gate("ry", (gamma,), 1))
-    gates.append(Gate("cnot", (), 2, control=0))
-    gates.append(Gate("cnot", (), 3, control=1))
-    return gates
+        return _PREP_OPS, (alpha, beta, gamma)
+    return _PREP_OPS[2:], (beta, gamma)
 
 
-def eigenbasis_block(theta: float, phi: float, pair=(0, 1)) -> list:
-    """Second block: |i,j> -> |e_{i, i xor j}> exactly, two CNOTs."""
+def eigenbasis_block(theta: float, phi: float, pair=(0, 1)) -> tuple:
+    """(ops, angles) of the second block: |i,j> -> |e_{i, i xor j}>
+    exactly, two CNOTs."""
     first, second = pair
-    return [
-        Gate("ry", (theta + phi,), first),
-        Gate("cnot", (), first, control=second),
-        Gate("ry", (theta - phi,), first),
-        Gate("cnot", (), second, control=first),
-    ]
+    ops = (("ry", (first,)), ("cnot", (second, first)), ("ry", (first,)), ("cnot", (first, second)))
+    return ops, (theta + phi, theta - phi)
 
 
 def build_xstate_circuit(p, theta: float, phi: float) -> Circuit:
     """Four-qubit circuit preparing the real X-state with weights p and
     eigenbasis angles (theta, phi) on qubits (2, 3)."""
-    gates = classical_prep_gates(p)
-    gates += eigenbasis_block(theta, phi, pair=(2, 3))
-    return Circuit(4, tuple(gates))
+    prep_ops, prep_angles = classical_prep_gates(p)
+    ops, angles = eigenbasis_block(theta, phi, pair=(2, 3))
+    return Circuit(4, prep_ops + ops, prep_angles + angles)
 
 
 def build_complex_xstate_circuit(x: XState) -> tuple:
@@ -257,13 +259,11 @@ def build_complex_xstate_circuit(x: XState) -> tuple:
     """
     real_x, (alpha, beta) = strip_phases(x)
     spectral = to_spectral(real_x)
-    circ = build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
-    tail = []
-    if abs(alpha) > 1e-14:
-        tail.append(Gate("rz", (-alpha,), 2))
-    if abs(beta) > 1e-14:
-        tail.append(Gate("rz", (-beta,), 3))
-    return circ.extended(tail), spectral, (alpha, beta)
+    width, ops, angles = build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
+    for qubit, phase in ((2, alpha), (3, beta)):
+        if abs(phase) > 1e-14:
+            ops, angles = ops + (("rz", (qubit,)),), angles + (-phase,)
+    return Circuit(width, ops, angles), spectral, (alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -289,6 +289,10 @@ class XUnitaryParams:
     t2: float
 
 
+_X_UNITARY_OPS = (("rz", (0,)), ("rz", (1,)), ("cnot", (0, 1)), ("ry", (0,)), ("cnot", (1, 0)), ("ry", (0,)),
+                  ("w", (1,)), ("cnot", (0, 1)), ("rz", (0,)), ("rz", (1,)))
+
+
 def decompose_x_unitary(q: XUnitaryParams) -> Circuit:
     """Seven-element gate sequence reproducing the XUnitaryParams matrix
     exactly (global phase 1): local RZ pair, CNOT, RY x W, reverse CNOT,
@@ -302,17 +306,4 @@ def decompose_x_unitary(q: XUnitaryParams) -> Circuit:
     s2 = -0.25 * (q.a1 + q.b1 - q.a2 - q.b2)
     s3 = -0.25 * (q.a2 - q.b2 + q.a1 - q.b1)
     s4 = -0.25 * (q.a1 - q.b1 - q.a2 + q.b2)
-    gates = [
-        Gate("rz", (s3,), 0),
-        Gate("rz", (s4,), 1),
-        Gate("cnot", (), 1, control=0),
-        Gate("ry", (q.t1 - q.t2,), 0),
-        Gate("cnot", (), 0, control=1),
-        Gate("ry", (q.t1 + q.t2,), 0),
-        Gate("w", (0.5 * q.x,), 1),
-        Gate("cnot", (), 1, control=0),
-        Gate("rz", (s1,), 0),
-        Gate("rz", (s2,), 1),
-    ]
-    return Circuit(2, tuple(gates))
-
+    return Circuit(2, _X_UNITARY_OPS, (s3, s4, q.t1 - q.t2, q.t1 + q.t2, 0.5 * q.x, s1, s2))

@@ -112,11 +112,14 @@ PARAM_SPECS = {
 }
 
 
-def simplex_points(resolution: int) -> list:
-    """Probability 4-vectors with components that are multiples of 1/resolution."""
+def simplex_points(resolution: int) -> np.ndarray:
+    """Probability 4-vectors with components that are multiples of
+    1/resolution, as the rows of an (N, 4) float64 array in lexicographic
+    order of the first three numerators."""
     n = resolution
-    return [(i / n, j / n, k / n, (n - i - j - k) / n)
-            for i in range(n + 1) for j in range(n - i + 1) for k in range(n - i - j + 1)]
+    ijk = np.indices((n + 1,) * 3, dtype=np.int16).reshape(3, -1)
+    ijk = ijk[:, ijk.sum(axis=0) <= n]
+    return np.column_stack([*ijk, n - ijk.sum(axis=0)]) / n
 
 
 @dataclass(frozen=True)
@@ -289,22 +292,25 @@ def _sweep(params: dict, points, build, columns, names: tuple, label: str) -> Ex
     seed and each point's index in the sweep. A row is the point's
     coordinates followed by its computed columns, together the columns
     named in ``names``; the rows fill one float64 table of shape
-    ``(len(points), len(names))``. The result's ``circuits()`` builds the
-    circuits again, labelled ``{label}_{index}``.
+    ``(len(points), len(names))``. ``points`` is an array, one point per
+    row (or one number per point), and ``build`` gets each as Python
+    floats. The result's ``circuits()`` builds the circuits again from the
+    table's leading point columns, labelled ``{label}_{index}``.
     """
     nm = params["noise"]
     draw = {"shots": params["shots"], "p_readout": nm.p_readout, "exact": params["exact"]}
     rows = np.empty((len(points), len(names)))
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
-        targets, circuits = zip(*map(build, block))
+        targets, circuits = zip(*map(build, block.tolist()))
         pairs = run_stack(circuits, (2, 3), nm.gate_noise)
         seeds = [derive_seed(params["seed"], index) for index in range(start, start + len(block))]
         cols = columns(XState.stack(targets), pairs, {**draw, "seeds": seeds})
-        rows[start : start + len(block)] = np.column_stack([np.asarray(block, dtype=float), *cols])
+        rows[start : start + len(block)] = np.column_stack([block, *cols])
+    lead = rows[:, 0] if points.ndim == 1 else rows[:, : points.shape[1]]
 
     def labelled():
-        return ((f"{label}_{index}", build(point)[1]) for index, point in enumerate(points))
+        return ((f"{label}_{index}", build(point)[1]) for index, point in enumerate(lead.tolist()))
 
     return ExperimentResult(columns=names, rows=rows, circuits=labelled)
 

@@ -36,9 +36,8 @@ matrix exponential are test references (``tests/oracles.py``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .circuits import XUnitaryParams
 from .errors import ContractError
@@ -82,7 +81,10 @@ class HeisenbergParams:
 def _rotor(delta: float, coupling: float, t: float) -> tuple:
     """(u, c) of the block propagator exp(-i t [[delta, coupling], [coupling, -delta]])."""
     r = math.hypot(delta, coupling)
-    sin_over_r = t * float(np.sinc(r * t / math.pi))
+    # t sin(r t) / (r t) as t * numpy.sinc(r t / pi), with numpy's scalar
+    # steps spelled out (its sin agrees with math.sin to the last bit)
+    x = math.pi * (r * t / math.pi) or sys.float_info.epsilon
+    sin_over_r = t * (math.sin(x) / x)
     u = complex(math.cos(r * t), -delta * sin_over_r)
     c = complex(0.0, -coupling * sin_over_r)
     return u, c

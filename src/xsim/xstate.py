@@ -120,13 +120,13 @@ class XSpectral:
     phi: float
 
     @property
-    def probs(self) -> np.ndarray:
-        return np.array([self.p00, self.p01, self.p10, self.p11])
+    def probs(self) -> tuple:
+        return (self.p00, self.p01, self.p10, self.p11)
 
     def validate(self) -> "XSpectral":
-        p = self.probs
-        if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
-            raise ContractError(f"spectral weights invalid: {p}")
+        # scalar checks, summed in numpy's order for four entries
+        if min(self.probs) < -1e-12 or abs(self.p00 + self.p01 + self.p10 + self.p11 - 1.0) > 1e-12:
+            raise ContractError(f"spectral weights invalid: {np.array(self.probs)}")
         for name, angle in (("theta", self.theta), ("phi", self.phi)):
             if not -1e-12 <= angle <= math.pi / 2 + 1e-12:
                 raise ContractError(f"{name} must lie in [0, pi/2], got {angle}")

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from xsim.circuits import Circuit, Gate, run_stack
+from xsim.circuits import Circuit, run_stack
 from xsim.noise import NoiseModel
 from xsim.xstate import XSpectral, XState, from_spectral
 
@@ -51,6 +51,19 @@ def random_hermitian(rng, dim=4):
     return (g + g.conj().T) / 2.0
 
 
+def make_circuit(width, *gates):
+    """A Circuit of ``gates`` in application order, each (kind, qubits) or
+    (kind, qubits, angle), the angle None for a CNOT."""
+    angles = tuple(g[2] for g in gates if len(g) > 2 and g[2] is not None)
+    return Circuit(width, tuple((g[0], tuple(g[1])) for g in gates), angles)
+
+
+def extended(c, *gates):
+    """``c`` followed by ``gates``, given as to ``make_circuit``."""
+    more = make_circuit(c.width, *gates)
+    return Circuit(c.width, c.ops + more.ops, c.angles + more.angles)
+
+
 def random_circuit(rng, width, n_gates=12):
     """``n_gates`` draws over every gate kind on ``width`` qubits (a CNOT
     drawn on one qubit is skipped)."""
@@ -59,10 +72,11 @@ def random_circuit(rng, width, n_gates=12):
         kind = rng.choice(["ry", "rz", "w", "cnot"])
         if kind == "cnot" and width > 1:
             control, target = rng.choice(width, size=2, replace=False)
-            gates.append(Gate("cnot", (), int(target), control=int(control)))
+            gates.append(("cnot", (int(control), int(target))))
         elif kind != "cnot":
-            gates.append(Gate(str(kind), (float(rng.uniform(-3, 3)),), int(rng.integers(width))))
-    return Circuit(width, tuple(gates))
+            angle = float(rng.uniform(-3, 3))
+            gates.append((str(kind), (int(rng.integers(width)),), angle))
+    return make_circuit(width, *gates)
 
 
 def run_channel(prefix, qubits, keep=None, **rates):
@@ -72,7 +86,7 @@ def run_channel(prefix, qubits, keep=None, **rates):
     only nonzero rates are ``rates``. So each listed qubit gets that
     one-qubit channel once, by the production route; the prefix runs under
     the same model, which makes its output mixed."""
-    probes = prefix.extended(Gate("rz", (0.0,), q) for q in qubits)
+    probes = extended(prefix, *(("rz", (q,), 0.0) for q in qubits))
     keep = range(prefix.width) if keep is None else keep
     before, after = run_stack((prefix, probes), keep, replace(ZERO_NOISE_MODEL, **rates).gate_noise)
     return before, after

@@ -15,12 +15,19 @@ Float values must agree within ``FLOAT_ATOL``; everything else must agree
 exactly, including the integer shot counts of every (point, setting), which
 are captured by wrapping ``sample_setting``; they are the recorded counts,
 readout error included.
+
+The ``--dump-circuit`` sidecar of each experiment at these sizes (both
+``xprep_single`` target kinds) is kept in ``tests/sidecars/`` and must
+match as an exact string: the circuit angles are written at full
+precision, so any change of their arithmetic shows there. ``--write``
+rewrites those files too, and ``--check`` reports each one that differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import json
 import sys
 from itertools import zip_longest
@@ -29,6 +36,7 @@ from pathlib import Path
 import pytest
 
 GOLDEN_PATH = Path(__file__).with_name("goldens.json")
+SIDECAR_DIR = Path(__file__).with_name("sidecars")
 # Reordered float sums and LAPACK in place of the Jacobi solver move the
 # float columns by up to ~2e-8; a changed shot count moves them by at least
 # 1/SHOTS.
@@ -64,6 +72,24 @@ def cases() -> dict:
     out["xprep_single-spectral-default-sampled"] = (
         "xprep_single", {"target": SPECTRAL_TARGET, "shots": SHOTS, "seed": SEED})
     return out
+
+
+def sidecar_cases() -> dict:
+    """Sidecar file name -> (experiment, params); the sidecar does not
+    depend on shots, seed or noise."""
+    out = {f"{experiment}.circuit.json": (experiment, size) for experiment, size in SIZES.items()}
+    out["xprep_single-spectral.circuit.json"] = ("xprep_single", {"target": SPECTRAL_TARGET})
+    return out
+
+
+def sidecar_text(experiment: str, params: dict) -> str:
+    """The text that ``--dump-circuit`` writes for one run."""
+    from xsim.experiments import format_circuit_dump, run_experiment
+
+    _, result = run_experiment(experiment, params)
+    fh = io.StringIO()
+    format_circuit_dump(result, fh)
+    return fh.getvalue()
 
 
 def run_case(experiment: str, params: dict, monkeypatch) -> dict:
@@ -169,8 +195,15 @@ def main(argv=None) -> int:
     for name, (experiment, params) in cases().items():
         with pytest.MonkeyPatch.context() as mp:
             computed[name] = {"experiment": experiment, "params": params, **run_case(experiment, params, mp)}
+    sidecars = {name: sidecar_text(*case) for name, case in sidecar_cases().items()}
     if args.check:
-        return check(previous, computed)
+        moved = [name for name, text in sidecars.items()
+                 if not (SIDECAR_DIR / name).exists() or (SIDECAR_DIR / name).read_text(encoding="utf-8") != text]
+        print(f"{len(sidecars)} sidecars, {len(moved)} differ {moved}")
+        return max(check(previous, computed), 1 if moved else 0)
+    SIDECAR_DIR.mkdir(exist_ok=True)
+    for name, text in sidecars.items():
+        (SIDECAR_DIR / name).write_text(text, encoding="utf-8")
     goldens, rewritten = {}, []
     for name, entry in computed.items():
         params = entry["params"]

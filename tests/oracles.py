@@ -34,7 +34,7 @@ import string
 
 import numpy as np
 
-from xsim.circuits import Circuit, Gate, XUnitaryParams, classical_prep_gates
+from xsim.circuits import Circuit, XUnitaryParams, classical_prep_gates, ry_matrix, rz_matrix, w_matrix
 from xsim.errors import ContractError, DimensionError
 from xsim.heisenberg import HeisenbergParams
 from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, is_hermitian, kron
@@ -208,17 +208,28 @@ def embed(m: np.ndarray, qubit: int, width: int) -> np.ndarray:
     return out
 
 
-def kron_gate(g: Gate, width: int) -> np.ndarray:
+_ROTATION_ROWS = {"ry": ry_matrix, "rz": rz_matrix, "w": w_matrix}
+
+
+def gates(c: Circuit) -> list:
+    """(kind, qubits, angle) of each gate of ``c`` in order; the angle of a
+    CNOT is None."""
+    angles = iter(c.angles)
+    return [(kind, qubits, None if kind == "cnot" else next(angles)) for kind, qubits in c.ops]
+
+
+def kron_gate(kind: str, qubits: tuple, angle, width: int) -> np.ndarray:
     """Full-register unitary of one gate, built from Kronecker products."""
-    if g.kind != "cnot":
-        return embed(g.local_matrix(), g.target, width)
+    if kind != "cnot":
+        return embed(np.array(_ROTATION_ROWS[kind](angle), dtype=complex), qubits[0], width)
+    control, target = qubits
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     term0 = np.eye(1, dtype=complex)
     term1 = np.eye(1, dtype=complex)
     for q in range(width):
-        term0 = kron(term0, p0 if q == g.control else I2)
-        term1 = kron(term1, p1 if q == g.control else (SX if q == g.target else I2))
+        term0 = kron(term0, p0 if q == control else I2)
+        term1 = kron(term1, p1 if q == control else (SX if q == target else I2))
     return term0 + term1
 
 
@@ -226,8 +237,8 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     """The circuit's unitary: the product of its Kronecker-embedded gates,
     the first gate rightmost."""
     u = np.eye(2**c.width, dtype=complex)
-    for g in c.gates:
-        u = kron_gate(g, c.width) @ u
+    for g in gates(c):
+        u = kron_gate(*g, c.width) @ u
     return u
 
 
@@ -266,25 +277,22 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     return np.einsum(sub, rho.reshape(stack + (2,) * (2 * n))).reshape(stack + (2**k, 2**k))
 
 
-def eigenbasis_block_alt(theta: float, phi: float, pair=(0, 1)) -> list:
-    """Three-CNOT variant of ``circuits.eigenbasis_block``; same X-state
-    output with phi -> pi/2 - phi."""
+def eigenbasis_block_alt(theta: float, phi: float, pair=(0, 1)) -> tuple:
+    """(ops, angles) of the three-CNOT variant of
+    ``circuits.eigenbasis_block``; same X-state output with
+    phi -> pi/2 - phi."""
     first, second = pair
-    return [
-        Gate("ry", (theta + phi,), first),
-        Gate("cnot", (), first, control=second),
-        Gate("ry", (theta - phi,), first),
-        Gate("cnot", (), first, control=second),
-        Gate("cnot", (), second, control=first),
-    ]
+    ops = (("ry", (first,)), ("cnot", (second, first)), ("ry", (first,)), ("cnot", (second, first)),
+           ("cnot", (first, second)))
+    return ops, (theta + phi, theta - phi)
 
 
 def build_xstate_circuit_alt(p, theta: float, phi: float) -> Circuit:
     """``circuits.build_xstate_circuit`` with the three-CNOT second block;
     its output X-state equals build_xstate_circuit(p, theta, pi/2 - phi)."""
-    gates = classical_prep_gates(p)
-    gates += eigenbasis_block_alt(theta, phi, pair=(2, 3))
-    return Circuit(4, tuple(gates))
+    prep_ops, prep_angles = classical_prep_gates(p)
+    ops, angles = eigenbasis_block_alt(theta, phi, pair=(2, 3))
+    return Circuit(4, prep_ops + ops, prep_angles + angles)
 
 
 def relative_phase(target: np.ndarray, candidate: np.ndarray) -> complex:

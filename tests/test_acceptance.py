@@ -112,7 +112,7 @@ def test_criterion_04_preparation_circuit_matches_shape_map():
         worst = max(worst, np.max(np.abs(pair - from_spectral(s).matrix())))
     # basis map of the entangling block on all four basis inputs
     th, ph = 0.7, 0.3
-    u = circuit_unitary(Circuit(2, tuple(eigenbasis_block(th, ph))))
+    u = circuit_unitary(Circuit(2, *eigenbasis_block(th, ph)))
     images = np.array([
         [math.cos(th), 0.0, 0.0, math.sin(th)],
         [0.0, math.sin(ph), math.cos(ph), 0.0],

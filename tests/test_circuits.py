@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spectral
+from conftest import make_circuit, random_spectral
 from oracles import assemble_x_unitary, build_xstate_circuit_alt, circuit_unitary, relative_phase
+from xsim import circuits
 from xsim.circuits import (
     Circuit,
-    Gate,
     XUnitaryParams,
     build_complex_xstate_circuit,
     build_xstate_circuit,
@@ -37,35 +37,43 @@ def test_gate_matrices_match_displayed_conventions():
 
 
 def test_gate_validation():
-    with pytest.raises(ContractError):
-        Gate("nope", (), 0)
-    with pytest.raises(ContractError):
-        Gate("u_lambda", (0.1,), 0)
-    with pytest.raises(ContractError):
-        Gate("rx", (0.1,), 0)
-    with pytest.raises(ContractError):
-        Gate("ry", (), 0)  # missing angle
-    with pytest.raises(ContractError):
-        Gate("cnot", (), 1, 1)  # control == target
-    with pytest.raises(ContractError):
-        Gate("ry", (0.1,), 0, 1)  # control on a 1q gate
+    # the executor checks each op list before it runs it
+    for bad in (
+        make_circuit(2, ("nope", (0,))),
+        make_circuit(2, ("u_lambda", (0,), 0.1)),
+        make_circuit(2, ("rx", (0,), 0.1)),
+        make_circuit(2, ("ry", (0,))),  # missing angle
+        make_circuit(2, ("ry", (0,), 0.1), ("cnot", (0, 1), 0.2)),  # an angle too many
+        make_circuit(2, ("cnot", (1, 1))),  # control == target
+        make_circuit(2, ("ry", (1, 0), 0.1)),  # control on a 1q gate
+    ):
+        with pytest.raises(ContractError):
+            run_stack((bad,), (0,))
 
 
 def test_circuit_width_and_bounds():
     with pytest.raises(DimensionError):
-        Circuit(5, ())
+        run_stack((Circuit(5, ()),), (0,))
     with pytest.raises(DimensionError):
-        Circuit(2, (Gate("ry", (0.1,), 3),))
+        run_stack((make_circuit(2, ("ry", (3,), 0.1)),), (0,))
+
+
+def test_op_list_is_checked_once_for_a_block():
+    circuits._plan.cache_clear()
+    block = [build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.1 * k, 0.5) for k in range(64)]
+    run_stack(block, (2, 3))
+    run_stack(block, (2, 3))
+    assert circuits._plan.cache_info().misses == 1
 
 
 def test_cnot_truth_table():
-    c = Circuit(2, (Gate("cnot", (), 1, 0),))
+    c = make_circuit(2, ("cnot", (0, 1)))
     u = circuit_unitary(c).real
     perm = np.zeros((4, 4))
     perm[0, 0] = perm[1, 1] = perm[3, 2] = perm[2, 3] = 1.0
     np.testing.assert_allclose(u, perm, atol=1e-15)
     # control on qubit 1, target qubit 0
-    c = Circuit(2, (Gate("cnot", (), 0, 1),))
+    c = make_circuit(2, ("cnot", (1, 0)))
     u = circuit_unitary(c).real
     perm = np.zeros((4, 4))
     perm[0, 0] = perm[3, 1] = perm[2, 2] = perm[1, 3] = 1.0
@@ -73,7 +81,7 @@ def test_cnot_truth_table():
 
 
 def test_gates_apply_in_listed_order():
-    c = Circuit(1, (Gate("ry", (math.pi / 2,), 0), Gate("rz", (0.7,), 0)))
+    c = make_circuit(1, ("ry", (0,), math.pi / 2), ("rz", (0,), 0.7))
     u = circuit_unitary(c)
     expect = np.diag(np.exp([-0.35j, 0.35j])) @ ry_matrix(math.pi / 2)
     np.testing.assert_allclose(u, expect, atol=1e-15)
@@ -83,7 +91,7 @@ def test_classical_prep_amplitudes():
     rng = np.random.default_rng(7)
     for _ in range(50):
         p = rng.dirichlet(np.ones(4))
-        c = Circuit(4, tuple(classical_prep_gates(p)))
+        c = Circuit(4, *classical_prep_gates(p))
         psi = circuit_unitary(c)[:, 0]
         # nonzero amplitudes only at |i j i j>, equal to sqrt(p_ij)
         expect = np.zeros(16)
@@ -98,12 +106,12 @@ def test_classical_prep_product_distribution_drops_leading_rotation():
     p = (q0 * r0, q0 * (1 - r0), (1 - q0) * r0, (1 - q0) * (1 - r0))
     alpha, _, _ = classical_prep_angles(p)
     assert abs(alpha) < 1e-12
-    gates = classical_prep_gates(p)
+    ops, angles = classical_prep_gates(p)
     # leading rotation and its CNOT are elided: 4 gates, no CNOT onto qubit 1
-    assert len(gates) == 4
-    assert all(not (g.kind == "cnot" and g.target == 1) for g in gates)
+    assert len(ops) == 4 and len(angles) == 2
+    assert all(not (kind == "cnot" and qubits[1] == 1) for kind, qubits in ops)
     # still prepares the right amplitudes
-    psi = circuit_unitary(Circuit(4, tuple(gates)))[:, 0]
+    psi = circuit_unitary(Circuit(4, ops, angles))[:, 0]
     for i in range(2):
         for j in range(2):
             assert psi[10 * i + 5 * j] == pytest.approx(math.sqrt(p[2 * i + j]), abs=1e-12)
@@ -111,7 +119,7 @@ def test_classical_prep_product_distribution_drops_leading_rotation():
 
 def test_eigenbasis_block_maps_all_four_basis_states():
     th, ph = 0.3, 0.4
-    u = circuit_unitary(Circuit(2, tuple(eigenbasis_block(th, ph))))
+    u = circuit_unitary(Circuit(2, *eigenbasis_block(th, ph)))
     images = {
         0: [math.cos(th), 0, 0, math.sin(th)],
         1: [0, math.sin(ph), math.cos(ph), 0],
@@ -171,6 +179,6 @@ def test_decompose_x_unitary_reassembles():
         u = assemble_x_unitary(q)
         circ = decompose_x_unitary(q)
         assert circ.width == 2
-        assert sum(1 for g in circ.gates if g.kind == "cnot") == 3
+        assert sum(1 for kind, _ in circ.ops if kind == "cnot") == 3
         v = circuit_unitary(circ)
         np.testing.assert_allclose(relative_phase(u, v) * v, u, atol=1e-11)

@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import circuit_unitary
-from xsim.circuits import Circuit, Gate, build_xstate_circuit, run_stack
+from xsim.circuits import Circuit, build_xstate_circuit, run_stack
 from xsim.cli import main
 from xsim.errors import ConfigError
 from xsim.experiments import (
@@ -40,12 +41,17 @@ XSTATE_TARGET = {"kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
 
 def test_simplex_grid_point_count_and_normalization():
     pts = simplex_points(8)
-    assert len(pts) == 165
+    assert pts.shape == (165, 4) and pts.dtype == np.float64
     for p in pts:
         assert sum(p) == pytest.approx(1.0, abs=1e-12)
         assert min(p) >= 0.0
-    assert len(set(pts)) == 165
+    assert len(set(map(tuple, pts.tolist()))) == 165
     assert len(simplex_points(1)) == 4
+    # the rows are the quotients i/n of the integer grid, in loop order
+    for n in (1, 8, 64):
+        want = [[i / n, j / n, k / n, (n - i - j - k) / n]
+                for i in range(n + 1) for j in range(n - i + 1) for k in range(n - i - j + 1)]
+        assert simplex_points(n).tolist() == want
     with pytest.raises(ConfigError, match="grid resolution must be >= 1, got 0"):
         resolve_params("tetra_sweep", {"resolution": 0})
 
@@ -296,8 +302,9 @@ def test_cli_dump_circuit_sidecar(tmp_path, experiment, params):
     assert len(dumped) == (3 if experiment == "field_conc" else 1)
     for entry, (_, circ) in zip(dumped, circuits):
         blob = entry["circuit"]
-        gates = (Gate(g["kind"], tuple(g["params"]), g["target"], g.get("control")) for g in blob["gates"])
-        rebuilt = Circuit(blob["width"], tuple(gates))
+        ops = tuple((g["kind"], (g["control"], g["target"]) if "control" in g else (g["target"],))
+                    for g in blob["gates"])
+        rebuilt = Circuit(blob["width"], ops, tuple(a for g in blob["gates"] for a in g["params"]))
         np.testing.assert_allclose(circuit_unitary(rebuilt), circuit_unitary(circ), rtol=0, atol=0)
 
 
@@ -526,10 +533,10 @@ def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, p
         hp = _couplings(params)
         circuits = [point(params, hp, t)[1] for t in _time_grid(params, hp)]
     pairs = np.concatenate(blocks)
-    topologies = {c.topology for c in circuits}
+    topologies = {c.ops for c in circuits}
     assert len(topologies) > 1
-    assert max(sum(c.topology == top for c in circuits) for top in topologies) > 64
-    assert any(len({c.topology for c in circuits[i : i + 64]}) > 1 for i in range(0, len(circuits), 64))
+    assert max(sum(c.ops == top for c in circuits) for top in topologies) > 64
+    assert any(len({c.ops for c in circuits[i : i + 64]}) > 1 for i in range(0, len(circuits), 64))
     assert pairs.shape == (len(circuits), 4, 4)
     # each circuit run on its own, as a stack of one
     for circ, pair in zip(circuits, pairs):
@@ -539,7 +546,7 @@ def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, p
 def test_run_stack_keeps_input_order_across_mixed_topologies():
     factorized = [build_xstate_circuit((0.25, 0.25, 0.25, 0.25), 0.3 + 0.1 * k, 0.2) for k in range(3)]
     correlated = [build_xstate_circuit((0.5, 0.0, 0.1, 0.4), 0.3, 0.2 + 0.1 * k) for k in range(3)]
-    assert factorized[0].topology != correlated[0].topology
+    assert factorized[0].ops != correlated[0].ops
     circuits = [c for pair in zip(factorized, correlated) for c in pair]
     nm = NoiseModel()
     for keep in ((2, 3), (0, 1, 2, 3)):
@@ -638,6 +645,22 @@ def test_sweep_peak_memory_does_not_grow_with_its_length(tmp_path):
         assert main(["heisenberg_conc", "--config", cfg, "--exact", "--out", out]) == 0
 
     assert _peak_growth_per_point(write) < 160
+
+
+def test_tetra_sweep_result_holds_its_table_and_no_point_list():
+    # The result keeps the float table and rebuilds its circuits from the
+    # table's point columns, so after the run little more than the table
+    # (6,545 points x 7 columns, 366 kB) stays live; a kept list of point
+    # tuples would add 1.2 MB.
+    run_experiment("tetra_sweep", {"resolution": 8, "exact": True})
+    tracemalloc.start()
+    try:
+        _, result = run_experiment("tetra_sweep", {"resolution": 32, "exact": True})
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live - result.rows.nbytes < 100_000
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -2,7 +2,17 @@ import json
 
 import pytest
 
-from goldens import FLOAT_ATOL, GOLDEN_PATH, cases, check, first_difference, run_case
+from goldens import (
+    FLOAT_ATOL,
+    GOLDEN_PATH,
+    SIDECAR_DIR,
+    cases,
+    check,
+    first_difference,
+    run_case,
+    sidecar_cases,
+    sidecar_text,
+)
 
 GOLDENS = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 CASES = cases()
@@ -19,6 +29,15 @@ def test_output_matches_golden(name, monkeypatch):
     assert (golden["experiment"], golden["params"]) == (experiment, params)
     diff = first_difference(golden, run_case(experiment, params, monkeypatch))
     assert diff is None, f"{name}: {diff}"
+
+
+@pytest.mark.parametrize("name", sorted(sidecar_cases()))
+def test_circuit_sidecar_matches_its_snapshot_exactly(name):
+    assert sidecar_text(*sidecar_cases()[name]) == (SIDECAR_DIR / name).read_text(encoding="utf-8")
+
+
+def test_sidecar_snapshots_cover_every_case():
+    assert sorted(path.name for path in SIDECAR_DIR.iterdir()) == sorted(sidecar_cases())
 
 
 def test_check_prints_first_difference_and_float_drift(capsys):

@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ZERO_NOISE_MODEL, random_density, random_xstate_raw, run_channel
+from conftest import ZERO_NOISE_MODEL, extended, make_circuit, random_density, random_xstate_raw, run_channel
 from oracles import partial_trace
-from xsim.circuits import Circuit, Gate, build_complex_xstate_circuit, build_xstate_circuit, run_stack
+from xsim.circuits import build_complex_xstate_circuit, build_xstate_circuit, run_stack
 from xsim.errors import ContractError
 from xsim.experiments import resolve_params
 from xsim.linalg import I2
@@ -63,9 +63,9 @@ def test_full_depolarizing_erases_the_qubit():
     # which is traced out.
     rng = np.random.default_rng(3)
     ry, rz = rng.uniform(0.3, 2.8, size=2), rng.uniform(-3, 3, size=2)
-    prefix = Circuit(3, tuple(g for q in (0, 1) for g in (Gate("ry", (ry[q],), q), Gate("rz", (rz[q],), q))))
+    prefix = make_circuit(3, *(g for q in (0, 1) for g in (("ry", (q,), ry[q]), ("rz", (q,), rz[q]))))
     nm = replace(ZERO_NOISE_MODEL, p_depol_2q=1.0)
-    rho, out = run_stack((prefix, prefix.extended([Gate("cnot", (), 0, control=2)])), (0, 1), nm.gate_noise)
+    rho, out = run_stack((prefix, extended(prefix, ("cnot", (2, 0)))), (0, 1), nm.gate_noise)
     assert abs(partial_trace(rho, keep=(0,))[0, 1]) > 0.1  # qubit 0 was not already mixed
     np.testing.assert_allclose(partial_trace(out, keep=(0,)), I2 / 2.0, atol=1e-12)
     # the other qubit's marginal is untouched
@@ -76,7 +76,7 @@ def test_full_depolarizing_erases_the_qubit():
 
 def test_amplitude_damping_full_strength_resets():
     # RY(pi) makes |1>, and full damping after the gate resets it
-    flip = Circuit(1, (Gate("ry", (math.pi,), 0),))
+    flip = make_circuit(1, ("ry", (0,), math.pi))
     np.testing.assert_allclose(run_stack((flip,), (0,))[0], np.diag([0.0, 1.0]), atol=1e-14)
     out = run_stack((flip,), (0,), replace(ZERO_NOISE_MODEL, gamma_ad=1.0).gate_noise)[0]
     np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
@@ -84,7 +84,7 @@ def test_amplitude_damping_full_strength_resets():
 
 def test_phase_damping_scales_coherence():
     # the input is RY(1.2)|0> after the prefix gate's own phase damping
-    rho, out = run_channel(Circuit(1, (Gate("ry", (1.2,), 0),)), (0,), gamma_pd=0.2)
+    rho, out = run_channel(make_circuit(1, ("ry", (0,), 1.2)), (0,), gamma_pd=0.2)
     assert abs(rho[0, 1]) > 0.3
     np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-14)
     assert out[0, 1] == pytest.approx(0.8 * rho[0, 1], abs=1e-14)
@@ -250,7 +250,7 @@ def test_folded_readout_matches_sample_then_flip(p):
 
 def test_two_qubit_gates_use_the_heavier_rate():
     # a circuit with only a CNOT: 1q rate zero, 2q rate nonzero must still mix
-    circ = Circuit(2, (Gate("cnot", (), 1, 0),))
+    circ = make_circuit(2, ("cnot", (0, 1)))
     nm = NoiseModel(p_depol_1q=0.0, p_depol_2q=0.2, gamma_ad=0.0, gamma_pd=0.0, p_readout=0.0)
     out = run_stack((circ,), (0, 1), nm.gate_noise)[0]
     ideal = run_stack((circ,), (0, 1))[0]

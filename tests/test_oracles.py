@@ -16,17 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ZERO_NOISE_MODEL, random_circuit, random_density, run_channel
+from conftest import ZERO_NOISE_MODEL, extended, make_circuit, random_circuit, random_density, run_channel
 from oracles import (
     circuit_unitary,
     concurrence_wootters_oracle,
     embed,
+    gates,
     herm_eig,
     kron_gate,
     partial_trace,
     sqrtm_psd,
 )
-from xsim.circuits import GATE_KINDS, Circuit, Gate, build_xstate_circuit, run_stack
+from xsim.circuits import GATE_KINDS, Circuit, build_xstate_circuit, run_stack
 from xsim.errors import DimensionError
 from xsim.experiments import format_csv, run_experiment
 from xsim.linalg import I2, PAULI, fidelity, kron
@@ -51,10 +52,9 @@ def kron_run_noisy(c, rho, nm):
     """The seed's run_noisy: embedded gates, then each channel on each
     touched qubit as a sum over embedded Kraus operators."""
     out = np.array(rho, dtype=complex)
-    for g in c.gates:
-        u = kron_gate(g, c.width)
+    for kind, touched, angle in gates(c):
+        u = kron_gate(kind, touched, angle, c.width)
         out = u @ out @ u.conj().T
-        touched = (g.target,) if g.control is None else (g.control, g.target)
         depol = nm.p_depol_2q if len(touched) == 2 else nm.p_depol_1q
         for rate, family in ((depol, depolarizing_kraus), (nm.gamma_ad, amplitude_damping_kraus),
                              (nm.gamma_pd, phase_damping_kraus)):
@@ -89,12 +89,12 @@ def test_gate_and_circuit_unitaries_match_kron_reference():
         c = random_circuit(rng, width)
         rho = run_stack((prefix,), every)[0]
         want = rho
-        for g in c.gates:
-            u = kron_gate(g, width)
-            np.testing.assert_allclose(run_stack((prefix.extended((g,)),), every)[0], u @ rho @ u.conj().T,
+        for g in gates(c):
+            u = kron_gate(*g, width)
+            np.testing.assert_allclose(run_stack((extended(prefix, g),), every)[0], u @ rho @ u.conj().T,
                                        atol=1e-15)
             want = u @ want @ u.conj().T
-        np.testing.assert_allclose(run_stack((prefix.extended(c.gates),), every)[0], want, atol=1e-13)
+        np.testing.assert_allclose(run_stack((extended(prefix, *gates(c)),), every)[0], want, atol=1e-13)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 16])
@@ -110,7 +110,7 @@ def test_run_density_and_run_noisy_match_kron_reference(rank):
         extra = min(rank.bit_length() - 1, 4 - width)
         prefix = random_circuit(rng, width + extra, 6 * (width + extra))
         c = random_circuit(rng, width)
-        run, keep = prefix.extended(c.gates), range(width)
+        run, keep = extended(prefix, *gates(c)), range(width)
         u = circuit_unitary(c)
         rho = run_stack((prefix,), keep)[0]
         if extra:
@@ -141,40 +141,45 @@ def test_superoperator_channel_matches_kraus_sum():
 
 @st.composite
 def circuits_and_keep(draw):
-    """A circuit of width 1-4 over every gate kind, and a non-empty keep set."""
+    """Circuits of one random op list of width 1-4 over every gate kind, with
+    one to four angle rows, and a non-empty keep set. Each angle column is
+    constant across the rows or drawn per row, and a row may repeat an
+    earlier one."""
     width = draw(st.integers(1, 4))
     kinds = [k for k in GATE_KINDS if width > 1 or k != "cnot"]
-    gates = []
+    ops = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(kinds))
         if kind == "cnot":
-            control, target = draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True))
-            gates.append(Gate("cnot", (), target, control=control))
+            qubits = tuple(draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True)))
         else:
-            gates.append(Gate(kind, (draw(st.floats(-math.pi, math.pi)),), draw(st.integers(0, width - 1))))
+            qubits = (draw(st.integers(0, width - 1)),)
+        ops.append((kind, qubits))
+    n_rows = draw(st.integers(1, 4))
+    angle = st.floats(-math.pi, math.pi)
+    per_row = st.lists(angle, min_size=n_rows, max_size=n_rows)
+    columns = [[draw(angle)] * n_rows if draw(st.booleans()) else draw(per_row) for kind, _ in ops if kind != "cnot"]
+    rows = [tuple(column[i] for column in columns) for i in range(n_rows)]
+    rows = [rows[draw(st.integers(0, i))] if i and draw(st.booleans()) else row for i, row in enumerate(rows)]
     keep = draw(st.sets(st.integers(0, width - 1), min_size=1))
-    return Circuit(width, tuple(gates)), tuple(sorted(keep))
+    return [Circuit(width, tuple(ops), row) for row in rows], tuple(sorted(keep))
 
 
 rates = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 models = st.one_of(st.just(ZERO_NOISE_MODEL), st.builds(NoiseModel, rates, rates, rates, rates, st.just(0.0)))
 
 
-def _shifted(c):
-    """``c`` with every angle moved by 0.5: the same topology, other operators."""
-    return Circuit(c.width, tuple(Gate(g.kind, tuple(a + 0.5 for a in g.params), g.target, g.control)
-                                  for g in c.gates))
-
-
 @settings(max_examples=150, deadline=None)
 @given(circuits_and_keep(), models)
 def test_run_stack_matches_kron_reference_on_random_circuits(case, nm):
-    # a stack of two circuits of one topology, so that columns whose
-    # parameters differ run as per-state operator stacks
-    c, keep = case
-    pair = (c, _shifted(c))
-    for got, circ in zip(run_stack(pair, keep, nm.gate_noise), pair):
+    # circuits of one op list run as one group: a constant angle column as
+    # one shared operator, any other column as a per-state operator stack.
+    # Each state matches the reference, and bit for bit the same circuit
+    # run alone, where every column is constant.
+    block, keep = case
+    for got, circ in zip(run_stack(block, keep, nm.gate_noise), block):
         np.testing.assert_allclose(got, kron_reduced(circ, keep, nm), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(got, run_stack((circ,), keep, nm.gate_noise)[0])
 
 
 NOISY = NoiseModel(p_depol_1q=0.05, p_depol_2q=0.1, gamma_ad=0.07, gamma_pd=0.03, p_readout=0.0)
@@ -182,15 +187,13 @@ NOISY = NoiseModel(p_depol_1q=0.05, p_depol_2q=0.1, gamma_ad=0.07, gamma_pd=0.03
 
 @pytest.mark.parametrize("c, keep", [
     # kept qubit 2 is touched by no gate
-    (Circuit(3, (Gate("ry", (0.7,), 0), Gate("cnot", (), 1, control=0))), (1, 2)),
+    (make_circuit(3, ("ry", (0,), 0.7), ("cnot", (0, 1))), (1, 2)),
     # dropped qubit 2 is touched by no gate
-    (Circuit(3, (Gate("ry", (0.7,), 0), Gate("cnot", (), 1, control=0))), (0, 1)),
+    (make_circuit(3, ("ry", (0,), 0.7), ("cnot", (0, 1))), (0, 1)),
     # dropped qubit 2 and kept qubit 1 are each touched by exactly one gate
-    (Circuit(3, (Gate("ry", (0.7,), 0), Gate("cnot", (), 2, control=0), Gate("cnot", (), 1, control=0),
-                 Gate("rz", (0.4,), 0))), (0, 1)),
+    (make_circuit(3, ("ry", (0,), 0.7), ("cnot", (0, 2)), ("cnot", (0, 1)), ("rz", (0,), 0.4)), (0, 1)),
     # the last two gates act on qubit 0 after it last meets kept qubit 1
-    (Circuit(2, (Gate("ry", (0.7,), 0), Gate("cnot", (), 1, control=0), Gate("ry", (0.3,), 0),
-                 Gate("rz", (0.4,), 0))), (1,)),
+    (make_circuit(2, ("ry", (0,), 0.7), ("cnot", (0, 1)), ("ry", (0,), 0.3), ("rz", (0,), 0.4)), (1,)),
     # every qubit kept
     (build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9), (0, 1, 2, 3)),
     # no gate at all
@@ -203,7 +206,7 @@ def test_run_stack_matches_kron_reference_on_edge_cases(c, keep, nm):
 
 
 def test_run_stack_rejects_keep_outside_the_width():
-    c = Circuit(3, (Gate("ry", (0.7,), 0),))
+    c = make_circuit(3, ("ry", (0,), 0.7))
     for keep in ((3,), (0, 3), (-1,), ()):
         with pytest.raises(DimensionError):
             run_stack((c,), keep)
