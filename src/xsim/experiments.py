@@ -282,35 +282,35 @@ _BLOCK = 64
 def _sweep(params: dict, points, build, columns, names: tuple, label: str) -> ExperimentResult:
     """The pipeline of every sweep: one row per point, in point order.
 
-    One pass over consecutive blocks of _BLOCK points. ``build(point)``
-    gives each point's (target, circuit); the executor evolves the block's
-    circuits to their noisy output pairs (2, 3); then ``columns(targets,
-    pairs, draw)``, with the block's targets as one XState stack, returns
-    one sequence of floats per computed column. ``draw`` holds the keyword
-    arguments (shots, seeds, p_readout, exact) that it passes to
-    ``measure_block``, with the seed that derive_seed gives for the master
-    seed and each point's index in the sweep. A row is the point's
-    coordinates followed by its computed columns, together the columns
-    named in ``names``; the rows fill one float64 table of shape
-    ``(len(points), len(names))``. ``points`` is an array, one point per
-    row (or one number per point), and ``build`` gets each as Python
-    floats. The result's ``circuits()`` builds the circuits again from the
-    table's leading point columns, labelled ``{label}_{index}``.
+    One pass over consecutive blocks of _BLOCK points. ``build(block)``
+    takes a block's points as an array, one point (or number) per row, and
+    gives their targets as one XState stack and their circuits; the
+    executor evolves the circuits to their noisy output pairs (2, 3); then
+    ``columns(targets, pairs, draw)`` returns one sequence of floats per
+    computed column. ``draw`` holds the keyword arguments (shots, seeds,
+    p_readout, exact) for ``measure_block``: sampled, the seeds derive_seed
+    gives for the master seed and each point's index; exact, none, as none
+    is read. A row is the point's coordinates and computed columns, named
+    ``names``, in one float64 table. The result's ``circuits()`` builds the
+    circuits again through ``build`` from the table's leading columns,
+    labelled ``{label}_{index}``.
     """
     nm = params["noise"]
     draw = {"shots": params["shots"], "p_readout": nm.p_readout, "exact": params["exact"]}
     rows = np.empty((len(points), len(names)))
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
-        targets, circuits = zip(*map(build, block.tolist()))
+        targets, circuits = build(block)
         pairs = run_stack(circuits, (2, 3), nm.gate_noise)
-        seeds = [derive_seed(params["seed"], index) for index in range(start, start + len(block))]
-        cols = columns(XState.stack(targets), pairs, {**draw, "seeds": seeds})
+        seeds = () if params["exact"] else [derive_seed(params["seed"], i) for i in range(start, start + len(block))]
+        cols = columns(targets, pairs, {**draw, "seeds": seeds})
         rows[start : start + len(block)] = np.column_stack([block, *cols])
     lead = rows[:, 0] if points.ndim == 1 else rows[:, : points.shape[1]]
 
     def labelled():
-        return ((f"{label}_{index}", build(point)[1]) for index, point in enumerate(lead.tolist()))
+        for start in range(0, len(lead), _BLOCK):
+            for index, circ in enumerate(build(lead[start : start + _BLOCK])[1], start):
+                yield f"{label}_{index}", circ
 
     return ExperimentResult(columns=names, rows=rows, circuits=labelled)
 
@@ -318,9 +318,10 @@ def _sweep(params: dict, points, build, columns, names: tuple, label: str) -> Ex
 def run_tetra_sweep(params: dict) -> ExperimentResult:
     theta, phi = params["theta"], params["phi"]
 
-    def build(p):
-        target = from_spectral(XSpectral(p[0], p[1], p[2], p[3], theta, phi).validate())
-        return target, build_xstate_circuit(p, theta, phi)
+    def build(block):
+        # Simplex points are valid weights, and resolve_params checked the angles.
+        targets = from_spectral(XSpectral(*block.T, theta, phi))
+        return targets, [build_xstate_circuit(p, theta, phi) for p in block.tolist()]
 
     def columns(targets, pairs, draw):
         c_shot = concurrence_x(reconstruct_x3(measure_block(pairs, PARTIAL3, **draw)))
@@ -330,47 +331,39 @@ def run_tetra_sweep(params: dict) -> ExperimentResult:
     return _sweep(params, simplex_points(params["resolution"]), build, columns, names, "point")
 
 
-def _zero_field_point(params: dict, hp: HeisenbergParams, t: float) -> tuple:
-    """(XState, circuit) of the zero-field evolved mixture at time t."""
-    spectral = canonicalize_spectral(_circuit_weights(params), hp.j_kappa * t, hp.j * t)
-    return from_spectral(spectral), build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
+def _zero_field_block(params: dict, hp: HeisenbergParams, ts: np.ndarray) -> tuple:
+    """(XState stack, circuits) of the zero-field evolved mixture at times ``ts``."""
+    s = canonicalize_spectral(_circuit_weights(params), hp.j_kappa * ts, hp.j * ts)
+    points = zip(np.column_stack(s.probs).tolist(), s.theta.tolist(), s.phi.tolist())
+    return from_spectral(s), [build_xstate_circuit(*point) for point in points]
 
 
-def _field_point(params: dict, hp: HeisenbergParams, t: float) -> tuple:
-    """(XState, circuit) of the exact evolution of the matching diagonal
-    initial state.
-
-    The computational-basis populations are the t -> 0 limit of the
-    zero-field construction: (q0 r0, q1 r1, q0 r1, q1 r0)."""
+def _field_block(params: dict, hp: HeisenbergParams, ts: np.ndarray) -> tuple:
+    """(XState stack, circuits) of the exact evolution of the diagonal state
+    (q0 r0, q1 r1, q0 r1, q1 r0), the t -> 0 limit of the zero-field
+    construction, at times ``ts``, point by point: numpy's hypot and complex
+    abs differ in the last bit from those that evolve_diagonal takes."""
     w00, w01, w10, w11 = _circuit_weights(params)
-    target = evolve_diagonal(hp, (w00, w11, w01, w10), t)
-    circ, _, _ = build_complex_xstate_circuit(target)
-    return target, circ
+    targets = [evolve_diagonal(hp, (w00, w11, w01, w10), t) for t in ts.tolist()]
+    return XState.stack(targets), [build_complex_xstate_circuit(x)[0] for x in targets]
 
 
-def _time_sweep(params: dict, point, columns, names: tuple) -> ExperimentResult:
-    """A sweep over the time grid, point t built by ``point(params, hp, t)``."""
+def _time_sweep(params: dict, block, columns, names: tuple) -> ExperimentResult:
+    """A sweep over the time grid, times ``ts`` built by ``block(params, hp, ts)``."""
     hp = _couplings(params)
-    return _sweep(params, _time_grid(params, hp), lambda t: point(params, hp, t), columns, names, "t")
+    return _sweep(params, _time_grid(params, hp), lambda ts: block(params, hp, ts), columns, names, "t")
 
 
-def _conc_columns(settings, reconstruct):
-    """The computed columns (analytic, reconstructed from ``settings``) of
-    a concurrence sweep; ``_sweep`` puts t before them."""
+def run_conc_experiment(params: dict, with_field: bool) -> ExperimentResult:
+    """Concurrence vs time, analytic and reconstructed: from five settings with the field, else three."""
+    settings, reconstruct = (PARTIAL5, reconstruct_x5) if with_field else (PARTIAL3, reconstruct_x3)
+
     def columns(targets, pairs, draw):
         estimate = reconstruct(measure_block(pairs, settings, **draw))
         return concurrence_x(targets), concurrence_x(estimate)
-    return columns
 
-
-def run_heisenberg_conc(params: dict) -> ExperimentResult:
-    columns = _conc_columns(PARTIAL3, reconstruct_x3)
-    return _time_sweep(params, _zero_field_point, columns, ("t", "c_analytic", "c_reconstructed"))
-
-
-def run_field_conc(params: dict) -> ExperimentResult:
-    columns = _conc_columns(PARTIAL5, reconstruct_x5)
-    return _time_sweep(params, _field_point, columns, ("t", "c_analytic", "c_reconstructed"))
+    block = _field_block if with_field else _zero_field_block
+    return _time_sweep(params, block, columns, ("t", "c_analytic", "c_reconstructed"))
 
 
 _PARTIAL5_ROWS = [FULL.index(s) for s in PARTIAL5]
@@ -394,8 +387,8 @@ def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
             estimates.append(reconstruct_x3(f[:, _PARTIAL3_ROWS]).matrix())
         return (*fidelity(np.stack(estimates), targets.matrix()), leakage(pairs))
 
-    point = _field_point if with_field else _zero_field_point
-    return _time_sweep(params, point, columns, ("t", "f_full", "f_partial5", *partial3, "leakage"))
+    block = _field_block if with_field else _zero_field_block
+    return _time_sweep(params, block, columns, ("t", "f_full", "f_partial5", *partial3, "leakage"))
 
 
 def _parse_target(obj) -> tuple:
@@ -477,8 +470,8 @@ def run_xprep_single(params: dict) -> ExperimentResult:
 
 RUNNERS = {
     "tetra_sweep": run_tetra_sweep,
-    "heisenberg_conc": run_heisenberg_conc,
-    "field_conc": run_field_conc,
+    "heisenberg_conc": lambda p: run_conc_experiment(p, with_field=False),
+    "field_conc": lambda p: run_conc_experiment(p, with_field=True),
     "heisenberg_fidelity": lambda p: run_fidelity_experiment(p, with_field=False),
     "field_fidelity": lambda p: run_fidelity_experiment(p, with_field=True),
     "xprep_single": run_xprep_single,
@@ -497,7 +490,7 @@ def format_csv(result: ExperimentResult, fh) -> None:
 
 
 def provenance(experiment: str, params: dict) -> dict:
-    info = {
+    return {
         "experiment": experiment,
         "seed": params["seed"],
         "shots": params["shots"],
@@ -505,7 +498,6 @@ def provenance(experiment: str, params: dict) -> dict:
         "noise": params["noise"].to_json(),
         "fidelity_convention": FIDELITY_CONVENTION,
     }
-    return info
 
 
 def format_json(experiment: str, params: dict, result: ExperimentResult, fh) -> None:

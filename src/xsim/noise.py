@@ -12,6 +12,14 @@ gate's own superoperator, so a gate and its noise are one contraction; no
 other route applies a channel to a state. ``experiments.resolve_params``
 builds the model from config JSON after checking every rate.
 
+Every channel of the model is covariant under Z conjugation, so the noisy
+preparations stay exactly X-shaped at any rates, not approximately; a
+property test pins this. The CNOT that copies each ancilla into the pair
+(2, 3), with the ancilla then traced out, leaves the pair exactly diagonal.
+The later gates carry its Z_3 invariance into Z_2 Z_3 invariance, which is
+the X shape: RY on qubit 2, CNOT(3 -> 2) and the RZ tails keep Z_3, and the
+last CNOT(2 -> 3) maps Z_3 to Z_2 Z_3.
+
 The model's readout rate p_readout is not applied here: readout error acts
 on recorded outcomes, not on the state, so
 ``tomography.setting_probabilities`` folds it into each setting's outcome

@@ -31,9 +31,11 @@ and the concurrence of any X-state (complex corners included) is
 
     C = 2 max{0, |w| - sqrt(b c), |z| - sqrt(a d)}.
 
-XState entries may also be numpy arrays of one shape: such an XState is a
-stack of X-states, and ``matrix``, ``concurrence_x``,
-``concurrence_wootters`` and ``leakage`` work on stacks entry by entry.
+XState and XSpectral fields may also be numpy arrays of one shape: such a
+value is a stack of X-states, one per entry, and ``from_spectral``,
+``canonicalize_spectral``, ``matrix``, ``concurrence_x``,
+``concurrence_wootters`` and ``leakage`` work on stacks entry by entry. A
+sweep builds the targets of a whole block of points this way.
 
 Complex corner phases are local: a diagonal unitary
 diag(1, e^{i alpha}) x diag(1, e^{i beta}) removes them without touching
@@ -137,15 +139,16 @@ class XSpectral:
 
 def from_spectral(s: XSpectral) -> XState:
     """Shape map from spectral parameters to the six X-state entries."""
-    ct, st = math.cos(s.theta), math.sin(s.theta)
-    cf, sf = math.cos(s.phi), math.sin(s.phi)
+    ct, st = np.cos(s.theta), np.sin(s.theta)
+    cf, sf = np.cos(s.phi), np.sin(s.phi)
     return XState(
         a=s.p00 * ct * ct + s.p10 * st * st,
         d=s.p00 * st * st + s.p10 * ct * ct,
         b=s.p01 * sf * sf + s.p11 * cf * cf,
         c=s.p01 * cf * cf + s.p11 * sf * sf,
-        w=complex((s.p00 - s.p10) * ct * st),
-        z=complex((s.p01 - s.p11) * cf * sf),
+        # a cast, not an addition of 0j, keeps a real part of -0.0
+        w=np.asarray((s.p00 - s.p10) * ct * st, dtype=complex)[()],
+        z=np.asarray((s.p01 - s.p11) * cf * sf, dtype=complex)[()],
     )
 
 
@@ -185,27 +188,22 @@ def to_spectral(x: XState) -> XSpectral:
     return XSpectral(p00, p01, p10, p11, theta, phi)
 
 
-def canonicalize_spectral(p, theta: float, phi: float) -> XSpectral:
-    """Fold arbitrary angles into [0, pi/2) by permuting weights.
+def canonicalize_spectral(p, theta, phi) -> XSpectral:
+    """Fold arbitrary angles into [0, pi/2) by permuting weights, entry by
+    entry when the angles are arrays.
 
     The shape map is pi-periodic in each angle, and a shift by pi/2 swaps the
     two weights of that angle's sector. Evolution sweeps use this to hand
     XSpectral values that satisfy the canonical range contract.
     """
-    p00, p01, p10, p11 = (float(v) for v in p)
-    theta = math.fmod(theta, math.pi)
-    if theta < 0:
-        theta += math.pi
-    if theta >= math.pi / 2:
-        theta -= math.pi / 2
-        p00, p10 = p10, p00
-    phi = math.fmod(phi, math.pi)
-    if phi < 0:
-        phi += math.pi
-    if phi >= math.pi / 2:
-        phi -= math.pi / 2
-        p01, p11 = p11, p01
-    return XSpectral(p00, p01, p10, p11, theta, phi)
+    p, angles = [np.asarray(v, dtype=float) for v in p], []
+    for angle, (i, j) in ((theta, (0, 2)), (phi, (1, 3))):
+        angle = np.fmod(angle, math.pi)
+        angle = np.where(angle < 0, angle + math.pi, angle)
+        shift = angle >= math.pi / 2
+        p[i], p[j] = np.where(shift, p[j], p[i])[()], np.where(shift, p[i], p[j])[()]
+        angles.append(np.where(shift, angle - math.pi / 2, angle)[()])
+    return XSpectral(*p, *angles)
 
 
 def sqrt_nonneg(v):

@@ -18,9 +18,9 @@ from xsim.errors import ConfigError
 from xsim.experiments import (
     ExperimentResult,
     _couplings,
-    _field_point,
+    _field_block,
     _time_grid,
-    _zero_field_point,
+    _zero_field_block,
     format_csv,
     format_json,
     resolve_params,
@@ -32,7 +32,7 @@ from xsim.linalg import fidelity
 from xsim.noise import NoiseModel
 from xsim.rng import derive_seed
 from xsim.tomography import FULL, PARTIAL3, PARTIAL5, measure_block, reconstruct_full, reconstruct_x3, reconstruct_x5
-from xsim.xstate import XSpectral, concurrence_wootters, concurrence_x, from_spectral, leakage
+from xsim.xstate import XSpectral, XState, concurrence_wootters, concurrence_x, from_spectral, leakage
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
 XSTATE_TARGET = {"kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
@@ -505,15 +505,22 @@ def test_integral_floats_are_accepted_as_sizes(tmp_path):
     assert len(blob["rows"]) == 3
 
 
-@pytest.mark.parametrize("experiment, params, point", [
+def _one_row(block, params, hp, t):
+    """(target, circuit) of time t, built by a time sweep's ``block`` as a
+    block of one row."""
+    targets, circuits = block(params, hp, np.array([t]))
+    return XState(*(v[0] for v in (targets.a, targets.b, targets.c, targets.d, targets.w, targets.z))), circuits[0]
+
+
+@pytest.mark.parametrize("experiment, params, block", [
     # 165 points, 37 of them factorized (alpha = 0, two gates fewer); the
     # other 128 span two stacks
     ("tetra_sweep", {"resolution": 8}, None),
     # 150 points whose circuits carry no, one or two trailing RZ gates
-    ("field_conc", {"time_points": 150}, _field_point),
-    ("heisenberg_conc", {"time_points": 150}, _zero_field_point),
+    ("field_conc", {"time_points": 150}, _field_block),
+    ("heisenberg_conc", {"time_points": 150}, _zero_field_block),
 ])
-def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, point, monkeypatch):
+def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, block, monkeypatch):
     # The output pairs of the sweep's blocks, recorded at the executor,
     # against each point's circuit built and run on its own.
     blocks = []
@@ -526,12 +533,12 @@ def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, p
     monkeypatch.setattr(experiments, "run_stack", recording)
     params, _ = run_experiment(experiment, {**params, "exact": True})
     nm = params["noise"]
-    if point is None:
+    if block is None:
         theta, phi = params["theta"], params["phi"]
         circuits = [build_xstate_circuit(p, theta, phi) for p in simplex_points(params["resolution"])]
     else:
         hp = _couplings(params)
-        circuits = [point(params, hp, t)[1] for t in _time_grid(params, hp)]
+        circuits = [_one_row(block, params, hp, t)[1] for t in _time_grid(params, hp)]
     pairs = np.concatenate(blocks)
     topologies = {c.ops for c in circuits}
     assert len(topologies) > 1
@@ -589,6 +596,41 @@ def test_sweep_builds_each_circuit_once_unless_the_circuits_are_read(experiment,
     assert len(built) == len(result.rows)
     assert len(list(result.circuits())) == len(result.rows)
     assert len(built) == 2 * len(result.rows)
+
+
+@pytest.mark.parametrize("experiment, size, blocks", [
+    ("tetra_sweep", {"resolution": 8}, [64, 64, 37]),
+    ("heisenberg_conc", {"time_points": 150}, [64, 64, 22]),
+])
+def test_sweep_maps_each_block_of_targets_at_once(experiment, size, blocks, monkeypatch):
+    # One shape map per block of spectral arrays, not one per point.
+    shapes = []
+
+    def counting(s):
+        shapes.append(np.shape(s.p00))
+        return from_spectral(s)
+
+    monkeypatch.setattr(experiments, "from_spectral", counting)
+    run_experiment(experiment, {**size, "exact": True})
+    assert shapes == [(n,) for n in blocks]
+
+
+@pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
+def test_exact_sweeps_derive_no_seeds(experiment, monkeypatch):
+    # An exact measurement reads no seed, so none is derived.
+    derived = []
+
+    def counting(*args):
+        derived.append(args)
+        return derive_seed(*args)
+
+    monkeypatch.setattr(experiments, "derive_seed", counting)
+    size = {"resolution": 6} if experiment == "tetra_sweep" else {"time_points": 70}
+    _, exact = run_experiment(experiment, {**size, "exact": True})
+    assert derived == []
+    _, sampled = run_experiment(experiment, {**size, "shots": 50, "seed": 3})
+    assert derived == [(3, index) for index in range(len(sampled.rows))]
+    assert len(exact.rows) == len(sampled.rows)
 
 
 @pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
@@ -738,10 +780,10 @@ def _per_point_rows(experiment, params):
     else:
         hp = _couplings(params)
         points = _time_grid(params, hp)
-        point = _field_point if experiment.startswith("field") else _zero_field_point
+        block = _field_block if experiment.startswith("field") else _zero_field_block
 
         def build(t):
-            return point(params, hp, t)
+            return _one_row(block, params, hp, t)
     rows = []
     for index, p in enumerate(points):
         target, circ = build(p)

@@ -1,6 +1,8 @@
 import numpy as np
 
 from oracles import substream
+from xsim import tomography
+from xsim.experiments import run_experiment
 from xsim.rng import SNAP_ATOL, _snap, keyed_stream, multinomial_counts
 
 
@@ -33,6 +35,33 @@ def test_multinomial_counts_are_stable_under_roundoff():
             assert multinomial_counts(substream(5, 1), shots, nudged) == base
             unstable += tuple(substream(5, 1).multinomial(shots, nudged)) != base
     assert unstable > 0  # numpy's multinomial alone moves on these inputs
+
+
+def test_multinomial_counts_are_stable_under_roundoff_on_sweep_distributions(monkeypatch):
+    # The distributions and seeds that the five default sweeps draw with, at
+    # seeds 0 and 7 (neither depends on the shot count), drawn at each shot
+    # count, each shifted three times by a random zero-sum offset of size
+    # 2e-15: roundoff of the kind a refactor makes moves no count.
+    draws = []
+    sample = tomography.sample_setting
+
+    def recording(probs, setting, shots, seed):
+        draws.append((probs, tomography.setting_index(setting), seed))
+        return sample(probs, setting, shots, seed)
+
+    monkeypatch.setattr(tomography, "sample_setting", recording)
+    for experiment in ("tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"):
+        for seed in (0, 7):
+            run_experiment(experiment, {"shots": 50, "seed": seed})
+    assert len(draws) == 2 * (165 * 3 + 64 * (3 + 5 + 9 + 9))
+    offsets = np.random.default_rng(17).standard_normal((4, len(draws), 3, 4))
+    offsets -= offsets.mean(axis=-1, keepdims=True)
+    offsets *= 2e-15 / np.abs(offsets).max(axis=-1, keepdims=True)
+    for shots, shifts in zip((50, 1000, 8000, 10**6), offsets):
+        for (probs, stream, seed), shift in zip(draws, shifts):
+            counts = multinomial_counts(keyed_stream(seed, stream), shots, probs)
+            for shifted in (probs + shift).tolist():
+                assert multinomial_counts(keyed_stream(seed, stream), shots, shifted) == counts
 
 
 def _snap_reference(p, n):
