@@ -46,7 +46,7 @@ from .errors import ConfigError, ContractError
 from .heisenberg import HeisenbergParams, evolve_diagonal
 from .linalg import fidelity
 from .noise import RATE_FIELDS, NoiseModel
-from .rng import derive_seed
+from .rng import block_seeds
 from .tomography import FIDELITY_CONVENTION, FULL, PARTIAL3, PARTIAL5, measure_block
 from .tomography import reconstruct_full, reconstruct_x3, reconstruct_x5
 from .xstate import (
@@ -288,7 +288,7 @@ def _sweep(params: dict, points, build, columns, names: tuple, label: str) -> Ex
     executor evolves the circuits to their noisy output pairs (2, 3); then
     ``columns(targets, pairs, draw)`` returns one sequence of floats per
     computed column. ``draw`` holds the keyword arguments (shots, seeds,
-    p_readout, exact) for ``measure_block``: sampled, the seeds derive_seed
+    p_readout, exact) for ``measure_block``: sampled, the seeds block_seeds
     gives for the master seed and each point's index; exact, none, as none
     is read. A row is the point's coordinates and computed columns, named
     ``names``, in one float64 table. The result's ``circuits()`` builds the
@@ -302,7 +302,7 @@ def _sweep(params: dict, points, build, columns, names: tuple, label: str) -> Ex
         block = points[start : start + _BLOCK]
         targets, circuits = build(block)
         pairs = run_stack(circuits, (2, 3), nm.gate_noise)
-        seeds = () if params["exact"] else [derive_seed(params["seed"], i) for i in range(start, start + len(block))]
+        seeds = () if params["exact"] else block_seeds(params["seed"], start, start + len(block))
         cols = columns(targets, pairs, {**draw, "seeds": seeds})
         rows[start : start + len(block)] = np.column_stack([block, *cols])
     lead = rows[:, 0] if points.ndim == 1 else rows[:, : points.shape[1]]

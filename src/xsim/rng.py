@@ -8,11 +8,11 @@ sampled artifact can be replayed byte for byte from (seed, structure):
   (seed, setting_index), where the setting index enumerates Pauli pairs
   row-major (XX=0, XY=1, ..., ZZ=8); readout bit-flips are folded into the
   setting's distribution and take no stream of their own,
-* the samplers get these streams from ``keyed_stream``, which re-keys one bit
-  generator instead of building one per stream; the tests check it against
-  a freshly built generator per key (``substream`` in ``tests/oracles.py``),
-* sweep experiments derive one seed per grid/time point with
-  ``derive_seed(master_seed, point_index)`` (a SeedSequence spawn).
+* the samplers get these streams from ``keyed_stream``, which re-keys one
+  shared Generator (checked against ``substream`` in ``tests/oracles.py``),
+* sweep experiments give point i the seed of ``SeedSequence(master_seed,
+  spawn_key=(i,))``, which ``block_seeds`` computes for a block of points
+  at once (checked against ``derive_seed`` in ``tests/oracles.py``).
 
 Counts are drawn by ``multinomial_counts``: numpy's own chain of binomial
 draws, with each conditional probability snapped onto the nearby point where
@@ -24,6 +24,8 @@ roundoff in the probabilities cannot change the counts.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ContractError
 
 # numpy's binomial sampler for n draws is discontinuous in p at a few known
 # points: at p = 0 it consumes no draw; above 1/2 it draws the complement;
@@ -37,45 +39,67 @@ import numpy as np
 SNAP_ATOL = 1e-12
 
 
-def _key(seed: int, stream: int) -> np.ndarray:
-    return np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)], dtype=np.uint64)
-
-
-# The one bit generator that keyed_stream re-keys, made on first use:
-# building a Philox runs a SeedSequence, about four times the cost of
-# re-keying one. Setting its state copies the arrays, so one zero block
-# serves every reset.
-_philox = None
-_ZEROS = np.zeros(4, dtype=np.uint64)
+# The one bit generator that keyed_stream re-keys and the one Generator over
+# it, made on first use: a run that draws nothing never imports numpy.random.
+# The state setter copies the values out of _STATE (lists set faster than
+# arrays), so a re-key only rewrites _KEY. The Generator's only own state is
+# its binomial set-up, a function of (n, p) that it redoes when either changes.
+_philox = _generator = None
+_KEY = [0, 0]
+_STATE = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": _KEY},
+          "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def keyed_stream(seed: int, stream: int) -> np.random.Generator:
-    """A generator that draws exactly what a fresh
-    ``Generator(Philox(key=(seed, stream)))`` draws.
-
-    It wraps one shared Philox bit generator, reset to counter 0 under the
-    key (seed, stream), so the next call re-keys it: draw from the result
-    only inside the call that made it, and keep no reference to it. Not
-    safe to share between threads.
+    """The shared Generator, its Philox reset to counter 0 under the key
+    (seed, stream): it draws exactly what a fresh
+    ``Generator(Philox(key=(seed, stream)))`` draws, until the next call
+    re-keys it. Keep no reference to it; not safe to share between threads.
     """
-    global _philox
-    if _philox is None:
+    global _philox, _generator
+    if _generator is None:
         _philox = np.random.Philox(0)
-    _philox.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": _key(seed, stream)},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(_philox)
+        _generator = np.random.Generator(_philox)
+    _KEY[:] = int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)
+    _philox.state = _STATE
+    return _generator
 
 
-def derive_seed(master: int, *path: int) -> int:
-    """Collapse (master, path...) into a fresh 63-bit seed, reproducibly."""
-    ss = np.random.SeedSequence(entropy=int(master), spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
+# SeedSequence's uint32 hash constants (numpy/random/bit_generator.pyx);
+# _POOLED_A is its hash constant after the 16 steps that make its pool.
+_MULT_A, _INIT_B, _MULT_B = 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MASK32, _MIX_L, _MIX_R = 0xFFFFFFFF, 0xCA01F9DD, 0x4973F715
+_POOLED_A = 0x43B0D7E5 * pow(_MULT_A, 16, 1 << 32) & _MASK32
+
+
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hashmix of uint32 words: (hashed, next constant)."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ (value >> 16), const
+
+
+def block_seeds(master: int, start: int, stop: int) -> list:
+    """The 63-bit seeds of points start..stop-1 as Python ints: point i
+    gets the first uint64 word of ``SeedSequence(master, spawn_key=(i,))``
+    shifted right by one. Its pool before the word i is mixed in is the
+    pool of ``SeedSequence(master)`` (padding the master with zero words
+    changes nothing), so only the mixing of i runs per point, on an index
+    array, for the two pool words the output reads. Defined for a master
+    below 2^64 and indices below 2^32.
+    """
+    if not (0 <= master < 1 << 64 and 0 <= start <= stop <= 1 << 32):
+        raise ContractError(f"block seeds need a master below 2^64 and indices below 2^32, got {master}, [{start}, {stop})")
+    pool = np.random.SeedSequence(master).pool.tolist()
+    index = np.arange(start, stop, dtype=np.uint32)
+    seeds, const, out = np.zeros(stop - start, dtype=np.uint64), _POOLED_A, _INIT_B
+    for dst in range(2):
+        value, const = _hashmix(index, const, _MULT_A)
+        mixed = ((_MIX_L * pool[dst] & _MASK32) - (_MIX_R * value & _MASK32)) & _MASK32
+        word, out = _hashmix(mixed ^ (mixed >> 16), out, _MULT_B)
+        seeds |= word.astype(np.uint64) << np.uint64(32 * dst)
+    return (seeds >> np.uint64(1)).tolist()
 
 
 def _snap(p: float, n: int) -> float:
@@ -105,17 +129,19 @@ def multinomial_counts(rng: np.random.Generator, n: int, probs) -> tuple:
     the last, consuming the generator in the same order; only the snapped
     conditional probabilities differ. O(1) in n.
     """
+    binomial = rng.binomial
     counts = [0] * len(probs)
     left = int(n)
     remaining = 1.0
     for j in range(len(probs) - 1):
-        p = _snap(float(probs[j]) / remaining, left) if remaining > 0.0 else 1.0
+        pj = float(probs[j])
+        p = _snap(pj / remaining, left) if remaining > 0.0 else 1.0
         if p > 0.0:
-            counts[j] = int(rng.binomial(left, p))
+            counts[j] = int(binomial(left, p))
             left -= counts[j]
         if left <= 0:
             break
-        remaining -= float(probs[j])
+        remaining -= pj
     if left > 0:
         counts[-1] = left
     return tuple(counts)

@@ -139,8 +139,11 @@ def measure_block(rho: np.ndarray, settings, shots: int, seeds, p_readout: float
     probs = setting_probabilities(rho, settings, p_readout)
     if exact:
         return probs
+    if len(seeds) != len(probs):
+        raise ContractError(f"{len(probs)} states need as many seeds, got {len(seeds)}")
+    # Rows of Python floats, converted once, are read faster than ndarray rows.
     counts = [[sample_setting(p, s, shots, seed) for s, p in zip(settings, point)]
-              for seed, point in zip(seeds, probs)]
+              for seed, point in zip(seeds, probs.tolist())]
     return np.array(counts, dtype=float) / shots
 
 

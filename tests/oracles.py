@@ -24,7 +24,9 @@ The other references are what the program does not run:
   that of ``circuits.build_xstate_circuit`` at phi -> pi/2 - phi,
 * ``relative_phase``, for unitaries equal up to a global phase,
 * ``substream``, a Philox generator built afresh per key, which
-  ``rng.keyed_stream`` must match draw for draw.
+  ``rng.keyed_stream`` must match draw for draw,
+* ``derive_seed``, a point's seed as a SeedSequence spawn, which
+  ``rng.block_seeds`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -314,3 +316,9 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     """Independent generator keyed by (seed, stream), built afresh."""
     key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def derive_seed(master: int, *path: int) -> int:
+    """Collapse (master, path...) into a fresh 63-bit seed, reproducibly."""
+    ss = np.random.SeedSequence(entropy=int(master), spawn_key=tuple(int(p) for p in path))
+    return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))

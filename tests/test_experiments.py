@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import circuit_unitary
+from oracles import circuit_unitary, derive_seed
 from xsim.circuits import Circuit, build_xstate_circuit, run_stack
 from xsim.cli import main
 from xsim.errors import ConfigError
@@ -30,7 +30,7 @@ from xsim.experiments import (
 from xsim import experiments, tomography
 from xsim.linalg import fidelity
 from xsim.noise import NoiseModel
-from xsim.rng import derive_seed
+from xsim.rng import block_seeds
 from xsim.tomography import FULL, PARTIAL3, PARTIAL5, measure_block, reconstruct_full, reconstruct_x3, reconstruct_x5
 from xsim.xstate import XSpectral, XState, concurrence_wootters, concurrence_x, from_spectral, leakage
 
@@ -617,20 +617,32 @@ def test_sweep_maps_each_block_of_targets_at_once(experiment, size, blocks, monk
 
 @pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
 def test_exact_sweeps_derive_no_seeds(experiment, monkeypatch):
-    # An exact measurement reads no seed, so none is derived.
+    # An exact measurement reads no seed, so none is derived; sampled, each
+    # block's seeds come from one call, and the calls tile the points.
     derived = []
 
-    def counting(*args):
-        derived.append(args)
-        return derive_seed(*args)
+    def counting(master, start, stop):
+        derived.append((master, start, stop))
+        return block_seeds(master, start, stop)
 
-    monkeypatch.setattr(experiments, "derive_seed", counting)
+    monkeypatch.setattr(experiments, "block_seeds", counting)
     size = {"resolution": 6} if experiment == "tetra_sweep" else {"time_points": 70}
     _, exact = run_experiment(experiment, {**size, "exact": True})
     assert derived == []
     _, sampled = run_experiment(experiment, {**size, "shots": 50, "seed": 3})
-    assert derived == [(3, index) for index in range(len(sampled.rows))]
-    assert len(exact.rows) == len(sampled.rows)
+    n = len(sampled.rows)
+    assert derived == [(3, start, min(start + 64, n)) for start in range(0, n, 64)]
+    assert len(derived) == 2 and len(exact.rows) == n
+
+
+def test_sampled_sweep_rows_do_not_depend_on_earlier_draws():
+    # The samplers share one generator: a high-shot xprep_single run in
+    # between leaves the sweep's rows as they were.
+    raw = {"time_points": 70, "seed": 11}
+    _, before = run_experiment("heisenberg_fidelity", raw)
+    run_experiment("xprep_single", {"target": XSTATE_TARGET, "shots": 10**6, "seed": 4})
+    _, after = run_experiment("heisenberg_fidelity", raw)
+    np.testing.assert_array_equal(before.rows, after.rows)
 
 
 @pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_xstate, random_xstate_raw
+from oracles import substream
 from xsim.errors import ContractError, ProtocolError
 from xsim.experiments import run_experiment
 from xsim.linalg import PAULI, fidelity, kron
+from xsim.rng import multinomial_counts
 from xsim.xstate import strip_phases
 from xsim.tomography import (
     FULL,
@@ -111,6 +113,39 @@ def test_measure_block_frequency_invariants():
     zz = measure_block(np.array([np.diag(d).astype(complex) for d in diagonals]), ("ZZ",), 1, range(6), exact=True)[:, 0]
     clipped = np.clip(diagonals, 0.0, None)
     np.testing.assert_array_equal(zz, clipped / clipped.sum(axis=-1, keepdims=True))
+
+
+def test_measure_block_needs_one_seed_per_state():
+    rho = np.array([random_density(np.random.default_rng(5 + k)) for k in range(3)])
+    for seeds in ((1,), (1, 2, 3, 4)):
+        with pytest.raises(ContractError):
+            measure_block(rho, PARTIAL3, 100, seeds)
+    # exact, no seed is read
+    assert measure_block(rho, PARTIAL3, 100, (), exact=True).shape == (3, 3, 4)
+
+
+def test_measure_block_rows_match_a_fresh_stream_per_draw():
+    # The samplers share one Generator, whose binomial set-up numpy keeps
+    # and reuses while (n, p) repeats. Here consecutive draws repeat (n, p):
+    # the maximally mixed state gives every setting the same distribution,
+    # and points repeat with one seed and with another, so that with one
+    # setting a stream is drawn twice in a row. At 50, 8000 and 10^6 shots,
+    # and a small outcome probability, the draws go both ways across the
+    # switch between inversion and BTPE, also from one call to the next.
+    # Every row must be what a generator built afresh for its (point,
+    # setting) draws.
+    mixed = np.eye(4, dtype=complex) / 4.0
+    tilted = np.diag([0.994, 0.002, 0.003, 0.001]).astype(complex)
+    noisy = random_density(np.random.default_rng(3))
+    rho = np.array([mixed, mixed, mixed, tilted, tilted, noisy, mixed])
+    seeds = (7, 7, 8, 2**64 - 1, 0, 0, 7)
+    for settings in (FULL, ("ZZ",)):
+        probs = setting_probabilities(rho, settings)
+        for shots in (50, 8000, 10**6, 50, 10**6, 8000):
+            want = [[multinomial_counts(substream(seed, setting_index(s)), shots, p) for s, p in zip(settings, point)]
+                    for seed, point in zip(seeds, probs)]
+            got = measure_block(rho, settings, shots, seeds)
+            np.testing.assert_array_equal(got, np.array(want, dtype=float) / shots)
 
 
 def test_shot_error_shrinks_with_more_shots():
