@@ -14,11 +14,15 @@ sampled artifact can be replayed byte for byte from (seed, structure):
   spawn_key=(i,))``, which ``block_seeds`` computes for a block of points
   at once (checked against ``derive_seed`` in ``tests/oracles.py``).
 
-Counts are drawn by ``multinomial_counts``: numpy's own chain of binomial
+Counts are those of ``multinomial_counts``: numpy's own chain of binomial
 draws, with each conditional probability snapped onto the nearby point where
 numpy's binomial sampler changes branch (0, 1/2, 1 and a few points that
 depend on the shot count) when it lies within ``SNAP_ATOL`` of one, so that
-roundoff in the probabilities cannot change the counts.
+roundoff in the probabilities cannot change the counts. ``block_counts``
+draws a block of them with numpy's C-level multinomial, the same chain
+without the snaps, and redraws through ``multinomial_counts`` only the draws
+that one array pass finds a snap could have moved; a block of fewer than
+``CHAIN_BELOW`` draws goes through ``multinomial_counts`` alone.
 """
 
 from __future__ import annotations
@@ -145,3 +149,93 @@ def multinomial_counts(rng: np.random.Generator, n: int, probs) -> tuple:
     if left > 0:
         counts[-1] = left
     return tuple(counts)
+
+
+def _snap_last(rows: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+    """``rows`` with the last conditional p2 / r2 snapped before the draw:
+    within SNAP_ATOL of 0, 1/2 or 1 (any multiple of 1/2), p2 becomes
+    s r2 for that anchor s, so that numpy's chain divides out exactly the
+    s that ``_snap`` gives. No step after the last reads p2."""
+    rest, lean = remaining[2], rows.copy()
+    with np.errstate(all="ignore"):
+        last = rows[:, 2] / rest
+        anchor = np.rint(2.0 * last) / 2.0
+        lean[:, 2] = np.where(np.abs(last - anchor) <= SNAP_ATOL, anchor * rest, rows[:, 2])
+    return lean
+
+
+def _snap_moves(rows: np.ndarray, remaining: np.ndarray, counts: np.ndarray, shots: int) -> np.ndarray:
+    """Mask of the draws of numpy's chain, ``counts`` (N, 4) of ``shots``
+    over ``rows`` (N, 4), that ``multinomial_counts`` could have drawn
+    otherwise. A draw is flagged if a drawn step j (shots left) has
+    r_j <= 0, or a conditional p = p_j / r_j, as numpy divides it, outside
+    [0, 1] or within SNAP_ATOL of one of ``_snap``'s anchors but not on it.
+    The anchors are ``_snap``'s float operations; 0 and 1 are the grid
+    points k / (left + 1) at k = 0 and k = left + 1. It never misses a
+    draw that a snap moves, and may flag one that it does not.
+    """
+    left = np.full((3, len(rows)), shots, dtype=np.int64)
+    left[1:] -= np.cumsum(counts[:, :2], axis=1).T
+    anchors = np.empty((4,) + left.shape)
+    anchors[0] = 0.5
+    with np.errstate(all="ignore"):
+        p = rows[:, :3].T / remaining
+        np.divide(30.0, left, out=anchors[1])
+        np.subtract(1.0, anchors[1], out=anchors[2])
+        np.divide(np.rint(p * (left + 1.0)), left + 1.0, out=anchors[3])
+        off = np.abs(p - anchors)
+    # off[0] = |p - 1/2| > 1/2 is p outside [0, 1] by more than SNAP_ATOL;
+    # nearer, the grid anchors 0 and 1 flag it.
+    moved = ((off > 0.0) & (off <= SNAP_ATOL)).any(axis=0) | (off[0] > 0.5) | (remaining <= 0.0)
+    return (moved & (left > 0)).any(axis=0)
+
+
+# Below this many draws, the array passes cost more than numpy's draws save
+# and the chain draws every row. Measured on 2 cores with numpy 2.4, the two
+# routes break even at about 9 draws; a one-point call draws 3, 5 or 9.
+CHAIN_BELOW = 9
+
+
+def _numpy_draws(rows: np.ndarray, shots: int, seeds, streams) -> tuple:
+    """numpy's multinomial draws of ``rows`` (N, 4), point-major, and the
+    indices that ``multinomial_counts`` must draw again: the draws a snap
+    could have moved and the rows numpy rejects."""
+    # the mass r_j left before each step, step-major (3, N), in numpy's order
+    remaining = np.ones((3, len(rows)))
+    np.subtract(1.0, rows[:, 0], out=remaining[1])
+    np.subtract(remaining[1], rows[:, 1], out=remaining[2])
+    lean = _snap_last(rows, remaining)
+    drawn, rejected, it = [], [], iter(lean)
+    for seed in seeds:
+        for stream in streams:
+            row, generator = next(it), keyed_stream(seed, stream)
+            try:
+                drawn.append(generator.multinomial(shots, row))
+            except ValueError:  # a row numpy rejects, such as one with a NaN
+                rejected.append(len(drawn))
+                drawn.append(np.zeros(4, dtype=np.int64))
+    counts = np.array(drawn, dtype=np.int64).reshape(-1, 4)
+    moved = np.flatnonzero(_snap_moves(lean, remaining, counts, shots)).tolist()
+    return counts, sorted(set(moved + rejected))
+
+
+def block_counts(probs: np.ndarray, shots: int, seeds, streams) -> np.ndarray:
+    """Counts (P, S, 4) of ``shots`` draws over each outcome distribution of
+    ``probs`` (P, S, 4): [i, k] is ``multinomial_counts(keyed_stream(
+    seeds[i], streams[k]), shots, probs[i, k])``, bit for bit.
+
+    From ``CHAIN_BELOW`` draws on, every draw is first made by numpy's own
+    multinomial, the same binomial chain on the same stream without the
+    snaps; one pass over the block then finds the draws that a snap could
+    have moved, and only those are drawn again through
+    ``multinomial_counts``.
+    """
+    rows = probs.reshape(-1, 4)
+    if len(rows) < CHAIN_BELOW:
+        counts, redraw = np.zeros(rows.shape, dtype=np.int64), range(len(rows))
+    else:
+        counts, redraw = _numpy_draws(rows, shots, seeds, streams)
+    for i in redraw:
+        seed, stream = seeds[i // len(streams)], streams[i % len(streams)]
+        counts[i] = multinomial_counts(keyed_stream(seed, stream), shots, rows[i].tolist())
+    return counts.reshape(probs.shape)

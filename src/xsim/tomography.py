@@ -29,7 +29,8 @@ Every measurement is recorded as a frequency stack. ``measure_block``
 takes a (P, 4, 4) stack of states and returns the (P, S, 4) outcome
 frequencies of the S listed settings: exact, they are the distributions
 from one contraction of the stack; sampled, each (point, setting) is one
-``sample_setting`` draw, point-major with the settings in the listed order.
+snapped multinomial chain, drawn for the whole block by ``rng.block_counts``,
+point-major with the settings in the listed order.
 A row therefore depends only on (state, setting, shots, seed, p_readout),
 not on the block or the other settings. The reconstructions and
 ``psd_project`` take these stacks; one state is a stack of one.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import ContractError, ProtocolError
 from .linalg import PAULI, cabs, dagger, is_hermitian, kron
-from .rng import keyed_stream, multinomial_counts
+from .rng import block_counts
 from .xstate import XState, sqrt_nonneg
 
 FULL = ("XX", "XY", "XZ", "YX", "YY", "YZ", "ZX", "ZY", "ZZ")
@@ -118,33 +119,24 @@ def setting_probabilities(rho: np.ndarray, settings, p_readout: float = 0.0) -> 
     return sum(probs[..., k, None] * flip[k] for k in range(4))
 
 
-def sample_setting(probs: np.ndarray, setting: str, shots: int, seed: int) -> tuple:
-    """Counts of a multinomial shot sample of one Pauli-pair measurement
-    from its recorded distribution ``probs``, drawn with one chain on the
-    stream keyed_stream(seed, setting_index(setting))."""
-    if shots < 1:
-        raise ContractError("shots must be >= 1; the exact limit is measured with exact=True")
-    return multinomial_counts(keyed_stream(seed, setting_index(setting)), shots, probs)
-
-
 def measure_block(rho: np.ndarray, settings, shots: int, seeds, p_readout: float = 0.0, exact: bool = False) -> np.ndarray:
     """Recorded outcome frequencies (P, S, 4) of a (P, 4, 4) stack of states
     in each of the S listed settings.
 
     The distributions come from one ``setting_probabilities`` contraction;
-    exact, they are the frequencies. Sampled, each (point, setting) is one
-    ``sample_setting`` draw keyed by the point's seed ``seeds[i]`` and the
-    setting alone, point-major with settings in the order listed.
+    exact, they are the frequencies. Sampled, each (point, setting) is the
+    ``multinomial_counts`` draw of ``shots`` on the stream keyed by the
+    point's seed ``seeds[i]`` and the setting alone, made for the block by
+    ``block_counts``.
     """
     probs = setting_probabilities(rho, settings, p_readout)
     if exact:
         return probs
     if len(seeds) != len(probs):
         raise ContractError(f"{len(probs)} states need as many seeds, got {len(seeds)}")
-    # Rows of Python floats, converted once, are read faster than ndarray rows.
-    counts = [[sample_setting(p, s, shots, seed) for s, p in zip(settings, point)]
-              for seed, point in zip(seeds, probs.tolist())]
-    return np.array(counts, dtype=float) / shots
+    if shots < 1:
+        raise ContractError("shots must be >= 1; the exact limit is measured with exact=True")
+    return block_counts(probs, shots, seeds, [setting_index(s) for s in settings]) / shots
 
 
 def _last_axis_first(a: np.ndarray) -> np.ndarray:

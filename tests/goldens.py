@@ -13,7 +13,7 @@ which it never writes. Each experiment runs sampled and ``--exact``, under
 the default and the all-zero noise model.
 Float values must agree within ``FLOAT_ATOL``; everything else must agree
 exactly, including the integer shot counts of every (point, setting), which
-are captured by wrapping ``sample_setting``; they are the recorded counts,
+are captured by wrapping ``measure_block``; they are the recorded counts,
 readout error included.
 
 The ``--dump-circuit`` sidecar of each experiment at these sizes (both
@@ -33,6 +33,7 @@ import sys
 from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GOLDEN_PATH = Path(__file__).with_name("goldens.json")
@@ -93,20 +94,27 @@ def sidecar_text(experiment: str, params: dict) -> str:
 
 
 def run_case(experiment: str, params: dict, monkeypatch) -> dict:
-    """Run one case with ``sample_setting`` wrapped to record its counts."""
+    """Run one case with ``measure_block`` wrapped to record the counts of
+    its sampled draws as [seed, setting, counts], point-major."""
     import xsim.tomography
     from xsim.experiments import run_experiment
 
-    original = xsim.tomography.sample_setting
+    original = xsim.tomography.measure_block
     counts = []
 
     signature = inspect.signature(original)
 
     def recording(*args, **kwargs):
-        drawn = original(*args, **kwargs)
-        bound = signature.bind(*args, **kwargs).arguments
-        counts.append([bound["seed"], bound["setting"], list(drawn)])
-        return drawn
+        frequencies = original(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        drawn = bound.arguments
+        if not drawn["exact"]:
+            # each frequency is a count over shots, which rint recovers exactly
+            block = np.rint(frequencies * drawn["shots"]).astype(int).tolist()
+            for seed, point in zip(drawn["seeds"], block):
+                counts.extend([seed, setting, c] for setting, c in zip(drawn["settings"], point))
+        return frequencies
 
     for module in [m for n, m in sys.modules.items() if n.startswith("xsim.")]:
         for attr, value in list(vars(module).items()):

@@ -30,8 +30,8 @@ from xsim.experiments import (
 from xsim import experiments, tomography
 from xsim.linalg import fidelity
 from xsim.noise import NoiseModel
-from xsim.rng import block_seeds
-from xsim.tomography import FULL, PARTIAL3, PARTIAL5, measure_block, reconstruct_full, reconstruct_x3, reconstruct_x5
+from xsim.rng import block_seeds, multinomial_counts
+from xsim.tomography import FULL, PARTIAL3, PARTIAL5, reconstruct_full, reconstruct_x3, reconstruct_x5
 from xsim.xstate import XSpectral, XState, concurrence_wootters, concurrence_x, from_spectral, leakage
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
@@ -645,6 +645,37 @@ def test_sampled_sweep_rows_do_not_depend_on_earlier_draws():
     np.testing.assert_array_equal(before.rows, after.rows)
 
 
+def test_default_sampled_sweeps_redraw_few_draws_through_the_chain(monkeypatch):
+    # numpy's multinomial draws every (point, setting); only a draw that a
+    # snap could have moved is drawn again through multinomial_counts. The
+    # snapped last step leaves none in tetra_sweep, and the only frequent
+    # ones are middle steps near 1/3 on a grid point k / (left + 1).
+    chain, measure = multinomial_counts, tomography.measure_block
+    redraws, draws = [], []
+
+    def counting(*args):
+        redraws.append(1)
+        return chain(*args)
+
+    def measuring(rho, settings, shots, seeds, p_readout=0.0, exact=False):
+        draws.append(len(seeds) * len(settings))
+        return measure(rho, settings, shots, seeds, p_readout, exact)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("xsim") and getattr(module, "multinomial_counts", None) is chain:
+            monkeypatch.setattr(module, "multinomial_counts", counting)
+    monkeypatch.setattr(experiments, "measure_block", measuring)
+    seen = {}
+    for experiment in ("tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"):
+        for seed in (0, 7):
+            redraws.clear(), draws.clear()
+            run_experiment(experiment, {"seed": seed})
+            seen[experiment, seed] = (len(redraws), sum(draws))
+    assert seen["tetra_sweep", 0] == (0, 495) and seen["tetra_sweep", 7] == (0, 495)
+    assert all(redrawn <= 0.1 * drawn for redrawn, drawn in seen.values()), seen
+    assert sum(redrawn for redrawn, _ in seen.values()) > 0, seen
+
+
 @pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
 def test_result_circuits_are_the_circuits_the_executor_ran(experiment, monkeypatch):
     ran = []
@@ -802,14 +833,14 @@ def _per_point_rows(experiment, params):
         pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]
         draw = (params["shots"], (derive_seed(params["seed"], index),), nm.p_readout, params["exact"])
         if experiment == "tetra_sweep":
-            c_shot = concurrence_x(reconstruct_x3(measure_block(pair[None], PARTIAL3, *draw)[0]))
+            c_shot = concurrence_x(reconstruct_x3(tomography.measure_block(pair[None], PARTIAL3, *draw)[0]))
             rows.append((*p, concurrence_x(target), concurrence_wootters(pair), c_shot))
         elif experiment.endswith("conc"):
             settings, reconstruct = (PARTIAL5, reconstruct_x5) if experiment == "field_conc" else (PARTIAL3, reconstruct_x3)
-            estimate = reconstruct(measure_block(pair[None], settings, *draw)[0])
+            estimate = reconstruct(tomography.measure_block(pair[None], settings, *draw)[0])
             rows.append((p, concurrence_x(target), concurrence_x(estimate)))
         else:
-            f = measure_block(pair[None], FULL, *draw)[0]
+            f = tomography.measure_block(pair[None], FULL, *draw)[0]
             estimates = [reconstruct_full(f), reconstruct_x5(f[[FULL.index(s) for s in PARTIAL5]]).matrix()]
             if experiment == "heisenberg_fidelity":
                 estimates.append(reconstruct_x3(f[[FULL.index(s) for s in PARTIAL3]]).matrix())
@@ -825,12 +856,15 @@ def test_blocked_row_stage_matches_the_per_point_route(experiment, exact, monkey
     size = {"resolution": 8} if experiment == "tetra_sweep" else {"time_points": 150}
     raw = {**size, "shots": 50, "seed": 5, "noise": READOUT_NOISE, "exact": exact}
     draws, repairs, clamps = [], [], []
-    sample, psd, clamp = tomography.sample_setting, tomography.psd_project, tomography._clamped_corner
+    measure, psd, clamp = tomography.measure_block, tomography.psd_project, tomography._clamped_corner
 
-    def recording(probs, setting, shots, seed):
-        counts = sample(probs, setting, shots, seed)
-        draws.append((seed, setting, counts))
-        return counts
+    def recording(rho, settings, shots, seeds, p_readout=0.0, exact=False):
+        frequencies = measure(rho, settings, shots, seeds, p_readout, exact)
+        if not exact:
+            counts = np.rint(frequencies * shots).astype(int).tolist()
+            draws.extend((seed, setting, tuple(c)) for seed, point in zip(seeds, counts)
+                         for setting, c in zip(settings, point))
+        return frequencies
 
     def repairing(rho_hat):
         out = psd(rho_hat)
@@ -842,7 +876,8 @@ def test_blocked_row_stage_matches_the_per_point_route(experiment, exact, monkey
         clamps.append(int(np.sum(out != value)))
         return out
 
-    monkeypatch.setattr(tomography, "sample_setting", recording)
+    for module in (experiments, tomography):
+        monkeypatch.setattr(module, "measure_block", recording)
     monkeypatch.setattr(tomography, "psd_project", repairing)
     monkeypatch.setattr(tomography, "_clamped_corner", clamping)
     params, blocked = run_experiment(experiment, raw)

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
 from oracles import substream
-from xsim import tomography
+from xsim import experiments, tomography
 from xsim.experiments import run_experiment
-from xsim.rng import SNAP_ATOL, _snap, keyed_stream, multinomial_counts
+from xsim.rng import CHAIN_BELOW, SNAP_ATOL, _snap, block_counts, keyed_stream, multinomial_counts
 
 
 def test_multinomial_counts_follow_numpy_draw_for_draw():
@@ -43,13 +44,16 @@ def test_multinomial_counts_are_stable_under_roundoff_on_sweep_distributions(mon
     # count, each shifted three times by a random zero-sum offset of size
     # 2e-15: roundoff of the kind a refactor makes moves no count.
     draws = []
-    sample = tomography.sample_setting
+    measure = tomography.measure_block
 
-    def recording(probs, setting, shots, seed):
-        draws.append((probs, tomography.setting_index(setting), seed))
-        return sample(probs, setting, shots, seed)
+    def recording(rho, settings, shots, seeds, p_readout=0.0, exact=False):
+        if not exact:
+            probs = tomography.setting_probabilities(rho, settings, p_readout).tolist()
+            draws.extend((p, tomography.setting_index(setting), seed) for seed, point in zip(seeds, probs)
+                         for setting, p in zip(settings, point))
+        return measure(rho, settings, shots, seeds, p_readout, exact)
 
-    monkeypatch.setattr(tomography, "sample_setting", recording)
+    monkeypatch.setattr(experiments, "measure_block", recording)
     for experiment in ("tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"):
         for seed in (0, 7):
             run_experiment(experiment, {"shots": 50, "seed": seed})
@@ -96,3 +100,33 @@ def test_keyed_stream_draws_what_substream_draws():
             assert multinomial_counts(keyed_stream(seed, stream), n, probs) == want
             rng = keyed_stream(seed, stream)
             assert np.array_equal(rng.binomial(n, 0.37, size=3), substream(seed, stream).binomial(n, 0.37, size=3))
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_counts_draw_rows_numpy_rejects_through_the_chain():
+    # numpy's multinomial raises on an entry outside [0, 1] or a first-three
+    # sum above 1 + 1e-12; such rows are drawn by the chain alone, which
+    # reads them as it always has, and raises what it raises on a NaN. No
+    # row makes a floating-point warning, which would reach stderr: not one
+    # whose mass runs out before its last outcome (p2 / r2 = inf). The
+    # block is large enough for numpy's draws, and each row is also drawn
+    # alone, by the chain.
+    rows = np.array([[[0.5, 0.5 + 1e-11, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.5, 0.5, 1e-18, 0.0]],
+                     [[0.2, 0.2, 0.7, -0.1], [0.1, -1e-17, 0.4, 0.5], [1.0, 0.0, 0.0, 0.0]],
+                     [[0.5, 0.5, 0.0, 0.0], [0.3, 0.3, 0.3 + 1e-16, 0.1], [0.0, 0.0, 0.0, 1.0]]])
+    seeds, streams = (3, 2**64 - 1, 0), (4, 8, 2)
+    assert rows[..., 0].size >= CHAIN_BELOW
+    for shots in (1, 50, 8000):
+        got = block_counts(rows, shots, seeds, streams)
+        assert got.shape == rows.shape and got.dtype == np.int64
+        for i, seed in enumerate(seeds):
+            for k, stream in enumerate(streams):
+                want = multinomial_counts(substream(seed, stream), shots, rows[i, k].tolist())
+                assert tuple(got[i, k].tolist()) == want
+                assert block_counts(rows[i:i + 1, k:k + 1], shots, seeds[i:i + 1], streams[k:k + 1])[0, 0].tolist() == list(want)
+    rows[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+        multinomial_counts(substream(2**64 - 1, 4), 50, rows[1, 0].tolist())
+    for block, block_seeds, block_streams in ((rows, seeds, streams), (rows[1:2, :1], seeds[1:2], streams[:1])):
+        with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+            block_counts(block, 50, block_seeds, block_streams)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from xsim.tomography import (
     reconstruct_full,
     reconstruct_x3,
     reconstruct_x5,
-    sample_setting,
     setting_index,
     setting_probabilities,
 )
@@ -72,21 +73,21 @@ def test_bell_state_exact_expectations():
         assert np.trace(m @ BELL).real == pytest.approx(joint, abs=1e-14)
 
 
-def test_sample_setting_deterministic_given_seed():
-    probs = setting_probabilities(random_xstate(np.random.default_rng(3)).matrix(), ("XY",))[0]
-    a = sample_setting(probs, "XY", 500, 42)
-    b = sample_setting(probs, "XY", 500, 42)
-    assert a == b
-    c = sample_setting(probs, "XY", 500, 43)
-    assert a != c
-    assert sum(a) == 500
+def test_measure_block_deterministic_given_seed():
+    rho = random_xstate(np.random.default_rng(3)).matrix()[None]
+    a = measure_block(rho, ("XY",), 500, (42,))
+    b = measure_block(rho, ("XY",), 500, (42,))
+    np.testing.assert_array_equal(a, b)
+    c = measure_block(rho, ("XY",), 500, (43,))
+    assert not np.array_equal(a, c)
+    assert np.rint(a * 500).sum() == 500
 
 
-def test_sample_zz_on_ground_state_all_first_bin():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    counts = sample_setting(setting_probabilities(rho, ("ZZ",))[0], "ZZ", 200, 0)
-    assert counts == (200, 0, 0, 0)
+def test_measure_block_zz_on_ground_state_all_first_bin():
+    rho = np.zeros((1, 4, 4), dtype=complex)
+    rho[0, 0, 0] = 1.0
+    counts = np.rint(measure_block(rho, ("ZZ",), 200, (0,)) * 200)
+    np.testing.assert_array_equal(counts, [[[200, 0, 0, 0]]])
 
 
 def test_measure_block_frequency_invariants():
@@ -124,26 +125,37 @@ def test_measure_block_needs_one_seed_per_state():
     assert measure_block(rho, PARTIAL3, 100, (), exact=True).shape == (3, 3, 4)
 
 
+@pytest.mark.filterwarnings("error")
 def test_measure_block_rows_match_a_fresh_stream_per_draw():
-    # The samplers share one Generator, whose binomial set-up numpy keeps
-    # and reuses while (n, p) repeats. Here consecutive draws repeat (n, p):
-    # the maximally mixed state gives every setting the same distribution,
-    # and points repeat with one seed and with another, so that with one
-    # setting a stream is drawn twice in a row. At 50, 8000 and 10^6 shots,
-    # and a small outcome probability, the draws go both ways across the
-    # switch between inversion and BTPE, also from one call to the next.
-    # Every row must be what a generator built afresh for its (point,
-    # setting) draws.
+    # Each row is numpy's multinomial, redrawn through the snapped chain
+    # where a snap could have moved it; it must be the chain's draw on a
+    # generator built afresh for its (point, setting). The inputs are dense
+    # in the conditional probabilities where numpy's sampler branches:
+    # uniform rows off by 1e-16, exact zeros, two outcomes summing to 1 and
+    # weights k/8, in all nine settings (diagonal states read their weights
+    # in ZZ and near-uniform rows elsewhere), at shot counts around the
+    # switch to BTPE (n p = 30) and where (n + 1) p is integral. The
+    # samplers share one Generator, whose binomial set-up numpy keeps and
+    # reuses while (n, p) repeats: the maximally mixed state gives every
+    # setting the same distribution, points repeat a seed, the shot counts
+    # repeat, and a small outcome probability goes both ways across the
+    # switch between inversion and BTPE from one call to the next.
+    src = np.random.default_rng(18)
+    eighths = [w for w in itertools.product(range(9), repeat=4) if sum(w) == 8]
+    diagonals = [np.array(eighths[k]) / 8.0 for k in src.choice(len(eighths), size=24, replace=False)]
+    diagonals += [0.25 + src.choice([-1e-16, 0.0, 1e-16], size=4) for _ in range(12)]
+    diagonals += [np.roll([a, 1.0 - a, 0.0, 0.0], k) for a, k in zip(src.random(8), range(8))]
+    diagonals += [[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
     mixed = np.eye(4, dtype=complex) / 4.0
     tilted = np.diag([0.994, 0.002, 0.003, 0.001]).astype(complex)
     noisy = random_density(np.random.default_rng(3))
-    rho = np.array([mixed, mixed, mixed, tilted, tilted, noisy, mixed])
-    seeds = (7, 7, 8, 2**64 - 1, 0, 0, 7)
+    rho = np.array([np.diag(d).astype(complex) for d in diagonals] + [mixed, mixed, mixed, tilted, tilted, noisy, mixed])
+    seeds = src.integers(0, 2**63, size=len(diagonals)).tolist() + [7, 7, 8, 2**64 - 1, 0, 0, 7]
     for settings in (FULL, ("ZZ",)):
         probs = setting_probabilities(rho, settings)
-        for shots in (50, 8000, 10**6, 50, 10**6, 8000):
+        for shots in (1, 2, 29, 30, 31, 59, 60, 61, 119, 120, 121, 5954, 8000, 8001, 10**6, 10**9, 50, 8000):
             want = [[multinomial_counts(substream(seed, setting_index(s)), shots, p) for s, p in zip(settings, point)]
-                    for seed, point in zip(seeds, probs)]
+                    for seed, point in zip(seeds, probs.tolist())]
             got = measure_block(rho, settings, shots, seeds)
             np.testing.assert_array_equal(got, np.array(want, dtype=float) / shots)
 
@@ -153,8 +165,8 @@ def test_shot_error_shrinks_with_more_shots():
     probs = setting_probabilities(rho, ("XX",))[0]
     lo, hi = [], []
     for seed in range(20):
-        few = np.array(sample_setting(probs, "XX", 1000, seed)) / 1000
-        many = np.array(sample_setting(probs, "XX", 64000, seed)) / 64000
+        few = measure_block(rho[None], ("XX",), 1000, (seed,))[0, 0]
+        many = measure_block(rho[None], ("XX",), 64000, (seed,))[0, 0]
         lo.append(np.max(np.abs(few - probs)))
         hi.append(np.max(np.abs(many - probs)))
     assert np.mean(hi) < np.mean(lo)
