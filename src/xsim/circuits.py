@@ -12,9 +12,8 @@ A circuit is ``Circuit(width, ops, angles)``. ``ops`` lists each gate as
 ``(kind, qubits)`` in application order (``ops[0]`` acts first), with
 ``qubits`` = (target,) for a rotation and (control, target) for a CNOT;
 ``angles`` holds one float per rotation, in op order. Each gate kind is
-declared once: in ``_ROTATIONS`` with the scalar function that gives its
-matrix rows from its angle, or in ``_FIXED`` without a parameter. Qubit 0 is
-the leftmost tensor factor.
+declared once: in ``_ROTATIONS``, its matrices built by ``rotation_stack``,
+or in ``_FIXED`` without a parameter. Qubit 0 is the leftmost tensor factor.
 
 ``run_stack`` is the one executor: it runs circuits from |0...0> and returns
 the density matrices of the qubits it keeps, tracing every other qubit out
@@ -22,10 +21,11 @@ after its last gate. The points of a sweep share a few op lists and differ
 only in their angles, so it groups circuits by (width, ops), checks each op
 list once (``_plan``), and stacks a group's angle rows into one float64
 table of shape (P, n_rot): a column that is constant gives one shared
-matrix, any other column a (P, 2, 2) stack. The angles and every matrix
-entry come from scalar ``math`` and ``cmath`` calls, point by point: numpy's
-vectorized arcsin, arctan2 and exp can differ from them in the last bit,
-which would move the floats of the rows and the circuit dumps. ``to_json``
+matrix, any other column a (P, 2, 2) stack, both from one array pass of
+numpy's ``cos`` and ``sin`` that equals the scalar ``math``/``cmath`` rows
+bit for bit. The angles stay scalar ``math`` calls: numpy's arcsin and
+arctan2 can differ from them in the last bit, which would move the floats
+of the rows and the circuit dumps. ``to_json``
 writes a circuit for the ``--dump-circuit`` sidecar; the program reads no
 circuit JSON back.
 
@@ -46,7 +46,6 @@ criterion 08): it prepares the same X-state with phi replaced by pi/2 - phi.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,25 +58,27 @@ from .linalg import apply_local, superop
 from .xstate import XState, strip_phases, to_spectral
 
 
-def ry_matrix(t: float) -> tuple:
-    """The rows of RY(t); ``rz_matrix`` and ``w_matrix`` likewise."""
-    c, s = math.cos(t / 2.0), math.sin(t / 2.0)
-    return ((c, -s), (s, c))
-
-
-def rz_matrix(t: float) -> tuple:
-    return ((cmath.exp(-0.5j * t), 0.0), (0.0, cmath.exp(0.5j * t)))
-
-
-def w_matrix(x: float) -> tuple:
-    return ((cmath.exp(-1j * x), 0.0), (0.0, 1j * cmath.exp(1j * x)))
+def rotation_stack(kind: str, t: np.ndarray) -> np.ndarray:
+    """The (P, 2, 2) stack of the rotation ``kind`` at a (P,) array of
+    angles, from one array pass of numpy's cos and sin. A phase e^{i a t} is
+    cos y + i sin y at y = 0.0 + a t, as ``cmath.exp(1j * a * t)`` gives it,
+    so that t = -0.0 gives +0.0."""
+    if kind == "ry":
+        c, s = np.cos(t / 2.0), np.sin(t / 2.0)
+        return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
+    u = np.zeros(t.shape + (2, 2), dtype=complex)
+    for k, y in enumerate((-0.5 * t, 0.0 + 0.5 * t) if kind == "rz" else (-t, 0.0 + t)):
+        u.real[:, k, k], u.imag[:, k, k] = np.cos(y), np.sin(y)
+    if kind == "w":
+        u[:, 1, 1] *= 1j
+    return u
 
 
 # Parameter-free gates; CNOT acts on (control, target), control leading.
 _FIXED = {
     "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
-_ROTATIONS = {"ry": ry_matrix, "rz": rz_matrix, "w": w_matrix}
+_ROTATIONS = ("ry", "rz", "w")
 GATE_KINDS = (*_ROTATIONS, *_FIXED)
 
 
@@ -185,9 +186,8 @@ def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
                     fixed[kind] = _gate_superop(_FIXED[kind], gate_noise[len(qubits)])
                 s = fixed[kind]
             else:
-                angles = table[:, column].tolist()
-                u = _ROTATIONS[kind](angles[0]) if shared[column] else [_ROTATIONS[kind](t) for t in angles]
-                s = _gate_superop(np.array(u, dtype=complex), gate_noise[1])
+                u = rotation_stack(kind, table[:1 if shared[column] else None, column])
+                s = _gate_superop(u[0] if shared[column] else u, gate_noise[1])
             at = [live.index(q) for q in qubits]
             state = apply_local(state, s, at + [len(live) + a for a in at])
             for q in frees:

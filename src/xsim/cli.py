@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .errors import ConfigError, ContractError
 from .experiments import (
@@ -86,6 +87,7 @@ def _write(path: str | None, write, *args) -> None:
         raise ConfigError(f"cannot write output {'to stdout' if path is None else path}: {exc}") from exc
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xsim",

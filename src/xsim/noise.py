@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -54,8 +55,8 @@ class NoiseModel:
             if not 0.0 <= v <= 1.0:
                 raise ContractError(f"noise rate {name}={v} outside [0, 1]")
 
-    @cached_property
-    def gate_noise(self) -> dict:
+    @property
+    def gate_noise(self) -> MappingProxyType:
         """Gate arity -> the superoperator of the noise on the touched
         qubits after a gate of that arity, or None when all its rates are
         zero.
@@ -64,24 +65,32 @@ class NoiseModel:
         that order into one 4x4 one-qubit matrix. Arity 1 maps to it; arity
         2 to the 16x16 product of it on both touched qubits, in the axis
         order of a two-qubit gate's superoperator: (row control, row
-        target, column control, column target). Built once per model.
+        target, column control, column target). Built once per process per
+        set of gate rates, and read-only, as the models with them share it.
         """
-        out = {}
-        for arity, depol in ((1, self.p_depol_1q), (2, self.p_depol_2q)):
-            total = None
-            for rate, family in ((depol, depolarizing_kraus), (self.gamma_ad, amplitude_damping_kraus),
-                                 (self.gamma_pd, phase_damping_kraus)):
-                if rate > 0.0:
-                    s = channel_superop(family(rate))
-                    total = s if total is None else s @ total
-            if arity == 2 and total is not None:
-                one = total.reshape(2, 2, 2, 2)
-                total = np.einsum("aAbB,cCdD->acACbdBD", one, one).reshape(16, 16)
-            out[arity] = total
-        return out
+        return _gate_noise(self.p_depol_1q, self.p_depol_2q, self.gamma_ad, self.gamma_pd)
 
     def to_json(self) -> dict:
         return {name: getattr(self, name) for name in RATE_FIELDS}
+
+
+@lru_cache(maxsize=64)
+def _gate_noise(p_depol_1q: float, p_depol_2q: float, gamma_ad: float, gamma_pd: float) -> MappingProxyType:
+    out = {}
+    for arity, depol in ((1, p_depol_1q), (2, p_depol_2q)):
+        total = None
+        for rate, family in ((depol, depolarizing_kraus), (gamma_ad, amplitude_damping_kraus),
+                             (gamma_pd, phase_damping_kraus)):
+            if rate > 0.0:
+                s = channel_superop(family(rate))
+                total = s if total is None else s @ total
+        if arity == 2 and total is not None:
+            one = total.reshape(2, 2, 2, 2)
+            total = np.einsum("aAbB,cCdD->acACbdBD", one, one).reshape(16, 16)
+        if total is not None:
+            total.flags.writeable = False
+        out[arity] = total
+    return MappingProxyType(out)
 
 
 def depolarizing_kraus(p: float) -> list:

@@ -110,8 +110,8 @@ def setting_probabilities(rho: np.ndarray, settings, p_readout: float = 0.0) -> 
     probs = np.clip(np.matmul(maps, rho.reshape(-1, 16, 1))[..., 0].real, 0.0, None)
     probs = probs.reshape(rho.shape[:-2] + (len(settings), 4))
     total = probs.sum(axis=-1, keepdims=True)
-    if (total <= 0.0).any():
-        raise ContractError("outcome probabilities sum to zero")
+    if not (total > 0.0).all():
+        raise ContractError("outcome probabilities sum to zero or are not numbers")
     probs = probs / total
     q = 1.0 - p_readout
     flip = np.array([q * q, q * p_readout, p_readout * q, p_readout * p_readout])[_XOR]

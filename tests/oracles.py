@@ -14,6 +14,8 @@ The other references are what the program does not run:
   is U(t), against which ``evolve_diagonal`` and ``propagator_x_params`` are
   checked,
 * ``assemble_x_unitary``, the matrix of an ``XUnitaryParams`` point,
+* ``ry_matrix``, ``rz_matrix`` and ``w_matrix``, the scalar rows of each
+  rotation, which the executor's array stacks must equal bit for bit,
 * ``circuit_unitary``, a circuit's unitary as the product of its gates
   embedded by Kronecker products (``kron_gate``), sharing no code with the
   executor ``circuits.run_stack``; the ket a circuit makes of basis state
@@ -31,12 +33,13 @@ The other references are what the program does not run:
 
 from __future__ import annotations
 
+import cmath
 import math
 import string
 
 import numpy as np
 
-from xsim.circuits import Circuit, XUnitaryParams, classical_prep_gates, ry_matrix, rz_matrix, w_matrix
+from xsim.circuits import Circuit, XUnitaryParams, classical_prep_gates
 from xsim.errors import ContractError, DimensionError
 from xsim.heisenberg import HeisenbergParams
 from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, is_hermitian, kron
@@ -208,6 +211,22 @@ def embed(m: np.ndarray, qubit: int, width: int) -> np.ndarray:
     for q in range(width):
         out = kron(out, m if q == qubit else I2)
     return out
+
+
+def ry_matrix(t: float) -> tuple:
+    """The rows of RY(t) from scalar ``math`` calls; ``rz_matrix`` and
+    ``w_matrix`` likewise from ``cmath``. ``circuits.rotation_stack`` must
+    give these floats bit for bit."""
+    c, s = math.cos(t / 2.0), math.sin(t / 2.0)
+    return ((c, -s), (s, c))
+
+
+def rz_matrix(t: float) -> tuple:
+    return ((cmath.exp(-0.5j * t), 0.0), (0.0, cmath.exp(0.5j * t)))
+
+
+def w_matrix(x: float) -> tuple:
+    return ((cmath.exp(-1j * x), 0.0), (0.0, 1j * cmath.exp(1j * x)))
 
 
 _ROTATION_ROWS = {"ry": ry_matrix, "rz": rz_matrix, "w": w_matrix}

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_circuit, random_spectral
 from oracles import assemble_x_unitary, build_xstate_circuit_alt, circuit_unitary, relative_phase
+from oracles import ry_matrix, rz_matrix, w_matrix
 from xsim import circuits
 from xsim.circuits import (
     Circuit,
@@ -15,25 +16,42 @@ from xsim.circuits import (
     classical_prep_gates,
     decompose_x_unitary,
     eigenbasis_block,
+    rotation_stack,
     run_stack,
-    ry_matrix,
-    rz_matrix,
-    w_matrix,
 )
 from xsim.errors import ContractError, DimensionError
 from xsim.xstate import from_spectral
 
 
 def test_gate_matrices_match_displayed_conventions():
+    def matrix(kind, t):
+        return rotation_stack(kind, np.array([t]))[0]
+
     t = 0.37
     c, s = math.cos(t / 2), math.sin(t / 2)
-    np.testing.assert_allclose(ry_matrix(t), [[c, -s], [s, c]], atol=1e-15)
-    np.testing.assert_allclose(
-        rz_matrix(t), np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)]), atol=1e-15
-    )
-    np.testing.assert_allclose(w_matrix(0.0), np.diag([1.0, 1j]), atol=1e-15)
+    np.testing.assert_allclose(matrix("ry", t), [[c, -s], [s, c]], atol=1e-15)
+    np.testing.assert_allclose(matrix("rz", t), np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)]), atol=1e-15)
+    np.testing.assert_allclose(matrix("w", 0.0), np.diag([1.0, 1j]), atol=1e-15)
     x = 0.23
-    np.testing.assert_allclose(w_matrix(x), np.diag([np.exp(-1j * x), 1j * np.exp(1j * x)]), atol=1e-15)
+    np.testing.assert_allclose(matrix("w", x), np.diag([np.exp(-1j * x), 1j * np.exp(1j * x)]), atol=1e-15)
+
+
+def test_rotation_stacks_equal_the_scalar_rows_bit_for_bit():
+    # One array pass per angle column must give the floats of the scalar
+    # math/cmath rows, signed zeros included, or a sweep's rows and circuit
+    # dumps would move; a shared column is the same function on one angle.
+    rng = np.random.default_rng(19)
+    special = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 5e-324, -5e-324]
+    angles = np.concatenate([rng.uniform(-4 * math.pi, 4 * math.pi, 100_000), special])
+    for kind, rows in (("ry", ry_matrix), ("rz", rz_matrix), ("w", w_matrix)):
+        want = np.array([rows(t) for t in angles.tolist()], dtype=complex)
+        got = rotation_stack(kind, angles)
+        assert got.shape == (len(angles), 2, 2) and got.dtype == complex
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # a one-angle array takes numpy's short-array path
+        for t in special + angles[:2000].tolist():
+            one = rotation_stack(kind, np.array([t]))
+            assert one.view(np.uint64).tolist() == np.array([rows(t)], dtype=complex).view(np.uint64).tolist()
 
 
 def test_gate_validation():

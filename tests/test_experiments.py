@@ -21,6 +21,7 @@ from xsim.experiments import (
     _field_block,
     _time_grid,
     _zero_field_block,
+    format_circuit_dump,
     format_csv,
     format_json,
     resolve_params,
@@ -512,13 +513,31 @@ def _one_row(block, params, hp, t):
     return XState(*(v[0] for v in (targets.a, targets.b, targets.c, targets.d, targets.w, targets.z))), circuits[0]
 
 
+def _sweep_size(experiment: str, points: int) -> dict:
+    """The size parameter of the shortest sweep of ``experiment`` with at
+    least ``points`` points."""
+    if experiment == "tetra_sweep":
+        return {"resolution": next(r for r in range(1, 65) if len(simplex_points(r)) >= points)}
+    return {"time_points": points}
+
+
+def _points(size: dict) -> int:
+    """The number of points of a sweep of size ``size``."""
+    return len(simplex_points(size["resolution"])) if "resolution" in size else size["time_points"]
+
+
+def _block_sizes(points: int) -> list:
+    """The sizes of the consecutive blocks a sweep of ``points`` points runs in."""
+    return [min(experiments._BLOCK, points - start) for start in range(0, points, experiments._BLOCK)]
+
+
 @pytest.mark.parametrize("experiment, params, block", [
-    # 165 points, 37 of them factorized (alpha = 0, two gates fewer); the
-    # other 128 span two stacks
-    ("tetra_sweep", {"resolution": 8}, None),
-    # 150 points whose circuits carry no, one or two trailing RZ gates
-    ("field_conc", {"time_points": 150}, _field_block),
-    ("heisenberg_conc", {"time_points": 150}, _zero_field_block),
+    # 680 points at 256 per block, 68 of them factorized (alpha = 0, two
+    # gates fewer); the other 612 span three stacks
+    ("tetra_sweep", _sweep_size("tetra_sweep", 2 * experiments._BLOCK + 88), None),
+    # 600 points whose circuits carry no, one or two trailing RZ gates
+    ("field_conc", _sweep_size("field_conc", 2 * experiments._BLOCK + 88), _field_block),
+    ("heisenberg_conc", _sweep_size("heisenberg_conc", 2 * experiments._BLOCK + 88), _zero_field_block),
 ])
 def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, block, monkeypatch):
     # The output pairs of the sweep's blocks, recorded at the executor,
@@ -542,8 +561,9 @@ def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, b
     pairs = np.concatenate(blocks)
     topologies = {c.ops for c in circuits}
     assert len(topologies) > 1
-    assert max(sum(c.ops == top for c in circuits) for top in topologies) > 64
-    assert any(len({c.ops for c in circuits[i : i + 64]}) > 1 for i in range(0, len(circuits), 64))
+    size = experiments._BLOCK
+    assert max(sum(c.ops == top for c in circuits) for top in topologies) > size
+    assert any(len({c.ops for c in circuits[i : i + size]}) > 1 for i in range(0, len(circuits), size))
     assert pairs.shape == (len(circuits), 4, 4)
     # each circuit run on its own, as a stack of one
     for circ, pair in zip(circuits, pairs):
@@ -563,7 +583,7 @@ def test_run_stack_keeps_input_order_across_mixed_topologies():
             np.testing.assert_allclose(got, run_stack((circ,), keep, nm.gate_noise)[0], rtol=0, atol=1e-14)
 
 
-def test_sweep_hands_the_executor_at_most_64_circuits(monkeypatch):
+def test_sweep_hands_the_executor_at_most_a_block_of_circuits(monkeypatch):
     sizes = []
 
     def counting(circuits, keep, gate_noise=None):
@@ -571,10 +591,31 @@ def test_sweep_hands_the_executor_at_most_64_circuits(monkeypatch):
         return run_stack(circuits, keep, gate_noise)
 
     monkeypatch.setattr(experiments, "run_stack", counting)
-    _, result = run_experiment("heisenberg_conc", {"time_points": 150, "shots": 10})
-    assert len(result.rows) == 150
-    assert sum(sizes) == 150
-    assert max(sizes) <= 64
+    n = 2 * experiments._BLOCK + 22
+    _, result = run_experiment("heisenberg_conc", {"time_points": n, "shots": 10})
+    assert len(result.rows) == n
+    assert sum(sizes) == n
+    assert max(sizes) <= experiments._BLOCK
+
+
+def test_default_tetra_sweep_is_one_executor_batch(monkeypatch):
+    # The 165 simplex points of the default resolution fit one block, so
+    # the executor runs them in one call and one seed call covers them.
+    calls, seeds = [], []
+
+    def counting(circuits, keep, gate_noise=None):
+        calls.append(len(circuits))
+        return run_stack(circuits, keep, gate_noise)
+
+    def deriving(master, start, stop):
+        seeds.append((start, stop))
+        return block_seeds(master, start, stop)
+
+    monkeypatch.setattr(experiments, "run_stack", counting)
+    monkeypatch.setattr(experiments, "block_seeds", deriving)
+    _, result = run_experiment("tetra_sweep", {})
+    assert len(result.rows) == 165
+    assert calls == [165] and seeds == [(0, 165)]
 
 
 @pytest.mark.parametrize("experiment, builder", [
@@ -598,9 +639,31 @@ def test_sweep_builds_each_circuit_once_unless_the_circuits_are_read(experiment,
     assert len(built) == 2 * len(result.rows)
 
 
+@pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
+def test_rows_and_circuit_dumps_do_not_depend_on_the_block_size(experiment, monkeypatch):
+    # Seeds come per point, draws per (point, setting), the executor's
+    # arithmetic per state and LAPACK per matrix, so the output is the same
+    # bytes at any block size, sampled and exact; the sweep spans two blocks
+    # of 256 points.
+    size = _sweep_size(experiment, 260)
+    outputs = set()
+    for block in (1, 7, 64, 256):
+        monkeypatch.setattr(experiments, "_BLOCK", block)
+        texts = []
+        for exact in (False, True):
+            _, result = run_experiment(experiment, {**size, "exact": exact, "seed": 5, "shots": 700})
+            text = io.StringIO()
+            format_csv(result, text)
+            texts.append(text.getvalue())
+        format_circuit_dump(result, text)
+        outputs.add((*texts, text.getvalue()))
+    assert len(outputs) == 1
+
+
 @pytest.mark.parametrize("experiment, size, blocks", [
-    ("tetra_sweep", {"resolution": 8}, [64, 64, 37]),
-    ("heisenberg_conc", {"time_points": 150}, [64, 64, 22]),
+    (experiment, size, _block_sizes(_points(size)))
+    for experiment, size in (("tetra_sweep", _sweep_size("tetra_sweep", experiments._BLOCK + 22)),
+                             ("heisenberg_conc", _sweep_size("heisenberg_conc", experiments._BLOCK + 22)))
 ])
 def test_sweep_maps_each_block_of_targets_at_once(experiment, size, blocks, monkeypatch):
     # One shape map per block of spectral arrays, not one per point.
@@ -612,6 +675,7 @@ def test_sweep_maps_each_block_of_targets_at_once(experiment, size, blocks, monk
 
     monkeypatch.setattr(experiments, "from_spectral", counting)
     run_experiment(experiment, {**size, "exact": True})
+    assert len(blocks) >= 2
     assert shapes == [(n,) for n in blocks]
 
 
@@ -626,12 +690,12 @@ def test_exact_sweeps_derive_no_seeds(experiment, monkeypatch):
         return block_seeds(master, start, stop)
 
     monkeypatch.setattr(experiments, "block_seeds", counting)
-    size = {"resolution": 6} if experiment == "tetra_sweep" else {"time_points": 70}
+    size = _sweep_size(experiment, experiments._BLOCK + 6)
     _, exact = run_experiment(experiment, {**size, "exact": True})
     assert derived == []
     _, sampled = run_experiment(experiment, {**size, "shots": 50, "seed": 3})
-    n = len(sampled.rows)
-    assert derived == [(3, start, min(start + 64, n)) for start in range(0, n, 64)]
+    n, block = len(sampled.rows), experiments._BLOCK
+    assert derived == [(3, start, min(start + block, n)) for start in range(0, n, block)]
     assert len(derived) == 2 and len(exact.rows) == n
 
 

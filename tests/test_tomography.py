@@ -116,6 +116,21 @@ def test_measure_block_frequency_invariants():
     np.testing.assert_array_equal(zz, clipped / clipped.sum(axis=-1, keepdims=True))
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_measure_block_rejects_a_state_with_a_nan_entry(exact):
+    # A NaN entry makes a setting's total NaN, which no ordered comparison
+    # catches as "<= 0"; it must be a contract violation, not a ValueError
+    # from the draw, alone or among valid states, at any readout rate.
+    good = random_density(np.random.default_rng(3))
+    for entry in ((0, 0), (1, 2)):
+        bad = good.copy()
+        bad[entry] = np.nan
+        for rho, seeds in ((bad[None], (7,)), (np.array([good, bad, good]), (1, 2, 3))):
+            for p_readout in (0.0, 0.02):
+                with pytest.raises(ContractError):
+                    measure_block(rho, PARTIAL5, 100, seeds, p_readout, exact)
+
+
 def test_measure_block_needs_one_seed_per_state():
     rho = np.array([random_density(np.random.default_rng(5 + k)) for k in range(3)])
     for seeds in ((1,), (1, 2, 3, 4)):
