@@ -23,11 +23,13 @@ list once (``_plan``), and stacks a group's angle rows into one float64
 table of shape (P, n_rot): a column that is constant gives one shared
 matrix, any other column a (P, 2, 2) stack, both from one array pass of
 numpy's ``cos`` and ``sin`` that equals the scalar ``math``/``cmath`` rows
-bit for bit. The angles stay scalar ``math`` calls: numpy's arcsin and
-arctan2 can differ from them in the last bit, which would move the floats
-of the rows and the circuit dumps. ``to_json``
-writes a circuit for the ``--dump-circuit`` sidecar; the program reads no
-circuit JSON back.
+bit for bit. The preparation builders take a block of points too: IEEE
+arithmetic, ``sqrt``, ``cos`` and ``sin`` run as numpy array passes, and
+``asin``, ``atan2`` and float squares are ``math`` functions mapped over
+the block (``linalg.mathmap``), since numpy's arcsin, arctan2 and square
+can differ from them in the last bit, which would move the floats of the
+rows and the circuit dumps. ``to_json`` writes a circuit for the
+``--dump-circuit`` sidecar; the program reads no circuit JSON back.
 
 The X-state preparation circuit acts on four qubits. A first block turns
 |0000> into sum_ij sqrt(p_ij)|ij>|ij>, so that qubits (2, 3) carry the
@@ -53,8 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
-from .linalg import apply_local, superop
+from .errors import ContractError, DimensionError, raise_first
+from .linalg import apply_local, mathmap, superop
 from .xstate import XState, strip_phases, to_spectral
 
 
@@ -202,8 +204,9 @@ def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
     return out
 
 
-def classical_prep_angles(p) -> tuple:
-    """Angles (alpha, beta, gamma) preparing sum_ij sqrt(p_ij) |ij>|ij>.
+def classical_prep_angles(p: np.ndarray) -> tuple:
+    """Angles (alpha, beta, gamma) preparing sum_ij sqrt(p_ij) |ij>|ij>, as
+    arrays over the rows of a (P, 4) array of distributions.
 
     Closed form: the correlation angle alpha satisfies
     sin(alpha) = 2 sqrt(p00 p11) - 2 sqrt(p01 p10) (always in [-1, 1]); the
@@ -211,59 +214,59 @@ def classical_prep_angles(p) -> tuple:
     atan2 of the amplitude sums and differences. All four prepared
     amplitudes come out nonnegative, equal to sqrt(p_ij).
     """
-    p = tuple(map(float, p))
-    if len(p) != 4 or min(p) < -1e-12 or abs(p[0] + p[1] + p[2] + p[3] - 1.0) > 1e-9:
-        raise ContractError(f"classical distribution invalid: {np.array(p)}")
-    r = [math.sqrt(max(0.0, v)) for v in p]
-    alpha = math.asin(max(-1.0, min(1.0, 2.0 * (r[0] * r[3] - r[1] * r[2]))))
-    u = math.atan2(r[1] + r[2], r[0] - r[3])
-    v = math.atan2(r[1] - r[2], r[0] + r[3])
+    r = np.sqrt(np.where(p > 0.0, p, 0.0)).T  # max(0.0, p): -0.0 gives +0.0
+    alpha = mathmap(math.asin, np.clip(2.0 * (r[0] * r[3] - r[1] * r[2]), -1.0, 1.0))
+    u, v = mathmap(math.atan2, [r[1] + r[2], r[1] - r[2]], [r[0] - r[3], r[0] + r[3]])
     return alpha, u - v, u + v
 
 
 _PREP_OPS = (("ry", (0,)), ("cnot", (0, 1)), ("ry", (0,)), ("ry", (1,)), ("cnot", (0, 2)), ("cnot", (1, 3)))
 
 
-def classical_prep_gates(p) -> tuple:
-    """(ops, angles) of the first block; drops the leading rotation and
-    CNOT when the distribution factorizes (alpha = 0), since they act
-    trivially on the all-zeros input."""
-    alpha, beta, gamma = classical_prep_angles(p)
-    if abs(alpha) > 1e-12:
-        return _PREP_OPS, (alpha, beta, gamma)
-    return _PREP_OPS[2:], (beta, gamma)
-
-
-def eigenbasis_block(theta: float, phi: float, pair=(0, 1)) -> tuple:
+def eigenbasis_block(theta, phi, pair=(0, 1)) -> tuple:
     """(ops, angles) of the second block: |i,j> -> |e_{i, i xor j}>
-    exactly, two CNOTs."""
+    exactly, two CNOTs; the angles are arrays for array theta and phi."""
     first, second = pair
     ops = (("ry", (first,)), ("cnot", (second, first)), ("ry", (first,)), ("cnot", (first, second)))
     return ops, (theta + phi, theta - phi)
 
 
-def build_xstate_circuit(p, theta: float, phi: float) -> Circuit:
-    """Four-qubit circuit preparing the real X-state with weights p and
-    eigenbasis angles (theta, phi) on qubits (2, 3)."""
-    prep_ops, prep_angles = classical_prep_gates(p)
-    ops, angles = eigenbasis_block(theta, phi, pair=(2, 3))
-    return Circuit(4, prep_ops + ops, prep_angles + angles)
+def build_xstate_circuit(p: np.ndarray, theta, phi, phases=(0.0, 0.0), earlier=()) -> list:
+    """Four-qubit circuits preparing the real X-states with the weights of
+    the rows of a (P, 4) array ``p`` and eigenbasis angles (theta, phi), per
+    point or shared, on qubits (2, 3), then RZ(-alpha) on qubit 2 and
+    RZ(-beta) on qubit 3 where ``phases`` = (alpha, beta) exceed 1e-14 in
+    magnitude. The first block drops its leading rotation and CNOT where
+    the distribution factorizes (|alpha| <= 1e-12): they act trivially on
+    |0000>. The first point that fails ``earlier`` checks or is no
+    probability vector raises."""
+    invalid = (np.minimum.reduce(p, axis=1) < -1e-12) | (np.abs(p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3] - 1.0) > 1e-9)
+    raise_first(*earlier, (invalid, lambda i: ContractError(f"classical distribution invalid: {p[i]}")))
+    alpha, beta, gamma = classical_prep_angles(p)
+    eig_ops, eig_angles = eigenbasis_block(theta, phi, pair=(2, 3))
+    table = np.empty((len(p), 7))
+    for k, column in enumerate((alpha, beta, gamma, *eig_angles, -phases[0], -phases[1])):
+        table[:, k] = column
+    kinds = ((np.abs(alpha) > 1e-12) * 4 + (np.abs(phases[0]) > 1e-14) * 2 + (np.abs(phases[1]) > 1e-14)).tolist()
+    out = [None] * len(table)
+    for kind in set(kinds):
+        full, tail2, tail3 = kind >> 2, (kind >> 1) & 1, kind & 1
+        ops = (_PREP_OPS if full else _PREP_OPS[2:]) + eig_ops + (("rz", (2,)),) * tail2 + (("rz", (3,)),) * tail3
+        points = [i for i, k in enumerate(kinds) if k == kind]
+        picked = [0] * full + [1, 2, 3, 4] + [5] * tail2 + [6] * tail3
+        for i, angles in zip(points, table[points][:, picked].tolist()):
+            out[i] = Circuit(4, ops, tuple(angles))
+    return out
 
 
 def build_complex_xstate_circuit(x: XState) -> tuple:
-    """Circuit for an arbitrary (complex) X-state target.
-
-    Strips the corner phases, inverts the shape map, builds the real
-    preparation, and restores the phases with two trailing RZ gates on the
-    output pair. Returns (circuit, spectral, (alpha, beta)).
-    """
-    real_x, (alpha, beta) = strip_phases(x)
-    spectral = to_spectral(real_x)
-    width, ops, angles = build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
-    for qubit, phase in ((2, alpha), (3, beta)):
-        if abs(phase) > 1e-14:
-            ops, angles = ops + (("rz", (qubit,)),), angles + (-phase,)
-    return Circuit(width, ops, angles), spectral, (alpha, beta)
+    """(circuits, spectral, (alpha, beta)) for a stack of arbitrary
+    (complex) X-state targets: strips the corner phases, inverts the shape
+    map, builds the real preparations and restores the phases with RZ
+    gates. Infeasible weights raise before an invalid distribution."""
+    real_x, phases = strip_phases(x)
+    s, infeasible = to_spectral(real_x)
+    return build_xstate_circuit(np.column_stack(s.probs), s.theta, s.phi, phases, (infeasible,)), s, phases
 
 
 @dataclass(frozen=True)

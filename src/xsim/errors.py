@@ -35,3 +35,13 @@ class ProtocolError(ContractError):
 
 class ConfigError(Exception):
     """Invalid experiment configuration or CLI usage."""
+
+
+def raise_first(*checks) -> None:
+    """Raise the error of a block's first failing point, as a point-by-point
+    route would. A check is (mask of the failing points, function of a
+    point's index that makes its exception); a point runs them in order."""
+    failing = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(checks) if mask.any()]
+    if failing:
+        index, k = min(failing)
+        raise checks[k][1](index)

@@ -321,7 +321,7 @@ def run_tetra_sweep(params: dict) -> ExperimentResult:
     def build(block):
         # Simplex points are valid weights, and resolve_params checked the angles.
         targets = from_spectral(XSpectral(*block.T, theta, phi))
-        return targets, [build_xstate_circuit(p, theta, phi) for p in block.tolist()]
+        return targets, build_xstate_circuit(block, theta, phi)
 
     def columns(targets, pairs, draw):
         c_shot = concurrence_x(reconstruct_x3(measure_block(pairs, PARTIAL3, **draw)))
@@ -334,18 +334,16 @@ def run_tetra_sweep(params: dict) -> ExperimentResult:
 def _zero_field_block(params: dict, hp: HeisenbergParams, ts: np.ndarray) -> tuple:
     """(XState stack, circuits) of the zero-field evolved mixture at times ``ts``."""
     s = canonicalize_spectral(_circuit_weights(params), hp.j_kappa * ts, hp.j * ts)
-    points = zip(np.column_stack(s.probs).tolist(), s.theta.tolist(), s.phi.tolist())
-    return from_spectral(s), [build_xstate_circuit(*point) for point in points]
+    return from_spectral(s), build_xstate_circuit(np.column_stack(s.probs), s.theta, s.phi)
 
 
 def _field_block(params: dict, hp: HeisenbergParams, ts: np.ndarray) -> tuple:
     """(XState stack, circuits) of the exact evolution of the diagonal state
     (q0 r0, q1 r1, q0 r1, q1 r0), the t -> 0 limit of the zero-field
-    construction, at times ``ts``, point by point: numpy's hypot and complex
-    abs differ in the last bit from those that evolve_diagonal takes."""
+    construction, at times ``ts``."""
     w00, w01, w10, w11 = _circuit_weights(params)
-    targets = [evolve_diagonal(hp, (w00, w11, w01, w10), t) for t in ts.tolist()]
-    return XState.stack(targets), [build_complex_xstate_circuit(x)[0] for x in targets]
+    targets = evolve_diagonal(hp, (w00, w11, w01, w10), ts)
+    return targets, build_complex_xstate_circuit(targets)[0]
 
 
 def _time_sweep(params: dict, block, columns, names: tuple) -> ExperimentResult:
@@ -428,11 +426,14 @@ def _parse_target(obj) -> tuple:
 def run_xprep_single(params: dict) -> ExperimentResult:
     nm = params["noise"]
     target_x, spectral = _parse_target(params["target"])
+    # a stack of one through the sweeps' block builders
     if spectral is not None:
-        circ = build_xstate_circuit(spectral.probs, spectral.theta, spectral.phi)
+        circ = build_xstate_circuit(np.array([spectral.probs]), spectral.theta, spectral.phi)[0]
         phases = (0.0, 0.0)
     else:
-        circ, spectral, phases = build_complex_xstate_circuit(target_x)
+        circuits, stack, phases = build_complex_xstate_circuit(XState.stack([target_x]))
+        circ, spectral = circuits[0], XSpectral(*(float(v[0]) for v in (*stack.probs, stack.theta, stack.phi)))
+        phases = (float(phases[0][0]), float(phases[1][0]))
     ideal_pair = run_stack((circ,), (2, 3))[0]
     noisy_pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]
     seed = params["seed"]

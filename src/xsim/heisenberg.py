@@ -24,13 +24,14 @@ exact, not special cases.
 
 Every quantity of the dynamics has one closed form built on these rotors.
 ``evolve_diagonal`` evolves any state diagonal in the computational basis
-into an X-state; a population imbalance inside one sector is the case with
-the other sector empty, and ``xstate.concurrence_x`` of the result is its
-concurrence. ``propagator_x_params`` is the one closed form of U(t): it
-places U(t) in the X-shaped unitary family, which
-``circuits.decompose_x_unitary`` compiles into a two-qubit circuit. The
-energies are read off ``HeisenbergParams.xi`` and ``eta``. H itself and its
-matrix exponential are test references (``tests/oracles.py``).
+into an X-state, at a whole array of times in one pass; a population
+imbalance inside one sector is the case with the other sector empty, and
+``xstate.concurrence_x`` of the result is its concurrence.
+``propagator_x_params`` is the one closed form of U(t): it places U(t) in
+the X-shaped unitary family, which ``circuits.decompose_x_unitary``
+compiles into a two-qubit circuit. The energies are read off
+``HeisenbergParams.xi`` and ``eta``. H itself and its matrix exponential
+are test references (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -39,8 +40,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuits import XUnitaryParams
 from .errors import ContractError
+from .linalg import cabs, mathmap, pow2
 from .xstate import XState
 
 
@@ -78,20 +82,23 @@ class HeisenbergParams:
         return {"Jx": self.Jx, "Jy": self.Jy, "Jz": self.Jz, "B": self.B, "b": self.b}
 
 
-def _rotor(delta: float, coupling: float, t: float) -> tuple:
-    """(u, c) of the block propagator exp(-i t [[delta, coupling], [coupling, -delta]])."""
+def _rotor(delta: float, coupling: float, ts) -> tuple:
+    """(u, c) of the block propagator exp(-i t [[delta, coupling], [coupling, -delta]])
+    at each time of ``ts``, as complex arrays of its shape."""
     r = math.hypot(delta, coupling)
     # t sin(r t) / (r t) as t * numpy.sinc(r t / pi), with numpy's scalar
-    # steps spelled out (its sin agrees with math.sin to the last bit)
-    x = math.pi * (r * t / math.pi) or sys.float_info.epsilon
-    sin_over_r = t * (math.sin(x) / x)
-    u = complex(math.cos(r * t), -delta * sin_over_r)
-    c = complex(0.0, -coupling * sin_over_r)
-    return u, c
+    # steps spelled out; x = 0 (-0.0 included) takes the epsilon
+    x = math.pi * (r * ts / math.pi)
+    x = np.where(x == 0.0, sys.float_info.epsilon, x)
+    sin_over_r = ts * (np.sin(x) / x)
+    uc = np.zeros((2,) + np.shape(ts), dtype=complex)
+    uc.real[0], uc.imag = np.cos(r * ts), (-delta * sin_over_r, -coupling * sin_over_r)
+    return uc[0, ...], uc[1, ...]
 
 
-def evolve_diagonal(p: HeisenbergParams, populations, t: float) -> XState:
-    """Evolve a computational-basis-diagonal state diag(n00, n01, n10, n11).
+def evolve_diagonal(p: HeisenbergParams, populations, ts) -> XState:
+    """Evolve a computational-basis-diagonal state diag(n00, n01, n10, n11)
+    to each time of ``ts``, as an XState stack of its shape.
 
     Both sectors run at once; the result is the X-state with corners
     w = (n11 - n00) u c and z = (n10 - n01) u' c'.
@@ -99,13 +106,14 @@ def evolve_diagonal(p: HeisenbergParams, populations, t: float) -> XState:
     n00, n01, n10, n11 = (float(v) for v in populations)
     if min(n00, n01, n10, n11) < -1e-12 or abs(n00 + n01 + n10 + n11 - 1.0) > 1e-9:
         raise ContractError("populations must be a probability vector")
-    u, c = _rotor(p.B, p.j_kappa, t)
-    up, cp = _rotor(p.b, p.j, t)
+    u, c = _rotor(p.B, p.j_kappa, ts)
+    up, cp = _rotor(p.b, p.j, ts)
+    uu, cc, uup, ccp = mathmap(pow2, cabs(np.array([u, c, up, cp])))
     return XState(
-        a=n00 * abs(u) ** 2 + n11 * abs(c) ** 2,
-        b=n01 * abs(up) ** 2 + n10 * abs(cp) ** 2,
-        c=n01 * abs(cp) ** 2 + n10 * abs(up) ** 2,
-        d=n00 * abs(c) ** 2 + n11 * abs(u) ** 2,
+        a=n00 * uu + n11 * cc,
+        b=n01 * uup + n10 * ccp,
+        c=n01 * ccp + n10 * uup,
+        d=n00 * cc + n11 * uu,
         w=(n11 - n00) * u * c,
         z=(n10 - n01) * up * cp,
     )

@@ -26,6 +26,8 @@ the partial trace and of U rho U^dagger.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ContractError, DimensionError
@@ -56,6 +58,18 @@ def cabs(z) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def mathmap(fn, *arrays) -> np.ndarray:
+    """A function of Python floats, such as ``math.atan2``, mapped over
+    float arrays of one shape; numpy's arctan2, arcsin and square can
+    differ from ``math`` and ``pow2`` in the last bit."""
+    lists = (np.ravel(a).tolist() for a in arrays)
+    return np.array(list(map(fn, *lists)), dtype=float).reshape(np.shape(arrays[0]))
+
+
+# x ** 2 of a float as CPython computes it, through C pow, which is not always x * x
+pow2 = (2.0).__rpow__
+
+
 def _square(m: np.ndarray, who: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -81,11 +95,18 @@ def apply_local(state: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
     its superoperator on axes (q1, ..., qm, n + q1, ..., n + qm). The result
     may be a non-contiguous view.
     """
-    axes = tuple(a + 1 for a in axes)
-    perm = (0,) + axes + tuple(a for a in range(1, state.ndim) if a not in axes)
+    perm, inverse = _permutations(state.ndim, tuple(axes))
     moved = state.transpose(perm)
     out = op @ moved.reshape(moved.shape[0], op.shape[-1], -1)
-    return out.reshape(moved.shape).transpose(np.argsort(perm))
+    return out.reshape(moved.shape).transpose(inverse)
+
+
+@lru_cache(maxsize=None)
+def _permutations(ndim: int, axes: tuple) -> tuple:
+    """The transpose moving tensor ``axes`` next to the stack axis, and its inverse."""
+    axes = tuple(a + 1 for a in axes)
+    perm = (0,) + axes + tuple(a for a in range(1, ndim) if a not in axes)
+    return perm, tuple(np.argsort(perm).tolist())
 
 
 def superop(kraus) -> np.ndarray:

@@ -33,9 +33,10 @@ and the concurrence of any X-state (complex corners included) is
 
 XState and XSpectral fields may also be numpy arrays of one shape: such a
 value is a stack of X-states, one per entry, and ``from_spectral``,
-``canonicalize_spectral``, ``matrix``, ``concurrence_x``,
-``concurrence_wootters`` and ``leakage`` work on stacks entry by entry. A
-sweep builds the targets of a whole block of points this way.
+``canonicalize_spectral``, ``to_spectral``, ``strip_phases``, ``matrix``,
+``concurrence_x``, ``concurrence_wootters`` and ``leakage`` work on stacks
+entry by entry. A sweep builds the targets of a whole block of points
+this way.
 
 Complex corner phases are local: a diagonal unitary
 diag(1, e^{i alpha}) x diag(1, e^{i beta}) removes them without touching
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InfeasibleStateError, ShapeError
-from .linalg import SY, cabs, dagger, kron, psd_factor
+from .linalg import SY, cabs, dagger, kron, mathmap, pow2, psd_factor
 
 _DEGENERATE_ATOL = 1e-12
 
@@ -152,40 +153,34 @@ def from_spectral(s: XSpectral) -> XState:
     )
 
 
-def _invert_pair(big: float, small: float, corner: float):
-    """Solve one 2x2 sector: populations (big, small) and real corner.
-
-    Returns (angle, weight_plus, weight_minus) such that
-    big = w+ cos^2 + w- sin^2, small = w+ sin^2 + w- cos^2,
-    corner = (w+ - w-) cos sin.
-    """
-    if abs(big - small) < _DEGENERATE_ATOL:
-        ang = math.pi / 4
-        return ang, big + corner, big - corner
-    ang = 0.5 * math.atan2(2.0 * corner, big - small)
-    if ang < 0:
-        ang += math.pi / 2
-    c2, s2 = math.cos(ang) ** 2, math.sin(ang) ** 2
-    cos2 = math.cos(2.0 * ang)
+def _invert_pair(big, small, corner) -> tuple:
+    """(angle, weight_plus, weight_minus) of 2x2 sectors, arrays of one
+    shape, such that big = w+ cos^2 + w- sin^2, small = w+ sin^2 + w- cos^2
+    and corner = (w+ - w-) cos sin."""
+    degenerate = np.abs(big - small) < _DEGENERATE_ATOL
+    ang = 0.5 * mathmap(math.atan2, 2.0 * corner, big - small)
+    ang = np.where(ang < 0, ang + math.pi / 2, ang)
+    c2, s2 = mathmap(pow2, [np.cos(ang), np.sin(ang)])
+    cos2 = np.cos(2.0 * ang)
     wp = (big * c2 - small * s2) / cos2
     wm = (-big * s2 + small * c2) / cos2
-    return ang, wp, wm
+    return (np.where(degenerate, math.pi / 4, ang), np.where(degenerate, big + corner, wp),
+            np.where(degenerate, big - corner, wm))
 
 
-def to_spectral(x: XState) -> XSpectral:
-    """Invert the shape map for a real X-state.
-
-    Raises InfeasibleStateError if the recovered weights fall outside [0, 1]
-    beyond 1e-10, and ContractError on complex corners.
-    """
-    if not (abs(complex(x.w).imag) <= 1e-10 and abs(complex(x.z).imag) <= 1e-10):
+def to_spectral(x: XState) -> tuple:
+    """(XSpectral, check) inverting the shape map for a real X-state or a
+    stack. ``check`` is the ``raise_first`` check of weights outside [0, 1]
+    beyond 1e-10 (InfeasibleStateError); complex corners raise at once."""
+    corners = np.array([x.w, x.z], dtype=complex)
+    if not np.all(np.abs(corners.imag) <= 1e-10):
         raise ContractError("to_spectral needs a real X-state; strip phases first")
-    theta, p00, p10 = _invert_pair(x.a, x.d, complex(x.w).real)
-    phi, p01, p11 = _invert_pair(x.c, x.b, complex(x.z).real)
-    weights = (p00, p01, p10, p11)
-    if min(weights) < -1e-10 or max(weights) > 1.0 + 1e-10:
-        raise InfeasibleStateError(f"recovered weights outside [0, 1]: {tuple(map(float, weights))}")
-    return XSpectral(p00, p01, p10, p11, theta, phi)
+    # both sectors of every point as one (2, ...) stack
+    (theta, phi), plus, minus = _invert_pair(np.array([x.a, x.c]), np.array([x.d, x.b]), corners.real)
+    weights = np.concatenate([plus, minus]).reshape(4, -1)  # rows p00, p01, p10, p11
+    infeasible = (np.minimum.reduce(weights) < -1e-10) | (np.maximum.reduce(weights) > 1.0 + 1e-10)
+    return XSpectral(plus[0], plus[1], minus[0], minus[1], theta, phi), (infeasible, lambda i: InfeasibleStateError(
+        f"recovered weights outside [0, 1]: {tuple(weights[:, i].tolist())}"))
 
 
 def canonicalize_spectral(p, theta, phi) -> XSpectral:
@@ -269,7 +264,7 @@ def xstate_from_matrix(rho: np.ndarray) -> XState:
 
 
 def strip_phases(x: XState):
-    """Remove the corner phases of an X-state.
+    """Remove the corner phases of an X-state, or of each one of a stack.
 
     Conjugation by diag(1, e^{i alpha}) x diag(1, e^{i beta}) multiplies
     w by e^{-i(alpha+beta)} and z by e^{i(beta-alpha)}; solving for the
@@ -278,10 +273,10 @@ def strip_phases(x: XState):
     Returns (real XState, (alpha, beta)). Applying the inverse rotation,
     angles (-alpha, -beta), restores the original corners.
     """
-    mu = math.atan2(complex(x.w).imag, complex(x.w).real) if abs(x.w) > 0 else 0.0
-    nu = math.atan2(complex(x.z).imag, complex(x.z).real) if abs(x.z) > 0 else 0.0
+    corners = np.array([x.w, x.z], dtype=complex)
+    size = cabs(corners)
+    mu, nu = np.where(size > 0, mathmap(math.atan2, corners.imag, corners.real), 0.0)
     alpha = (mu + nu) / 2.0
     beta = (mu - nu) / 2.0
-    real_x = XState(x.a, x.b, x.c, x.d, complex(abs(x.w)), complex(abs(x.z)))
+    real_x = XState(x.a, x.b, x.c, x.d, *size.astype(complex))
     return real_x, (alpha, beta)
-

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from xsim.circuits import Circuit, run_stack
+from xsim.circuits import Circuit, build_complex_xstate_circuit, build_xstate_circuit, run_stack
+from xsim.errors import raise_first
 from xsim.noise import NoiseModel
-from xsim.xstate import XSpectral, XState, from_spectral
+from xsim.xstate import XSpectral, XState, from_spectral, to_spectral
 
 ZERO_NOISE_MODEL = NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -90,3 +91,23 @@ def run_channel(prefix, qubits, keep=None, **rates):
     keep = range(prefix.width) if keep is None else keep
     before, after = run_stack((prefix, probes), keep, replace(ZERO_NOISE_MODEL, **rates).gate_noise)
     return before, after
+
+
+def prepare(p, theta, phi) -> Circuit:
+    """The circuit ``build_xstate_circuit`` makes of one point, built as a
+    stack of one."""
+    return build_xstate_circuit(np.array([p], dtype=float), theta, phi)[0]
+
+
+def prepare_complex(x: XState) -> tuple:
+    """(circuit, XSpectral, (alpha, beta)) that ``build_complex_xstate_circuit``
+    makes of one X-state, built as a stack of one."""
+    circuits, s, (alpha, beta) = build_complex_xstate_circuit(XState.stack([x]))
+    return circuits[0], XSpectral(*(v[0] for v in (*s.probs, s.theta, s.phi))), (alpha[0], beta[0])
+
+
+def checked_spectral(x: XState) -> XSpectral:
+    """``to_spectral`` of ``x`` with its feasibility check raised."""
+    spectral, check = to_spectral(x)
+    raise_first(check)
+    return spectral

@@ -28,7 +28,14 @@ The other references are what the program does not run:
 * ``substream``, a Philox generator built afresh per key, which
   ``rng.keyed_stream`` must match draw for draw,
 * ``derive_seed``, a point's seed as a SeedSequence spawn, which
-  ``rng.block_seeds`` must match bit for bit.
+  ``rng.block_seeds`` must match bit for bit,
+* the scalar routes of the block builders, one point per call in Python
+  floats (``evolve_diagonal_scalar``, ``strip_phases_scalar``,
+  ``to_spectral_scalar``, ``build_xstate_circuit_scalar``,
+  ``build_complex_xstate_circuit_scalar`` and the functions they call),
+  which ``heisenberg.evolve_diagonal``, ``xstate.strip_phases``,
+  ``xstate.to_spectral`` and the ``circuits`` builders must match bit for
+  bit.
 """
 
 from __future__ import annotations
@@ -36,13 +43,15 @@ from __future__ import annotations
 import cmath
 import math
 import string
+import sys
 
 import numpy as np
 
-from xsim.circuits import Circuit, XUnitaryParams, classical_prep_gates
-from xsim.errors import ContractError, DimensionError
+from xsim.circuits import _PREP_OPS, Circuit, XUnitaryParams, build_xstate_circuit, eigenbasis_block
+from xsim.errors import ContractError, DimensionError, InfeasibleStateError
 from xsim.heisenberg import HeisenbergParams
 from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, is_hermitian, kron
+from xsim.xstate import XSpectral, XState
 
 _DIMS = (2, 4, 16)
 
@@ -310,10 +319,12 @@ def eigenbasis_block_alt(theta: float, phi: float, pair=(0, 1)) -> tuple:
 
 def build_xstate_circuit_alt(p, theta: float, phi: float) -> Circuit:
     """``circuits.build_xstate_circuit`` with the three-CNOT second block;
-    its output X-state equals build_xstate_circuit(p, theta, pi/2 - phi)."""
-    prep_ops, prep_angles = classical_prep_gates(p)
+    its output X-state equals that of build_xstate_circuit at
+    phi -> pi/2 - phi. The first block is the program's, built as a stack
+    of one."""
+    prep = build_xstate_circuit(np.array([p], dtype=float), theta, phi)[0]
     ops, angles = eigenbasis_block_alt(theta, phi, pair=(2, 3))
-    return Circuit(4, prep_ops + ops, prep_angles + angles)
+    return Circuit(4, prep.ops[:-4] + ops, prep.angles[:-2] + angles)
 
 
 def relative_phase(target: np.ndarray, candidate: np.ndarray) -> complex:
@@ -341,3 +352,107 @@ def derive_seed(master: int, *path: int) -> int:
     """Collapse (master, path...) into a fresh 63-bit seed, reproducibly."""
     ss = np.random.SeedSequence(entropy=int(master), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
+
+
+# The scalar routes, one point per call, that the block routes of the
+# program must equal bit for bit: the evolution, the phase strip, the
+# shape-map inversion and the preparation circuits.
+
+
+def rotor_scalar(delta: float, coupling: float, t: float) -> tuple:
+    """(u, c) of exp(-i t [[delta, coupling], [coupling, -delta]]) from
+    scalar math calls, sin(r t)/r as t * numpy.sinc(r t / pi)."""
+    r = math.hypot(delta, coupling)
+    x = math.pi * (r * t / math.pi) or sys.float_info.epsilon
+    sin_over_r = t * (math.sin(x) / x)
+    u = complex(math.cos(r * t), -delta * sin_over_r)
+    c = complex(0.0, -coupling * sin_over_r)
+    return u, c
+
+
+def evolve_diagonal_scalar(p: HeisenbergParams, populations, t: float) -> XState:
+    """``heisenberg.evolve_diagonal`` at one time, in Python floats."""
+    n00, n01, n10, n11 = (float(v) for v in populations)
+    if min(n00, n01, n10, n11) < -1e-12 or abs(n00 + n01 + n10 + n11 - 1.0) > 1e-9:
+        raise ContractError("populations must be a probability vector")
+    u, c = rotor_scalar(p.B, p.j_kappa, t)
+    up, cp = rotor_scalar(p.b, p.j, t)
+    return XState(
+        a=n00 * abs(u) ** 2 + n11 * abs(c) ** 2,
+        b=n01 * abs(up) ** 2 + n10 * abs(cp) ** 2,
+        c=n01 * abs(cp) ** 2 + n10 * abs(up) ** 2,
+        d=n00 * abs(c) ** 2 + n11 * abs(u) ** 2,
+        w=(n11 - n00) * u * c,
+        z=(n10 - n01) * up * cp,
+    )
+
+
+def strip_phases_scalar(x: XState) -> tuple:
+    """``xstate.strip_phases`` of one X-state."""
+    mu = math.atan2(complex(x.w).imag, complex(x.w).real) if abs(x.w) > 0 else 0.0
+    nu = math.atan2(complex(x.z).imag, complex(x.z).real) if abs(x.z) > 0 else 0.0
+    alpha = (mu + nu) / 2.0
+    beta = (mu - nu) / 2.0
+    return XState(x.a, x.b, x.c, x.d, complex(abs(x.w)), complex(abs(x.z))), (alpha, beta)
+
+
+def invert_pair_scalar(big: float, small: float, corner: float) -> tuple:
+    """(angle, weight_plus, weight_minus) of one 2x2 sector."""
+    if abs(big - small) < 1e-12:
+        ang = math.pi / 4
+        return ang, big + corner, big - corner
+    ang = 0.5 * math.atan2(2.0 * corner, big - small)
+    if ang < 0:
+        ang += math.pi / 2
+    c2, s2 = math.cos(ang) ** 2, math.sin(ang) ** 2
+    cos2 = math.cos(2.0 * ang)
+    wp = (big * c2 - small * s2) / cos2
+    wm = (-big * s2 + small * c2) / cos2
+    return ang, wp, wm
+
+
+def to_spectral_scalar(x: XState) -> XSpectral:
+    """``xstate.to_spectral`` of one real X-state, raising at once."""
+    if not (abs(complex(x.w).imag) <= 1e-10 and abs(complex(x.z).imag) <= 1e-10):
+        raise ContractError("to_spectral needs a real X-state; strip phases first")
+    theta, p00, p10 = invert_pair_scalar(x.a, x.d, complex(x.w).real)
+    phi, p01, p11 = invert_pair_scalar(x.c, x.b, complex(x.z).real)
+    weights = (p00, p01, p10, p11)
+    if min(weights) < -1e-10 or max(weights) > 1.0 + 1e-10:
+        raise InfeasibleStateError(f"recovered weights outside [0, 1]: {tuple(map(float, weights))}")
+    return XSpectral(p00, p01, p10, p11, theta, phi)
+
+
+def classical_prep_angles_scalar(p) -> tuple:
+    """``circuits.classical_prep_angles`` of one distribution, with its check."""
+    p = tuple(map(float, p))
+    if len(p) != 4 or min(p) < -1e-12 or abs(p[0] + p[1] + p[2] + p[3] - 1.0) > 1e-9:
+        raise ContractError(f"classical distribution invalid: {np.array(p)}")
+    r = [math.sqrt(max(0.0, v)) for v in p]
+    alpha = math.asin(max(-1.0, min(1.0, 2.0 * (r[0] * r[3] - r[1] * r[2]))))
+    u = math.atan2(r[1] + r[2], r[0] - r[3])
+    v = math.atan2(r[1] - r[2], r[0] + r[3])
+    return alpha, u - v, u + v
+
+
+def build_xstate_circuit_scalar(p, theta: float, phi: float) -> Circuit:
+    """One circuit of ``circuits.build_xstate_circuit``."""
+    alpha, beta, gamma = classical_prep_angles_scalar(p)
+    if abs(alpha) > 1e-12:
+        prep_ops, prep_angles = _PREP_OPS, (alpha, beta, gamma)
+    else:
+        prep_ops, prep_angles = _PREP_OPS[2:], (beta, gamma)
+    ops, angles = eigenbasis_block(theta, phi, pair=(2, 3))
+    return Circuit(4, prep_ops + ops, prep_angles + angles)
+
+
+def build_complex_xstate_circuit_scalar(x: XState) -> tuple:
+    """(circuit, spectral, (alpha, beta)) of one X-state target, as
+    ``circuits.build_complex_xstate_circuit`` gives them for a stack."""
+    real_x, (alpha, beta) = strip_phases_scalar(x)
+    spectral = to_spectral_scalar(real_x)
+    width, ops, angles = build_xstate_circuit_scalar(spectral.probs, spectral.theta, spectral.phi)
+    for qubit, phase in ((2, alpha), (3, beta)):
+        if abs(phase) > 1e-14:
+            ops, angles = ops + (("rz", (qubit,)),), angles + (-phase,)
+    return Circuit(width, ops, angles), spectral, (alpha, beta)

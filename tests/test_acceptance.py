@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from conftest import random_density, random_spectral, random_xstate_raw
+from conftest import checked_spectral, prepare, random_density, random_spectral, random_xstate_raw
 from oracles import (
     assemble_x_unitary,
     build_xstate_circuit_alt,
@@ -24,7 +24,6 @@ from oracles import (
     relative_phase,
 )
 from xsim.circuits import (
-    build_xstate_circuit,
     decompose_x_unitary,
     eigenbasis_block,
     run_stack,
@@ -50,7 +49,6 @@ from xsim.xstate import (
     concurrence_x,
     from_spectral,
     leakage,
-    to_spectral,
 )
 
 
@@ -107,7 +105,7 @@ def test_criterion_04_preparation_circuit_matches_shape_map():
     worst = 0.0
     for _ in range(500):
         s = random_spectral(rng)
-        circ = build_xstate_circuit(s.probs, s.theta, s.phi)
+        circ = prepare(s.probs, s.theta, s.phi)
         pair = run_stack((circ,), (2, 3))[0]
         worst = max(worst, np.max(np.abs(pair - from_spectral(s).matrix())))
     # basis map of the entangling block on all four basis inputs
@@ -138,7 +136,7 @@ def test_criterion_05_parameter_inversion_round_trip():
         else:
             s = random_spectral(rng, interior=True)
         x = from_spectral(s)
-        back = from_spectral(to_spectral(x))
+        back = from_spectral(checked_spectral(x))
         worst = max(worst, np.max(np.abs(back.matrix() - x.matrix())))
     _line(5, "spectral inversion round trip (incl. degenerate)", worst <= 1e-9,
           f"max state diff {worst:.2e} over 1000 points")
@@ -206,7 +204,7 @@ def test_criterion_08_alternate_block_equivalence():
     for _ in range(200):
         s = random_spectral(rng)
         alt = run_stack((build_xstate_circuit_alt(s.probs, s.theta, s.phi),), (2, 3))[0]
-        std = run_stack((build_xstate_circuit(s.probs, s.theta, math.pi / 2 - s.phi),), (2, 3))[0]
+        std = run_stack((prepare(s.probs, s.theta, math.pi / 2 - s.phi),), (2, 3))[0]
         worst = max(worst, np.max(np.abs(alt - std)))
     _line(8, "3-CNOT block equals 2-CNOT block under angle reflection", worst <= 1e-12,
           f"max state diff {worst:.2e} over 200 draws")
@@ -273,7 +271,7 @@ def test_criterion_11_x_shape_robustness_under_default_noise():
                 p = (i / n, j / n, k / n, (n - i - j - k) / n)
                 s = XSpectral(p[0], p[1], p[2], p[3], theta, phi)
                 analytic = concurrence_x(from_spectral(s))
-                circ = build_xstate_circuit(p, theta, phi)
+                circ = prepare(p, theta, phi)
                 pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]
                 worst_leak = max(worst_leak, leakage(pair))
                 if concurrence_wootters_oracle(pair) > analytic + 1e-12:

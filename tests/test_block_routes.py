@@ -1,0 +1,164 @@
+"""The block routes that prepare a sweep equal the scalar routes of
+``tests/oracles.py`` bit for bit: every target entry, every op list and
+every angle, signed zeros included, and the first error of a block."""
+
+import math
+
+import numpy as np
+import pytest
+
+from oracles import (
+    build_complex_xstate_circuit_scalar,
+    build_xstate_circuit_scalar,
+    evolve_diagonal_scalar,
+)
+from xsim.circuits import build_complex_xstate_circuit, build_xstate_circuit
+from xsim.errors import ContractError, InfeasibleStateError
+from xsim.experiments import (
+    _circuit_weights,
+    _couplings,
+    _field_block,
+    _time_grid,
+    _zero_field_block,
+    resolve_params,
+    run_experiment,
+    simplex_points,
+)
+from xsim.xstate import XSpectral, XState, canonicalize_spectral, from_spectral
+
+FIELDS = ("a", "b", "c", "d", "w", "z")
+FOUND_TARGET = XState(0.3000000000015, 0.2, 0.2, 0.2999999999985, 0.29 + 0j, 0.1 + 0j)
+
+
+def _bits(values) -> list:
+    """Each float of ``values`` (complex ones as two) as its hex form, which
+    tells -0.0 from 0.0."""
+    return [float.hex(v) for v in np.asarray(values, dtype=complex).view(float).tolist()]
+
+
+def _scalar_block(experiment, params):
+    """(targets, circuits) of every point of a sweep, one scalar call each."""
+    if experiment == "tetra_sweep":
+        theta, phi = params["theta"], params["phi"]
+        points = simplex_points(params["resolution"]).tolist()
+        return ([from_spectral(XSpectral(*p, theta, phi)) for p in points],
+                [build_xstate_circuit_scalar(p, theta, phi) for p in points])
+    hp = _couplings(params)
+    ts = _time_grid(params, hp).tolist()
+    if experiment.startswith("field"):
+        w00, w01, w10, w11 = _circuit_weights(params)
+        targets = [evolve_diagonal_scalar(hp, (w00, w11, w01, w10), t) for t in ts]
+        return targets, [build_complex_xstate_circuit_scalar(x)[0] for x in targets]
+    spectra = [canonicalize_spectral(_circuit_weights(params), hp.j_kappa * t, hp.j * t) for t in ts]
+    return [from_spectral(s) for s in spectra], [build_xstate_circuit_scalar(s.probs, s.theta, s.phi) for s in spectra]
+
+
+def _block(experiment, params):
+    """(targets, circuits) of every point of a sweep, built as one block."""
+    if experiment == "tetra_sweep":
+        theta, phi = params["theta"], params["phi"]
+        points = simplex_points(params["resolution"])
+        targets = from_spectral(XSpectral(*points.T, theta, phi))
+        return targets, build_xstate_circuit(points, theta, phi)
+    hp = _couplings(params)
+    build = _field_block if experiment.startswith("field") else _zero_field_block
+    return build(params, hp, _time_grid(params, hp))
+
+
+def assert_block_equals_scalar(experiment, config):
+    params = resolve_params(experiment, config)
+    (targets, circuits), (want_targets, want_circuits) = _block(experiment, params), _scalar_block(experiment, params)
+    assert len(circuits) == len(want_circuits) == len(want_targets)
+    for name in FIELDS:
+        assert _bits(getattr(targets, name)) == _bits([getattr(x, name) for x in want_targets]), name
+    for got, want in zip(circuits, want_circuits):
+        assert (got.width, got.ops) == (want.width, want.ops)
+        assert all(type(a) is float for a in got.angles)
+        assert _bits(got.angles) == _bits(want.angles)
+
+
+EDGE_CONFIGS = [
+    ("field_conc", {"lambda": 0.0}),  # a == d: the degenerate sector
+    ("field_fidelity", {"lambda": -1.0, "gamma": 0.0}),  # zero weights, factorized preparations
+    ("field_conc", {"B": 0.0, "b": 0.0}),
+    ("field_fidelity", {"Jz": 0.3, "t_max": 40.0, "time_points": 300}),
+    ("field_conc", {"time_points": 513}),
+    ("heisenberg_conc", {"lambda": 0.0}),
+    ("heisenberg_fidelity", {"lambda": -1.0, "gamma": 0.0}),
+    ("tetra_sweep", {"resolution": 1}),
+    ("tetra_sweep", {"resolution": 64}),
+]
+
+
+@pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity",
+                                        "field_fidelity"])
+def test_default_blocks_equal_the_scalar_routes_bit_for_bit(experiment):
+    # every time grid starts at t = 0, where the sinc takes its epsilon
+    assert_block_equals_scalar(experiment, {})
+
+
+@pytest.mark.parametrize("experiment, config", EDGE_CONFIGS, ids=[f"{e}-{c}" for e, c in EDGE_CONFIGS])
+def test_edge_blocks_equal_the_scalar_routes_bit_for_bit(experiment, config):
+    assert_block_equals_scalar(experiment, config)
+
+
+def test_random_field_blocks_equal_the_scalar_routes_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for k in range(40):
+        config = {"J": rng.uniform(-2, 2), "kappa": rng.uniform(-1, 1), "Jz": rng.uniform(-1, 1),
+                  "gamma": rng.uniform(0, math.pi), "lambda": rng.uniform(-1, 1), "B": rng.uniform(-2, 2),
+                  "b": rng.uniform(-2, 2), "time_points": int(rng.integers(2, 100))}
+        assert_block_equals_scalar("field_fidelity" if k % 2 else "field_conc", config)
+
+
+def test_the_degenerate_and_factorized_branches_are_reached():
+    # lambda = 0 puts every field target on the degenerate branch, and
+    # lambda = -1 with gamma = 0 makes every weight vector factorize
+    params = resolve_params("field_conc", {"lambda": 0.0})
+    targets, _ = _block("field_conc", params)
+    assert np.all(np.abs(targets.a - targets.d) < 1e-12)
+    _, circuits = _block("field_conc", resolve_params("field_conc", {"lambda": -1.0, "gamma": 0.0}))
+    assert all(("cnot", (0, 1)) not in c.ops for c in circuits)
+
+
+def _first_scalar_error(targets):
+    for x in targets:
+        try:
+            build_complex_xstate_circuit_scalar(x)
+        except ContractError as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize("layout", [
+    {5: "found"},  # an invalid distribution only
+    {5: "found", 7: "infeasible"},  # the first failing point raises
+    {3: "infeasible", 5: "found"},
+    {5: "infeasible"},  # fails both checks: to_spectral's comes first
+])
+def test_a_block_raises_the_first_error_of_the_scalar_route(layout):
+    rng = np.random.default_rng(5)
+    special = {"found": FOUND_TARGET, "infeasible": XState(0.25, 0.25, 0.25, 0.25, 0.6 + 0j, 0j)}
+    targets = []
+    for index in range(9):
+        if index in layout:
+            targets.append(special[layout[index]])
+        else:
+            a, b, c, d = rng.dirichlet(np.ones(4)).tolist()
+            targets.append(XState(a, b, c, d, 0.5 * math.sqrt(a * d) * 1j, -0.3 * math.sqrt(b * c) + 0j))
+    want = _first_scalar_error(targets)
+    assert want is not None
+    with pytest.raises(ContractError) as got:
+        build_complex_xstate_circuit(XState.stack(targets))
+    assert (type(got.value), str(got.value)) == (type(want), str(want))
+    if layout == {5: "found"}:
+        assert str(got.value) == "classical distribution invalid: [0.5900001  0.3        0.00999709 0.1       ]"
+    if layout.get(5) == "infeasible":
+        assert type(got.value) is InfeasibleStateError
+
+
+def test_xprep_single_raises_the_found_target_error_through_a_block_of_one():
+    target = {"kind": "xstate", **FOUND_TARGET.to_json()}
+    with pytest.raises(ContractError, match=r"classical distribution invalid: \[0\.5900001 "):
+        run_experiment("xprep_single", {"target": target, "exact": True})
+

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_circuit, random_spectral
+from conftest import make_circuit, prepare, prepare_complex, random_spectral, random_xstate_raw
 from oracles import assemble_x_unitary, build_xstate_circuit_alt, circuit_unitary, relative_phase
 from oracles import ry_matrix, rz_matrix, w_matrix
 from xsim import circuits
 from xsim.circuits import (
     Circuit,
     XUnitaryParams,
-    build_complex_xstate_circuit,
     build_xstate_circuit,
     classical_prep_angles,
-    classical_prep_gates,
     decompose_x_unitary,
     eigenbasis_block,
     rotation_stack,
@@ -78,7 +76,7 @@ def test_circuit_width_and_bounds():
 
 def test_op_list_is_checked_once_for_a_block():
     circuits._plan.cache_clear()
-    block = [build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.1 * k, 0.5) for k in range(64)]
+    block = build_xstate_circuit(np.tile([0.4, 0.3, 0.2, 0.1], (64, 1)), 0.1 * np.arange(64), 0.5)
     run_stack(block, (2, 3))
     run_stack(block, (2, 3))
     assert circuits._plan.cache_info().misses == 1
@@ -109,7 +107,8 @@ def test_classical_prep_amplitudes():
     rng = np.random.default_rng(7)
     for _ in range(50):
         p = rng.dirichlet(np.ones(4))
-        c = Circuit(4, *classical_prep_gates(p))
+        c = prepare(p, 0.0, 0.0)  # its first block: every gate but the last four
+        c = Circuit(4, c.ops[:-4], c.angles[:-2])
         psi = circuit_unitary(c)[:, 0]
         # nonzero amplitudes only at |i j i j>, equal to sqrt(p_ij)
         expect = np.zeros(16)
@@ -122,9 +121,10 @@ def test_classical_prep_amplitudes():
 def test_classical_prep_product_distribution_drops_leading_rotation():
     q0, r0 = 0.75, 0.875
     p = (q0 * r0, q0 * (1 - r0), (1 - q0) * r0, (1 - q0) * (1 - r0))
-    alpha, _, _ = classical_prep_angles(p)
+    alpha, _, _ = classical_prep_angles(np.array([p]))
     assert abs(alpha) < 1e-12
-    ops, angles = classical_prep_gates(p)
+    c = prepare(p, 0.3, 0.2)
+    ops, angles = c.ops[:-4], c.angles[:-2]
     # leading rotation and its CNOT are elided: 4 gates, no CNOT onto qubit 1
     assert len(ops) == 4 and len(angles) == 2
     assert all(not (kind == "cnot" and qubits[1] == 1) for kind, qubits in ops)
@@ -152,7 +152,7 @@ def test_build_xstate_circuit_matches_shape_map():
     rng = np.random.default_rng(13)
     for _ in range(60):
         s = random_spectral(rng)
-        circ = build_xstate_circuit(s.probs, s.theta, s.phi)
+        circ = prepare(s.probs, s.theta, s.phi)
         pair = run_stack((circ,), (2, 3))[0]
         np.testing.assert_allclose(pair, from_spectral(s).matrix(), atol=1e-12)
 
@@ -162,17 +162,15 @@ def test_alt_block_equals_standard_with_reflected_angle():
     for _ in range(40):
         s = random_spectral(rng)
         alt = run_stack((build_xstate_circuit_alt(s.probs, s.theta, s.phi),), (2, 3))[0]
-        std = run_stack((build_xstate_circuit(s.probs, s.theta, math.pi / 2 - s.phi),), (2, 3))[0]
+        std = run_stack((prepare(s.probs, s.theta, math.pi / 2 - s.phi),), (2, 3))[0]
         np.testing.assert_allclose(alt, std, atol=1e-13)
 
 
 def test_complex_xstate_circuit_restores_phases():
     rng = np.random.default_rng(23)
-    from conftest import random_xstate_raw
-
     for _ in range(40):
         x = random_xstate_raw(rng)
-        circ, spectral, (alpha, beta) = build_complex_xstate_circuit(x)
+        circ, spectral, (alpha, beta) = prepare_complex(x)
         pair = run_stack((circ,), (2, 3))[0]
         np.testing.assert_allclose(pair, x.matrix(), atol=1e-11)
         spectral.validate()

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import prepare
 from oracles import circuit_unitary, derive_seed
 from xsim.circuits import Circuit, build_xstate_circuit, run_stack
 from xsim.cli import main
@@ -554,7 +555,7 @@ def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, b
     nm = params["noise"]
     if block is None:
         theta, phi = params["theta"], params["phi"]
-        circuits = [build_xstate_circuit(p, theta, phi) for p in simplex_points(params["resolution"])]
+        circuits = [prepare(p, theta, phi) for p in simplex_points(params["resolution"])]
     else:
         hp = _couplings(params)
         circuits = [_one_row(block, params, hp, t)[1] for t in _time_grid(params, hp)]
@@ -571,8 +572,8 @@ def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, b
 
 
 def test_run_stack_keeps_input_order_across_mixed_topologies():
-    factorized = [build_xstate_circuit((0.25, 0.25, 0.25, 0.25), 0.3 + 0.1 * k, 0.2) for k in range(3)]
-    correlated = [build_xstate_circuit((0.5, 0.0, 0.1, 0.4), 0.3, 0.2 + 0.1 * k) for k in range(3)]
+    factorized = build_xstate_circuit(np.full((3, 4), 0.25), 0.3 + 0.1 * np.arange(3), 0.2)
+    correlated = build_xstate_circuit(np.tile([0.5, 0.0, 0.1, 0.4], (3, 1)), 0.3, 0.2 + 0.1 * np.arange(3))
     assert factorized[0].ops != correlated[0].ops
     circuits = [c for pair in zip(factorized, correlated) for c in pair]
     nm = NoiseModel()
@@ -624,19 +625,22 @@ def test_default_tetra_sweep_is_one_executor_batch(monkeypatch):
     ("field_conc", "build_complex_xstate_circuit"),
 ])
 def test_sweep_builds_each_circuit_once_unless_the_circuits_are_read(experiment, builder, monkeypatch):
+    # one block build per block of the sweep, and one more per block when
+    # the circuits are read; 600 time points (680 simplex points) span three
     built = []
     original = getattr(experiments, builder)
 
     def counting(*args):
-        built.append(args)
+        built.append(len(args[0].a if builder == "build_complex_xstate_circuit" else args[0]))
         return original(*args)
 
     monkeypatch.setattr(experiments, builder, counting)
-    size = {"resolution": 8} if experiment == "tetra_sweep" else {"time_points": 150}
+    size = _sweep_size(experiment, 2 * experiments._BLOCK + 88)
     _, result = run_experiment(experiment, {**size, "exact": True})
-    assert len(built) == len(result.rows)
+    blocks = _block_sizes(len(result.rows))
+    assert built == blocks
     assert len(list(result.circuits())) == len(result.rows)
-    assert len(built) == 2 * len(result.rows)
+    assert built == 2 * blocks
 
 
 @pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
@@ -883,7 +887,7 @@ def _per_point_rows(experiment, params):
         points = simplex_points(params["resolution"])
 
         def build(p):
-            return from_spectral(XSpectral(*p, theta, phi)), build_xstate_circuit(p, theta, phi)
+            return from_spectral(XSpectral(*p, theta, phi)), prepare(p, theta, phi)
     else:
         hp = _couplings(params)
         points = _time_grid(params, hp)

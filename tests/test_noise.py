@@ -11,6 +11,8 @@ from conftest import (
     ZERO_NOISE_MODEL,
     extended,
     make_circuit,
+    prepare,
+    prepare_complex,
     random_density,
     random_spectral,
     random_xstate_raw,
@@ -18,7 +20,7 @@ from conftest import (
 )
 from oracles import partial_trace
 from xsim import experiments
-from xsim.circuits import build_complex_xstate_circuit, build_xstate_circuit, run_stack
+from xsim.circuits import run_stack
 from xsim.errors import ContractError
 from xsim.experiments import resolve_params, run_experiment
 from xsim.linalg import I2
@@ -120,7 +122,7 @@ def test_noise_model_validation_and_json():
 
 
 def test_zero_noise_model_is_the_ideal_simulator():
-    circ = build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
+    circ = prepare((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
     noisy = run_stack((circ,), range(4), ZERO_NOISE_MODEL.gate_noise)[0]
     ideal = run_stack((circ,), range(4))[0]
     np.testing.assert_array_equal(noisy, ideal)
@@ -128,7 +130,7 @@ def test_zero_noise_model_is_the_ideal_simulator():
 
 def test_run_noisy_keeps_density_matrix_valid():
     # the noisy executor run of the whole register
-    circ = build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
+    circ = prepare((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
     out = run_stack((circ,), range(4), NoiseModel().gate_noise)[0]
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
@@ -138,7 +140,7 @@ def test_run_noisy_keeps_density_matrix_valid():
 def test_damping_and_depolarizing_preserve_x_shape():
     # a random X-state prepared on (2, 3) under the channel's own model
     rng = np.random.default_rng(7)
-    prefix, _, _ = build_complex_xstate_circuit(random_xstate_raw(rng))
+    prefix, _, _ = prepare_complex(random_xstate_raw(rng))
     for rate in ({"p_depol_1q": 0.05}, {"gamma_ad": 0.1}, {"gamma_pd": 0.1}):
         _, out = run_channel(prefix, (2, 3), keep=(2, 3), **rate)
         assert leakage(out) < 1e-14
@@ -156,7 +158,7 @@ def test_noisy_prepared_states_stay_x_shaped_at_any_rate(monkeypatch):
 
     for _ in range(150):
         s, x = random_spectral(rng), random_xstate_raw(rng)
-        circuits = (build_xstate_circuit(s.probs, s.theta, s.phi), build_complex_xstate_circuit(x)[0])
+        circuits = (prepare(s.probs, s.theta, s.phi), prepare_complex(x)[0])
         pairs.extend(run_stack(circuits, (2, 3), NoiseModel(**rates()).gate_noise))
 
     def recording(circuits, keep, gate_noise=None):

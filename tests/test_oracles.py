@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ZERO_NOISE_MODEL, extended, make_circuit, random_circuit, random_density, run_channel
+from conftest import ZERO_NOISE_MODEL, extended, make_circuit, prepare, random_circuit, random_density, run_channel
 from oracles import (
     circuit_unitary,
     concurrence_wootters_oracle,
@@ -28,7 +28,7 @@ from oracles import (
     partial_trace,
     sqrtm_psd,
 )
-from xsim.circuits import GATE_KINDS, Circuit, build_xstate_circuit, run_stack
+from xsim.circuits import GATE_KINDS, Circuit, run_stack
 from xsim.errors import ContractError, DimensionError
 from xsim.experiments import format_csv, run_experiment
 from xsim.linalg import I2, PAULI, fidelity, kron
@@ -122,7 +122,7 @@ def test_run_density_and_run_noisy_match_kron_reference(rank):
             rho = run_stack((prefix,), keep, nm.gate_noise)[0]
             np.testing.assert_allclose(run_stack((run,), keep, nm.gate_noise)[0], kron_run_noisy(c, rho, nm),
                                        atol=1e-13)
-    circ = build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
+    circ = prepare((0.4, 0.3, 0.2, 0.1), 0.5, 0.9)
     np.testing.assert_allclose(run_stack((circ,), range(4), noisy.gate_noise)[0], kron_reduced(circ, range(4), noisy),
                                atol=1e-13)
 
@@ -197,7 +197,7 @@ NOISY = NoiseModel(p_depol_1q=0.05, p_depol_2q=0.1, gamma_ad=0.07, gamma_pd=0.03
     # the last two gates act on qubit 0 after it last meets kept qubit 1
     (make_circuit(2, ("ry", (0,), 0.7), ("cnot", (0, 1)), ("ry", (0,), 0.3), ("rz", (0,), 0.4)), (1,)),
     # every qubit kept
-    (build_xstate_circuit((0.4, 0.3, 0.2, 0.1), 0.5, 0.9), (0, 1, 2, 3)),
+    (prepare((0.4, 0.3, 0.2, 0.1), 0.5, 0.9), (0, 1, 2, 3)),
     # no gate at all
     (Circuit(2, ()), (1,)),
 ], ids=["kept-untouched", "dropped-untouched", "touched-once", "outside-light-cone", "keep-all", "no-gates"])

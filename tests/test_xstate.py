@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spectral, random_xstate, random_xstate_raw
+from conftest import checked_spectral, random_spectral, random_xstate, random_xstate_raw
 from oracles import concurrence_wootters_oracle
 from xsim.errors import ContractError, ShapeError
 from xsim.experiments import _parse_target
@@ -68,7 +68,7 @@ def test_round_trip_spectral():
     for _ in range(300):
         s = random_spectral(rng)
         x = from_spectral(s)
-        back = from_spectral(to_spectral(x))
+        back = from_spectral(checked_spectral(x))
         np.testing.assert_allclose(back.matrix(), x.matrix(), atol=1e-10)
 
 
@@ -83,12 +83,12 @@ def test_round_trip_degenerate_sectors():
         # p00 == p10 makes a == d regardless of theta
         s = XSpectral(p0, p1, p0, rest, rng.uniform(0, np.pi / 2), rng.uniform(0, np.pi / 2))
         x = from_spectral(s)
-        back = from_spectral(to_spectral(x))
+        back = from_spectral(checked_spectral(x))
         np.testing.assert_allclose(back.matrix(), x.matrix(), atol=1e-10)
 
 
 def test_maximally_mixed_inverts_through_degenerate_branch():
-    s = to_spectral(XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0))
+    s = checked_spectral(XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0))
     assert s.theta == pytest.approx(math.pi / 4)
     assert s.phi == pytest.approx(math.pi / 4)
     np.testing.assert_allclose(s.probs, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
