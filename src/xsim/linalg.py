@@ -77,9 +77,9 @@ def _square(m: np.ndarray, who: str) -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = _square(m, "is_hermitian")
-    return bool(np.max(np.abs(m - dagger(m))) <= atol)
+    return bool(np.max(np.abs(m - dagger(m))) <= HERMITIAN_ATOL)
 
 
 def apply_local(state: np.ndarray, op: np.ndarray, axes) -> np.ndarray:

@@ -36,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ContractError
-from .linalg import superop
+from .linalg import I2, SX, SY, SZ, superop
 
 RATE_FIELDS = ("p_depol_1q", "p_depol_2q", "gamma_ad", "gamma_pd", "p_readout")
 
@@ -96,14 +96,11 @@ def _gate_noise(p_depol_1q: float, p_depol_2q: float, gamma_ad: float, gamma_pd:
 def depolarizing_kraus(p: float) -> list:
     if not 0.0 <= p <= 1.0:
         raise ContractError(f"depolarizing rate {p} outside [0, 1]")
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
     return [
-        math.sqrt(1.0 - 0.75 * p) * np.eye(2, dtype=complex),
-        math.sqrt(0.25 * p) * sx,
-        math.sqrt(0.25 * p) * sy,
-        math.sqrt(0.25 * p) * sz,
+        math.sqrt(1.0 - 0.75 * p) * I2,
+        math.sqrt(0.25 * p) * SX,
+        math.sqrt(0.25 * p) * SY,
+        math.sqrt(0.25 * p) * SZ,
     ]
 
 

@@ -16,13 +16,14 @@ sampled artifact can be replayed byte for byte from (seed, structure):
 
 Counts are those of ``multinomial_counts``: numpy's own chain of binomial
 draws, with each conditional probability snapped onto the nearby point where
-numpy's binomial sampler changes branch (0, 1/2, 1 and a few points that
-depend on the shot count) when it lies within ``SNAP_ATOL`` of one, so that
-roundoff in the probabilities cannot change the counts. ``block_counts``
-draws a block of them with numpy's C-level multinomial, the same chain
-without the snaps, and redraws through ``multinomial_counts`` only the draws
-that one array pass finds a snap could have moved; a block of fewer than
-``CHAIN_BELOW`` draws goes through ``multinomial_counts`` alone.
+numpy's binomial sampler changes branch (``_anchors``: 0, 1/2, 1 and three
+points that depend on the shot count) when it lies within ``SNAP_ATOL`` of
+one, so that roundoff in the probabilities cannot change the counts.
+``block_counts`` draws a block of them with numpy's C-level multinomial, the
+same chain without the snaps, and redraws through ``multinomial_counts``
+only the draws that one array pass over the same anchors finds a snap could
+have moved; a block of fewer than ``CHAIN_BELOW`` draws goes through
+``multinomial_counts`` alone.
 """
 
 from __future__ import annotations
@@ -30,18 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-
-# numpy's binomial sampler for n draws is discontinuous in p at a few known
-# points: at p = 0 it consumes no draw; above 1/2 it draws the complement;
-# it switches between inversion and BTPE where n min(p, 1-p) = 30; and BTPE
-# starts from the mode floor((n+1) min(p, 1-p)), which jumps where (n+1) p
-# is an integer. Symmetric states and rational weights put conditional
-# probabilities exactly on such points, where a 1e-16 change of the state
-# would otherwise change the counts. Within SNAP_ATOL of one of them, p is
-# moved onto it. The constant is far above roundoff and far below any
-# probability a shot count can resolve.
-SNAP_ATOL = 1e-12
-
 
 # The one bit generator that keyed_stream re-keys and the one Generator over
 # it, made on first use: a run that draws nothing never imports numpy.random.
@@ -106,24 +95,41 @@ def block_seeds(master: int, start: int, stop: int) -> list:
     return (seeds >> np.uint64(1)).tolist()
 
 
+# numpy's binomial sampler for n draws is discontinuous in p at a few known
+# points: at p = 0 it consumes no draw; above 1/2 it draws the complement;
+# it switches between inversion and BTPE where n min(p, 1-p) = 30; and BTPE
+# starts from the mode floor((n+1) min(p, 1-p)), which jumps where (n+1) p
+# is an integer. Symmetric states and rational weights put conditional
+# probabilities exactly on such points, where a 1e-16 change of the state
+# would otherwise change the counts. Within SNAP_ATOL of one of them, p is
+# moved onto it. The constant is far above roundoff and far below any
+# probability a shot count can resolve.
+SNAP_ATOL = 1e-12
+
+
+def _anchors(p, n) -> tuple:
+    """The snap anchors of a conditional p of n draws (the points above), in
+    ``_snap``'s order, for floats (``round``) or arrays of one shape
+    (``np.rint``); both round half to even."""
+    k = round(p * (n + 1)) if isinstance(p, float) else np.rint(p * (n + 1))
+    return 0.0, 0.5, 1.0, 30.0 / n, 1.0 - 30.0 / n, k / (n + 1)
+
+
 def _snap(p: float, n: int) -> float:
-    # Anchors are tried in a fixed order, the first match wins: for large n,
-    # 30/n and k/(n+1) can both lie within SNAP_ATOL of p.
-    if abs(p) <= SNAP_ATOL:
-        return 0.0
-    if abs(p - 0.5) <= SNAP_ATOL:
-        return 0.5
-    if abs(p - 1.0) <= SNAP_ATOL:
-        return 1.0
-    anchor = 30.0 / n
-    if abs(p - anchor) <= SNAP_ATOL:
-        return anchor
-    if abs(p - (1.0 - anchor)) <= SNAP_ATOL:
-        return 1.0 - anchor
-    anchor = round(p * (n + 1)) / (n + 1)
-    if abs(p - anchor) <= SNAP_ATOL:
-        return anchor
+    # The first anchor within SNAP_ATOL wins: for large n, 30/n and
+    # k/(n+1) can both lie that near p.
+    for anchor in _anchors(p, n):
+        if abs(p - anchor) <= SNAP_ATOL:
+            return anchor
     return min(max(p, 0.0), 1.0)
+
+
+def _may_snap(p: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Where ``_snap`` could move p of n draws (arrays): p outside [0, 1], or
+    off an anchor by at most SNAP_ATOL, any anchor, not only the one it picks."""
+    with np.errstate(all="ignore"):
+        off = np.abs([p - anchor for anchor in _anchors(p, n)])
+    return ((off > 0.0) & (off <= SNAP_ATOL)).any(axis=0) | (p < 0.0) | (p > 1.0)
 
 
 def multinomial_counts(rng: np.random.Generator, n: int, probs) -> tuple:
@@ -151,48 +157,10 @@ def multinomial_counts(rng: np.random.Generator, n: int, probs) -> tuple:
     return tuple(counts)
 
 
-def _snap_last(rows: np.ndarray, remaining: np.ndarray) -> np.ndarray:
-    """``rows`` with the last conditional p2 / r2 snapped before the draw:
-    within SNAP_ATOL of 0, 1/2 or 1 (any multiple of 1/2), p2 becomes
-    s r2 for that anchor s, so that numpy's chain divides out exactly the
-    s that ``_snap`` gives. No step after the last reads p2."""
-    rest, lean = remaining[2], rows.copy()
-    with np.errstate(all="ignore"):
-        last = rows[:, 2] / rest
-        anchor = np.rint(2.0 * last) / 2.0
-        lean[:, 2] = np.where(np.abs(last - anchor) <= SNAP_ATOL, anchor * rest, rows[:, 2])
-    return lean
-
-
-def _snap_moves(rows: np.ndarray, remaining: np.ndarray, counts: np.ndarray, shots: int) -> np.ndarray:
-    """Mask of the draws of numpy's chain, ``counts`` (N, 4) of ``shots``
-    over ``rows`` (N, 4), that ``multinomial_counts`` could have drawn
-    otherwise. A draw is flagged if a drawn step j (shots left) has
-    r_j <= 0, or a conditional p = p_j / r_j, as numpy divides it, outside
-    [0, 1] or within SNAP_ATOL of one of ``_snap``'s anchors but not on it.
-    The anchors are ``_snap``'s float operations; 0 and 1 are the grid
-    points k / (left + 1) at k = 0 and k = left + 1. It never misses a
-    draw that a snap moves, and may flag one that it does not.
-    """
-    left = np.full((3, len(rows)), shots, dtype=np.int64)
-    left[1:] -= np.cumsum(counts[:, :2], axis=1).T
-    anchors = np.empty((4,) + left.shape)
-    anchors[0] = 0.5
-    with np.errstate(all="ignore"):
-        p = rows[:, :3].T / remaining
-        np.divide(30.0, left, out=anchors[1])
-        np.subtract(1.0, anchors[1], out=anchors[2])
-        np.divide(np.rint(p * (left + 1.0)), left + 1.0, out=anchors[3])
-        off = np.abs(p - anchors)
-    # off[0] = |p - 1/2| > 1/2 is p outside [0, 1] by more than SNAP_ATOL;
-    # nearer, the grid anchors 0 and 1 flag it.
-    moved = ((off > 0.0) & (off <= SNAP_ATOL)).any(axis=0) | (off[0] > 0.5) | (remaining <= 0.0)
-    return (moved & (left > 0)).any(axis=0)
-
-
-# Below this many draws, the array passes cost more than numpy's draws save
-# and the chain draws every row. Measured on 2 cores with numpy 2.4, the two
-# routes break even at about 9 draws; a one-point call draws 3, 5 or 9.
+# Below this many draws the chain draws every row: on a 2-core Xeon with
+# numpy 2.4 at 8,000 shots, 3, 5 and 9 draws take about 50, 83 and 150 us
+# through it and 131, 143 and 165 us through numpy's draws and the array
+# passes. A one-point call draws 3, 5 or 9; a default sweep block, 192-576.
 CHAIN_BELOW = 9
 
 
@@ -201,22 +169,31 @@ def _numpy_draws(rows: np.ndarray, shots: int, seeds, streams) -> tuple:
     indices that ``multinomial_counts`` must draw again: the draws a snap
     could have moved and the rows numpy rejects."""
     # the mass r_j left before each step, step-major (3, N), in numpy's order
-    remaining = np.ones((3, len(rows)))
-    np.subtract(1.0, rows[:, 0], out=remaining[1])
-    np.subtract(remaining[1], rows[:, 1], out=remaining[2])
-    lean = _snap_last(rows, remaining)
+    remaining = np.array([np.ones(len(rows)), 1.0 - rows[:, 0], 1.0 - rows[:, 0] - rows[:, 1]])
+    # numpy gets the last step snapped where p2 / r2 is near 0, 1/2 or 1: p2
+    # becomes s r2, which numpy divides back to s exactly, s being 0 or a
+    # power of two. No step after the last reads p2.
+    lean, rest = rows.copy(), remaining[2]
+    with np.errstate(all="ignore"):
+        last = rows[:, 2] / rest
+        for anchor in _anchors(last, shots)[:3]:
+            np.copyto(lean[:, 2], anchor * rest, where=np.abs(last - anchor) <= SNAP_ATOL)
+        p = lean[:, :3].T / remaining
     drawn, rejected, it = [], [], iter(lean)
     for seed in seeds:
         for stream in streams:
-            row, generator = next(it), keyed_stream(seed, stream)
             try:
-                drawn.append(generator.multinomial(shots, row))
+                drawn.append(keyed_stream(seed, stream).multinomial(shots, next(it)))
             except ValueError:  # a row numpy rejects, such as one with a NaN
                 rejected.append(len(drawn))
                 drawn.append(np.zeros(4, dtype=np.int64))
     counts = np.array(drawn, dtype=np.int64).reshape(-1, 4)
-    moved = np.flatnonzero(_snap_moves(lean, remaining, counts, shots)).tolist()
-    return counts, sorted(set(moved + rejected))
+    # A draw is redrawn if a drawn step j (shots left) has r_j <= 0 or a
+    # conditional p_j / r_j, as numpy divides it, that a snap could move.
+    left = np.full((3, len(rows)), shots, dtype=np.int64)
+    left[1:] -= np.cumsum(counts[:, :2], axis=1).T
+    moved = (_may_snap(p, left) | (remaining <= 0.0)) & (left > 0)
+    return counts, sorted(set(np.flatnonzero(moved.any(axis=0)).tolist() + rejected))
 
 
 def block_counts(probs: np.ndarray, shots: int, seeds, streams) -> np.ndarray:

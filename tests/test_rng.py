@@ -4,7 +4,7 @@ import pytest
 from oracles import substream
 from xsim import experiments, tomography
 from xsim.experiments import run_experiment
-from xsim.rng import CHAIN_BELOW, SNAP_ATOL, _snap, block_counts, keyed_stream, multinomial_counts
+from xsim.rng import CHAIN_BELOW, SNAP_ATOL, _anchors, _may_snap, _snap, block_counts, keyed_stream, multinomial_counts
 
 
 def test_multinomial_counts_follow_numpy_draw_for_draw():
@@ -83,9 +83,22 @@ def test_snap_matches_reference_on_random_and_anchor_adjacent_inputs():
     ns = np.where(src.random(ns.size) < 0.3, src.integers(1, 10**9, size=ns.size), ns)
     kind = src.integers(0, 7, size=ns.size)
     offsets = src.choice([0.0, 1e-13, -1e-13, 9.9e-13, -9.9e-13, 1.01e-12, -1.01e-12, 1e-16], size=ns.size)
+    ps = []
     for n, k, off, u in zip(ns.tolist(), kind.tolist(), offsets.tolist(), src.random(ns.size).tolist()):
         p = (u, 0.0, 0.5, 1.0, 30.0 / n, 1.0 - 30.0 / n, round(u * (n + 1)) / (n + 1))[k] + off
         assert _snap(p, n) == _snap_reference(p, n), (p, n)
+        ps.append(p)
+    # The array route, in one call over all pairs: its anchors are the
+    # scalar ones bit for bit, but for the sign of a zero grid point (np.rint
+    # keeps it, round returns an int), and it flags every p that the snap
+    # moves.
+    pairs, ps = list(zip(ps, ns.tolist())), np.array(ps)
+    want = np.array([_anchors(p, n) for p, n in pairs])
+    got = np.stack(np.broadcast_arrays(*_anchors(ps, ns)), axis=1)
+    assert (got + 0.0).tobytes() == want.tobytes()
+    moved = np.array([_snap_reference(p, n) != p for p, n in pairs])
+    flagged = _may_snap(ps, ns)
+    assert (moved.sum(), flagged.sum()) == (68_242, 71_285) and not (moved & ~flagged).any()
 
 
 def test_keyed_stream_draws_what_substream_draws():
