@@ -55,6 +55,7 @@ from .xstate import (
     canonicalize_spectral,
     concurrence_wootters,
     concurrence_x,
+    fidelity_x,
     from_spectral,
     leakage,
     xstate_from_matrix,
@@ -373,17 +374,18 @@ def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
     corners are complex, so the 3-observable protocol is left out.
 
     The protocols read one shared dataset of nine settings per point, so
-    they differ in which settings they use, not in sampling luck. Each
-    target is factored once for all its scores.
+    they differ in which settings they use, not in sampling luck. X estimates
+    score in closed form (``fidelity_x``), the full one by ``linalg.fidelity``.
     """
     partial3 = () if with_field else ("f_partial3",)
 
     def columns(targets, pairs, draw):
         f = measure_block(pairs, FULL, **draw)
-        estimates = [reconstruct_full(f), reconstruct_x5(f[:, _PARTIAL5_ROWS]).matrix()]
+        scores = [fidelity(reconstruct_full(f), targets.matrix()),
+                  fidelity_x(reconstruct_x5(f[:, _PARTIAL5_ROWS]), targets)]
         if not with_field:
-            estimates.append(reconstruct_x3(f[:, _PARTIAL3_ROWS]).matrix())
-        return (*fidelity(np.stack(estimates), targets.matrix()), leakage(pairs))
+            scores.append(fidelity_x(reconstruct_x3(f[:, _PARTIAL3_ROWS]), targets))
+        return (*scores, leakage(pairs))
 
     block = _field_block if with_field else _zero_field_block
     return _time_sweep(params, block, columns, ("t", "f_full", "f_partial5", *partial3, "leakage"))
@@ -458,7 +460,7 @@ def run_xprep_single(params: dict) -> ExperimentResult:
             "protocol": "partial5",
             "reconstructed_re": x5_matrix.real.tolist(),
             "reconstructed_im": x5_matrix.imag.tolist(),
-            "fidelity_to_target": fidelity(x5_matrix, target_x.matrix()),
+            "fidelity_to_target": float(fidelity_x(x5, target_x)),
             "fidelity_convention": FIDELITY_CONVENTION,
             "leakage": leak,
             "shots": 0 if params["exact"] else params["shots"],

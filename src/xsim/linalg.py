@@ -146,8 +146,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray):
     itself to roundoff, where that route is off by ~1e-8.
 
     Stacks of states broadcast against each other and give a stack of
-    fidelities; each matrix is factored once, so a (P, d, d) stack of
-    targets scores a (K, P, d, d) stack of estimates with P factorizations.
+    fidelities. It scores the sweeps' full-tomography estimates; pairs of
+    X-states score in closed form by ``xstate.fidelity_x``, checked against it.
     """
     rho = _square(rho, "fidelity")
     sigma = _square(sigma, "fidelity")

@@ -137,20 +137,22 @@ def multinomial_counts(rng: np.random.Generator, n: int, probs) -> tuple:
 
     The same chain as ``Generator.multinomial``, one binomial per outcome but
     the last, consuming the generator in the same order; only the snapped
-    conditional probabilities differ. O(1) in n.
+    conditional probabilities differ. O(1) in n; n = 0 draws nothing.
     """
+    if n < 0:
+        raise ContractError(f"cannot draw {n} shots")
     binomial = rng.binomial
     counts = [0] * len(probs)
     left = int(n)
     remaining = 1.0
     for j in range(len(probs) - 1):
+        if left <= 0:
+            break
         pj = float(probs[j])
         p = _snap(pj / remaining, left) if remaining > 0.0 else 1.0
         if p > 0.0:
             counts[j] = int(binomial(left, p))
             left -= counts[j]
-        if left <= 0:
-            break
         remaining -= pj
     if left > 0:
         counts[-1] = left

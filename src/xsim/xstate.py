@@ -34,9 +34,9 @@ and the concurrence of any X-state (complex corners included) is
 XState and XSpectral fields may also be numpy arrays of one shape: such a
 value is a stack of X-states, one per entry, and ``from_spectral``,
 ``canonicalize_spectral``, ``to_spectral``, ``strip_phases``, ``matrix``,
-``concurrence_x``, ``concurrence_wootters`` and ``leakage`` work on stacks
-entry by entry. A sweep builds the targets of a whole block of points
-this way.
+``concurrence_x``, ``fidelity_x`` (two stacks that broadcast),
+``concurrence_wootters`` and ``leakage`` work on stacks entry by entry. A
+sweep builds the targets of a whole block of points this way.
 
 Complex corner phases are local: a diagonal unitary
 diag(1, e^{i alpha}) x diag(1, e^{i beta}) removes them without touching
@@ -211,6 +211,17 @@ def concurrence_x(x: XState):
     t1, t2 = cabs(np.array([x.w, x.z])) - sqrt_nonneg(np.array([x.b * x.c, x.a * x.d]))
     # A magnitude minus a root is never -0.0, so no maximum meets a signed zero tie.
     return 2.0 * np.maximum(np.maximum(t1, t2), 0.0)
+
+
+def fidelity_x(x: XState, y: XState):
+    """Squared-Uhlmann fidelity of two X-states, or of two stacks that broadcast:
+    each sector adds sqrt(tr AB + 2 sqrt(det A det B)) to the root, no eigensolver.
+    Corners multiply as reals: numpy may fuse complex products on arrays, not on scalars."""
+    root, abs2 = 0.0, lambda u: u.real * u.real + u.imag * u.imag
+    for p, q, u, r, s, v in ((x.a, x.d, x.w, y.a, y.d, y.w), (x.b, x.c, x.z, y.b, y.c, y.z)):
+        dets = sqrt_nonneg(p * q - abs2(u)) * sqrt_nonneg(r * s - abs2(v))
+        root = root + sqrt_nonneg(p * r + q * s + 2.0 * (u.real * v.real + u.imag * v.imag) + 2.0 * dets)
+    return root * root
 
 
 def concurrence_wootters(rho: np.ndarray):

@@ -133,6 +133,16 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def fidelity_oracle(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 through the Jacobi eigensolver,
+    square roots and all: on rank-deficient input it takes roots of ~1e-16
+    eigenvalues, which costs it ~1e-8."""
+    root = sqrtm_psd(rho)
+    mid = root @ sigma @ root
+    w, _ = herm_eig((mid + mid.conj().T) / 2.0)
+    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+
+
 def validate_density(rho: np.ndarray, atol: float = PSD_ATOL) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity of a density matrix.
 

@@ -34,7 +34,7 @@ from xsim.linalg import fidelity
 from xsim.noise import NoiseModel
 from xsim.rng import block_seeds, multinomial_counts
 from xsim.tomography import FULL, PARTIAL3, PARTIAL5, reconstruct_full, reconstruct_x3, reconstruct_x5
-from xsim.xstate import XSpectral, XState, concurrence_wootters, concurrence_x, from_spectral, leakage
+from xsim.xstate import XSpectral, XState, concurrence_wootters, concurrence_x, fidelity_x, from_spectral, leakage
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
 XSTATE_TARGET = {"kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
@@ -913,10 +913,12 @@ def _per_point_rows(experiment, params):
             rows.append((p, concurrence_x(target), concurrence_x(estimate)))
         else:
             f = tomography.measure_block(pair[None], FULL, *draw)[0]
-            estimates = [reconstruct_full(f), reconstruct_x5(f[[FULL.index(s) for s in PARTIAL5]]).matrix()]
+            # the full estimate through the SVD route, the X estimates in closed form
+            scores = [fidelity(reconstruct_full(f), target.matrix()),
+                      fidelity_x(reconstruct_x5(f[[FULL.index(s) for s in PARTIAL5]]), target)]
             if experiment == "heisenberg_fidelity":
-                estimates.append(reconstruct_x3(f[[FULL.index(s) for s in PARTIAL3]]).matrix())
-            rows.append((p, *(fidelity(m, target.matrix()) for m in estimates), leakage(pair)))
+                scores.append(fidelity_x(reconstruct_x3(f[[FULL.index(s) for s in PARTIAL3]]), target))
+            rows.append((p, *scores, leakage(pair)))
     return rows
 
 

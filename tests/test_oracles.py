@@ -22,11 +22,11 @@ from oracles import (
     concurrence_wootters_oracle,
     derive_seed,
     embed,
+    fidelity_oracle,
     gates,
     herm_eig,
     kron_gate,
     partial_trace,
-    sqrtm_psd,
 )
 from xsim.circuits import GATE_KINDS, Circuit, run_stack
 from xsim.errors import ContractError, DimensionError
@@ -247,13 +247,6 @@ def test_setting_probabilities_match_projector_traces():
             np.testing.assert_allclose(setting_probabilities(rho, (setting,))[0], want, atol=1e-14)
 
 
-def _fidelity_oracle(rho, sigma):
-    root = sqrtm_psd(rho)
-    mid = root @ sigma @ root
-    w, _ = herm_eig((mid + mid.conj().T) / 2.0)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-
-
 def test_fidelity_matches_jacobi_oracle():
     rng = np.random.default_rng(59)
     for ra in (1, 2, 4):
@@ -261,7 +254,7 @@ def test_fidelity_matches_jacobi_oracle():
             a, b = random_state(rng, 4, ra), random_state(rng, 4, rb)
             # the oracle takes square roots of ~1e-16 eigenvalues on
             # rank-deficient input, which costs it ~1e-8
-            assert fidelity(a, b) == pytest.approx(_fidelity_oracle(a, b), abs=1e-7)
+            assert fidelity(a, b) == pytest.approx(fidelity_oracle(a, b), abs=1e-7)
         a = random_state(rng, 4, ra)
         assert fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
 

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import substream
 from xsim import experiments, tomography
+from xsim.errors import ContractError
 from xsim.experiments import run_experiment
 from xsim.rng import CHAIN_BELOW, SNAP_ATOL, _anchors, _may_snap, _snap, block_counts, keyed_stream, multinomial_counts
 
@@ -18,6 +19,16 @@ def test_multinomial_counts_follow_numpy_draw_for_draw():
         want = substream(case, 3).multinomial(n, probs)
         got = multinomial_counts(substream(case, 3), n, probs)
         assert got == tuple(int(c) for c in want)
+
+
+def test_multinomial_counts_draw_nothing_from_zero_shots_and_reject_negative_ones():
+    # numpy's multinomial gives zeros for n = 0, and the chain must not
+    # divide by n on its way there
+    for probs in ([0.25, 0.25, 0.25, 0.25], [0.5, 0.5, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]):
+        want = substream(4, 2).multinomial(0, probs)
+        assert multinomial_counts(substream(4, 2), 0, probs) == tuple(int(c) for c in want) == (0, 0, 0, 0)
+        with pytest.raises(ContractError):
+            multinomial_counts(substream(4, 2), -1, probs)
 
 
 def test_multinomial_counts_are_stable_under_roundoff():

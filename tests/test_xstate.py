@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import checked_spectral, random_spectral, random_xstate, random_xstate_raw
-from oracles import concurrence_wootters_oracle
+from oracles import concurrence_wootters_oracle, fidelity_oracle
 from xsim.errors import ContractError, ShapeError
 from xsim.experiments import _parse_target
+from xsim.linalg import fidelity
 from xsim.xstate import (
     XSpectral,
     XState,
     canonicalize_spectral,
     concurrence_x,
+    fidelity_x,
     from_spectral,
     leakage,
     strip_phases,
@@ -49,6 +51,60 @@ def test_concurrence_matches_oracle_on_random_states():
         assert concurrence_x(x) == pytest.approx(
             concurrence_wootters_oracle(x.matrix()), abs=1e-12
         )
+
+
+def _pure_sectors(rng):
+    """Random X-state whose two 2x2 sectors are each rank 1: |w| = sqrt(a d), |z| = sqrt(b c)."""
+    a, b, c, d = rng.dirichlet(np.ones(4))
+    phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=2))
+    return XState(a, b, c, d, math.sqrt(a * d) * phases[0], math.sqrt(b * c) * phases[1])
+
+
+def test_fidelity_x_matches_both_oracles_on_full_rank_pairs():
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        x, y = random_xstate_raw(rng), random_xstate_raw(rng)
+        got = fidelity_x(x, y)
+        assert got == pytest.approx(fidelity(x.matrix(), y.matrix()), abs=1e-14)
+        assert got == pytest.approx(fidelity_oracle(x.matrix(), y.matrix()), abs=1e-14)
+
+
+def test_fidelity_x_matches_the_svd_route_on_rank_deficient_pairs():
+    rng = np.random.default_rng(73)
+    for _ in range(200):
+        x, y, full = _pure_sectors(rng), _pure_sectors(rng), random_xstate_raw(rng)
+        assert fidelity_x(x, y) == pytest.approx(fidelity(x.matrix(), y.matrix()), abs=1e-14)
+        # Against a full-rank state, a rank-1 sector's determinant of
+        # roundoff size costs ~1e-9 under its square root. The SVD route is
+        # the less accurate one here: against a 40-digit evaluation of the
+        # same closed form its error reaches ~1e-8, that of fidelity_x ~4e-9.
+        assert fidelity_x(x, full) == pytest.approx(fidelity(x.matrix(), full.matrix()), abs=2e-8)
+
+
+def test_fidelity_x_known_values_and_symmetry():
+    rng = np.random.default_rng(79)
+    mixed = XState(0.25, 0.25, 0.25, 0.25, 0j, 0j)
+    for _ in range(50):
+        x, y = _pure_sectors(rng), random_xstate_raw(rng)
+        assert fidelity_x(x, y) == fidelity_x(y, x)
+        assert fidelity_x(x, x) == pytest.approx(1.0, abs=1e-15)
+    for theta, phase in ((0.0, 0.0), (math.pi / 4, 0.0), (0.3, 1.9)):
+        for pure in (XState(math.cos(theta) ** 2, 0.0, 0.0, math.sin(theta) ** 2,
+                            math.cos(theta) * math.sin(theta) * complex(math.cos(phase), math.sin(phase)), 0j),
+                     XState(0.0, math.cos(theta) ** 2, math.sin(theta) ** 2, 0.0,
+                            0j, math.cos(theta) * math.sin(theta) * complex(math.cos(phase), math.sin(phase)))):
+            assert fidelity_x(mixed, pure) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_fidelity_x_broadcasts_stacks():
+    rng = np.random.default_rng(83)
+    xs = [[random_xstate_raw(rng) for _ in range(4)] for _ in range(3)]
+    ys = [random_xstate_raw(rng) for _ in range(4)]
+    x = XState(*(np.array([[getattr(s, k) for s in row] for row in xs]) for k in "abcdwz"))
+    got = fidelity_x(x, XState.stack(ys))
+    assert got.shape == (3, 4)
+    np.testing.assert_array_equal(got, [[fidelity_x(xs[k][p], ys[p]) for p in range(4)] for k in range(3)])
+    np.testing.assert_array_equal(fidelity_x(x, ys[0]), [[fidelity_x(s, ys[0]) for s in row] for row in xs])
 
 
 def test_matrix_layout_and_validate():
