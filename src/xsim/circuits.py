@@ -212,9 +212,11 @@ def classical_prep_angles(p: np.ndarray) -> tuple:
     sin(alpha) = 2 sqrt(p00 p11) - 2 sqrt(p01 p10) (always in [-1, 1]); the
     sum/difference angles u = (beta+gamma)/2, v = (gamma-beta)/2 follow from
     atan2 of the amplitude sums and differences. All four prepared
-    amplitudes come out nonnegative, equal to sqrt(p_ij).
+    amplitudes come out nonnegative, equal to sqrt(p_ij). A weight within
+    1e-12 of zero, the margin the distribution check allows below it, counts
+    as zero, so roundoff cannot decide whether the distribution factorizes.
     """
-    r = np.sqrt(np.where(p > 0.0, p, 0.0)).T  # max(0.0, p): -0.0 gives +0.0
+    r = np.sqrt(np.where(p > 1e-12, p, 0.0)).T
     alpha = mathmap(math.asin, np.clip(2.0 * (r[0] * r[3] - r[1] * r[2]), -1.0, 1.0))
     u, v = mathmap(math.atan2, [r[1] + r[2], r[1] - r[2]], [r[0] - r[3], r[0] + r[3]])
     return alpha, u - v, u + v

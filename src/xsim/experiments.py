@@ -17,11 +17,11 @@ Six experiments are registered:
 
 Analytic columns are pure functions of the physics parameters; shots, seed,
 and noise touch only the simulated columns, evolved by ``circuits.run_stack``.
-Per-point sampling seeds come from the master seed and the point index, so
-rerunning any experiment with the same config is byte-identical. A sweep
-builds, evolves, measures, reconstructs and scores its points in one pass
-over blocks of 256, as (P, ...) stacks; a point's row does not depend on
-the block it falls in.
+Setting s of sweep point i draws shots from the stream keyed by the seed
+and 9 i + s, so rerunning any experiment with the same config is
+byte-identical. A sweep builds, evolves, measures, reconstructs and scores
+its points in one pass over blocks of 256, as (P, ...) stacks; a point's
+row does not depend on the block it falls in.
 
 The time-sweep initial state is a two-sector classical mixture: sector
 weights (r0, r1) = (cos^2(gamma/2), sin^2(gamma/2)) and an imbalance lambda
@@ -46,7 +46,6 @@ from .errors import ConfigError, ContractError
 from .heisenberg import HeisenbergParams, evolve_diagonal
 from .linalg import fidelity
 from .noise import RATE_FIELDS, NoiseModel
-from .rng import block_seeds
 from .tomography import FIDELITY_CONVENTION, FULL, PARTIAL3, PARTIAL5, measure_block
 from .tomography import reconstruct_full, reconstruct_x3, reconstruct_x5
 from .xstate import (
@@ -288,23 +287,21 @@ def _sweep(params: dict, points, build, columns, names: tuple, label: str) -> Ex
     gives their targets as one XState stack and their circuits; the
     executor evolves the circuits to their noisy output pairs (2, 3); then
     ``columns(targets, pairs, draw)`` returns one sequence of floats per
-    computed column. ``draw`` holds the keyword arguments (shots, seeds,
-    p_readout, exact) for ``measure_block``: sampled, the seeds block_seeds
-    gives for the master seed and each point's index; exact, none, as none
-    is read. A row is the point's coordinates and computed columns, named
-    ``names``, in one float64 table. The result's ``circuits()`` builds the
-    circuits again through ``build`` from the table's leading columns,
-    labelled ``{label}_{index}``.
+    computed column. ``draw`` holds the keyword arguments (shots, seed,
+    first, p_readout, exact) for ``measure_block``, ``first`` being the
+    index of the block's first point. A row is the point's coordinates and
+    computed columns, named ``names``, in one float64 table. The result's
+    ``circuits()`` builds the circuits again through ``build`` from the
+    table's leading columns, labelled ``{label}_{index}``.
     """
     nm = params["noise"]
-    draw = {"shots": params["shots"], "p_readout": nm.p_readout, "exact": params["exact"]}
+    draw = {"shots": params["shots"], "seed": params["seed"], "p_readout": nm.p_readout, "exact": params["exact"]}
     rows = np.empty((len(points), len(names)))
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
         targets, circuits = build(block)
         pairs = run_stack(circuits, (2, 3), nm.gate_noise)
-        seeds = () if params["exact"] else block_seeds(params["seed"], start, start + len(block))
-        cols = columns(targets, pairs, {**draw, "seeds": seeds})
+        cols = columns(targets, pairs, {**draw, "first": start})
         rows[start : start + len(block)] = np.column_stack([block, *cols])
     lead = rows[:, 0] if points.ndim == 1 else rows[:, : points.shape[1]]
 
@@ -438,8 +435,7 @@ def run_xprep_single(params: dict) -> ExperimentResult:
         phases = (float(phases[0][0]), float(phases[1][0]))
     ideal_pair = run_stack((circ,), (2, 3))[0]
     noisy_pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]
-    seed = params["seed"]
-    freqs = measure_block(noisy_pair[None], PARTIAL5, params["shots"], (seed,), nm.p_readout, params["exact"])
+    freqs = measure_block(noisy_pair[None], PARTIAL5, params["shots"], params["seed"], 0, nm.p_readout, params["exact"])
     x5 = reconstruct_x5(freqs[0])
     x5_matrix, leak = x5.matrix(), leakage(noisy_pair)
     # Each pair of scores is one stack of two.
@@ -464,7 +460,7 @@ def run_xprep_single(params: dict) -> ExperimentResult:
             "fidelity_convention": FIDELITY_CONVENTION,
             "leakage": leak,
             "shots": 0 if params["exact"] else params["shots"],
-            "seed": seed,
+            "seed": params["seed"],
         },
         "concurrence": {"analytic": c_analytic, "ideal": c_ideal, "noisy": c_noisy, "reconstructed": c_reconstructed},
     }

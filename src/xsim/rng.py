@@ -4,15 +4,13 @@ Sampling uses numpy's Philox generator, which is counter based: a stream is
 fully determined by its two-word key. The split rules are fixed so that every
 sampled artifact can be replayed byte for byte from (seed, structure):
 
-* measurement settings draw from the Philox stream keyed by
-  (seed, setting_index), where the setting index enumerates Pauli pairs
-  row-major (XX=0, XY=1, ..., ZZ=8); readout bit-flips are folded into the
-  setting's distribution and take no stream of their own,
+* setting s of point i draws from the Philox stream keyed by
+  (seed, 9 i + s), seed being the run's seed and s the setting index, which
+  enumerates Pauli pairs row-major (XX=0, XY=1, ..., ZZ=8); a one-state run
+  is point 0; readout bit-flips are folded into the setting's distribution
+  and take no stream of their own,
 * the samplers get these streams from ``keyed_stream``, which re-keys one
-  shared Generator (checked against ``substream`` in ``tests/oracles.py``),
-* sweep experiments give point i the seed of ``SeedSequence(master_seed,
-  spawn_key=(i,))``, which ``block_seeds`` computes for a block of points
-  at once (checked against ``derive_seed`` in ``tests/oracles.py``).
+  shared Generator (checked against ``substream`` in ``tests/oracles.py``).
 
 Counts are those of ``multinomial_counts``: numpy's own chain of binomial
 draws, with each conditional probability snapped onto the nearby point where
@@ -56,43 +54,6 @@ def keyed_stream(seed: int, stream: int) -> np.random.Generator:
     _KEY[:] = int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)
     _philox.state = _STATE
     return _generator
-
-
-# SeedSequence's uint32 hash constants (numpy/random/bit_generator.pyx);
-# _POOLED_A is its hash constant after the 16 steps that make its pool.
-_MULT_A, _INIT_B, _MULT_B = 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MASK32, _MIX_L, _MIX_R = 0xFFFFFFFF, 0xCA01F9DD, 0x4973F715
-_POOLED_A = 0x43B0D7E5 * pow(_MULT_A, 16, 1 << 32) & _MASK32
-
-
-def _hashmix(value, const: int, mult: int):
-    """SeedSequence's hashmix of uint32 words: (hashed, next constant)."""
-    value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ (value >> 16), const
-
-
-def block_seeds(master: int, start: int, stop: int) -> list:
-    """The 63-bit seeds of points start..stop-1 as Python ints: point i
-    gets the first uint64 word of ``SeedSequence(master, spawn_key=(i,))``
-    shifted right by one. Its pool before the word i is mixed in is the
-    pool of ``SeedSequence(master)`` (padding the master with zero words
-    changes nothing), so only the mixing of i runs per point, on an index
-    array, for the two pool words the output reads. Defined for a master
-    below 2^64 and indices below 2^32.
-    """
-    if not (0 <= master < 1 << 64 and 0 <= start <= stop <= 1 << 32):
-        raise ContractError(f"block seeds need a master below 2^64 and indices below 2^32, got {master}, [{start}, {stop})")
-    pool = np.random.SeedSequence(master).pool.tolist()
-    index = np.arange(start, stop, dtype=np.uint32)
-    seeds, const, out = np.zeros(stop - start, dtype=np.uint64), _POOLED_A, _INIT_B
-    for dst in range(2):
-        value, const = _hashmix(index, const, _MULT_A)
-        mixed = ((_MIX_L * pool[dst] & _MASK32) - (_MIX_R * value & _MASK32)) & _MASK32
-        word, out = _hashmix(mixed ^ (mixed >> 16), out, _MULT_B)
-        seeds |= word.astype(np.uint64) << np.uint64(32 * dst)
-    return (seeds >> np.uint64(1)).tolist()
 
 
 # numpy's binomial sampler for n draws is discontinuous in p at a few known
@@ -166,10 +127,11 @@ def multinomial_counts(rng: np.random.Generator, n: int, probs) -> tuple:
 CHAIN_BELOW = 9
 
 
-def _numpy_draws(rows: np.ndarray, shots: int, seeds, streams) -> tuple:
-    """numpy's multinomial draws of ``rows`` (N, 4), point-major, and the
-    indices that ``multinomial_counts`` must draw again: the draws a snap
-    could have moved and the rows numpy rejects."""
+def _numpy_draws(rows: np.ndarray, shots: int, seed: int, streams: list) -> tuple:
+    """numpy's multinomial draws of ``rows`` (N, 4), row n on the stream
+    (seed, streams[n]), and the indices that ``multinomial_counts`` must
+    draw again: the draws a snap could have moved and the rows numpy
+    rejects."""
     # the mass r_j left before each step, step-major (3, N), in numpy's order
     remaining = np.array([np.ones(len(rows)), 1.0 - rows[:, 0], 1.0 - rows[:, 0] - rows[:, 1]])
     # numpy gets the last step snapped where p2 / r2 is near 0, 1/2 or 1: p2
@@ -181,14 +143,13 @@ def _numpy_draws(rows: np.ndarray, shots: int, seeds, streams) -> tuple:
         for anchor in _anchors(last, shots)[:3]:
             np.copyto(lean[:, 2], anchor * rest, where=np.abs(last - anchor) <= SNAP_ATOL)
         p = lean[:, :3].T / remaining
-    drawn, rejected, it = [], [], iter(lean)
-    for seed in seeds:
-        for stream in streams:
-            try:
-                drawn.append(keyed_stream(seed, stream).multinomial(shots, next(it)))
-            except ValueError:  # a row numpy rejects, such as one with a NaN
-                rejected.append(len(drawn))
-                drawn.append(np.zeros(4, dtype=np.int64))
+    drawn, rejected = [], []
+    for stream, row in zip(streams, lean):
+        try:
+            drawn.append(keyed_stream(seed, stream).multinomial(shots, row))
+        except ValueError:  # a row numpy rejects, such as one with a NaN
+            rejected.append(len(drawn))
+            drawn.append(np.zeros(4, dtype=np.int64))
     counts = np.array(drawn, dtype=np.int64).reshape(-1, 4)
     # A draw is redrawn if a drawn step j (shots left) has r_j <= 0 or a
     # conditional p_j / r_j, as numpy divides it, that a snap could move.
@@ -198,10 +159,11 @@ def _numpy_draws(rows: np.ndarray, shots: int, seeds, streams) -> tuple:
     return counts, sorted(set(np.flatnonzero(moved.any(axis=0)).tolist() + rejected))
 
 
-def block_counts(probs: np.ndarray, shots: int, seeds, streams) -> np.ndarray:
+def block_counts(probs: np.ndarray, shots: int, seed: int, streams: np.ndarray) -> np.ndarray:
     """Counts (P, S, 4) of ``shots`` draws over each outcome distribution of
-    ``probs`` (P, S, 4): [i, k] is ``multinomial_counts(keyed_stream(
-    seeds[i], streams[k]), shots, probs[i, k])``, bit for bit.
+    ``probs`` (P, S, 4): [i, k] is ``multinomial_counts(keyed_stream(seed,
+    streams[i, k]), shots, probs[i, k])``, bit for bit, with ``streams`` a
+    (P, S) array of stream numbers.
 
     From ``CHAIN_BELOW`` draws on, every draw is first made by numpy's own
     multinomial, the same binomial chain on the same stream without the
@@ -209,12 +171,11 @@ def block_counts(probs: np.ndarray, shots: int, seeds, streams) -> np.ndarray:
     have moved, and only those are drawn again through
     ``multinomial_counts``.
     """
-    rows = probs.reshape(-1, 4)
+    rows, streams = probs.reshape(-1, 4), np.ravel(streams).tolist()
     if len(rows) < CHAIN_BELOW:
         counts, redraw = np.zeros(rows.shape, dtype=np.int64), range(len(rows))
     else:
-        counts, redraw = _numpy_draws(rows, shots, seeds, streams)
+        counts, redraw = _numpy_draws(rows, shots, seed, streams)
     for i in redraw:
-        seed, stream = seeds[i // len(streams)], streams[i % len(streams)]
-        counts[i] = multinomial_counts(keyed_stream(seed, stream), shots, rows[i].tolist())
+        counts[i] = multinomial_counts(keyed_stream(seed, streams[i]), shots, rows[i].tolist())
     return counts.reshape(probs.shape)

@@ -16,8 +16,9 @@ so the reconstructors use Re w = (<XX> - <YY>)/4, Re z = (<XX> + <YY>)/4,
 Im w = -(<XY> + <YX>)/4, Im z = (<XY> - <YX>)/4, with the ZZ outcome
 frequencies giving the diagonal directly.
 
-Setting (i, j), with Pauli indices in (X, Y, Z) order, draws from
-rng.keyed_stream(seed, 3i+j).
+Setting (i, j), with Pauli indices in (X, Y, Z) order, of point n draws
+from rng.keyed_stream(seed, 9n + 3i + j); row k of a measured stack is
+point first + k.
 
 Readout error flips each recorded outcome bit independently with probability
 p_readout. A shot drawn from probs and then flipped is one draw from
@@ -31,8 +32,8 @@ frequencies of the S listed settings: exact, they are the distributions
 from one contraction of the stack; sampled, each (point, setting) is one
 snapped multinomial chain, drawn for the whole block by ``rng.block_counts``,
 point-major with the settings in the listed order.
-A row therefore depends only on (state, setting, shots, seed, p_readout),
-not on the block or the other settings. The reconstructions and
+A row therefore depends only on (state, point, setting, shots, seed,
+p_readout), not on the block or the other settings. The reconstructions and
 ``psd_project`` take these stacks; one state is a stack of one.
 """
 
@@ -119,24 +120,25 @@ def setting_probabilities(rho: np.ndarray, settings, p_readout: float = 0.0) -> 
     return sum(probs[..., k, None] * flip[k] for k in range(4))
 
 
-def measure_block(rho: np.ndarray, settings, shots: int, seeds, p_readout: float = 0.0, exact: bool = False) -> np.ndarray:
+def measure_block(rho: np.ndarray, settings, shots: int, seed: int, first: int, p_readout: float = 0.0,
+                  exact: bool = False) -> np.ndarray:
     """Recorded outcome frequencies (P, S, 4) of a (P, 4, 4) stack of states
     in each of the S listed settings.
 
     The distributions come from one ``setting_probabilities`` contraction;
     exact, they are the frequencies. Sampled, each (point, setting) is the
-    ``multinomial_counts`` draw of ``shots`` on the stream keyed by the
-    point's seed ``seeds[i]`` and the setting alone, made for the block by
+    ``multinomial_counts`` draw of ``shots`` on the stream (seed, 9 (first
+    + k) + s) of row k and setting index s, made for the block by
     ``block_counts``.
     """
     probs = setting_probabilities(rho, settings, p_readout)
     if exact:
         return probs
-    if len(seeds) != len(probs):
-        raise ContractError(f"{len(probs)} states need as many seeds, got {len(seeds)}")
     if shots < 1:
         raise ContractError("shots must be >= 1; the exact limit is measured with exact=True")
-    return block_counts(probs, shots, seeds, [setting_index(s) for s in settings]) / shots
+    points = np.arange(first, first + len(probs))
+    streams = 9 * points[:, None] + [setting_index(s) for s in settings]
+    return block_counts(probs, shots, seed, streams) / shots
 
 
 def _last_axis_first(a: np.ndarray) -> np.ndarray:

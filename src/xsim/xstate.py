@@ -51,9 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InfeasibleStateError, ShapeError
-from .linalg import SY, cabs, dagger, kron, mathmap, pow2, psd_factor
-
-_DEGENERATE_ATOL = 1e-12
+from .linalg import SY, cabs, dagger, kron, mathmap, psd_factor
 
 # sy (x) sy, the spin flip of the Wootters concurrence.
 _YY = kron(SY, SY).real
@@ -156,16 +154,15 @@ def from_spectral(s: XSpectral) -> XState:
 def _invert_pair(big, small, corner) -> tuple:
     """(angle, weight_plus, weight_minus) of 2x2 sectors, arrays of one
     shape, such that big = w+ cos^2 + w- sin^2, small = w+ sin^2 + w- cos^2
-    and corner = (w+ - w-) cos sin."""
-    degenerate = np.abs(big - small) < _DEGENERATE_ATOL
+    and corner = (w+ - w-) cos sin. The weights are the eigenvalues of
+    [[big, corner], [corner, small]], mean +- hypot(big - small, 2 corner) / 2,
+    with no division, so a sector with big = small, where any angle is exact,
+    is no special case. (cos, sin) is the eigenvector of the larger one; where
+    its angle is negative, the angle moves up by pi/2 and the weights swap."""
     ang = 0.5 * mathmap(math.atan2, 2.0 * corner, big - small)
-    ang = np.where(ang < 0, ang + math.pi / 2, ang)
-    c2, s2 = mathmap(pow2, [np.cos(ang), np.sin(ang)])
-    cos2 = np.cos(2.0 * ang)
-    wp = (big * c2 - small * s2) / cos2
-    wm = (-big * s2 + small * c2) / cos2
-    return (np.where(degenerate, math.pi / 4, ang), np.where(degenerate, big + corner, wp),
-            np.where(degenerate, big - corner, wm))
+    mean, half = 0.5 * (big + small), 0.5 * np.hypot(big - small, 2.0 * corner)
+    fold, plus, minus = ang < 0, mean + half, mean - half
+    return np.where(fold, ang + math.pi / 2, ang), np.where(fold, minus, plus), np.where(fold, plus, minus)
 
 
 def to_spectral(x: XState) -> tuple:

@@ -95,7 +95,7 @@ def sidecar_text(experiment: str, params: dict) -> str:
 
 def run_case(experiment: str, params: dict, monkeypatch) -> dict:
     """Run one case with ``measure_block`` wrapped to record the counts of
-    its sampled draws as [seed, setting, counts], point-major."""
+    its sampled draws as [master seed, setting, counts], point-major."""
     import xsim.tomography
     from xsim.experiments import run_experiment
 
@@ -112,8 +112,8 @@ def run_case(experiment: str, params: dict, monkeypatch) -> dict:
         if not drawn["exact"]:
             # each frequency is a count over shots, which rint recovers exactly
             block = np.rint(frequencies * drawn["shots"]).astype(int).tolist()
-            for seed, point in zip(drawn["seeds"], block):
-                counts.extend([seed, setting, c] for setting, c in zip(drawn["settings"], point))
+            for point in block:
+                counts.extend([drawn["seed"], setting, c] for setting, c in zip(drawn["settings"], point))
         return frequencies
 
     for module in [m for n, m in sys.modules.items() if n.startswith("xsim.")]:

@@ -27,8 +27,6 @@ The other references are what the program does not run:
 * ``relative_phase``, for unitaries equal up to a global phase,
 * ``substream``, a Philox generator built afresh per key, which
   ``rng.keyed_stream`` must match draw for draw,
-* ``derive_seed``, a point's seed as a SeedSequence spawn, which
-  ``rng.block_seeds`` must match bit for bit,
 * the scalar routes of the block builders, one point per call in Python
   floats (``evolve_diagonal_scalar``, ``strip_phases_scalar``,
   ``to_spectral_scalar``, ``build_xstate_circuit_scalar``,
@@ -358,12 +356,6 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def derive_seed(master: int, *path: int) -> int:
-    """Collapse (master, path...) into a fresh 63-bit seed, reproducibly."""
-    ss = np.random.SeedSequence(entropy=int(master), spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
-
-
 # The scalar routes, one point per call, that the block routes of the
 # program must equal bit for bit: the evolution, the phase strip, the
 # shape-map inversion and the preparation circuits.
@@ -407,18 +399,14 @@ def strip_phases_scalar(x: XState) -> tuple:
 
 
 def invert_pair_scalar(big: float, small: float, corner: float) -> tuple:
-    """(angle, weight_plus, weight_minus) of one 2x2 sector."""
-    if abs(big - small) < 1e-12:
-        ang = math.pi / 4
-        return ang, big + corner, big - corner
+    """(angle, weight_plus, weight_minus) of one 2x2 sector: its eigenvalues,
+    swapped where the angle is folded up by pi/2. abs(complex) is C hypot,
+    as numpy's hypot; math.hypot can differ from both in the last bit."""
     ang = 0.5 * math.atan2(2.0 * corner, big - small)
+    mean, half = 0.5 * (big + small), 0.5 * abs(complex(big - small, 2.0 * corner))
     if ang < 0:
-        ang += math.pi / 2
-    c2, s2 = math.cos(ang) ** 2, math.sin(ang) ** 2
-    cos2 = math.cos(2.0 * ang)
-    wp = (big * c2 - small * s2) / cos2
-    wm = (-big * s2 + small * c2) / cos2
-    return ang, wp, wm
+        return ang + math.pi / 2, mean - half, mean + half
+    return ang, mean + half, mean - half
 
 
 def to_spectral_scalar(x: XState) -> XSpectral:
@@ -438,7 +426,7 @@ def classical_prep_angles_scalar(p) -> tuple:
     p = tuple(map(float, p))
     if len(p) != 4 or min(p) < -1e-12 or abs(p[0] + p[1] + p[2] + p[3] - 1.0) > 1e-9:
         raise ContractError(f"classical distribution invalid: {np.array(p)}")
-    r = [math.sqrt(max(0.0, v)) for v in p]
+    r = [math.sqrt(v) if v > 1e-12 else 0.0 for v in p]
     alpha = math.asin(max(-1.0, min(1.0, 2.0 * (r[0] * r[3] - r[1] * r[2]))))
     u = math.atan2(r[1] + r[2], r[0] - r[3])
     v = math.atan2(r[1] - r[2], r[0] + r[3])

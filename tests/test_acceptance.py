@@ -215,15 +215,15 @@ def test_criterion_09_exact_tomography_inversion():
     worst_full = worst_p5 = worst_p3 = 0.0
     for _ in range(200):
         rho = random_density(rng)
-        got = reconstruct_full(measure_block(rho[None], FULL, 1, (0,), exact=True)[0])
+        got = reconstruct_full(measure_block(rho[None], FULL, 1, 0, 0, exact=True)[0])
         worst_full = max(worst_full, np.max(np.abs(got - rho)))
     for _ in range(200):
         x = random_xstate_raw(rng)
-        got = reconstruct_x5(measure_block(x.matrix()[None], PARTIAL5, 1, (0,), exact=True)[0])
+        got = reconstruct_x5(measure_block(x.matrix()[None], PARTIAL5, 1, 0, 0, exact=True)[0])
         worst_p5 = max(worst_p5, np.max(np.abs(got.matrix() - x.matrix())))
     for _ in range(200):
         x = random_xstate_raw(rng, complex_corners=False)
-        got = reconstruct_x3(measure_block(x.matrix()[None], PARTIAL3, 1, (0,), exact=True)[0])
+        got = reconstruct_x3(measure_block(x.matrix()[None], PARTIAL3, 1, 0, 0, exact=True)[0])
         worst_p3 = max(worst_p3, np.max(np.abs(got.matrix() - x.matrix())))
     ok = max(worst_full, worst_p5, worst_p3) <= 1e-12
     _line(9, "exact-probability inversion per protocol", ok,
@@ -243,7 +243,7 @@ def test_criterion_10_partial_protocol_agreement_under_shot_noise():
             s = canonicalize_spectral(weights, hp.j_kappa * t, hp.j * t)
             target = from_spectral(s).matrix()
             # both protocols read one nine-setting dataset
-            f = measure_block(target[None], FULL, 8000, (seed * 1000 + k,))[0]
+            f = measure_block(target[None], FULL, 8000, seed, k)[0]
             p5 = fidelity(reconstruct_x5(f[[FULL.index(name) for name in PARTIAL5]]).matrix(), target)
             p3 = fidelity(reconstruct_x3(f[[FULL.index(name) for name in PARTIAL3]]).matrix(), target)
             diffs.append(abs(p5 - p3))

@@ -27,7 +27,13 @@ from xsim.experiments import (
 from xsim.xstate import XSpectral, XState, canonicalize_spectral, from_spectral
 
 FIELDS = ("a", "b", "c", "d", "w", "z")
+# Valid, with its a, d sector 3e-12 from degenerate: an inversion that
+# divides by cos 2 theta (~1e-11 here) loses its weights.
 FOUND_TARGET = XState(0.3000000000015, 0.2, 0.2, 0.2999999999985, 0.29 + 0j, 0.1 + 0j)
+# Valid as an X-state (|w| within 1e-10 of sqrt(a d)), but its weight
+# -5e-11 passes to_spectral's 1e-10 margin and fails the preparation's 1e-12.
+EDGE_TARGET = XState(0.3, 0.2, 0.2, 0.3, 0.30000000005 + 0j, 0.1 + 0j)
+EDGE_ERROR = "classical distribution invalid: [ 6.00000000e-01  3.00000000e-01 -5.00000041e-11  1.00000000e-01]"
 
 
 def _bits(values) -> list:
@@ -112,13 +118,29 @@ def test_random_field_blocks_equal_the_scalar_routes_bit_for_bit():
 
 
 def test_the_degenerate_and_factorized_branches_are_reached():
-    # lambda = 0 puts every field target on the degenerate branch, and
+    # lambda = 0 makes every field target's a, d sector degenerate, and
     # lambda = -1 with gamma = 0 makes every weight vector factorize
     params = resolve_params("field_conc", {"lambda": 0.0})
     targets, _ = _block("field_conc", params)
     assert np.all(np.abs(targets.a - targets.d) < 1e-12)
     _, circuits = _block("field_conc", resolve_params("field_conc", {"lambda": -1.0, "gamma": 0.0}))
     assert all(("cnot", (0, 1)) not in c.ops for c in circuits)
+
+
+@pytest.mark.parametrize("experiment", ["field_conc", "field_fidelity"])
+def test_roundoff_in_the_default_field_targets_moves_no_op_list(experiment):
+    # Every default field target has a weight that is zero up to roundoff;
+    # a relative change of about 1e-16 in each entry (corner phases too)
+    # must not decide whether a preparation keeps its leading RY and CNOT.
+    targets, circuits = _block(experiment, resolve_params(experiment, {}))
+    ops, n = [c.ops for c in circuits], len(circuits)
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        nudged = {name: getattr(targets, name) * (1.0 + rng.uniform(-2e-16, 2e-16, n)) for name in FIELDS}
+        for name in ("w", "z"):
+            nudged[name] = nudged[name] * (1.0 + 2e-16j * rng.uniform(-1.0, 1.0, n))
+        got = build_complex_xstate_circuit(XState(**nudged))[0]
+        assert [c.ops for c in got] == ops
 
 
 def _first_scalar_error(targets):
@@ -131,14 +153,14 @@ def _first_scalar_error(targets):
 
 
 @pytest.mark.parametrize("layout", [
-    {5: "found"},  # an invalid distribution only
-    {5: "found", 7: "infeasible"},  # the first failing point raises
-    {3: "infeasible", 5: "found"},
+    {5: "edge"},  # an invalid distribution only
+    {5: "edge", 7: "infeasible"},  # the first failing point raises
+    {3: "infeasible", 5: "edge"},
     {5: "infeasible"},  # fails both checks: to_spectral's comes first
 ])
 def test_a_block_raises_the_first_error_of_the_scalar_route(layout):
     rng = np.random.default_rng(5)
-    special = {"found": FOUND_TARGET, "infeasible": XState(0.25, 0.25, 0.25, 0.25, 0.6 + 0j, 0j)}
+    special = {"edge": EDGE_TARGET, "infeasible": XState(0.25, 0.25, 0.25, 0.25, 0.6 + 0j, 0j)}
     targets = []
     for index in range(9):
         if index in layout:
@@ -151,14 +173,23 @@ def test_a_block_raises_the_first_error_of_the_scalar_route(layout):
     with pytest.raises(ContractError) as got:
         build_complex_xstate_circuit(XState.stack(targets))
     assert (type(got.value), str(got.value)) == (type(want), str(want))
-    if layout == {5: "found"}:
-        assert str(got.value) == "classical distribution invalid: [0.5900001  0.3        0.00999709 0.1       ]"
+    if layout == {5: "edge"}:
+        assert str(got.value) == EDGE_ERROR
     if layout.get(5) == "infeasible":
         assert type(got.value) is InfeasibleStateError
 
 
-def test_xprep_single_raises_the_found_target_error_through_a_block_of_one():
-    target = {"kind": "xstate", **FOUND_TARGET.to_json()}
-    with pytest.raises(ContractError, match=r"classical distribution invalid: \[0\.5900001 "):
+def test_xprep_single_raises_the_edge_target_error_through_a_block_of_one():
+    target = {"kind": "xstate", **EDGE_TARGET.to_json()}
+    with pytest.raises(ContractError) as got:
         run_experiment("xprep_single", {"target": target, "exact": True})
+    assert str(got.value) == EDGE_ERROR
+
+
+def test_xprep_single_prepares_the_target_next_to_a_degenerate_sector():
+    _, result = run_experiment("xprep_single", {"target": {"kind": "xstate", **FOUND_TARGET.to_json()}, "exact": True})
+    assert abs(sum(result.report["spectral"]["p"]) - 1.0) <= 1e-15
+    ideal, want = result.report["ideal_output"], FOUND_TARGET.to_json()
+    assert set(ideal) == set(want)
+    assert all(abs(ideal[key] - want[key]) <= 1e-12 for key in want), (ideal, want)
 

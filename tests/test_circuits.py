@@ -135,6 +135,20 @@ def test_classical_prep_product_distribution_drops_leading_rotation():
             assert psi[10 * i + 5 * j] == pytest.approx(math.sqrt(p[2 * i + j]), abs=1e-12)
 
 
+def test_classical_prep_angles_count_weights_within_the_margin_as_zero():
+    # A weight within 1e-12 of zero, on either side, is the exact zero: the
+    # angles are those of the exact distribution bit for bit, and the
+    # product distribution keeps no leading rotation. A weight beyond the
+    # margin is kept.
+    exact = np.array([[0.6, 0.4, 0.0, 0.0], [0.0, 0.3, 0.0, 0.7]])
+    for eps in (1e-12, 3e-17, -0.0, -3e-17, -1e-12):
+        nudged = exact + eps * np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        assert np.array_equal(classical_prep_angles(nudged), classical_prep_angles(exact))
+        assert classical_prep_angles(nudged)[0].tolist() == [0.0, 0.0]
+    kept = classical_prep_angles(exact + 2e-12 * np.array([[-1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]]))
+    assert kept[0][0] > 2e-6 and kept[0][1] == 0.0
+
+
 def test_eigenbasis_block_maps_all_four_basis_states():
     th, ph = 0.3, 0.4
     u = circuit_unitary(Circuit(2, *eigenbasis_block(th, ph)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import prepare
-from oracles import circuit_unitary, derive_seed
+from oracles import circuit_unitary
 from xsim.circuits import Circuit, build_xstate_circuit, run_stack
 from xsim.cli import main
 from xsim.errors import ConfigError
@@ -32,7 +32,7 @@ from xsim.experiments import (
 from xsim import experiments, tomography
 from xsim.linalg import fidelity
 from xsim.noise import NoiseModel
-from xsim.rng import block_seeds, multinomial_counts
+from xsim.rng import multinomial_counts
 from xsim.tomography import FULL, PARTIAL3, PARTIAL5, reconstruct_full, reconstruct_x3, reconstruct_x5
 from xsim.xstate import XSpectral, XState, concurrence_wootters, concurrence_x, fidelity_x, from_spectral, leakage
 
@@ -601,22 +601,22 @@ def test_sweep_hands_the_executor_at_most_a_block_of_circuits(monkeypatch):
 
 def test_default_tetra_sweep_is_one_executor_batch(monkeypatch):
     # The 165 simplex points of the default resolution fit one block, so
-    # the executor runs them in one call and one seed call covers them.
-    calls, seeds = [], []
+    # the executor runs them in one call and one measurement covers them.
+    calls, measured, measure = [], [], tomography.measure_block
 
     def counting(circuits, keep, gate_noise=None):
         calls.append(len(circuits))
         return run_stack(circuits, keep, gate_noise)
 
-    def deriving(master, start, stop):
-        seeds.append((start, stop))
-        return block_seeds(master, start, stop)
+    def measuring(rho, settings, shots, seed, first, p_readout=0.0, exact=False):
+        measured.append((first, len(rho)))
+        return measure(rho, settings, shots, seed, first, p_readout, exact)
 
     monkeypatch.setattr(experiments, "run_stack", counting)
-    monkeypatch.setattr(experiments, "block_seeds", deriving)
+    monkeypatch.setattr(experiments, "measure_block", measuring)
     _, result = run_experiment("tetra_sweep", {})
     assert len(result.rows) == 165
-    assert calls == [165] and seeds == [(0, 165)]
+    assert calls == [165] and measured == [(0, 165)]
 
 
 @pytest.mark.parametrize("experiment, builder", [
@@ -685,22 +685,23 @@ def test_sweep_maps_each_block_of_targets_at_once(experiment, size, blocks, monk
 
 @pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
 def test_exact_sweeps_derive_no_seeds(experiment, monkeypatch):
-    # An exact measurement reads no seed, so none is derived; sampled, each
-    # block's seeds come from one call, and the calls tile the points.
-    derived = []
+    # No seed is derived per point: exact or sampled, each block is one
+    # measurement keyed by the run's seed and the block's first point, and
+    # the blocks tile the points.
+    keys, measure = [], tomography.measure_block
 
-    def counting(master, start, stop):
-        derived.append((master, start, stop))
-        return block_seeds(master, start, stop)
+    def recording(rho, settings, shots, seed, first, p_readout=0.0, exact=False):
+        keys.append((seed, first, len(rho), exact))
+        return measure(rho, settings, shots, seed, first, p_readout, exact)
 
-    monkeypatch.setattr(experiments, "block_seeds", counting)
+    monkeypatch.setattr(experiments, "measure_block", recording)
     size = _sweep_size(experiment, experiments._BLOCK + 6)
-    _, exact = run_experiment(experiment, {**size, "exact": True})
-    assert derived == []
+    _, exact = run_experiment(experiment, {**size, "exact": True, "seed": 3})
     _, sampled = run_experiment(experiment, {**size, "shots": 50, "seed": 3})
     n, block = len(sampled.rows), experiments._BLOCK
-    assert derived == [(3, start, min(start + block, n)) for start in range(0, n, block)]
-    assert len(derived) == 2 and len(exact.rows) == n
+    tiles = [(3, start, min(block, n - start)) for start in range(0, n, block)]
+    assert keys == [(*tile, True) for tile in tiles] + [(*tile, False) for tile in tiles]
+    assert len(tiles) == 2 and len(exact.rows) == n
 
 
 def test_sampled_sweep_rows_do_not_depend_on_earlier_draws():
@@ -727,9 +728,9 @@ def test_default_sampled_sweeps_redraw_few_draws_through_the_chain(monkeypatch):
         redraws.append(1)
         return chain(*args)
 
-    def measuring(rho, settings, shots, seeds, p_readout=0.0, exact=False):
-        draws.append(len(seeds) * len(settings))
-        return measure(rho, settings, shots, seeds, p_readout, exact)
+    def measuring(rho, settings, shots, seed, first, p_readout=0.0, exact=False):
+        draws.append(len(rho) * len(settings))
+        return measure(rho, settings, shots, seed, first, p_readout, exact)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("xsim") and getattr(module, "multinomial_counts", None) is chain:
@@ -742,10 +743,10 @@ def test_default_sampled_sweeps_redraw_few_draws_through_the_chain(monkeypatch):
             run_experiment(experiment, {"seed": seed})
             seen[experiment, seed] = (len(redraws), sum(draws))
     assert seen == {("tetra_sweep", 0): (0, 495), ("tetra_sweep", 7): (0, 495),
-                    ("heisenberg_conc", 0): (1, 192), ("heisenberg_conc", 7): (1, 192),
-                    ("field_conc", 0): (0, 320), ("field_conc", 7): (1, 320),
-                    ("heisenberg_fidelity", 0): (47, 576), ("heisenberg_fidelity", 7): (49, 576),
-                    ("field_fidelity", 0): (0, 576), ("field_fidelity", 7): (1, 576)}
+                    ("heisenberg_conc", 0): (3, 192), ("heisenberg_conc", 7): (0, 192),
+                    ("field_conc", 0): (2, 320), ("field_conc", 7): (1, 320),
+                    ("heisenberg_fidelity", 0): (44, 576), ("heisenberg_fidelity", 7): (34, 576),
+                    ("field_fidelity", 0): (2, 576), ("field_fidelity", 7): (1, 576)}
 
 
 @pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
@@ -903,7 +904,7 @@ def _per_point_rows(experiment, params):
     for index, p in enumerate(points):
         target, circ = build(p)
         pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]
-        draw = (params["shots"], (derive_seed(params["seed"], index),), nm.p_readout, params["exact"])
+        draw = (params["shots"], params["seed"], index, nm.p_readout, params["exact"])
         if experiment == "tetra_sweep":
             c_shot = concurrence_x(reconstruct_x3(tomography.measure_block(pair[None], PARTIAL3, *draw)[0]))
             rows.append((*p, concurrence_x(target), concurrence_wootters(pair), c_shot))
@@ -932,11 +933,11 @@ def test_blocked_row_stage_matches_the_per_point_route(experiment, exact, monkey
     draws, repairs, clamps = [], [], []
     measure, psd, clamp = tomography.measure_block, tomography.psd_project, tomography._clamped_corner
 
-    def recording(rho, settings, shots, seeds, p_readout=0.0, exact=False):
-        frequencies = measure(rho, settings, shots, seeds, p_readout, exact)
+    def recording(rho, settings, shots, seed, first, p_readout=0.0, exact=False):
+        frequencies = measure(rho, settings, shots, seed, first, p_readout, exact)
         if not exact:
             counts = np.rint(frequencies * shots).astype(int).tolist()
-            draws.extend((seed, setting, tuple(c)) for seed, point in zip(seeds, counts)
+            draws.extend((seed, index, setting, tuple(c)) for index, point in enumerate(counts, first)
                          for setting, c in zip(settings, point))
         return frequencies
 

@@ -44,7 +44,7 @@ JOINT = np.array([1.0, -1.0, -1.0, 1.0])
 
 def _frequencies(rho, setting, shots, seed, p_readout=0.0, exact=False):
     """Recorded frequencies of one setting of one state: a stack of one."""
-    return measure_block(rho[None], (setting,), shots, (seed,), p_readout, exact)[0, 0]
+    return measure_block(rho[None], (setting,), shots, seed, 0, p_readout, exact)[0, 0]
 
 
 def _counts(rho, setting, shots, seed, p_readout=0.0):
@@ -191,7 +191,7 @@ def test_readout_flip_identity_at_zero():
 
 def test_readout_flip_preserves_shots_and_setting():
     rho = random_density(np.random.default_rng(5))
-    assert measure_block(rho[None], ("XY",), 1000, (5,), p_readout=0.1).shape == (1, 1, 4)
+    assert measure_block(rho[None], ("XY",), 1000, 5, 0, p_readout=0.1).shape == (1, 1, 4)
     out = _counts(rho, "XY", 1000, 5, p_readout=0.1)
     assert sum(out) == 1000
     assert out != _counts(rho, "XY", 1000, 5)

@@ -20,7 +20,6 @@ from conftest import ZERO_NOISE_MODEL, extended, make_circuit, prepare, random_c
 from oracles import (
     circuit_unitary,
     concurrence_wootters_oracle,
-    derive_seed,
     embed,
     fidelity_oracle,
     gates,
@@ -29,7 +28,7 @@ from oracles import (
     partial_trace,
 )
 from xsim.circuits import GATE_KINDS, Circuit, run_stack
-from xsim.errors import ContractError, DimensionError
+from xsim.errors import DimensionError
 from xsim.experiments import format_csv, run_experiment
 from xsim.linalg import I2, PAULI, fidelity, kron
 from xsim.noise import (
@@ -38,7 +37,6 @@ from xsim.noise import (
     depolarizing_kraus,
     phase_damping_kraus,
 )
-from xsim.rng import block_seeds
 from xsim.tomography import FULL, psd_project, setting_probabilities
 from xsim.xstate import concurrence_wootters
 
@@ -212,29 +210,6 @@ def test_run_stack_rejects_keep_outside_the_width():
     for keep in ((3,), (0, 3), (-1,), ()):
         with pytest.raises(DimensionError):
             run_stack((c,), keep)
-
-
-def test_block_seeds_match_the_seed_sequence_spawn_bit_for_bit():
-    # Masters of one and two words, at their edges; ranges from 0, at block
-    # starts, ending at the last indices a sweep admits (47,904 of the
-    # resolution-64 simplex, 99,999 of 10^5 time points) and at the last
-    # index of one word.
-    ranges = [(0, 3000), *((64 * k, 64 * k + 64) for k in (1, 5, 77, 748, 1561)),
-              (47_872, 47_905), (99_968, 100_000), (2**32 - 40, 2**32)]
-    for master in (0, 1, 5, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**63, 2**64 - 1):
-        for start, stop in ranges:
-            seeds = block_seeds(master, start, stop)
-            assert seeds == [derive_seed(master, i) for i in range(start, stop)], (master, start)
-            assert all(type(seed) is int for seed in seeds)
-    assert block_seeds(3, 10, 10) == []
-
-
-@pytest.mark.parametrize("master, start, stop", [
-    (2**64, 0, 3), (-1, 0, 3), (3, 2**32 - 1, 2**32 + 1), (3, -1, 2), (3, 5, 4),
-])
-def test_block_seeds_reject_masters_and_indices_beyond_their_words(master, start, stop):
-    with pytest.raises(ContractError):
-        block_seeds(master, start, stop)
 
 
 def test_setting_probabilities_match_projector_traces():

@@ -50,19 +50,19 @@ def test_multinomial_counts_are_stable_under_roundoff():
 
 
 def test_multinomial_counts_are_stable_under_roundoff_on_sweep_distributions(monkeypatch):
-    # The distributions and seeds that the five default sweeps draw with, at
-    # seeds 0 and 7 (neither depends on the shot count), drawn at each shot
+    # The distributions and streams that the five default sweeps draw with,
+    # at seeds 0 and 7 (neither depends on the shot count), drawn at each shot
     # count, each shifted three times by a random zero-sum offset of size
     # 2e-15: roundoff of the kind a refactor makes moves no count.
     draws = []
     measure = tomography.measure_block
 
-    def recording(rho, settings, shots, seeds, p_readout=0.0, exact=False):
+    def recording(rho, settings, shots, seed, first, p_readout=0.0, exact=False):
         if not exact:
             probs = tomography.setting_probabilities(rho, settings, p_readout).tolist()
-            draws.extend((p, tomography.setting_index(setting), seed) for seed, point in zip(seeds, probs)
-                         for setting, p in zip(settings, point))
-        return measure(rho, settings, shots, seeds, p_readout, exact)
+            draws.extend((p, 9 * point + tomography.setting_index(setting), seed)
+                         for point, row in enumerate(probs, first) for setting, p in zip(settings, row))
+        return measure(rho, settings, shots, seed, first, p_readout, exact)
 
     monkeypatch.setattr(experiments, "measure_block", recording)
     for experiment in ("tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"):
@@ -138,19 +138,20 @@ def test_block_counts_draw_rows_numpy_rejects_through_the_chain():
     rows = np.array([[[0.5, 0.5 + 1e-11, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.5, 0.5, 1e-18, 0.0]],
                      [[0.2, 0.2, 0.7, -0.1], [0.1, -1e-17, 0.4, 0.5], [1.0, 0.0, 0.0, 0.0]],
                      [[0.5, 0.5, 0.0, 0.0], [0.3, 0.3, 0.3 + 1e-16, 0.1], [0.0, 0.0, 0.0, 1.0]]])
-    seeds, streams = (3, 2**64 - 1, 0), (4, 8, 2)
+    streams = np.array([[4, 8, 2], [13, 17, 11], [2**40, 0, 9]])
     assert rows[..., 0].size >= CHAIN_BELOW
-    for shots in (1, 50, 8000):
-        got = block_counts(rows, shots, seeds, streams)
-        assert got.shape == rows.shape and got.dtype == np.int64
-        for i, seed in enumerate(seeds):
-            for k, stream in enumerate(streams):
-                want = multinomial_counts(substream(seed, stream), shots, rows[i, k].tolist())
-                assert tuple(got[i, k].tolist()) == want
-                assert block_counts(rows[i:i + 1, k:k + 1], shots, seeds[i:i + 1], streams[k:k + 1])[0, 0].tolist() == list(want)
+    for seed in (3, 2**64 - 1):
+        for shots in (1, 50, 8000):
+            got = block_counts(rows, shots, seed, streams)
+            assert got.shape == rows.shape and got.dtype == np.int64
+            for i in range(3):
+                for k, stream in enumerate(streams[i].tolist()):
+                    want = multinomial_counts(substream(seed, stream), shots, rows[i, k].tolist())
+                    assert tuple(got[i, k].tolist()) == want
+                    assert block_counts(rows[i:i + 1, k:k + 1], shots, seed, streams[i:i + 1, k:k + 1])[0, 0].tolist() == list(want)
     rows[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
-        multinomial_counts(substream(2**64 - 1, 4), 50, rows[1, 0].tolist())
-    for block, block_seeds, block_streams in ((rows, seeds, streams), (rows[1:2, :1], seeds[1:2], streams[:1])):
+        multinomial_counts(substream(2**64 - 1, 13), 50, rows[1, 0].tolist())
+    for block, block_streams in ((rows, streams), (rows[1:2, :1], streams[1:2, :1])):
         with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
-            block_counts(block, 50, block_seeds, block_streams)
+            block_counts(block, 50, 2**64 - 1, block_streams)

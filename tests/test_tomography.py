@@ -33,13 +33,13 @@ CORRELATORS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1
 
 def _exact(rho, settings):
     """Exact frequencies (S, 4) of one state: a stack of one."""
-    return measure_block(np.asarray(rho)[None], settings, 1, (0,), exact=True)[0]
+    return measure_block(np.asarray(rho)[None], settings, 1, 0, 0, exact=True)[0]
 
 
 def _protocol_fidelities(target, noisy, shots, seed, exact=False):
     """Fidelities of the full, 5- and 3-setting estimates of one state,
     all read from one nine-setting dataset."""
-    f = measure_block(np.asarray(noisy)[None], FULL, shots, (seed,), exact=exact)[0]
+    f = measure_block(np.asarray(noisy)[None], FULL, shots, seed, 0, exact=exact)[0]
     estimates = (
         reconstruct_full(f),
         reconstruct_x5(f[[FULL.index(s) for s in PARTIAL5]]).matrix(),
@@ -75,18 +75,18 @@ def test_bell_state_exact_expectations():
 
 def test_measure_block_deterministic_given_seed():
     rho = random_xstate(np.random.default_rng(3)).matrix()[None]
-    a = measure_block(rho, ("XY",), 500, (42,))
-    b = measure_block(rho, ("XY",), 500, (42,))
+    a = measure_block(rho, ("XY",), 500, 42, 0)
+    b = measure_block(rho, ("XY",), 500, 42, 0)
     np.testing.assert_array_equal(a, b)
-    c = measure_block(rho, ("XY",), 500, (43,))
-    assert not np.array_equal(a, c)
+    for seed, first in ((43, 0), (42, 1)):
+        assert not np.array_equal(a, measure_block(rho, ("XY",), 500, seed, first))
     assert np.rint(a * 500).sum() == 500
 
 
 def test_measure_block_zz_on_ground_state_all_first_bin():
     rho = np.zeros((1, 4, 4), dtype=complex)
     rho[0, 0, 0] = 1.0
-    counts = np.rint(measure_block(rho, ("ZZ",), 200, (0,)) * 200)
+    counts = np.rint(measure_block(rho, ("ZZ",), 200, 0, 0) * 200)
     np.testing.assert_array_equal(counts, [[[200, 0, 0, 0]]])
 
 
@@ -97,21 +97,21 @@ def test_measure_block_frequency_invariants():
     rho = np.array([random_density(np.random.default_rng(47 + k)) for k in range(3)])
     for p_readout in (0.0, 0.05):
         for shots in (1, 49, 100, 1000):
-            f = measure_block(rho, FULL, shots, (2, 3, 4), p_readout=p_readout)
+            f = measure_block(rho, FULL, shots, 2, 3, p_readout=p_readout)
             counts = np.rint(f * shots)
             np.testing.assert_array_equal(f, counts / shots)
             assert counts.min() >= 0.0
             np.testing.assert_array_equal(counts.sum(axis=-1), shots)
-        f = measure_block(rho, FULL, 1000, (2, 3, 4), p_readout=p_readout, exact=True)
+        f = measure_block(rho, FULL, 1000, 2, 3, p_readout=p_readout, exact=True)
         assert f.shape == (3, 9, 4) and f.min() >= 0.0
         np.testing.assert_allclose(f.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
         with pytest.raises(ContractError):
-            measure_block(rho, FULL, 0, (2, 3, 4), p_readout=p_readout)
+            measure_block(rho, FULL, 0, 2, 3, p_readout=p_readout)
     # At p = 0 the readout fold leaves the clipped, renormalized
     # probabilities bit for bit; in ZZ they are the diagonal, here of
     # full-rank, rank-deficient and slightly negative states.
     diagonals = np.array([np.diag(m).real for m in rho] + [[0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0], [0.6, -1e-3, 0.2, 0.201]])
-    zz = measure_block(np.array([np.diag(d).astype(complex) for d in diagonals]), ("ZZ",), 1, range(6), exact=True)[:, 0]
+    zz = measure_block(np.array([np.diag(d).astype(complex) for d in diagonals]), ("ZZ",), 1, 0, 0, exact=True)[:, 0]
     clipped = np.clip(diagonals, 0.0, None)
     np.testing.assert_array_equal(zz, clipped / clipped.sum(axis=-1, keepdims=True))
 
@@ -125,26 +125,18 @@ def test_measure_block_rejects_a_state_with_a_nan_entry(exact):
     for entry in ((0, 0), (1, 2)):
         bad = good.copy()
         bad[entry] = np.nan
-        for rho, seeds in ((bad[None], (7,)), (np.array([good, bad, good]), (1, 2, 3))):
+        for rho in (bad[None], np.array([good, bad, good])):
             for p_readout in (0.0, 0.02):
                 with pytest.raises(ContractError):
-                    measure_block(rho, PARTIAL5, 100, seeds, p_readout, exact)
-
-
-def test_measure_block_needs_one_seed_per_state():
-    rho = np.array([random_density(np.random.default_rng(5 + k)) for k in range(3)])
-    for seeds in ((1,), (1, 2, 3, 4)):
-        with pytest.raises(ContractError):
-            measure_block(rho, PARTIAL3, 100, seeds)
-    # exact, no seed is read
-    assert measure_block(rho, PARTIAL3, 100, (), exact=True).shape == (3, 3, 4)
+                    measure_block(rho, PARTIAL5, 100, 7, 1, p_readout, exact)
 
 
 @pytest.mark.filterwarnings("error")
 def test_measure_block_rows_match_a_fresh_stream_per_draw():
     # Each row is numpy's multinomial, redrawn through the snapped chain
     # where a snap could have moved it; it must be the chain's draw on a
-    # generator built afresh for its (point, setting). The inputs are dense
+    # generator built afresh for its (point, setting), keyed by the seed and
+    # 9 (first + k) + s for row k and setting index s. The inputs are dense
     # in the conditional probabilities where numpy's sampler branches:
     # uniform rows off by 1e-16, exact zeros, two outcomes summing to 1 and
     # weights k/8, in all nine settings (diagonal states read their weights
@@ -152,9 +144,9 @@ def test_measure_block_rows_match_a_fresh_stream_per_draw():
     # switch to BTPE (n p = 30) and where (n + 1) p is integral. The
     # samplers share one Generator, whose binomial set-up numpy keeps and
     # reuses while (n, p) repeats: the maximally mixed state gives every
-    # setting the same distribution, points repeat a seed, the shot counts
-    # repeat, and a small outcome probability goes both ways across the
-    # switch between inversion and BTPE from one call to the next.
+    # setting the same distribution, the shot counts and the keys repeat,
+    # and a small outcome probability goes both ways across the switch
+    # between inversion and BTPE from one call to the next.
     src = np.random.default_rng(18)
     eighths = [w for w in itertools.product(range(9), repeat=4) if sum(w) == 8]
     diagonals = [np.array(eighths[k]) / 8.0 for k in src.choice(len(eighths), size=24, replace=False)]
@@ -165,13 +157,14 @@ def test_measure_block_rows_match_a_fresh_stream_per_draw():
     tilted = np.diag([0.994, 0.002, 0.003, 0.001]).astype(complex)
     noisy = random_density(np.random.default_rng(3))
     rho = np.array([np.diag(d).astype(complex) for d in diagonals] + [mixed, mixed, mixed, tilted, tilted, noisy, mixed])
-    seeds = src.integers(0, 2**63, size=len(diagonals)).tolist() + [7, 7, 8, 2**64 - 1, 0, 0, 7]
+    keys = itertools.cycle([(int(src.integers(0, 2**63)), 0), (7, 3), (2**64 - 1, 10**6), (0, 0), (7, 3)])
     for settings in (FULL, ("ZZ",)):
         probs = setting_probabilities(rho, settings)
         for shots in (1, 2, 29, 30, 31, 59, 60, 61, 119, 120, 121, 5954, 8000, 8001, 10**6, 10**9, 50, 8000):
-            want = [[multinomial_counts(substream(seed, setting_index(s)), shots, p) for s, p in zip(settings, point)]
-                    for seed, point in zip(seeds, probs.tolist())]
-            got = measure_block(rho, settings, shots, seeds)
+            seed, first = next(keys)
+            want = [[multinomial_counts(substream(seed, 9 * (first + k) + setting_index(s)), shots, p)
+                     for s, p in zip(settings, point)] for k, point in enumerate(probs.tolist())]
+            got = measure_block(rho, settings, shots, seed, first)
             np.testing.assert_array_equal(got, np.array(want, dtype=float) / shots)
 
 
@@ -180,8 +173,8 @@ def test_shot_error_shrinks_with_more_shots():
     probs = setting_probabilities(rho, ("XX",))[0]
     lo, hi = [], []
     for seed in range(20):
-        few = measure_block(rho[None], ("XX",), 1000, (seed,))[0, 0]
-        many = measure_block(rho[None], ("XX",), 64000, (seed,))[0, 0]
+        few = measure_block(rho[None], ("XX",), 1000, seed, 0)[0, 0]
+        many = measure_block(rho[None], ("XX",), 64000, seed, 0)[0, 0]
         lo.append(np.max(np.abs(few - probs)))
         hi.append(np.max(np.abs(many - probs)))
     assert np.mean(hi) < np.mean(lo)
@@ -269,7 +262,7 @@ def test_protocol_errors_on_wrong_frequency_shape():
 def test_reconstruction_consistency_under_shot_noise():
     rho = random_xstate(np.random.default_rng(19)).matrix()
     shots = 20000
-    freqs = measure_block(rho[None], FULL, shots, (7,))[0]
+    freqs = measure_block(rho[None], FULL, shots, 7, 0)[0]
     full = reconstruct_full(freqs)
     assert fidelity(full, rho) > 0.995
     x5 = reconstruct_x5(freqs[[FULL.index(s) for s in PARTIAL5]])
@@ -306,7 +299,7 @@ def test_xprep_reconstruction_json():
     assert blob["protocol"] == "partial5"
     assert (blob["shots"], blob["seed"]) == (800, 5)
     noisy = np.array(res.report["noisy_output"]["re"]) + 1j * np.array(res.report["noisy_output"]["im"])
-    freqs = measure_block(noisy[None], PARTIAL5, 800, (5,), params["noise"].p_readout)
+    freqs = measure_block(noisy[None], PARTIAL5, 800, 5, 0, params["noise"].p_readout)
     np.testing.assert_allclose(np.array(blob["reconstructed_re"]), reconstruct_x5(freqs[0]).matrix().real, atol=0)
 
 
@@ -316,13 +309,13 @@ def test_measure_records_do_not_depend_on_the_other_settings(exact):
     # fidelity sweep, measure different setting lists through one loop;
     # a setting's frequencies must be the same whichever list it is drawn in.
     rho = random_density(np.random.default_rng(41))[None]
-    full = measure_block(rho, FULL, 3000, (17,), p_readout=0.05, exact=exact)
+    full = measure_block(rho, FULL, 3000, 17, 0, p_readout=0.05, exact=exact)
     assert full.shape == (1, len(FULL), 4)
     for settings in (PARTIAL5, PARTIAL3):
-        subset = measure_block(rho, settings, 3000, (17,), p_readout=0.05, exact=exact)
+        subset = measure_block(rho, settings, 3000, 17, 0, p_readout=0.05, exact=exact)
         assert subset.shape == (1, len(settings), 4)
         assert all((subset[0, i] == full[0, FULL.index(s)]).all() for i, s in enumerate(settings))
-    assert (full[0, 0] != measure_block(rho, ("XX",), 3000, (17,), exact=exact)[0, 0]).any()
+    assert (full[0, 0] != measure_block(rho, ("XX",), 3000, 17, 0, exact=exact)[0, 0]).any()
 
 
 def _psd_project_one_by_one(rho_hat):

@@ -144,10 +144,47 @@ def test_round_trip_degenerate_sectors():
 
 
 def test_maximally_mixed_inverts_through_degenerate_branch():
-    s = checked_spectral(XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0))
-    assert s.theta == pytest.approx(math.pi / 4)
-    assert s.phi == pytest.approx(math.pi / 4)
+    # both sectors are degenerate, so any angle is exact: the weights and
+    # the round trip are what is checked
+    x = XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
+    s = checked_spectral(x)
     np.testing.assert_allclose(s.probs, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
+    np.testing.assert_allclose(from_spectral(s).matrix(), x.matrix(), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("near_degenerate", [True, False])
+def test_spectral_round_trip_is_exact_to_roundoff(near_degenerate):
+    # 20,000 random weights, with both angles within 1e-9 of pi/4, where a
+    # sector is nearly degenerate and cos 2 theta nearly 0, or uniform in
+    # [0, pi/2]: inverting the shape map and mapping back moves no entry
+    # by more than 1e-15.
+    rng = np.random.default_rng(41)
+    p = rng.dirichlet(np.ones(4), size=20_000).T
+    if near_degenerate:
+        theta, phi = math.pi / 4 + rng.uniform(-1e-9, 1e-9, size=(2, 20_000))
+    else:
+        theta, phi = rng.uniform(0.0, math.pi / 2, size=(2, 20_000))
+    x = from_spectral(XSpectral(*p, theta, phi))
+    s, (infeasible, _) = to_spectral(x)
+    back = from_spectral(s)
+    assert not infeasible.any()
+    for name in ("a", "b", "c", "d", "w", "z"):
+        assert np.max(np.abs(getattr(back, name) - getattr(x, name))) <= 1e-15, name
+
+
+def test_to_spectral_weights_are_the_sector_eigenvalues():
+    # Each sector's two weights are the eigenvalues of its 2x2 block, and
+    # (cos, sin) of its angle is the eigenvector of the first weight.
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        x, _ = strip_phases(random_xstate(rng))
+        s = checked_spectral(x)
+        for angle, plus, minus, block in ((s.theta, s.p00, s.p10, [[x.a, x.w.real], [x.w.real, x.d]]),
+                                          (s.phi, s.p01, s.p11, [[x.c, x.z.real], [x.z.real, x.b]])):
+            assert 0.0 <= angle <= math.pi / 2
+            np.testing.assert_allclose(sorted([plus, minus]), np.linalg.eigvalsh(block), rtol=0, atol=1e-15)
+            vector = np.array([math.cos(angle), math.sin(angle)])
+            np.testing.assert_allclose(np.array(block) @ vector, plus * vector, rtol=0, atol=1e-15)
 
 
 def test_to_spectral_rejects_complex_corners():
