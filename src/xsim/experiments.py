@@ -44,7 +44,7 @@ import numpy as np
 from .circuits import build_complex_xstate_circuit, build_xstate_circuit, run_stack
 from .errors import ConfigError, ContractError
 from .heisenberg import HeisenbergParams, evolve_diagonal
-from .linalg import fidelity
+from .linalg import dagger
 from .noise import RATE_FIELDS, NoiseModel
 from .tomography import FIDELITY_CONVENTION, FULL, PARTIAL3, PARTIAL5, measure_block
 from .tomography import reconstruct_full, reconstruct_x3, reconstruct_x5
@@ -57,6 +57,7 @@ from .xstate import (
     fidelity_x,
     from_spectral,
     leakage,
+    sqrt_x,
     xstate_from_matrix,
 )
 
@@ -372,13 +373,15 @@ def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
 
     The protocols read one shared dataset of nine settings per point, so
     they differ in which settings they use, not in sampling luck. X estimates
-    score in closed form (``fidelity_x``), the full one by ``linalg.fidelity``.
+    score in closed form (``fidelity_x``); the full one, a factor L, as the
+    squared sum of the singular values of L^dagger sqrt_x(target).
     """
     partial3 = () if with_field else ("f_partial3",)
 
     def columns(targets, pairs, draw):
         f = measure_block(pairs, FULL, **draw)
-        scores = [fidelity(reconstruct_full(f), targets.matrix()),
+        overlap = dagger(reconstruct_full(f)) @ sqrt_x(targets).matrix()
+        scores = [np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2,
                   fidelity_x(reconstruct_x5(f[:, _PARTIAL5_ROWS]), targets)]
         if not with_field:
             scores.append(fidelity_x(reconstruct_x3(f[:, _PARTIAL3_ROWS]), targets))
@@ -484,8 +487,11 @@ def run_experiment(experiment: str, raw_params: dict) -> tuple:
 
 
 def format_csv(result: ExperimentResult, fh) -> None:
-    """Write the header and one line per row, each value as ``%.12g``."""
-    np.savetxt(fh, result.rows, fmt="%.12g", delimiter=",", header=",".join(result.columns), comments="")
+    """Write the header and one line per row, each value as ``%.12g``: the
+    text of ``numpy.savetxt`` with that format, formatted and written at once."""
+    rows = np.asarray(result.rows, dtype=float)
+    line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    fh.write(",".join(result.columns) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def provenance(experiment: str, params: dict) -> dict:

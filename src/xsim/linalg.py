@@ -133,26 +133,3 @@ def psd_factor(m: np.ndarray, who: str) -> np.ndarray:
         raise ContractError(f"{who}: input is not positive semidefinite")
     return v * np.sqrt(w.clip(0.0, None))[..., None, :]
 
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray):
-    """Squared-Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-
-    Symmetric in its arguments and equal to |<psi|phi>|^2 on pure states;
-    against the maximally mixed two-qubit state any pure state scores 1/4.
-    Computed as the squared sum of the singular values of L_rho^dagger
-    L_sigma for factors rho = L_rho L_rho^dagger, which equals the trace
-    above without taking square roots of the near-zero eigenvalues of
-    sqrt(rho) sigma sqrt(rho): a rank-deficient state scores 1 against
-    itself to roundoff, where that route is off by ~1e-8.
-
-    Stacks of states broadcast against each other and give a stack of
-    fidelities. It scores the sweeps' full-tomography estimates; pairs of
-    X-states score in closed form by ``xstate.fidelity_x``, checked against it.
-    """
-    rho = _square(rho, "fidelity")
-    sigma = _square(sigma, "fidelity")
-    if rho.shape[-1] != sigma.shape[-1]:
-        raise DimensionError("fidelity: operands have different dimensions")
-    overlap = dagger(psd_factor(rho, "fidelity")) @ psd_factor(sigma, "fidelity")
-    return np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2
-

@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import ContractError, ProtocolError
-from .linalg import PAULI, cabs, dagger, is_hermitian, kron
+from .linalg import PAULI, cabs, is_hermitian, kron
 from .rng import block_counts
 from .xstate import XState, sqrt_nonneg
 
@@ -164,13 +164,16 @@ def _frequency_stack(f, settings) -> np.ndarray:
 
 def psd_project(rho_hat: np.ndarray) -> np.ndarray:
     """Nearest-valid-state repair by eigenvalue truncation, of one matrix or
-    of each matrix of a stack.
+    of each matrix of a stack, as a factor L of the repaired state L L^dagger:
+    the eigenvectors scaled by the roots of the repaired eigenvalues, so the
+    repaired matrix is never formed.
 
     Negative eigenvalues are zeroed in ascending order, each one's mass
     spread uniformly over the eigenvalues above it. A stack is repaired
     one eigenvalue column at a time, masked to the matrices negative in
     that column, so each matrix sees the float operations of a repair of
-    it alone. Input without a negative eigenvalue is returned unchanged.
+    it alone. Input without a negative eigenvalue gets the factor of
+    ``linalg.psd_factor``.
     """
     rho_hat = np.asarray(rho_hat, dtype=complex)
     n = rho_hat.shape[-1]
@@ -179,25 +182,22 @@ def psd_project(rho_hat: np.ndarray) -> np.ndarray:
     if (np.abs(np.trace(rho_hat, axis1=-2, axis2=-1).real - 1.0) > 1e-10).any():
         raise ContractError("psd_project expects unit trace")
     w, v = np.linalg.eigh(rho_hat)
-    repair = w[..., 0] < 0.0
-    if not repair.any():
-        return rho_hat
-    lam, v = w[repair], v[repair]
+    lam = w.reshape(-1, n)  # a view: the repair writes into w
     for i in range(n):
         neg = lam[:, i] < 0.0
-        if i == n - 1 and neg.any():
+        if not neg.any():
+            break
+        if i == n - 1:
             raise ContractError("cannot repair: all eigenvalue mass negative")
         lam[neg, i + 1:] += (lam[neg, i] / (n - 1 - i))[:, None]
         lam[neg, i] = 0.0
-    out = (v * lam[:, None, :]) @ dagger(v)
-    repaired = rho_hat.copy()
-    repaired[repair] = (out + dagger(out)) / 2.0
-    return repaired
+    return v * np.sqrt(w.clip(0.0, None))[..., None, :]
 
 
 def reconstruct_full(data) -> np.ndarray:
-    """Linear inversion from all nine settings, then PSD repair: (..., 4, 4)
-    from frequencies (..., 9, 4) in FULL order.
+    """Linear inversion from all nine settings, then PSD repair: the factor
+    L (..., 4, 4) of the estimate L L^dagger, from frequencies (..., 9, 4)
+    in FULL order.
 
     The two single-qubit terms are each estimable from three settings;
     averaging the three estimates uses every setting's marginals.
@@ -252,4 +252,4 @@ def reconstruct_x3(data) -> XState:
     return _clamped_xstate(f[..., 2, :], _complex(np.array([xx - yy, xx + yy]) / 4.0, 0.0))
 
 
-FIDELITY_CONVENTION = "squared-uhlmann"  # that of linalg.fidelity, named in every report
+FIDELITY_CONVENTION = "squared-uhlmann"  # (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, named in every report

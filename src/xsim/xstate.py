@@ -34,7 +34,7 @@ and the concurrence of any X-state (complex corners included) is
 XState and XSpectral fields may also be numpy arrays of one shape: such a
 value is a stack of X-states, one per entry, and ``from_spectral``,
 ``canonicalize_spectral``, ``to_spectral``, ``strip_phases``, ``matrix``,
-``concurrence_x``, ``fidelity_x`` (two stacks that broadcast),
+``concurrence_x``, ``fidelity_x`` (two stacks that broadcast), ``sqrt_x``,
 ``concurrence_wootters`` and ``leakage`` work on stacks entry by entry. A
 sweep builds the targets of a whole block of points this way.
 
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InfeasibleStateError, ShapeError
-from .linalg import SY, cabs, dagger, kron, mathmap, psd_factor
+from .linalg import PSD_ATOL, SY, cabs, dagger, kron, mathmap, psd_factor
 
 # sy (x) sy, the spin flip of the Wootters concurrence.
 _YY = kron(SY, SY).real
@@ -219,6 +219,22 @@ def fidelity_x(x: XState, y: XState):
         dets = sqrt_nonneg(p * q - abs2(u)) * sqrt_nonneg(r * s - abs2(v))
         root = root + sqrt_nonneg(p * r + q * s + 2.0 * (u.real * v.real + u.imag * v.imag) + 2.0 * dets)
     return root * root
+
+
+def sqrt_x(x: XState) -> XState:
+    """The PSD square root of an X-state, or of each one of a stack, itself
+    X-shaped: each sector M gives (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)),
+    no eigensolver, and a zero sector gives zero. Raises ContractError where a
+    sector has an eigenvalue below -PSD_ATOL."""
+    out = {}
+    for (p, q, u), names in (((x.a, x.d, x.w), "adw"), ((x.b, x.c, x.z), "bcz")):
+        if np.any(0.5 * (p + q) - 0.5 * np.hypot(p - q, 2.0 * cabs(u)) < -PSD_ATOL):
+            raise ContractError("sqrt_x: input is not positive semidefinite")
+        root = sqrt_nonneg(p * q - (u.real * u.real + u.imag * u.imag))
+        norm = sqrt_nonneg(p + q + 2.0 * root)
+        norm = np.where(norm > 0.0, norm, np.inf)
+        out.update(zip(names, ((p + root) / norm, (q + root) / norm, u / norm)))
+    return XState(**out)
 
 
 def concurrence_wootters(rho: np.ndarray):

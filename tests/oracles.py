@@ -8,6 +8,11 @@ and the Wootters concurrence ``concurrence_wootters_oracle``) check that
 code from the outside: they must not share code with the implementations
 they validate, and nothing in ``xsim`` calls them.
 
+Two LAPACK routes the sweeps no longer run stay here as references:
+``fidelity``, the SVD fidelity of two factored states, and
+``psd_project_matrix``, the repaired matrix that ``tomography.psd_project``
+now hands on as a factor.
+
 The other references are what the program does not run:
 
 * ``hamiltonian``, the 4x4 H of the XYZ model; ``expm_oracle(hamiltonian(p), t)``
@@ -48,7 +53,7 @@ import numpy as np
 from xsim.circuits import _PREP_OPS, Circuit, XUnitaryParams, build_xstate_circuit, eigenbasis_block
 from xsim.errors import ContractError, DimensionError, InfeasibleStateError
 from xsim.heisenberg import HeisenbergParams
-from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, is_hermitian, kron
+from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, dagger, is_hermitian, kron, psd_factor
 from xsim.xstate import XSpectral, XState
 
 _DIMS = (2, 4, 16)
@@ -139,6 +144,51 @@ def fidelity_oracle(rho: np.ndarray, sigma: np.ndarray) -> float:
     mid = root @ sigma @ root
     w, _ = herm_eig((mid + mid.conj().T) / 2.0)
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+
+
+def fidelity(rho: np.ndarray, sigma: np.ndarray):
+    """Squared-Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 by the
+    LAPACK SVD route, the full-tomography score the sweeps used before they
+    scored from ``psd_project``'s factor and ``xstate.sqrt_x``.
+
+    Symmetric in its arguments and equal to |<psi|phi>|^2 on pure states;
+    against the maximally mixed two-qubit state any pure state scores 1/4.
+    Computed as the squared sum of the singular values of L_rho^dagger
+    L_sigma for factors rho = L_rho L_rho^dagger (``linalg.psd_factor``),
+    which equals the trace above without taking square roots of the
+    near-zero eigenvalues of sqrt(rho) sigma sqrt(rho): a rank-deficient
+    state scores 1 against itself to roundoff, where that route is off by
+    ~1e-8. Stacks of states broadcast against each other and give a stack
+    of fidelities.
+    """
+    rho = _square(rho, "fidelity")
+    sigma = _square(sigma, "fidelity")
+    if rho.shape[-1] != sigma.shape[-1]:
+        raise DimensionError("fidelity: operands have different dimensions")
+    overlap = dagger(psd_factor(rho, "fidelity")) @ psd_factor(sigma, "fidelity")
+    return np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2
+
+
+def psd_project_matrix(rho_hat: np.ndarray) -> np.ndarray:
+    """The repaired matrix of ``tomography.psd_project``, rebuilt as
+    (V L' V^dagger + h.c.) / 2 from the truncated eigenvalues L' of the
+    LAPACK decomposition, and the input itself where it has no negative
+    eigenvalue: the route the sweeps took before they kept the factor."""
+    rho_hat = np.asarray(rho_hat, dtype=complex)
+    n = rho_hat.shape[-1]
+    w, v = np.linalg.eigh(rho_hat)
+    repair = w[..., 0] < 0.0
+    if not repair.any():
+        return rho_hat
+    lam, v = w[repair], v[repair]
+    for i in range(n - 1):
+        neg = lam[:, i] < 0.0
+        lam[neg, i + 1:] += (lam[neg, i] / (n - 1 - i))[:, None]
+        lam[neg, i] = 0.0
+    out = (v * lam[:, None, :]) @ dagger(v)
+    repaired = rho_hat.copy()
+    repaired[repair] = (out + dagger(out)) / 2.0
+    return repaired
 
 
 def validate_density(rho: np.ndarray, atol: float = PSD_ATOL) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import prepare
+from goldens import GOLDEN_PATH
 from oracles import circuit_unitary
 from xsim.circuits import Circuit, build_xstate_circuit, run_stack
 from xsim.cli import main
@@ -30,11 +31,11 @@ from xsim.experiments import (
     simplex_points,
 )
 from xsim import experiments, tomography
-from xsim.linalg import fidelity
+from xsim.linalg import dagger
 from xsim.noise import NoiseModel
 from xsim.rng import multinomial_counts
 from xsim.tomography import FULL, PARTIAL3, PARTIAL5, reconstruct_full, reconstruct_x3, reconstruct_x5
-from xsim.xstate import XSpectral, XState, concurrence_wootters, concurrence_x, fidelity_x, from_spectral, leakage
+from xsim.xstate import XSpectral, XState, concurrence_wootters, concurrence_x, fidelity_x, from_spectral, leakage, sqrt_x
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
 XSTATE_TARGET = {"kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
@@ -246,6 +247,23 @@ def test_csv_formatting():
     assert lines[1:] == [",".join("%.12g" % v for v in row) for row in rows]
     assert text.endswith("\n")
     assert _csv_text(ExperimentResult(columns=("t", "value"), rows=np.array(rows))) == text
+
+
+def _savetxt_text(columns, rows):
+    out = io.StringIO()
+    np.savetxt(out, rows, fmt="%.12g", delimiter=",", header=",".join(columns), comments="")
+    return out.getvalue()
+
+
+def test_csv_text_is_that_of_savetxt():
+    goldens = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    tables = [(case["columns"], np.array(case["rows"], dtype=float)) for case in goldens.values() if case["rows"]]
+    assert len(tables) == 20
+    edge = [-0.0, 1e-300, 1.0 - 2.0**-53, 3.0, -7.0, 1e15, 2.0**53, 0.1, float("nan"), float("inf")]
+    tables.append((("x", "y"), np.array(edge).reshape(5, 2)))
+    tables.append((("x",), np.empty((0, 1))))
+    for columns, rows in tables:
+        assert _csv_text(ExperimentResult(columns=tuple(columns), rows=rows)) == _savetxt_text(columns, rows)
 
 
 def test_json_formatting_carries_provenance():
@@ -914,8 +932,9 @@ def _per_point_rows(experiment, params):
             rows.append((p, concurrence_x(target), concurrence_x(estimate)))
         else:
             f = tomography.measure_block(pair[None], FULL, *draw)[0]
-            # the full estimate through the SVD route, the X estimates in closed form
-            scores = [fidelity(reconstruct_full(f), target.matrix()),
+            # the full estimate's factor against the target's closed-form root, the X estimates in closed form
+            overlap = dagger(reconstruct_full(f)) @ sqrt_x(target).matrix()
+            scores = [np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2,
                       fidelity_x(reconstruct_x5(f[[FULL.index(s) for s in PARTIAL5]]), target)]
             if experiment == "heisenberg_fidelity":
                 scores.append(fidelity_x(reconstruct_x3(f[[FULL.index(s) for s in PARTIAL3]]), target))
@@ -942,9 +961,8 @@ def test_blocked_row_stage_matches_the_per_point_route(experiment, exact, monkey
         return frequencies
 
     def repairing(rho_hat):
-        out = psd(rho_hat)
-        repairs.append(int(np.sum(np.any(out != rho_hat, axis=(-2, -1)))))
-        return out
+        repairs.append(int(np.sum(np.linalg.eigvalsh(rho_hat)[..., 0] < 0.0)))
+        return psd(rho_hat)
 
     def clamping(value, bound):
         out = clamp(value, bound)
@@ -968,6 +986,15 @@ def test_blocked_row_stage_matches_the_per_point_route(experiment, exact, monkey
     assert len(blocked.rows) == len(per_point)
     for got, want in zip(blocked.rows, per_point):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("experiment", ["heisenberg_fidelity", "field_fidelity"])
+def test_f_full_of_a_point_alone_equals_its_row_in_a_full_block(experiment):
+    # 256 points are one full block; at 50 shots with readout error most
+    # full estimates need a repair, and the factor carries it to the score.
+    params, blocked = run_experiment(experiment, {"time_points": 256, "shots": 50, "seed": 3, "noise": READOUT_NOISE})
+    column = blocked.columns.index("f_full")
+    assert blocked.rows[:, column].tolist() == [row[column] for row in _per_point_rows(experiment, params)]
 
 
 @pytest.mark.parametrize("experiment, partial3", [("field_fidelity", False), ("heisenberg_fidelity", True)])

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
-from oracles import expm_oracle, herm_eig, partial_trace, relative_phase, sqrtm_psd, trace_distance, validate_density
+from oracles import (
+    expm_oracle,
+    fidelity,
+    herm_eig,
+    partial_trace,
+    relative_phase,
+    sqrtm_psd,
+    trace_distance,
+    validate_density,
+)
 from xsim.errors import ContractError, DimensionError
 from xsim.linalg import (
     I2,
@@ -10,7 +19,6 @@ from xsim.linalg import (
     SY,
     SZ,
     dagger,
-    fidelity,
     is_hermitian,
     kron,
 )

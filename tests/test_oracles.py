@@ -21,6 +21,7 @@ from oracles import (
     circuit_unitary,
     concurrence_wootters_oracle,
     embed,
+    fidelity,
     fidelity_oracle,
     gates,
     herm_eig,
@@ -29,8 +30,9 @@ from oracles import (
 )
 from xsim.circuits import GATE_KINDS, Circuit, run_stack
 from xsim.errors import DimensionError
+from xsim import experiments
 from xsim.experiments import format_csv, run_experiment
-from xsim.linalg import I2, PAULI, fidelity, kron
+from xsim.linalg import I2, PAULI, dagger, kron
 from xsim.noise import (
     NoiseModel,
     amplitude_damping_kraus,
@@ -262,7 +264,38 @@ def test_psd_project_matches_jacobi_oracle():
     for _ in range(20):
         h = random_density(rng) + np.diag(rng.uniform(-0.1, 0.02, size=4))
         h = h / np.trace(h).real
-        np.testing.assert_allclose(psd_project(h), _psd_project_oracle(h), atol=1e-12)
+        factor = psd_project(h)
+        np.testing.assert_allclose(factor @ dagger(factor), _psd_project_oracle(h), atol=1e-12)
+
+
+@pytest.mark.parametrize("raw", [{}, {"shots": 50, "noise": ZERO_NOISE}], ids=["default", "zero-noise-50-shots"])
+@pytest.mark.parametrize("experiment", ["heisenberg_fidelity", "field_fidelity"])
+def test_f_full_matches_both_fidelity_oracles(experiment, raw, monkeypatch):
+    # f_full scores the factor of the repaired estimate against the target's
+    # closed-form root. Each estimate L L^dagger and target it scored is
+    # scored again by the SVD route of two LAPACK factors and by the Jacobi
+    # route, which takes roots of ~1e-16 eigenvalues (~1e-8). At 50 shots
+    # most estimates need a repair.
+    factors, targets = [], []
+    reconstruct, root = experiments.reconstruct_full, experiments.sqrt_x
+
+    def recording_reconstruct(data):
+        factors.append(reconstruct(data))
+        return factors[-1]
+
+    def recording_root(x):
+        targets.append(x.matrix())
+        return root(x)
+
+    monkeypatch.setattr(experiments, "reconstruct_full", recording_reconstruct)
+    monkeypatch.setattr(experiments, "sqrt_x", recording_root)
+    _, result = run_experiment(experiment, raw)
+    estimates = np.concatenate([factor @ dagger(factor) for factor in factors])
+    f_full = result.rows[:, result.columns.index("f_full")]
+    assert len(f_full) == len(estimates) == sum(map(len, targets)) == 64
+    for got, rho, sigma in zip(f_full, estimates, np.concatenate(targets)):
+        assert got == pytest.approx(fidelity(rho, sigma), abs=2e-8)
+        assert got == pytest.approx(fidelity_oracle(rho, sigma), abs=1e-7)
 
 
 @pytest.mark.parametrize("experiment", ["heisenberg_fidelity", "field_fidelity"])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_xstate, random_xstate_raw
-from oracles import substream
+from oracles import fidelity, psd_project_matrix, substream
 from xsim.errors import ContractError, ProtocolError
 from xsim.experiments import run_experiment
-from xsim.linalg import PAULI, fidelity, kron
+from xsim.linalg import PAULI, dagger, kron, psd_factor
 from xsim.rng import multinomial_counts
 from xsim.xstate import strip_phases
 from xsim.tomography import (
@@ -40,8 +40,9 @@ def _protocol_fidelities(target, noisy, shots, seed, exact=False):
     """Fidelities of the full, 5- and 3-setting estimates of one state,
     all read from one nine-setting dataset."""
     f = measure_block(np.asarray(noisy)[None], FULL, shots, seed, 0, exact=exact)[0]
+    factor = reconstruct_full(f)
     estimates = (
-        reconstruct_full(f),
+        factor @ dagger(factor),
         reconstruct_x5(f[[FULL.index(s) for s in PARTIAL5]]).matrix(),
         reconstruct_x3(f[[FULL.index(s) for s in PARTIAL3]]).matrix(),
     )
@@ -180,20 +181,27 @@ def test_shot_error_shrinks_with_more_shots():
     assert np.mean(hi) < np.mean(lo)
 
 
+def _repaired(rho_hat):
+    """The state L L^dagger of ``psd_project``'s factor L."""
+    factor = psd_project(rho_hat)
+    return factor @ dagger(factor)
+
+
 def test_psd_project_passes_through_psd_input():
     rho = random_density(np.random.default_rng(7))
-    out = psd_project(rho)
-    assert out is rho
+    given = rho.copy()
+    np.testing.assert_array_equal(psd_project(rho), psd_factor(rho, "test"))
+    np.testing.assert_array_equal(rho, given)
 
 
 def test_psd_project_single_negative_eigenvalue():
     rho = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
-    np.testing.assert_allclose(psd_project(rho), np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(_repaired(rho), np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_psd_project_two_negative_eigenvalues():
     rho = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
-    np.testing.assert_allclose(psd_project(rho), np.diag([0.6, 0.4, 0.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(_repaired(rho), np.diag([0.6, 0.4, 0.0, 0.0]), atol=1e-12)
 
 
 def test_psd_project_preserves_trace_and_idempotent():
@@ -201,10 +209,12 @@ def test_psd_project_preserves_trace_and_idempotent():
     for _ in range(30):
         h = random_density(rng) + np.diag(rng.uniform(-0.08, 0.02, size=4))
         h = h / np.trace(h).real
-        out = psd_project(h)
+        out = _repaired(h)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(out)) > -1e-12
-        np.testing.assert_allclose(psd_project(out), out, atol=0)
+        np.testing.assert_allclose(out, psd_project_matrix(h), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_repaired(out), out, atol=0)
+        np.testing.assert_allclose(_repaired(out), out, rtol=0, atol=1e-15)
 
 
 def test_psd_project_rejects_non_hermitian():
@@ -216,7 +226,8 @@ def test_reconstruct_full_exact_identity():
     rng = np.random.default_rng(11)
     for _ in range(25):
         rho = random_density(rng)
-        np.testing.assert_allclose(reconstruct_full(_exact(rho, FULL)), rho, atol=1e-12)
+        factor = reconstruct_full(_exact(rho, FULL))
+        np.testing.assert_allclose(factor @ dagger(factor), rho, atol=1e-12)
 
 
 def test_reconstruct_x5_exact_on_complex_xstates():
@@ -264,7 +275,7 @@ def test_reconstruction_consistency_under_shot_noise():
     shots = 20000
     freqs = measure_block(rho[None], FULL, shots, 7, 0)[0]
     full = reconstruct_full(freqs)
-    assert fidelity(full, rho) > 0.995
+    assert fidelity(full @ dagger(full), rho) > 0.995
     x5 = reconstruct_x5(freqs[[FULL.index(s) for s in PARTIAL5]])
     assert fidelity(x5.matrix(), rho) > 0.995
 
@@ -319,18 +330,16 @@ def test_measure_records_do_not_depend_on_the_other_settings(exact):
 
 
 def _psd_project_one_by_one(rho_hat):
-    """The per-matrix repair: one eigh and one sequential loop per matrix."""
+    """The per-matrix repair: one eigh and one sequential loop per matrix,
+    then the factor of the repaired eigenvalues."""
     w, v = np.linalg.eigh(rho_hat)
-    if w[0] >= 0.0:
-        return rho_hat
     lam = w.copy()
     n = len(lam)
     for i in range(n):
         if lam[i] < 0.0:
             lam[i + 1:] += lam[i] / (n - 1 - i)
             lam[i] = 0.0
-    out = (v * lam) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return v * np.sqrt(np.clip(lam, 0.0, None))
 
 
 def _unit_trace_hermitian(rng, eigenvalues):
@@ -355,11 +364,12 @@ def test_stacked_psd_repair_matches_the_per_matrix_loop():
     stack /= np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
     got = psd_project(stack)
     want = np.array([_psd_project_one_by_one(h) for h in stack])
-    repaired = [not np.array_equal(g, h) for g, h in zip(got, stack)]
-    assert 0 < sum(repaired) < len(stack)
+    repaired = np.linalg.eigvalsh(stack)[:, 0] < 0.0
+    assert 0 < repaired.sum() < len(stack)
     np.testing.assert_array_equal(got, want)
     for one, g in zip(stack, got):
         np.testing.assert_array_equal(psd_project(one), g)
+    np.testing.assert_allclose(got @ dagger(got), psd_project_matrix(stack), rtol=0, atol=1e-15)
 
 
 def test_psd_project_rejects_all_negative_input_alone_and_in_a_stack():

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import checked_spectral, random_spectral, random_xstate, random_xstate_raw
-from oracles import concurrence_wootters_oracle, fidelity_oracle
+from oracles import concurrence_wootters_oracle, fidelity, fidelity_oracle, sqrtm_psd
 from xsim.errors import ContractError, ShapeError
-from xsim.experiments import _parse_target
-from xsim.linalg import fidelity
+from xsim.experiments import _couplings, _field_block, _parse_target, _time_grid, _zero_field_block, resolve_params
+from xsim.linalg import PSD_ATOL, psd_factor
 from xsim.xstate import (
     XSpectral,
     XState,
@@ -17,6 +17,7 @@ from xsim.xstate import (
     fidelity_x,
     from_spectral,
     leakage,
+    sqrt_x,
     strip_phases,
     to_spectral,
     xstate_from_matrix,
@@ -105,6 +106,84 @@ def test_fidelity_x_broadcasts_stacks():
     assert got.shape == (3, 4)
     np.testing.assert_array_equal(got, [[fidelity_x(xs[k][p], ys[p]) for p in range(4)] for k in range(3)])
     np.testing.assert_array_equal(fidelity_x(x, ys[0]), [[fidelity_x(s, ys[0]) for s in row] for row in xs])
+
+
+def test_sqrt_x_matches_the_jacobi_root_on_random_xstates():
+    rng = np.random.default_rng(89)
+    states = [random_xstate_raw(rng, complex_corners=k % 2 == 0) for k in range(200)]
+    for x in states:
+        np.testing.assert_allclose(sqrt_x(x).matrix(), sqrtm_psd(x.matrix()), rtol=0, atol=1e-14)
+    # a stack is rooted entry by entry, with the floats of each entry alone
+    roots = sqrt_x(XState.stack(states)).matrix()
+    np.testing.assert_array_equal(roots, [sqrt_x(x).matrix() for x in states])
+
+
+def _dyadic_rank_one(rng):
+    """X-state, unnormalized, whose sectors are rank 1 with a determinant of
+    exactly 0.0: dyadic roots s, t, u, v and corners s v, t u times a unit of
+    {1, -1, i, -i}."""
+    s, t, u, v = rng.integers(1, 1024, size=4) / 1024.0
+    unit = (1.0, -1.0, 1j, -1j)
+    return XState(s * s, t * t, u * u, v * v, s * v * unit[rng.integers(4)], t * u * unit[rng.integers(4)])
+
+
+def test_sqrt_x_is_exact_on_rank_one_and_zero_sectors():
+    # A rank-1 sector M has the root M / sqrt(tr M). The Jacobi oracle is no
+    # reference here: the roundoff of its zero eigenvalue enters under a
+    # square root and moves its root by up to ~5e-9.
+    rng = np.random.default_rng(97)
+    for _ in range(200):
+        x = _dyadic_rank_one(rng)
+        m = x.matrix()
+        want = np.zeros((4, 4), dtype=complex)
+        for sector in ([0, 3], [1, 2]):
+            block = m[np.ix_(sector, sector)]
+            want[np.ix_(sector, sector)] = block / math.sqrt(np.trace(block).real)
+        np.testing.assert_allclose(sqrt_x(x).matrix(), want, rtol=0, atol=1e-15)
+    for x in (XState(0.6, 0.0, 0.0, 0.4, 0.3j, 0j), XState(0.0, 0.7, 0.3, 0.0, 0j, -0.2 + 0.1j),
+              XState(0.6, -1e-17, 0.0, 0.4, 0.3j, 0j)):
+        root = sqrt_x(x).matrix()
+        zero = [1, 2] if x.a else [0, 3]
+        assert (root[np.ix_(zero, zero)] == 0.0).all()
+        np.testing.assert_allclose(root, sqrtm_psd(x.matrix()), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("experiment", ["heisenberg_fidelity", "field_fidelity"])
+def test_sqrt_x_of_the_default_lambda_one_targets(experiment):
+    # lambda = 1 leaves two weights at zero, so each sector is rank 1 up to
+    # a determinant of roundoff size. The root of such a sector is
+    # ill-conditioned: a 1e-17 change of an entry moves it by ~3e-9, so the
+    # closed form and the Jacobi root agree to 4e-9 only, while both square
+    # back to the target.
+    params = resolve_params(experiment, {})
+    assert params["lambda"] == 1.0
+    hp = _couplings(params)
+    block = _field_block if experiment == "field_fidelity" else _zero_field_block
+    targets, _ = block(params, hp, _time_grid(params, hp))
+    sigma = targets.matrix()
+    root = sqrt_x(targets).matrix()
+    np.testing.assert_array_equal(root, root.conj().swapaxes(-1, -2))
+    np.testing.assert_allclose(root @ root, sigma, rtol=0, atol=1e-15)
+    assert np.linalg.eigvalsh(root).min() > -1e-15
+    for got, m in zip(root, sigma):
+        np.testing.assert_allclose(got, sqrtm_psd(m), rtol=0, atol=1e-8)
+    # at t = 0 the target is diagonal, and its root is exact
+    np.testing.assert_allclose(root[0], sqrtm_psd(sigma[0]), rtol=0, atol=1e-14)
+
+
+def test_sqrt_x_rejects_a_negative_eigenvalue_beyond_psd_atol():
+    # the check that the LAPACK factor of the target made, now in closed form
+    inside = XState(0.5, 0.25, 0.25, -0.5 * PSD_ATOL, 0.0j, 0.0j)
+    beyond = XState(0.5, 0.25, 0.25, -2.0 * PSD_ATOL, 0.0j, 0.0j)
+    psd_factor(inside.matrix(), "test")
+    sqrt_x(inside)
+    for bad in (beyond, XState(0.5, 0.25, 0.25, 0.0, 0.1j, 0j), XState(0.25, 0.5, 0.0, 0.25, 0j, 0.1)):
+        with pytest.raises(ContractError, match="not positive semidefinite"):
+            psd_factor(bad.matrix(), "test")
+        with pytest.raises(ContractError, match="not positive semidefinite"):
+            sqrt_x(bad)
+        with pytest.raises(ContractError, match="not positive semidefinite"):
+            sqrt_x(XState.stack([inside, bad, inside]))
 
 
 def test_matrix_layout_and_validate():
