@@ -17,6 +17,9 @@ Six experiments are registered:
 
 Analytic columns are pure functions of the physics parameters; shots, seed,
 and noise touch only the simulated columns, evolved by ``circuits.run_stack``.
+Every concurrence is the closed form ``concurrence_x``, the simulated ones
+of outputs read through ``xstate_from_matrix``: the noise model keeps every
+output X-shaped, and an output that left the shape would raise ShapeError.
 Setting s of sweep point i draws shots from the stream keyed by the seed
 and 9 i + s, so rerunning any experiment with the same config is
 byte-identical. A sweep builds, evolves, measures, reconstructs and scores
@@ -52,7 +55,6 @@ from .xstate import (
     XSpectral,
     XState,
     canonicalize_spectral,
-    concurrence_wootters,
     concurrence_x,
     fidelity_x,
     from_spectral,
@@ -324,7 +326,7 @@ def run_tetra_sweep(params: dict) -> ExperimentResult:
 
     def columns(targets, pairs, draw):
         c_shot = concurrence_x(reconstruct_x3(measure_block(pairs, PARTIAL3, **draw)))
-        return concurrence_x(targets), concurrence_wootters(pairs), c_shot
+        return concurrence_x(targets), concurrence_x(xstate_from_matrix(pairs)), c_shot
 
     names = ("p00", "p01", "p10", "p11", "c_analytic", "c_noisy_sim", "c_shot_tomo")
     return _sweep(params, simplex_points(params["resolution"]), build, columns, names, "point")
@@ -441,15 +443,16 @@ def run_xprep_single(params: dict) -> ExperimentResult:
     freqs = measure_block(noisy_pair[None], PARTIAL5, params["shots"], params["seed"], 0, nm.p_readout, params["exact"])
     x5 = reconstruct_x5(freqs[0])
     x5_matrix, leak = x5.matrix(), leakage(noisy_pair)
+    ideal_x = xstate_from_matrix(ideal_pair)
     # Each pair of scores is one stack of two.
     c_analytic, c_reconstructed = concurrence_x(XState.stack([target_x, x5]))
-    c_ideal, c_noisy = concurrence_wootters(np.array([ideal_pair, noisy_pair]))
+    c_ideal, c_noisy = concurrence_x(XState.stack([ideal_x, xstate_from_matrix(noisy_pair)]))
     payload = {
         "target": target_x.to_json(),
         "spectral": spectral.to_json(),
         "phase_record": list(phases),
         "circuit": circ.to_json(),
-        "ideal_output": xstate_from_matrix(ideal_pair).to_json(),
+        "ideal_output": ideal_x.to_json(),
         "noisy_output": {
             "re": noisy_pair.real.tolist(),
             "im": noisy_pair.imag.tolist(),

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import DimensionError
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -117,19 +117,3 @@ def superop(kraus) -> np.ndarray:
     k = np.asarray(kraus, dtype=complex)
     d = k.shape[-1]
     return np.einsum("...kac,...kbd->...abcd", k, k.conj()).reshape(k.shape[:-3] + (d * d, d * d))
-
-
-def psd_factor(m: np.ndarray, who: str) -> np.ndarray:
-    """A factor L with m = L L^dagger, from the LAPACK eigendecomposition;
-    a stack of matrices gives the stack of their factors.
-
-    Raises ContractError when a matrix is not Hermitian or has an
-    eigenvalue below -PSD_ATOL; eigenvalues in between are clamped to zero.
-    """
-    if not is_hermitian(m):
-        raise ContractError(f"{who}: input is not Hermitian within {HERMITIAN_ATOL}")
-    w, v = np.linalg.eigh(m)
-    if w.min() < -PSD_ATOL:
-        raise ContractError(f"{who}: input is not positive semidefinite")
-    return v * np.sqrt(w.clip(0.0, None))[..., None, :]
-

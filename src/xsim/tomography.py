@@ -172,8 +172,8 @@ def psd_project(rho_hat: np.ndarray) -> np.ndarray:
     spread uniformly over the eigenvalues above it. A stack is repaired
     one eigenvalue column at a time, masked to the matrices negative in
     that column, so each matrix sees the float operations of a repair of
-    it alone. Input without a negative eigenvalue gets the factor of
-    ``linalg.psd_factor``.
+    it alone. Input without a negative eigenvalue gets V sqrt(w), the
+    factor of the reference ``psd_factor`` in ``tests/oracles.py``.
     """
     rho_hat = np.asarray(rho_hat, dtype=complex)
     n = rho_hat.shape[-1]

@@ -34,9 +34,11 @@ and the concurrence of any X-state (complex corners included) is
 XState and XSpectral fields may also be numpy arrays of one shape: such a
 value is a stack of X-states, one per entry, and ``from_spectral``,
 ``canonicalize_spectral``, ``to_spectral``, ``strip_phases``, ``matrix``,
-``concurrence_x``, ``fidelity_x`` (two stacks that broadcast), ``sqrt_x``,
-``concurrence_wootters`` and ``leakage`` work on stacks entry by entry. A
-sweep builds the targets of a whole block of points this way.
+``concurrence_x``, ``fidelity_x`` (two stacks that broadcast), ``sqrt_x``
+and ``leakage`` work on stacks entry by entry, and ``xstate_from_matrix``
+reads a (P, 4, 4) stack of matrices into one. A sweep builds the targets of
+a whole block of points this way, and scores its X-shaped outputs with
+``concurrence_x(xstate_from_matrix(outputs))``, no eigensolver.
 
 Complex corner phases are local: a diagonal unitary
 diag(1, e^{i alpha}) x diag(1, e^{i beta}) removes them without touching
@@ -51,10 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InfeasibleStateError, ShapeError
-from .linalg import PSD_ATOL, SY, cabs, dagger, kron, mathmap, psd_factor
-
-# sy (x) sy, the spin flip of the Wootters concurrence.
-_YY = kron(SY, SY).real
+from .linalg import PSD_ATOL, cabs, mathmap
 
 # Row/column index pairs that must vanish for a matrix to be X-shaped.
 NON_X_INDICES = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
@@ -237,27 +236,6 @@ def sqrt_x(x: XState) -> XState:
     return XState(**out)
 
 
-def concurrence_wootters(rho: np.ndarray):
-    """Concurrence of an arbitrary two-qubit density matrix, or of each
-    matrix of a (..., 4, 4) stack.
-
-    With Y = sy x sy and the spin-flipped state Y conj(rho) Y, the
-    concurrence is max(0, s1 - s2 - s3 - s4) over the decreasing square
-    roots s_i of the eigenvalues of rho Y conj(rho) Y. Factoring rho = L L+
-    makes them the singular values of L+ Y conj(L), which stay accurate
-    when rho is rank deficient; factor and singular values come from
-    LAPACK. The test oracle ``concurrence_wootters_oracle`` takes the same
-    route with the Jacobi eigensolver.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ContractError("concurrence_wootters expects 4x4 density matrices")
-    factor = psd_factor(rho, "concurrence_wootters")
-    lam = np.linalg.svd(dagger(factor) @ _YY @ factor.conj(), compute_uv=False)
-    # Singular values are >= +0.0, so the difference is never -0.0 either.
-    return np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
-
-
 def leakage(rho: np.ndarray):
     """Sum of absolute values of the eight entries outside the X shape, of
     a matrix or of each matrix of a (..., 4, 4) stack."""
@@ -269,22 +247,19 @@ def leakage(rho: np.ndarray):
 
 
 def xstate_from_matrix(rho: np.ndarray) -> XState:
-    """Read the six X entries off a matrix, rejecting input whose leakage
-    exceeds 1e-9."""
+    """Read the six X entries off a matrix, or off each matrix of a
+    (P, 4, 4) stack, rejecting input whose leakage exceeds 1e-9: the
+    ShapeError names the first such point of a stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ContractError("xstate_from_matrix expects a 4x4 matrix")
-    leak = leakage(rho)
-    if leak > 1e-9:
-        raise ShapeError(f"matrix is not X-shaped (leakage {leak:.3e})", leak)
-    return XState(
-        a=rho[0, 0].real,
-        b=rho[1, 1].real,
-        c=rho[2, 2].real,
-        d=rho[3, 3].real,
-        w=complex(rho[0, 3]),
-        z=complex(rho[1, 2]),
-    )
+    if rho.shape[-2:] != (4, 4) or rho.ndim > 3:
+        raise ContractError("xstate_from_matrix expects a 4x4 matrix or a (P, 4, 4) stack")
+    leak = np.ravel(leakage(rho))
+    bad = np.flatnonzero(leak > 1e-9)
+    if bad.size:
+        where = f" at point {bad[0]}" if rho.ndim == 3 else ""
+        raise ShapeError(f"matrix{where} is not X-shaped (leakage {leak[bad[0]]:.3e})", leak[bad[0]])
+    a, b, c, d = (rho[..., k, k].real[()] for k in range(4))
+    return XState(a=a, b=b, c=c, d=d, w=rho[..., 0, 3][()], z=rho[..., 1, 2][()])
 
 
 def strip_phases(x: XState):

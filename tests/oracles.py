@@ -8,8 +8,9 @@ and the Wootters concurrence ``concurrence_wootters_oracle``) check that
 code from the outside: they must not share code with the implementations
 they validate, and nothing in ``xsim`` calls them.
 
-Two LAPACK routes the sweeps no longer run stay here as references:
-``fidelity``, the SVD fidelity of two factored states, and
+Three LAPACK routes the sweeps no longer run stay here as references:
+``psd_factor``, the eigendecomposition factor L of a state rho = L L^dagger,
+``fidelity``, the SVD fidelity of two states so factored, and
 ``psd_project_matrix``, the repaired matrix that ``tomography.psd_project``
 now hands on as a factor.
 
@@ -53,7 +54,7 @@ import numpy as np
 from xsim.circuits import _PREP_OPS, Circuit, XUnitaryParams, build_xstate_circuit, eigenbasis_block
 from xsim.errors import ContractError, DimensionError, InfeasibleStateError
 from xsim.heisenberg import HeisenbergParams
-from xsim.linalg import I2, PSD_ATOL, SX, SY, _square, dagger, is_hermitian, kron, psd_factor
+from xsim.linalg import HERMITIAN_ATOL, I2, PSD_ATOL, SX, SY, _square, dagger, is_hermitian, kron
 from xsim.xstate import XSpectral, XState
 
 _DIMS = (2, 4, 16)
@@ -146,6 +147,21 @@ def fidelity_oracle(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
+def psd_factor(m: np.ndarray, who: str) -> np.ndarray:
+    """A factor L with m = L L^dagger, from the LAPACK eigendecomposition;
+    a stack of matrices gives the stack of their factors.
+
+    Raises ContractError when a matrix is not Hermitian or has an
+    eigenvalue below -PSD_ATOL; eigenvalues in between are clamped to zero.
+    """
+    if not is_hermitian(m):
+        raise ContractError(f"{who}: input is not Hermitian within {HERMITIAN_ATOL}")
+    w, v = np.linalg.eigh(m)
+    if w.min() < -PSD_ATOL:
+        raise ContractError(f"{who}: input is not positive semidefinite")
+    return v * np.sqrt(w.clip(0.0, None))[..., None, :]
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray):
     """Squared-Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 by the
     LAPACK SVD route, the full-tomography score the sweeps used before they
@@ -154,7 +170,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray):
     Symmetric in its arguments and equal to |<psi|phi>|^2 on pure states;
     against the maximally mixed two-qubit state any pure state scores 1/4.
     Computed as the squared sum of the singular values of L_rho^dagger
-    L_sigma for factors rho = L_rho L_rho^dagger (``linalg.psd_factor``),
+    L_sigma for factors rho = L_rho L_rho^dagger (``psd_factor``),
     which equals the trace above without taking square roots of the
     near-zero eigenvalues of sqrt(rho) sigma sqrt(rho): a rank-deficient
     state scores 1 against itself to roundoff, where that route is off by

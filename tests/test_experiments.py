@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from goldens import GOLDEN_PATH
 from oracles import circuit_unitary
 from xsim.circuits import Circuit, build_xstate_circuit, run_stack
 from xsim.cli import main
-from xsim.errors import ConfigError
+from xsim.errors import ConfigError, ShapeError
 from xsim.experiments import (
     ExperimentResult,
     _couplings,
@@ -35,7 +36,7 @@ from xsim.linalg import dagger
 from xsim.noise import NoiseModel
 from xsim.rng import multinomial_counts
 from xsim.tomography import FULL, PARTIAL3, PARTIAL5, reconstruct_full, reconstruct_x3, reconstruct_x5
-from xsim.xstate import XSpectral, XState, concurrence_wootters, concurrence_x, fidelity_x, from_spectral, leakage, sqrt_x
+from xsim.xstate import XSpectral, XState, concurrence_x, fidelity_x, from_spectral, leakage, sqrt_x, xstate_from_matrix
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
 XSTATE_TARGET = {"kind": "xstate", "a": 0.4, "b": 0.15, "c": 0.25, "d": 0.2,
@@ -164,6 +165,38 @@ def test_tetra_sweep_small_grid():
     assert vertex[4] == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
     for row in res.rows:
         assert row[5] <= row[4] + 1e-9
+
+
+def test_exact_zero_noise_bell_diagonal_tetra_sweep():
+    # At theta = phi = pi/4 each simplex point is a Bell-diagonal state, with
+    # concurrence max(0, 2 p_max - 1); cos^2(pi/4) is 1/2 only to one ulp.
+    _, res = run_experiment("tetra_sweep", {"theta": math.pi / 4, "phi": math.pi / 4,
+                                            "exact": True, "noise": ZERO_NOISE})
+    want = np.maximum(0.0, 2.0 * res.rows[:, :4].max(axis=1) - 1.0)
+    np.testing.assert_array_max_ulp(res.rows[:, 4], want, maxulp=1)
+    assert np.abs(res.rows[:, 5] - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("experiment, params, leaky", [
+    ("tetra_sweep", {"shots": 50}, 70),
+    ("xprep_single", {"target": XSTATE_TARGET}, 0),
+])
+def test_an_output_off_the_x_shape_is_a_contract_violation(tmp_path, capsys, monkeypatch, experiment, params, leaky):
+    # The simulated concurrences are scored in closed form, which holds only
+    # for X-shaped outputs; an output that left the shape must stop the run.
+    def leaking(circuits, keep, gate_noise=None):
+        pairs = run_stack(circuits, keep, gate_noise)
+        if gate_noise is not None:
+            pairs[leaky, 0, 1] = pairs[leaky, 1, 0] = 1e-3
+        return pairs
+
+    monkeypatch.setattr(experiments, "run_stack", leaking)
+    where = f" at point {leaky}" if experiment == "tetra_sweep" else ""
+    with pytest.raises(ShapeError, match=f"^matrix{where} is not X-shaped \\(leakage 2\\.000e-03\\)$"):
+        run_experiment(experiment, params)
+    config = _write_config(tmp_path, {"params": params}, "leak.json")
+    assert main([experiment, "--config", config, "--format", "json"]) == 3
+    assert "is not X-shaped" in capsys.readouterr().err
 
 
 def test_time_grid_bounds():
@@ -925,7 +958,7 @@ def _per_point_rows(experiment, params):
         draw = (params["shots"], params["seed"], index, nm.p_readout, params["exact"])
         if experiment == "tetra_sweep":
             c_shot = concurrence_x(reconstruct_x3(tomography.measure_block(pair[None], PARTIAL3, *draw)[0]))
-            rows.append((*p, concurrence_x(target), concurrence_wootters(pair), c_shot))
+            rows.append((*p, concurrence_x(target), concurrence_x(xstate_from_matrix(pair)), c_shot))
         elif experiment.endswith("conc"):
             settings, reconstruct = (PARTIAL5, reconstruct_x5) if experiment == "field_conc" else (PARTIAL3, reconstruct_x3)
             estimate = reconstruct(tomography.measure_block(pair[None], settings, *draw)[0])
@@ -1012,3 +1045,40 @@ def test_fidelity_sweep_reconstructs_partial3_only_without_field(experiment, par
     _, result = run_experiment(experiment, {"time_points": 70, "shots": 50})
     assert ("f_partial3" in result.columns) == partial3
     assert (len(calls) > 0) == partial3
+
+
+_LINALG = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "inv")
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the calls to numpy.linalg's decompositions and inverse."""
+    calls = Counter()
+    for name in _LINALG:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("tetra_sweep", {}),
+    ("heisenberg_conc", {}),
+    ("field_conc", {}),
+    ("xprep_single", {"target": XSTATE_TARGET}),
+    ("xprep_single", {"target": {"kind": "spectral", "p": [0.45, 0.3, 0.15, 0.1], "theta": 0.4, "phi": 1.1}}),
+])
+def test_concurrence_runs_call_no_eigensolver(experiment, params, linalg_calls):
+    # Every concurrence is scored in closed form, the simulated ones included.
+    run_experiment(experiment, params)
+    assert dict(linalg_calls) == {}
+
+
+@pytest.mark.parametrize("points", [64, 300])
+@pytest.mark.parametrize("experiment", ["heisenberg_fidelity", "field_fidelity"])
+def test_fidelity_sweeps_make_one_eigh_and_one_svd_per_block(experiment, points, linalg_calls):
+    # psd_project's eigh of the full estimates and the SVD that scores f_full
+    run_experiment(experiment, {"time_points": points})
+    blocks = -(-points // experiments._BLOCK)
+    assert dict(linalg_calls) == {"eigh": blocks, "svd": blocks}

@@ -40,7 +40,7 @@ from xsim.noise import (
     phase_damping_kraus,
 )
 from xsim.tomography import FULL, psd_project, setting_probabilities
-from xsim.xstate import concurrence_wootters
+from xsim.xstate import XSpectral, XState, concurrence_x, from_spectral, leakage, xstate_from_matrix
 
 ZERO_NOISE = {"p_depol_1q": 0, "p_depol_2q": 0, "gamma_ad": 0, "gamma_pd": 0, "p_readout": 0}
 
@@ -237,13 +237,37 @@ def test_fidelity_matches_jacobi_oracle():
 
 
 def test_concurrence_matches_wootters_oracle():
+    # the closed form on X-states of each rank, corners of random phase
     rng = np.random.default_rng(61)
     for rank in (1, 1, 2, 3, 4, 4):
-        rho = random_state(rng, 4, rank)
-        assert concurrence_wootters(rho) == pytest.approx(concurrence_wootters_oracle(rho), abs=1e-12)
-    bell = np.zeros((4, 4), dtype=complex)
-    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-    assert concurrence_wootters(bell) == pytest.approx(1.0, abs=1e-14)
+        p = np.zeros(4)
+        p[rng.permutation(4)[:rank]] = rng.dirichlet(np.ones(rank))
+        x = from_spectral(XSpectral(*p, *rng.uniform(0.0, np.pi / 2, size=2)))
+        w, z = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=2)) * (x.w, x.z)
+        x = XState(x.a, x.b, x.c, x.d, w, z)
+        assert concurrence_x(x) == pytest.approx(concurrence_wootters_oracle(x.matrix()), abs=1e-12)
+    # the four Bell states, read off their matrices
+    for i, j in ((0, 3), (1, 2)):
+        for sign in (1.0, -1.0):
+            bell = np.zeros((4, 4), dtype=complex)
+            bell[i, i] = bell[j, j] = 0.5
+            bell[i, j] = bell[j, i] = 0.5 * sign
+            assert concurrence_x(xstate_from_matrix(bell)) == pytest.approx(1.0, abs=1e-14)
+            assert concurrence_wootters_oracle(bell) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("noise", [None, ZERO_NOISE, {name: 0.3 for name in ("p_depol_1q", "p_depol_2q", "gamma_ad", "gamma_pd")}],
+                         ids=["default", "zero", "rates_0.3"])
+def test_c_noisy_sim_matches_the_wootters_oracle_on_leak_free_outputs(noise):
+    # The closed form scores the outputs because the noise keeps them X-shaped:
+    # their leakage is exactly zero, and the Jacobi route on the full matrix agrees.
+    params, result = run_experiment("tetra_sweep", {"shots": 50, "noise": noise})
+    circuits = tuple(circ for _, circ in result.circuits())
+    pairs = run_stack(circuits, (2, 3), params["noise"].gate_noise)
+    assert leakage(pairs).tolist() == [0.0] * len(pairs)
+    c_noisy_sim = result.rows[:, result.columns.index("c_noisy_sim")]
+    oracle = [concurrence_wootters_oracle(pair) for pair in pairs]
+    np.testing.assert_allclose(c_noisy_sim, oracle, rtol=0, atol=1e-12)
 
 
 def _psd_project_oracle(rho_hat):

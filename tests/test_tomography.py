@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_xstate, random_xstate_raw
-from oracles import fidelity, psd_project_matrix, substream
+from oracles import fidelity, psd_factor, psd_project_matrix, substream
 from xsim.errors import ContractError, ProtocolError
 from xsim.experiments import run_experiment
-from xsim.linalg import PAULI, dagger, kron, psd_factor
+from xsim.linalg import PAULI, dagger, kron
 from xsim.rng import multinomial_counts
 from xsim.xstate import strip_phases
 from xsim.tomography import (

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import checked_spectral, random_spectral, random_xstate, random_xstate_raw
-from oracles import concurrence_wootters_oracle, fidelity, fidelity_oracle, sqrtm_psd
+from oracles import concurrence_wootters_oracle, fidelity, fidelity_oracle, psd_factor, sqrtm_psd
 from xsim.errors import ContractError, ShapeError
 from xsim.experiments import _couplings, _field_block, _parse_target, _time_grid, _zero_field_block, resolve_params
-from xsim.linalg import PSD_ATOL, psd_factor
+from xsim.linalg import PSD_ATOL
 from xsim.xstate import (
     XSpectral,
     XState,
@@ -309,6 +309,49 @@ def test_leakage_and_xstate_from_matrix():
     with pytest.raises(ShapeError) as err:
         xstate_from_matrix(rho)
     assert err.value.leakage == pytest.approx(1.0, abs=1e-14)
+
+
+def test_xstate_from_matrix_reads_a_stack_as_its_matrices_one_by_one():
+    rng = np.random.default_rng(43)
+    matrices = np.array([random_xstate_raw(rng).matrix() for _ in range(7)])
+    stacked = xstate_from_matrix(matrices)
+    singles = [xstate_from_matrix(m) for m in matrices]
+    for name in ("a", "b", "c", "d", "w", "z"):
+        assert getattr(stacked, name).tolist() == [getattr(x, name) for x in singles]
+    assert concurrence_x(stacked).tolist() == [concurrence_x(x) for x in singles]
+    one = xstate_from_matrix(matrices[:1])
+    assert one.w.shape == (1,) and one.w[0] == singles[0].w
+
+
+def test_xstate_from_matrix_names_the_first_point_beyond_the_leakage_bound():
+    rng = np.random.default_rng(47)
+    matrices = np.array([random_xstate_raw(rng).matrix() for _ in range(5)])
+    matrices[1, 0, 1] = matrices[1, 1, 0] = 4e-10  # leakage 8e-10, inside the bound
+    matrices[3, 0, 2] = matrices[3, 2, 0] = 1e-9  # leakage 2e-9, the first one beyond it
+    matrices[4, 1, 3] = 0.25
+    xstate_from_matrix(matrices[:3])
+    with pytest.raises(ShapeError, match=r"^matrix at point 3 is not X-shaped \(leakage 2\.000e-09\)$") as err:
+        xstate_from_matrix(matrices)
+    assert err.value.leakage == leakage(matrices[3])
+    with pytest.raises(ShapeError, match=r"^matrix is not X-shaped \(leakage 2\.500e-01\)$"):
+        xstate_from_matrix(matrices[4])
+    for bad in (np.eye(3), np.eye(4)[0], np.zeros((2, 2, 4, 4))):
+        with pytest.raises(ContractError, match=r"expects a 4x4 matrix or a \(P, 4, 4\) stack"):
+            xstate_from_matrix(bad)
+
+
+def test_bell_diagonal_concurrence_is_twice_the_largest_weight_less_one():
+    # At theta = phi = pi/4 the four basis states are the Bell states, and the
+    # concurrence of a Bell-diagonal state is max(0, 2 p_max - 1).
+    rng = np.random.default_rng(53)
+    off = []
+    for _ in range(200):
+        p = rng.dirichlet(np.ones(4))
+        want = max(0.0, 2.0 * p.max() - 1.0)
+        assert abs(concurrence_x(from_spectral(XSpectral(*p, math.pi / 4, math.pi / 4))) - want) <= 1e-15
+        off.append(abs(concurrence_x(from_spectral(XSpectral(*p, math.pi / 4, 0.0))) - want))
+    # at phi = 0 the second sector is diagonal, so the form pins the angle convention
+    assert max(off) > 0.1
 
 
 def test_strip_phases_round_trip():
