@@ -23,7 +23,12 @@ list once (``_plan``), and stacks a group's angle rows into one float64
 table of shape (P, n_rot): a column that is constant gives one shared
 matrix, any other column a (P, 2, 2) stack, both from one array pass of
 numpy's ``cos`` and ``sin`` that equals the scalar ``math``/``cmath`` rows
-bit for bit. The preparation builders take a block of points too: IEEE
+bit for bit. The steps up to the trace of the last qubit not kept are the
+group's ancilla stage. In a group of at least ``_SHARE_FROM`` circuits,
+points whose angles up to there are equal bit for bit share one evolution
+of it, and each takes a copy of its state: a time sweep's stage depends
+only on its initial populations, so it runs a few times per op list, not
+once per point. The preparation builders take a block of points too: IEEE
 arithmetic, ``sqrt``, ``cos`` and ``sin`` run as numpy array passes, and
 ``asin``, ``atan2`` and float squares are ``math`` functions mapped over
 the block (``linalg.mathmap``), since numpy's arcsin, arctan2 and square
@@ -103,10 +108,13 @@ class Circuit(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _plan(width: int, ops: tuple) -> tuple:
-    """(number of rotations, steps) of an op list, checked once per list.
-    A step is (kind, qubits, angle column or None, the qubits whose last
-    gate it is)."""
+def _plan(width: int, ops: tuple, keep: tuple) -> tuple:
+    """(number of rotations, steps, stage, stage rotations) of an op list
+    run for ``keep``, checked once per list. A step is (kind, qubits, angle
+    column or None, the qubits whose last gate it is). The ancilla stage,
+    ``steps[:stage]``, ends with the trace of the last qubit outside ``keep``
+    (it is empty when ``keep`` covers every qubit) and reads the first
+    ``stage rotations`` angle columns."""
     if not 1 <= width <= 4:
         raise DimensionError(f"circuit width {width} unsupported")
     last, n_rot, columns = {}, 0, []
@@ -125,7 +133,26 @@ def _plan(width: int, ops: tuple) -> tuple:
         last.update((q, index) for q in qubits)
     steps = tuple((kind, qubits, column, tuple(q for q in qubits if last[q] == index))
                   for index, ((kind, qubits), column) in enumerate(zip(ops, columns)))
-    return n_rot, steps
+    stage = max((index + 1 for index, step in enumerate(steps) if set(step[3]) - set(keep)), default=0)
+    return n_rot, steps, stage, sum(column is not None for column in columns[:stage])
+
+
+# Smaller groups run their ancilla stage per point: there the bookkeeping costs
+# more than the contractions it saves (break-even about 6 points, numpy 2.4).
+_SHARE_FROM = 8
+
+
+def _distinct_rows(table: np.ndarray):
+    """(pick, owner) of a (P, m > 0) float table: the first row of each bit
+    pattern, and for each row the position of its pattern in ``pick``; None
+    when no two rows are equal bit for bit. Rows are keyed by their bytes,
+    so -0.0 and 0.0 stay apart."""
+    keys = np.ascontiguousarray(table).view(f"V{8 * table.shape[1]}").ravel().tolist()
+    first = dict(zip(keys[::-1], range(len(keys) - 1, -1, -1)))
+    if len(first) == len(keys):
+        return None
+    rank = {key: r for r, key in enumerate(first)}
+    return list(first.values()), list(map(rank.__getitem__, keys))
 
 
 def _enter(state: np.ndarray, live: list, qubits) -> np.ndarray:
@@ -162,34 +189,42 @@ def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
     (``NoiseModel.gate_noise``); it is composed into each gate's
     superoperator, so a noisy gate is one contraction. Circuits of equal
     width and ops share one gate loop over the table of their angles, with
-    one operator per gate where the column is constant and a stack of them
-    elsewhere, so each state gets the arithmetic of its own run.
+    one operator per gate where the column is constant (built once per call
+    for each angle) and a stack of them elsewhere. In a group of at least
+    ``_SHARE_FROM`` circuits, the ancilla stage, the steps up to the trace
+    of the last qubit outside ``keep``, runs once per distinct prefix of
+    angle rows, compared by their bits so that -0.0 and 0.0 differ, and
+    each circuit takes a copy of its prefix's state. So each state gets the
+    arithmetic of its own run.
     """
     keep = sorted(set(int(q) for q in keep))
     k, gate_noise = len(keep), gate_noise or {1: None, 2: None}
     out = np.empty((len(circuits), 2**k, 2**k), dtype=complex)
-    groups, fixed = {}, {}  # fixed: kind -> superoperator of a parameter-free gate and its noise
+    groups, fixed = {}, {}  # fixed: kind, or (kind, angle bits) of a constant column -> superoperator
     for index, c in enumerate(circuits):
         groups.setdefault((c.width, c.ops), []).append(index)
     for (width, ops), members in groups.items():
-        n_rot, steps = _plan(width, ops)
+        n_rot, steps, stage, stage_rot = _plan(width, ops, tuple(keep))
         if not keep or keep[0] < 0 or keep[-1] >= width:
             raise DimensionError(f"keep={keep} invalid for circuit width {width}")
         rows = [circuits[i].angles for i in members]
         if any(len(row) != n_rot for row in rows):
             raise ContractError(f"a circuit of {n_rot} rotations needs {n_rot} angles")
         table = np.array(rows, dtype=float).reshape(len(members), n_rot)
-        shared = (table == table[0]).all(axis=0)
-        state, live = np.ones(len(members), dtype=complex), []
-        for kind, qubits, column, frees in steps:
+        shared, bits = (table == table[0]).all(axis=0), table[0].view(np.int64).tolist()
+        sharing = _distinct_rows(table[:, :stage_rot]) if stage_rot and len(members) >= _SHARE_FROM else None
+        angles = table[sharing[0]] if sharing else table
+        state, live = np.ones(len(angles), dtype=complex), []
+        for index, (kind, qubits, column, frees) in enumerate(steps):
             state = _enter(state, live, qubits)
-            if column is None:
-                if kind not in fixed:
-                    fixed[kind] = _gate_superop(_FIXED[kind], gate_noise[len(qubits)])
-                s = fixed[kind]
+            if column is not None and not shared[column]:
+                s = _gate_superop(rotation_stack(kind, angles[:, column]), gate_noise[1])
             else:
-                u = rotation_stack(kind, table[:1 if shared[column] else None, column])
-                s = _gate_superop(u[0] if shared[column] else u, gate_noise[1])
+                key = kind if column is None else (kind, bits[column])
+                if key not in fixed:
+                    u = _FIXED[kind] if column is None else rotation_stack(kind, table[:1, column])[0]
+                    fixed[key] = _gate_superop(u, gate_noise[len(qubits)])
+                s = fixed[key]
             at = [live.index(q) for q in qubits]
             state = apply_local(state, s, at + [len(live) + a for a in at])
             for q in frees:
@@ -197,6 +232,8 @@ def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
                     a = live.index(q)
                     state = np.trace(state, axis1=1 + a, axis2=1 + len(live) + a)
                     live.remove(q)
+            if sharing and index + 1 == stage:  # the shared stage is done: each point takes its state
+                state, angles = state[sharing[1]], table
         state = _enter(state, live, keep)
         at = [1 + live.index(q) for q in keep]
         state = state.transpose([0] + at + [k + a for a in at])
