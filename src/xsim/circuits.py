@@ -29,11 +29,11 @@ points whose angles up to there are equal bit for bit share one evolution
 of it, and each takes a copy of its state: a time sweep's stage depends
 only on its initial populations, so it runs a few times per op list, not
 once per point. The preparation builders take a block of points too: IEEE
-arithmetic, ``sqrt``, ``cos`` and ``sin`` run as numpy array passes, and
-``asin``, ``atan2`` and float squares are ``math`` functions mapped over
-the block (``linalg.mathmap``), since numpy's arcsin, arctan2 and square
-can differ from them in the last bit, which would move the floats of the
-rows and the circuit dumps. ``to_json`` writes a circuit for the
+arithmetic, ``sqrt``, ``cos`` and ``sin`` run as numpy array passes, float
+squares are IEEE products, and ``asin`` and ``atan2`` are ``math``
+functions mapped over the block (``linalg.mathmap``), since numpy's arcsin
+and arctan2 can differ from them in the last bit, which would move the
+floats of the rows and the circuit dumps. ``to_json`` writes a circuit for the
 ``--dump-circuit`` sidecar; the program reads no circuit JSON back.
 
 The X-state preparation circuit acts on four qubits. A first block turns

@@ -18,9 +18,9 @@ the propagator factors into two 2x2 rotors
     u = cos(xi t) - i (B/xi) sin(xi t),    c = -i (Jk/xi) sin(xi t)
 
 on the even pair (primed analogs with (b, J, eta) on the odd pair), the even
-block carrying phase e^{-i Jz t/2} and the odd block e^{+i Jz t/2}. The
-sin(xi t)/xi ratio is evaluated through a sinc so xi = 0 and eta = 0 are
-exact, not special cases.
+block carrying phase e^{-i Jz t/2} and the odd block e^{+i Jz t/2}. A rotor
+takes cos and sin of one phase x = xi t, and sin(xi t)/xi as t sin(x)/x, so
+xi = 0 and eta = 0 are exact, not special cases.
 
 Every quantity of the dynamics has one closed form built on these rotors.
 ``evolve_diagonal`` evolves any state diagonal in the computational basis
@@ -44,7 +44,6 @@ import numpy as np
 
 from .circuits import XUnitaryParams
 from .errors import ContractError
-from .linalg import cabs, mathmap, pow2
 from .xstate import XState
 
 
@@ -86,13 +85,13 @@ def _rotor(delta: float, coupling: float, ts) -> tuple:
     """(u, c) of the block propagator exp(-i t [[delta, coupling], [coupling, -delta]])
     at each time of ``ts``, as complex arrays of its shape."""
     r = math.hypot(delta, coupling)
-    # t sin(r t) / (r t) as t * numpy.sinc(r t / pi), with numpy's scalar
-    # steps spelled out; x = 0 (-0.0 included) takes the epsilon
-    x = math.pi * (r * ts / math.pi)
+    # cos and sin of one phase x = r t; sin(r t) / r is t sin(x) / x, and
+    # x = 0 (-0.0 included, or an r t that underflows) takes the epsilon
+    x = r * ts
     x = np.where(x == 0.0, sys.float_info.epsilon, x)
     sin_over_r = ts * (np.sin(x) / x)
     uc = np.zeros((2,) + np.shape(ts), dtype=complex)
-    uc.real[0], uc.imag = np.cos(r * ts), (-delta * sin_over_r, -coupling * sin_over_r)
+    uc.real[0], uc.imag = np.cos(x), (-delta * sin_over_r, -coupling * sin_over_r)
     return uc[0, ...], uc[1, ...]
 
 
@@ -108,7 +107,8 @@ def evolve_diagonal(p: HeisenbergParams, populations, ts) -> XState:
         raise ContractError("populations must be a probability vector")
     u, c = _rotor(p.B, p.j_kappa, ts)
     up, cp = _rotor(p.b, p.j, ts)
-    uu, cc, uup, ccp = mathmap(pow2, cabs(np.array([u, c, up, cp])))
+    m = np.array([u, c, up, cp])
+    uu, cc, uup, ccp = m.real * m.real + m.imag * m.imag
     return XState(
         a=n00 * uu + n11 * cc,
         b=n01 * uup + n10 * ccp,

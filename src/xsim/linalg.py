@@ -60,14 +60,10 @@ def cabs(z) -> np.ndarray:
 
 def mathmap(fn, *arrays) -> np.ndarray:
     """A function of Python floats, such as ``math.atan2``, mapped over
-    float arrays of one shape; numpy's arctan2, arcsin and square can
-    differ from ``math`` and ``pow2`` in the last bit."""
+    float arrays of one shape; numpy's arctan2 and arcsin can differ from
+    ``math`` in the last bit."""
     lists = (np.ravel(a).tolist() for a in arrays)
     return np.array(list(map(fn, *lists)), dtype=float).reshape(np.shape(arrays[0]))
-
-
-# x ** 2 of a float as CPython computes it, through C pow, which is not always x * x
-pow2 = (2.0).__rpow__
 
 
 def _square(m: np.ndarray, who: str) -> np.ndarray:

@@ -28,6 +28,9 @@ The other references are what the program does not run:
   ``k`` is its column ``k``,
 * ``partial_trace``, one einsum over the whole register, against which the
   executor's reduced states are checked,
+* ``rotor_decimal`` and ``evolve_diagonal_decimal``, the closed form of the
+  dynamics to 40 digits in the stdlib's ``decimal``, against which
+  ``heisenberg._rotor`` and ``evolve_diagonal`` are held to error budgets,
 * ``build_xstate_circuit_alt``, the three-CNOT preparation whose output is
   that of ``circuits.build_xstate_circuit`` at phi -> pi/2 - phi,
 * ``relative_phase``, for unitaries equal up to a global phase,
@@ -48,6 +51,8 @@ import cmath
 import math
 import string
 import sys
+from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 
@@ -429,11 +434,11 @@ def substream(seed: int, stream: int) -> np.random.Generator:
 
 def rotor_scalar(delta: float, coupling: float, t: float) -> tuple:
     """(u, c) of exp(-i t [[delta, coupling], [coupling, -delta]]) from
-    scalar math calls, sin(r t)/r as t * numpy.sinc(r t / pi)."""
+    scalar math calls on one phase x = r t, sin(r t)/r as t sin(x)/x."""
     r = math.hypot(delta, coupling)
-    x = math.pi * (r * t / math.pi) or sys.float_info.epsilon
+    x = r * t or sys.float_info.epsilon
     sin_over_r = t * (math.sin(x) / x)
-    u = complex(math.cos(r * t), -delta * sin_over_r)
+    u = complex(math.cos(x), -delta * sin_over_r)
     c = complex(0.0, -coupling * sin_over_r)
     return u, c
 
@@ -445,11 +450,12 @@ def evolve_diagonal_scalar(p: HeisenbergParams, populations, t: float) -> XState
         raise ContractError("populations must be a probability vector")
     u, c = rotor_scalar(p.B, p.j_kappa, t)
     up, cp = rotor_scalar(p.b, p.j, t)
+    uu, cc, uup, ccp = (m.real * m.real + m.imag * m.imag for m in (u, c, up, cp))
     return XState(
-        a=n00 * abs(u) ** 2 + n11 * abs(c) ** 2,
-        b=n01 * abs(up) ** 2 + n10 * abs(cp) ** 2,
-        c=n01 * abs(cp) ** 2 + n10 * abs(up) ** 2,
-        d=n00 * abs(c) ** 2 + n11 * abs(u) ** 2,
+        a=n00 * uu + n11 * cc,
+        b=n01 * uup + n10 * ccp,
+        c=n01 * ccp + n10 * uup,
+        d=n00 * cc + n11 * uu,
         w=(n11 - n00) * u * c,
         z=(n10 - n01) * up * cp,
     )
@@ -520,3 +526,72 @@ def build_complex_xstate_circuit_scalar(x: XState) -> tuple:
         if abs(phase) > 1e-14:
             ops, angles = ops + (("rz", (qubit,)),), angles + (-phase,)
     return Circuit(width, ops, angles), spectral, (alpha, beta)
+
+
+# A 40-digit reference of the closed form of the dynamics, in the stdlib's
+# decimal: series sine and cosine after reduction by 2 pi. Its inputs are
+# the exact binary values of the floats it is given, so what it measures
+# includes the rounding of every float step, the phase r t among them.
+
+DIGITS = 40
+
+
+@lru_cache(maxsize=None)
+def _pi_decimal(digits: int) -> Decimal:
+    """pi to ``digits`` digits, by the series of the arcsine at 1/2:
+    pi = 6 asin(1/2) = 3 sum_k (2k)! / (16^k (k!)^2 (2k + 1))."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        total, term, k = Decimal(0), Decimal(3), 0
+        while total + term != total:
+            total += term
+            k += 1
+            term = term * (2 * k - 1) * (2 * k - 1) / (8 * k * (2 * k + 1))
+        return total
+
+
+def _cos_sin_decimal(x: Decimal) -> tuple:
+    """(cos x, sin x) to the current precision: x reduced into [-pi, pi]
+    with a pi carrying as many more digits as x has before its point, then
+    the Taylor terms x^n / n! summed by n mod 4."""
+    with localcontext() as ctx:
+        ctx.prec += max(0, x.adjusted()) + 5
+        two_pi = 2 * _pi_decimal(ctx.prec)
+        y = x - two_pi * (x / two_pi).to_integral_value()
+        eps = Decimal(10) ** -(ctx.prec + 2)
+        terms = [Decimal(1)]
+        while len(terms) < 2 or abs(terms[-1]) > eps:
+            terms.append(terms[-1] * y / len(terms))
+        cos, sin = sum(terms[0::4]) - sum(terms[2::4]), sum(terms[1::4]) - sum(terms[3::4])
+    return +cos, +sin
+
+
+def rotor_decimal(delta: float, coupling: float, t: float) -> tuple:
+    """(Re u, Im u, Im c) of exp(-i t [[delta, coupling], [coupling, -delta]])
+    to DIGITS digits, with r = sqrt(delta^2 + coupling^2) and the phase r t
+    taken exactly from the float inputs; Re c is zero."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        delta, coupling, t = Decimal(delta), Decimal(coupling), Decimal(t)
+        r = (delta * delta + coupling * coupling).sqrt()
+        cos, sin = _cos_sin_decimal(r * t)
+        sin_over_r = sin / r if r else t
+        return cos, -delta * sin_over_r, -coupling * sin_over_r
+
+
+def evolve_diagonal_decimal(p: HeisenbergParams, populations, t: float) -> dict:
+    """``heisenberg.evolve_diagonal`` at one time to DIGITS digits, as a dict
+    of the X entries a, b, c, d and the corner parts w_re, w_im, z_re, z_im."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        n00, n01, n10, n11 = (Decimal(float(v)) for v in populations)
+        ur, ui, ci = rotor_decimal(p.B, p.j_kappa, t)
+        upr, upi, cpi = rotor_decimal(p.b, p.j, t)
+        uu, cc, uup, ccp = ur * ur + ui * ui, ci * ci, upr * upr + upi * upi, cpi * cpi
+        # u c with c = i Im c, so Re(u c) = -Im u Im c and Im(u c) = Re u Im c
+        return {
+            "a": n00 * uu + n11 * cc, "b": n01 * uup + n10 * ccp,
+            "c": n01 * ccp + n10 * uup, "d": n00 * cc + n11 * uu,
+            "w_re": (n11 - n00) * -ui * ci, "w_im": (n11 - n00) * ur * ci,
+            "z_re": (n10 - n01) * -upi * cpi, "z_im": (n10 - n01) * upr * cpi,
+        }

@@ -99,7 +99,7 @@ EDGE_CONFIGS = [
 @pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity",
                                         "field_fidelity"])
 def test_default_blocks_equal_the_scalar_routes_bit_for_bit(experiment):
-    # every time grid starts at t = 0, where the sinc takes its epsilon
+    # every time grid starts at t = 0, where the rotor phase takes its epsilon
     assert_block_equals_scalar(experiment, {})
 
 

@@ -11,6 +11,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import prepare
 from goldens import GOLDEN_PATH
@@ -213,6 +215,56 @@ def test_time_grid_bounds():
     assert [r[0] for r in res2.rows][-1] == pytest.approx(3.0)
     with pytest.raises(ConfigError):
         run_experiment("heisenberg_conc", {"t_max": -1.0})
+
+
+def _scores(result) -> np.ndarray:
+    """The concurrence and fidelity columns of a sweep."""
+    return result.rows[:, [i for i, c in enumerate(result.columns) if c.startswith(("c_", "f_"))]]
+
+
+@pytest.mark.parametrize("experiment", ["field_conc", "field_fidelity"])
+def test_exact_field_sweeps_run_to_long_times(experiment):
+    # with the sine and the cosine of two roundings of one phase, the rotor's
+    # |u|^2 + |c|^2 - 1 grew to 1.9e-9 by t = 1e7, and a preparation weight
+    # fell below zero: this exited 3
+    _, result = run_experiment(experiment, {"t_max": 1e7, "time_points": 300, "exact": True})
+    scores = _scores(result)
+    assert scores.shape == (300, 2)
+    assert ((scores >= 0.0) & (scores <= 1.0 + 1e-12)).all()
+
+
+@st.composite
+def valid_field_configs(draw):
+    """A field sweep and a valid config of it: couplings of any scale from
+    1e-12 to 1e12, times from 1e-8 to 1e9, pure and mixed sector weights."""
+    scale = 10.0 ** draw(st.floats(-12.0, 12.0))
+    coupling = st.floats(-2.0, 2.0).map(lambda v: scale * v)
+    unit = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
+    return draw(st.sampled_from(["field_conc", "field_fidelity"])), {
+        "J": draw(coupling), "kappa": draw(unit), "Jz": draw(coupling), "B": draw(coupling), "b": draw(coupling),
+        "lambda": draw(unit), "gamma": draw(st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))),
+        "t_max": 10.0 ** draw(st.floats(-8.0, 9.0)), "time_points": draw(st.integers(2, 300)),
+        "exact": draw(st.booleans()), "shots": 100,
+    }
+
+
+# Configs that exited 3 while the rotor's sine and cosine took two roundings of its phase
+@example(case=("field_conc", {"J": 3.18e5, "kappa": -1.0, "Jz": -1.06e6, "B": -9.9e5, "b": -1.24e6, "lambda": 1.0,
+                              "gamma": math.pi, "t_max": 52.0, "time_points": 300, "exact": True, "shots": 100}))
+@example(case=("field_fidelity", {"J": -27424.172339813515, "kappa": 1.0, "Jz": 11312.123823630249,
+                                  "B": 47676.01823752162, "b": -41802.283254007925, "lambda": 1.0, "gamma": 0.0,
+                                  "t_max": 238023.1401178467, "time_points": 153, "exact": False, "shots": 100}))
+@example(case=("field_conc", {"J": 13.71040212839685, "kappa": 1.0, "Jz": -13.323491740109693,
+                              "B": -6.227965767057493, "b": -12.414316631518501, "lambda": 0.0,
+                              "gamma": 2.813024773239828, "t_max": 19008659.70115819, "time_points": 230,
+                              "exact": True, "shots": 100}))
+@settings(max_examples=40, deadline=None)
+@given(case=valid_field_configs())
+def test_valid_field_configs_never_violate_a_contract(case):
+    experiment, params = case
+    _, result = run_experiment(experiment, params)
+    scores = _scores(result)
+    assert ((scores >= 0.0) & (scores <= 1.0 + 1e-12)).all()
 
 
 def test_xprep_single_report_round_trip():

@@ -10,6 +10,7 @@ are checked against the Jacobi oracle routes.
 
 import io
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 
 from conftest import ZERO_NOISE_MODEL, extended, make_circuit, prepare, random_circuit, random_density, run_channel
 from oracles import (
+    _cos_sin_decimal,
+    _pi_decimal,
     circuit_unitary,
     concurrence_wootters_oracle,
     embed,
@@ -27,6 +30,7 @@ from oracles import (
     herm_eig,
     kron_gate,
     partial_trace,
+    rotor_decimal,
 )
 from xsim.circuits import GATE_KINDS, Circuit, run_stack
 from xsim.errors import DimensionError
@@ -335,3 +339,21 @@ def test_exact_zero_noise_fidelity_never_reads_above_one(experiment):
             if name in row:
                 assert float(row[name]) <= 1.0, f"{name} reads {row[name]}"
                 assert float(row[name]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_the_40_digit_rotor_oracle_agrees_with_libm_and_is_unitary():
+    # pi to 50 digits; cos and sin of phases up to 1e9 within 1 ulp of the
+    # C library's, their squares summing to 1 within 1e-38; a rotor's
+    # |u|^2 + |c|^2 likewise
+    assert str(_pi_decimal(50)) == "3.1415926535897932384626433832795028841971693993751"
+    rng = np.random.default_rng(11)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for x in (rng.uniform(-1.0, 1.0, 300) * 10.0 ** rng.uniform(-20.0, 9.0, 300)).tolist() + [0.0, math.pi]:
+            cos, sin = _cos_sin_decimal(Decimal(x))
+            assert abs(float(cos) - math.cos(x)) <= math.ulp(math.cos(x))
+            assert abs(float(sin) - math.sin(x)) <= math.ulp(math.sin(x))
+            assert abs(cos * cos + sin * sin - 1) <= Decimal("1e-38")
+        for delta, coupling, t in ((1.0, 0.95, 4.5), (-3.0, 0.0, 1e3), (0.0, 0.0, 2.0), (0.5, 1.0, 0.0)):
+            ur, ui, ci = rotor_decimal(delta, coupling, t)
+            assert abs(ur * ur + ui * ui + ci * ci - 1) <= Decimal("1e-38")
