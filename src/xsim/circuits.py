@@ -300,9 +300,10 @@ def build_xstate_circuit(p: np.ndarray, theta, phi, phases=(0.0, 0.0), earlier=(
 
 def build_complex_xstate_circuit(x: XState) -> tuple:
     """(circuits, spectral, (alpha, beta)) for a stack of arbitrary
-    (complex) X-state targets: strips the corner phases, inverts the shape
-    map, builds the real preparations and restores the phases with RZ
-    gates. Infeasible weights raise before an invalid distribution."""
+    (complex) X-state targets, every time sweep's route: strips the corner
+    phases modulo pi, inverts the shape map to signed angles, builds the
+    real preparations and restores the phases with RZ gates. Infeasible
+    weights raise before an invalid distribution."""
     real_x, phases = strip_phases(x)
     s, infeasible = to_spectral(real_x)
     return build_xstate_circuit(np.column_stack(s.probs), s.theta, s.phi, phases, (infeasible,)), s, phases

@@ -29,11 +29,12 @@ row does not depend on the block it falls in.
 The time-sweep initial state is a two-sector classical mixture: sector
 weights (r0, r1) = (cos^2(gamma/2), sin^2(gamma/2)) and an imbalance lambda
 within each sector, giving circuit weights (q0 r0, q0 r1, q1 r0, q1 r1)
-with q0 = (1+lambda)/2. The zero-field target applies the eigenbasis block
-at angles (theta, phi) = (Jk t, J t); the field target evolves the matching
-diagonal state with the exact propagator. At B = b = 0 the two targets
-agree entry for entry up to a local corner phase, so the analytic
-concurrence columns coincide.
+with q0 = (1+lambda)/2. Every time sweep evolves the matching diagonal state
+with the exact propagator, zero field being its B = b = 0 case, in the
+fixed local frame w -> -i w, z -> +i z: a Z rotation that makes the
+zero-field corners real and moves no concurrence. Jz only sets a phase
+between the parity sectors, which no X-state carries, and every noise
+channel commutes with Z rotations, so Jz moves no output.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .tomography import reconstruct_full, reconstruct_x3, reconstruct_x5
 from .xstate import (
     XSpectral,
     XState,
-    canonicalize_spectral,
     concurrence_x,
     fidelity_x,
     from_spectral,
@@ -332,25 +332,19 @@ def run_tetra_sweep(params: dict) -> ExperimentResult:
     return _sweep(params, simplex_points(params["resolution"]), build, columns, names, "point")
 
 
-def _zero_field_block(params: dict, hp: HeisenbergParams, ts: np.ndarray) -> tuple:
-    """(XState stack, circuits) of the zero-field evolved mixture at times ``ts``."""
-    s = canonicalize_spectral(_circuit_weights(params), hp.j_kappa * ts, hp.j * ts)
-    return from_spectral(s), build_xstate_circuit(np.column_stack(s.probs), s.theta, s.phi)
-
-
-def _field_block(params: dict, hp: HeisenbergParams, ts: np.ndarray) -> tuple:
+def _time_block(params: dict, hp: HeisenbergParams, ts: np.ndarray) -> tuple:
     """(XState stack, circuits) of the exact evolution of the diagonal state
-    (q0 r0, q1 r1, q0 r1, q1 r0), the t -> 0 limit of the zero-field
-    construction, at times ``ts``."""
+    (q0 r0, q1 r1, q0 r1, q1 r0) at times ``ts``, in the time sweeps' frame."""
     w00, w01, w10, w11 = _circuit_weights(params)
-    targets = evolve_diagonal(hp, (w00, w11, w01, w10), ts)
+    x = evolve_diagonal(hp, (w00, w11, w01, w10), ts)
+    targets = XState(x.a, x.b, x.c, x.d, -1j * x.w, 1j * x.z)
     return targets, build_complex_xstate_circuit(targets)[0]
 
 
-def _time_sweep(params: dict, block, columns, names: tuple) -> ExperimentResult:
-    """A sweep over the time grid, times ``ts`` built by ``block(params, hp, ts)``."""
+def _time_sweep(params: dict, columns, names: tuple) -> ExperimentResult:
+    """A sweep over the time grid, each block built by ``_time_block``."""
     hp = _couplings(params)
-    return _sweep(params, _time_grid(params, hp), lambda ts: block(params, hp, ts), columns, names, "t")
+    return _sweep(params, _time_grid(params, hp), lambda ts: _time_block(params, hp, ts), columns, names, "t")
 
 
 def run_conc_experiment(params: dict, with_field: bool) -> ExperimentResult:
@@ -361,8 +355,7 @@ def run_conc_experiment(params: dict, with_field: bool) -> ExperimentResult:
         estimate = reconstruct(measure_block(pairs, settings, **draw))
         return concurrence_x(targets), concurrence_x(estimate)
 
-    block = _field_block if with_field else _zero_field_block
-    return _time_sweep(params, block, columns, ("t", "c_analytic", "c_reconstructed"))
+    return _time_sweep(params, columns, ("t", "c_analytic", "c_reconstructed"))
 
 
 _PARTIAL5_ROWS = [FULL.index(s) for s in PARTIAL5]
@@ -389,8 +382,7 @@ def run_fidelity_experiment(params: dict, with_field: bool) -> ExperimentResult:
             scores.append(fidelity_x(reconstruct_x3(f[:, _PARTIAL3_ROWS]), targets))
         return (*scores, leakage(pairs))
 
-    block = _field_block if with_field else _zero_field_block
-    return _time_sweep(params, block, columns, ("t", "f_full", "f_partial5", *partial3, "leakage"))
+    return _time_sweep(params, columns, ("t", "f_full", "f_partial5", *partial3, "leakage"))
 
 
 def _parse_target(obj) -> tuple:

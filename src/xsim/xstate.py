@@ -33,7 +33,7 @@ and the concurrence of any X-state (complex corners included) is
 
 XState and XSpectral fields may also be numpy arrays of one shape: such a
 value is a stack of X-states, one per entry, and ``from_spectral``,
-``canonicalize_spectral``, ``to_spectral``, ``strip_phases``, ``matrix``,
+``to_spectral``, ``strip_phases``, ``matrix``,
 ``concurrence_x``, ``fidelity_x`` (two stacks that broadcast), ``sqrt_x``
 and ``leakage`` work on stacks entry by entry, and ``xstate_from_matrix``
 reads a (P, 4, 4) stack of matrices into one. A sweep builds the targets of
@@ -41,8 +41,10 @@ a whole block of points this way, and scores its X-shaped outputs with
 ``concurrence_x(xstate_from_matrix(outputs))``, no eigensolver.
 
 Complex corner phases are local: a diagonal unitary
-diag(1, e^{i alpha}) x diag(1, e^{i beta}) removes them without touching
-populations or entanglement (``strip_phases``).
+diag(1, e^{i alpha}) x diag(1, e^{i beta}) removes them modulo pi without
+touching populations or entanglement (``strip_phases``). The corners left
+are real and signed, and ``to_spectral`` gives each its sign as an angle
+in (-pi/2, pi/2].
 """
 
 from __future__ import annotations
@@ -156,12 +158,11 @@ def _invert_pair(big, small, corner) -> tuple:
     and corner = (w+ - w-) cos sin. The weights are the eigenvalues of
     [[big, corner], [corner, small]], mean +- hypot(big - small, 2 corner) / 2,
     with no division, so a sector with big = small, where any angle is exact,
-    is no special case. (cos, sin) is the eigenvector of the larger one; where
-    its angle is negative, the angle moves up by pi/2 and the weights swap."""
+    is no special case. (cos, sin) is the eigenvector of the larger one, at
+    the signed angle in (-pi/2, pi/2] that carries the corner's sign."""
     ang = 0.5 * mathmap(math.atan2, 2.0 * corner, big - small)
     mean, half = 0.5 * (big + small), 0.5 * np.hypot(big - small, 2.0 * corner)
-    fold, plus, minus = ang < 0, mean + half, mean - half
-    return np.where(fold, ang + math.pi / 2, ang), np.where(fold, minus, plus), np.where(fold, plus, minus)
+    return ang, mean + half, mean - half
 
 
 def to_spectral(x: XState) -> tuple:
@@ -177,24 +178,6 @@ def to_spectral(x: XState) -> tuple:
     infeasible = (np.minimum.reduce(weights) < -1e-10) | (np.maximum.reduce(weights) > 1.0 + 1e-10)
     return XSpectral(plus[0], plus[1], minus[0], minus[1], theta, phi), (infeasible, lambda i: InfeasibleStateError(
         f"recovered weights outside [0, 1]: {tuple(weights[:, i].tolist())}"))
-
-
-def canonicalize_spectral(p, theta, phi) -> XSpectral:
-    """Fold arbitrary angles into [0, pi/2) by permuting weights, entry by
-    entry when the angles are arrays.
-
-    The shape map is pi-periodic in each angle, and a shift by pi/2 swaps the
-    two weights of that angle's sector. Evolution sweeps use this to hand
-    XSpectral values that satisfy the canonical range contract.
-    """
-    p, angles = [np.asarray(v, dtype=float) for v in p], []
-    for angle, (i, j) in ((theta, (0, 2)), (phi, (1, 3))):
-        angle = np.fmod(angle, math.pi)
-        angle = np.where(angle < 0, angle + math.pi, angle)
-        shift = angle >= math.pi / 2
-        p[i], p[j] = np.where(shift, p[j], p[i])[()], np.where(shift, p[i], p[j])[()]
-        angles.append(np.where(shift, angle - math.pi / 2, angle)[()])
-    return XSpectral(*p, *angles)
 
 
 def sqrt_nonneg(v):
@@ -267,15 +250,20 @@ def strip_phases(x: XState):
 
     Conjugation by diag(1, e^{i alpha}) x diag(1, e^{i beta}) multiplies
     w by e^{-i(alpha+beta)} and z by e^{i(beta-alpha)}; solving for the
-    corner arguments makes both real and nonnegative.
+    corner arguments modulo pi, in (-pi/2, pi/2], makes both real and
+    signed. A corner of magnitude at most 1e-12 has phase 0: roundoff sets
+    no phase.
 
     Returns (real XState, (alpha, beta)). Applying the inverse rotation,
-    angles (-alpha, -beta), restores the original corners.
+    angles (-alpha, -beta), restores the original corners, those within
+    the margin up to their phase.
     """
     corners = np.array([x.w, x.z], dtype=complex)
     size = cabs(corners)
-    mu, nu = np.where(size > 0, mathmap(math.atan2, corners.imag, corners.real), 0.0)
+    arg = np.where(size > 1e-12, mathmap(math.atan2, corners.imag, corners.real), 0.0)
+    down, up = arg > math.pi / 2, arg <= -math.pi / 2
+    mu, nu = np.where(down, arg - math.pi, np.where(up, arg + math.pi, arg))
     alpha = (mu + nu) / 2.0
     beta = (mu - nu) / 2.0
-    real_x = XState(x.a, x.b, x.c, x.d, *size.astype(complex))
+    real_x = XState(x.a, x.b, x.c, x.d, *np.where(down | up, -size, size).astype(complex))
     return real_x, (alpha, beta)

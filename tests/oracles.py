@@ -462,22 +462,28 @@ def evolve_diagonal_scalar(p: HeisenbergParams, populations, t: float) -> XState
 
 
 def strip_phases_scalar(x: XState) -> tuple:
-    """``xstate.strip_phases`` of one X-state."""
-    mu = math.atan2(complex(x.w).imag, complex(x.w).real) if abs(x.w) > 0 else 0.0
-    nu = math.atan2(complex(x.z).imag, complex(x.z).real) if abs(x.z) > 0 else 0.0
-    alpha = (mu + nu) / 2.0
-    beta = (mu - nu) / 2.0
-    return XState(x.a, x.b, x.c, x.d, complex(abs(x.w)), complex(abs(x.z))), (alpha, beta)
+    """``xstate.strip_phases`` of one X-state: each corner's argument taken
+    modulo pi into (-pi/2, pi/2], 0 at a magnitude of at most 1e-12, and
+    the corner turned real, negative where the argument moved by pi."""
+    args, corners = [], []
+    for corner in (complex(x.w), complex(x.z)):
+        arg, size = (math.atan2(corner.imag, corner.real) if abs(corner) > 1e-12 else 0.0), abs(corner)
+        if arg > math.pi / 2:
+            arg, size = arg - math.pi, -size
+        elif arg <= -math.pi / 2:
+            arg, size = arg + math.pi, -size
+        args.append(arg)
+        corners.append(complex(size))
+    mu, nu = args
+    return XState(x.a, x.b, x.c, x.d, *corners), ((mu + nu) / 2.0, (mu - nu) / 2.0)
 
 
 def invert_pair_scalar(big: float, small: float, corner: float) -> tuple:
-    """(angle, weight_plus, weight_minus) of one 2x2 sector: its eigenvalues,
-    swapped where the angle is folded up by pi/2. abs(complex) is C hypot,
-    as numpy's hypot; math.hypot can differ from both in the last bit."""
+    """(angle, weight_plus, weight_minus) of one 2x2 sector: its eigenvalues
+    and the signed angle of the larger one's eigenvector. abs(complex) is C
+    hypot, as numpy's hypot; math.hypot can differ from both in the last bit."""
     ang = 0.5 * math.atan2(2.0 * corner, big - small)
     mean, half = 0.5 * (big + small), 0.5 * abs(complex(big - small, 2.0 * corner))
-    if ang < 0:
-        return ang + math.pi / 2, mean - half, mean + half
     return ang, mean + half, mean - half
 
 

@@ -31,7 +31,7 @@ from xsim.circuits import (
     Circuit,
     XUnitaryParams,
 )
-from xsim.experiments import format_csv, format_json, run_experiment
+from xsim.experiments import _couplings, _time_block, format_csv, format_json, resolve_params, run_experiment
 from xsim.heisenberg import HeisenbergParams, evolve_diagonal, propagator_x_params
 from xsim.linalg import dagger
 from xsim.noise import NoiseModel
@@ -46,7 +46,6 @@ from xsim.tomography import (
 )
 from xsim.xstate import (
     XSpectral,
-    canonicalize_spectral,
     concurrence_x,
     from_spectral,
     leakage,
@@ -232,17 +231,14 @@ def test_criterion_09_exact_tomography_inversion():
 
 
 def test_criterion_10_partial_protocol_agreement_under_shot_noise():
-    gamma = 2.0 * math.acos(math.sqrt(7.0 / 8.0))
-    hp = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.0)
-    q0 = 1.0  # lambda = 1
-    r0 = math.cos(gamma / 2.0) ** 2
-    weights = (q0 * r0, q0 * (1.0 - r0), 0.0, 0.0)
+    # the default zero-field targets (J = 1, kappa = 0.75, lambda = 1,
+    # cos^2(gamma/2) = 7/8), built as the time sweeps build them
+    params = resolve_params("heisenberg_fidelity", {})
     times = np.linspace(0.15, 2.0 * math.pi, 12)
+    targets = _time_block(params, _couplings(params), times)[0].matrix()
     diffs = []
     for seed in range(100):
-        for k, t in enumerate(times):
-            s = canonicalize_spectral(weights, hp.j_kappa * t, hp.j * t)
-            target = from_spectral(s).matrix()
+        for k, target in enumerate(targets):
             # both protocols read one nine-setting dataset
             f = measure_block(target[None], FULL, 8000, seed, k)[0]
             p5 = fidelity(reconstruct_x5(f[[FULL.index(name) for name in PARTIAL5]]).matrix(), target)

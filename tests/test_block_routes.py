@@ -17,14 +17,13 @@ from xsim.errors import ContractError, InfeasibleStateError
 from xsim.experiments import (
     _circuit_weights,
     _couplings,
-    _field_block,
+    _time_block,
     _time_grid,
-    _zero_field_block,
     resolve_params,
     run_experiment,
     simplex_points,
 )
-from xsim.xstate import XSpectral, XState, canonicalize_spectral, from_spectral
+from xsim.xstate import XSpectral, XState, from_spectral
 
 FIELDS = ("a", "b", "c", "d", "w", "z")
 # Valid, with its a, d sector 3e-12 from degenerate: an inversion that
@@ -50,13 +49,12 @@ def _scalar_block(experiment, params):
         return ([from_spectral(XSpectral(*p, theta, phi)) for p in points],
                 [build_xstate_circuit_scalar(p, theta, phi) for p in points])
     hp = _couplings(params)
-    ts = _time_grid(params, hp).tolist()
-    if experiment.startswith("field"):
-        w00, w01, w10, w11 = _circuit_weights(params)
-        targets = [evolve_diagonal_scalar(hp, (w00, w11, w01, w10), t) for t in ts]
-        return targets, [build_complex_xstate_circuit_scalar(x)[0] for x in targets]
-    spectra = [canonicalize_spectral(_circuit_weights(params), hp.j_kappa * t, hp.j * t) for t in ts]
-    return [from_spectral(s) for s in spectra], [build_xstate_circuit_scalar(s.probs, s.theta, s.phi) for s in spectra]
+    w00, w01, w10, w11 = _circuit_weights(params)
+    targets = []
+    for t in _time_grid(params, hp).tolist():
+        x = evolve_diagonal_scalar(hp, (w00, w11, w01, w10), t)
+        targets.append(XState(x.a, x.b, x.c, x.d, -1j * x.w, 1j * x.z))  # the time sweeps' frame
+    return targets, [build_complex_xstate_circuit_scalar(x)[0] for x in targets]
 
 
 def _block(experiment, params):
@@ -67,8 +65,7 @@ def _block(experiment, params):
         targets = from_spectral(XSpectral(*points.T, theta, phi))
         return targets, build_xstate_circuit(points, theta, phi)
     hp = _couplings(params)
-    build = _field_block if experiment.startswith("field") else _zero_field_block
-    return build(params, hp, _time_grid(params, hp))
+    return _time_block(params, hp, _time_grid(params, hp))
 
 
 def assert_block_equals_scalar(experiment, config):
@@ -141,6 +138,46 @@ def test_roundoff_in_the_default_field_targets_moves_no_op_list(experiment):
             nudged[name] = nudged[name] * (1.0 + 2e-16j * rng.uniform(-1.0, 1.0, n))
         got = build_complex_xstate_circuit(XState(**nudged))[0]
         assert [c.ops for c in got] == ops
+
+
+# heisenberg_* and field_* each share one default grid and one set of targets.
+@pytest.mark.parametrize("experiment", ["heisenberg_conc", "field_conc"])
+def test_roundoff_sized_corners_set_no_phase(experiment):
+    # A corner of magnitude at most 1e-12 has no phase, so 1e-16 (u + iv)
+    # added to the exactly-zero corners (at t = 0) moves no op list: 0 of
+    # 3,200 per grid. A phase for every nonzero corner changes 50 of 3,200
+    # on the field grid.
+    targets, circuits = _block(experiment, resolve_params(experiment, {}))
+    ops, n = [c.ops for c in circuits], len(circuits)
+    assert any(np.all(np.array([targets.w, targets.z]) == 0.0, axis=0))
+    rng = np.random.default_rng(9)
+    changed = 0
+    for _ in range(50):
+        nudged = {name: getattr(targets, name) for name in FIELDS}
+        for name in ("w", "z"):
+            u, v = rng.uniform(-1.0, 1.0, (2, n))
+            nudged[name] = np.where(nudged[name] == 0.0, 1e-16 * (u + 1j * v), nudged[name])
+        changed += sum(c.ops != want for c, want in zip(build_complex_xstate_circuit(XState(**nudged))[0], ops))
+    assert changed == 0
+
+
+@pytest.mark.parametrize("experiment", ["heisenberg_conc", "field_conc"])
+def test_ulp_moves_of_the_times_move_no_op_list(experiment):
+    # Every time of the 256-point default grid moved by 1, 2 and 3 ulp up
+    # and down: 0 of 1,536 op lists change per grid. Folding the zero-field
+    # angles into [0, pi/2), or a phase for every nonzero corner, changes 6
+    # of 1,536 on each grid.
+    params = resolve_params(experiment, {"time_points": 256})
+    hp = _couplings(params)
+    ts = _time_grid(params, hp)
+    ops = [c.ops for c in _time_block(params, hp, ts)[1]]
+    changed = 0
+    for direction in (np.inf, -np.inf):
+        moved = ts
+        for _ in range(3):
+            moved = np.nextafter(moved, direction)
+            changed += sum(c.ops != want for c, want in zip(_time_block(params, hp, moved)[1], ops))
+    assert changed == 0
 
 
 def _first_scalar_error(targets):

@@ -187,7 +187,9 @@ def test_complex_xstate_circuit_restores_phases():
         circ, spectral, (alpha, beta) = prepare_complex(x)
         pair = run_stack((circ,), (2, 3))[0]
         np.testing.assert_allclose(pair, x.matrix(), atol=1e-11)
-        spectral.validate()
+        # the weights are a distribution, and each angle carries its corner's sign
+        assert min(spectral.probs) >= -1e-12 and abs(sum(spectral.probs) - 1.0) <= 1e-12
+        assert all(-math.pi / 2 < angle <= math.pi / 2 for angle in (spectral.theta, spectral.phi))
 
 
 def test_x_unitary_assembly_structure():

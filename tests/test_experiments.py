@@ -23,9 +23,8 @@ from xsim.errors import ConfigError, ShapeError
 from xsim.experiments import (
     ExperimentResult,
     _couplings,
-    _field_block,
+    _time_block,
     _time_grid,
-    _zero_field_block,
     format_circuit_dump,
     format_csv,
     format_json,
@@ -34,6 +33,7 @@ from xsim.experiments import (
     simplex_points,
 )
 from xsim import experiments, tomography
+from xsim.heisenberg import evolve_diagonal
 from xsim.linalg import dagger
 from xsim.noise import NoiseModel
 from xsim.rng import multinomial_counts
@@ -639,9 +639,9 @@ def _block_sizes(points: int) -> list:
     # 680 points at 256 per block, 68 of them factorized (alpha = 0, two
     # gates fewer); the other 612 span three stacks
     ("tetra_sweep", _sweep_size("tetra_sweep", 2 * experiments._BLOCK + 88), None),
-    # 600 points whose circuits carry no, one or two trailing RZ gates
-    ("field_conc", _sweep_size("field_conc", 2 * experiments._BLOCK + 88), _field_block),
-    ("heisenberg_conc", _sweep_size("heisenberg_conc", 2 * experiments._BLOCK + 88), _zero_field_block),
+    # 600 points whose circuits carry no, one or two trailing RZ gates (a
+    # zero-field sweep has a single op list, of 8 ops)
+    ("field_conc", _sweep_size("field_conc", 2 * experiments._BLOCK + 88), _time_block),
 ])
 def test_stacked_preparation_matches_run_noisy_per_circuit(experiment, params, block, monkeypatch):
     # The output pairs of the sweep's blocks, recorded at the executor,
@@ -724,7 +724,7 @@ def test_default_tetra_sweep_is_one_executor_batch(monkeypatch):
 
 @pytest.mark.parametrize("experiment, builder", [
     ("tetra_sweep", "build_xstate_circuit"),
-    ("heisenberg_conc", "build_xstate_circuit"),
+    ("heisenberg_conc", "build_complex_xstate_circuit"),
     ("field_conc", "build_complex_xstate_circuit"),
 ])
 def test_sweep_builds_each_circuit_once_unless_the_circuits_are_read(experiment, builder, monkeypatch):
@@ -773,14 +773,20 @@ def test_rows_and_circuit_dumps_do_not_depend_on_the_block_size(experiment, monk
                              ("heisenberg_conc", _sweep_size("heisenberg_conc", experiments._BLOCK + 22)))
 ])
 def test_sweep_maps_each_block_of_targets_at_once(experiment, size, blocks, monkeypatch):
-    # One shape map per block of spectral arrays, not one per point.
+    # One shape map (tetra_sweep) or one evolution (a time sweep) per block
+    # of arrays, not one per point.
     shapes = []
 
-    def counting(s):
+    def mapping(s):
         shapes.append(np.shape(s.p00))
         return from_spectral(s)
 
-    monkeypatch.setattr(experiments, "from_spectral", counting)
+    def evolving(hp, populations, ts):
+        shapes.append(np.shape(ts))
+        return evolve_diagonal(hp, populations, ts)
+
+    monkeypatch.setattr(experiments, "from_spectral", mapping)
+    monkeypatch.setattr(experiments, "evolve_diagonal", evolving)
     run_experiment(experiment, {**size, "exact": True})
     assert len(blocks) >= 2
     assert shapes == [(n,) for n in blocks]
@@ -846,9 +852,9 @@ def test_default_sampled_sweeps_redraw_few_draws_through_the_chain(monkeypatch):
             run_experiment(experiment, {"seed": seed})
             seen[experiment, seed] = (len(redraws), sum(draws))
     assert seen == {("tetra_sweep", 0): (0, 495), ("tetra_sweep", 7): (0, 495),
-                    ("heisenberg_conc", 0): (3, 192), ("heisenberg_conc", 7): (0, 192),
+                    ("heisenberg_conc", 0): (1, 192), ("heisenberg_conc", 7): (0, 192),
                     ("field_conc", 0): (2, 320), ("field_conc", 7): (1, 320),
-                    ("heisenberg_fidelity", 0): (44, 576), ("heisenberg_fidelity", 7): (34, 576),
+                    ("heisenberg_fidelity", 0): (42, 576), ("heisenberg_fidelity", 7): (34, 576),
                     ("field_fidelity", 0): (2, 576), ("field_fidelity", 7): (1, 576)}
 
 
@@ -999,10 +1005,9 @@ def _per_point_rows(experiment, params):
     else:
         hp = _couplings(params)
         points = _time_grid(params, hp)
-        block = _field_block if experiment.startswith("field") else _zero_field_block
 
         def build(t):
-            return _one_row(block, params, hp, t)
+            return _one_row(_time_block, params, hp, t)
     rows = []
     for index, p in enumerate(points):
         target, circ = build(p)

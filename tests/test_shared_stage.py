@@ -9,7 +9,7 @@ import pytest
 from conftest import ZERO_NOISE_MODEL
 from xsim import circuits
 from xsim.circuits import Circuit, build_xstate_circuit, run_stack
-from xsim.experiments import _couplings, _field_block, _time_grid, _zero_field_block, resolve_params, run_experiment
+from xsim.experiments import _couplings, _time_block, _time_grid, resolve_params, run_experiment
 from xsim.noise import NoiseModel
 
 NOISES = (ZERO_NOISE_MODEL, NoiseModel())
@@ -50,8 +50,7 @@ def with_angles(c: Circuit, **changes) -> Circuit:
 def test_time_sweep_blocks_equal_each_point_run_alone(experiment, points, nm):
     params = resolve_params(experiment, {"time_points": points})
     hp = _couplings(params)
-    block = _field_block if experiment.startswith("field") else _zero_field_block
-    circs = block(params, hp, _time_grid(params, hp))[1]
+    circs = _time_block(params, hp, _time_grid(params, hp))[1]
     assert len(circs) == points
     assert_per_point(circs, (2, 3), nm)
 

@@ -7,12 +7,11 @@ import pytest
 from conftest import checked_spectral, random_spectral, random_xstate, random_xstate_raw
 from oracles import concurrence_wootters_oracle, fidelity, fidelity_oracle, psd_factor, sqrtm_psd
 from xsim.errors import ContractError, ShapeError
-from xsim.experiments import _couplings, _field_block, _parse_target, _time_grid, _zero_field_block, resolve_params
+from xsim.experiments import _couplings, _parse_target, _time_block, _time_grid, resolve_params
 from xsim.linalg import PSD_ATOL
 from xsim.xstate import (
     XSpectral,
     XState,
-    canonicalize_spectral,
     concurrence_x,
     fidelity_x,
     from_spectral,
@@ -158,8 +157,7 @@ def test_sqrt_x_of_the_default_lambda_one_targets(experiment):
     params = resolve_params(experiment, {})
     assert params["lambda"] == 1.0
     hp = _couplings(params)
-    block = _field_block if experiment == "field_fidelity" else _zero_field_block
-    targets, _ = block(params, hp, _time_grid(params, hp))
+    targets, _ = _time_block(params, hp, _time_grid(params, hp))
     sigma = targets.matrix()
     root = sqrt_x(targets).matrix()
     np.testing.assert_array_equal(root, root.conj().swapaxes(-1, -2))
@@ -253,47 +251,28 @@ def test_spectral_round_trip_is_exact_to_roundoff(near_degenerate):
 
 def test_to_spectral_weights_are_the_sector_eigenvalues():
     # Each sector's two weights are the eigenvalues of its 2x2 block, and
-    # (cos, sin) of its angle is the eigenvector of the first weight.
+    # (cos, sin) of its angle is the eigenvector of the first weight, at the
+    # signed angle in (-pi/2, pi/2] whose sign is the corner's.
     rng = np.random.default_rng(43)
+    signs = set()
     for _ in range(300):
         x, _ = strip_phases(random_xstate(rng))
         s = checked_spectral(x)
         for angle, plus, minus, block in ((s.theta, s.p00, s.p10, [[x.a, x.w.real], [x.w.real, x.d]]),
                                           (s.phi, s.p01, s.p11, [[x.c, x.z.real], [x.z.real, x.b]])):
-            assert 0.0 <= angle <= math.pi / 2
+            assert -math.pi / 2 < angle <= math.pi / 2
+            assert np.sign(angle) == np.sign(block[0][1])
+            signs.add(np.sign(angle))
             np.testing.assert_allclose(sorted([plus, minus]), np.linalg.eigvalsh(block), rtol=0, atol=1e-15)
             vector = np.array([math.cos(angle), math.sin(angle)])
             np.testing.assert_allclose(np.array(block) @ vector, plus * vector, rtol=0, atol=1e-15)
+    assert signs == {-1.0, 1.0}
 
 
 def test_to_spectral_rejects_complex_corners():
     x = XState(0.4, 0.1, 0.15, 0.35, 0.1j, 0.0)
     with pytest.raises(ContractError):
         to_spectral(x)
-
-
-def test_canonicalize_folds_angles_and_swaps_weights():
-    p = (0.4, 0.3, 0.2, 0.1)
-    s = canonicalize_spectral(p, math.pi / 6, math.pi / 6)
-    assert (s.p00, s.p01, s.p10, s.p11) == p
-    # pi periodicity leaves everything alone
-    s2 = canonicalize_spectral(p, math.pi / 6 + math.pi, math.pi / 6 - math.pi)
-    assert s2.theta == pytest.approx(math.pi / 6)
-    assert s2.phi == pytest.approx(math.pi / 6)
-    assert (s2.p00, s2.p01, s2.p10, s2.p11) == p
-    # a pi/2 shift swaps that sector's weights
-    s3 = canonicalize_spectral(p, math.pi / 6 + math.pi / 2, math.pi / 6)
-    assert (s3.p00, s3.p10) == (p[2], p[0])
-    assert (s3.p01, s3.p11) == (p[1], p[3])
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        raw_theta = rng.uniform(-10, 10)
-        raw_phi = rng.uniform(-10, 10)
-        probs = rng.dirichlet(np.ones(4))
-        folded = canonicalize_spectral(probs, raw_theta, raw_phi).validate()
-        a = from_spectral(folded)
-        b = from_spectral(XSpectral(probs[0], probs[1], probs[2], probs[3], raw_theta, raw_phi))
-        np.testing.assert_allclose(a.matrix(), b.matrix(), atol=1e-12)
 
 
 def test_leakage_and_xstate_from_matrix():
@@ -355,12 +334,19 @@ def test_bell_diagonal_concurrence_is_twice_the_largest_weight_less_one():
 
 
 def test_strip_phases_round_trip():
+    # Each corner's phase goes modulo pi: the corners come back real, signed
+    # and of their own magnitude, mu = alpha + beta and nu = alpha - beta lie
+    # in (-pi/2, pi/2], and the inverse rotation restores the state.
     rng = np.random.default_rng(41)
+    signs = set()
     for _ in range(100):
         x = random_xstate_raw(rng)
         real_x, (alpha, beta) = strip_phases(x)
-        assert complex(real_x.w).imag == 0.0 and complex(real_x.z).imag == 0.0
-        assert complex(real_x.w).real >= 0.0 and complex(real_x.z).real >= 0.0
+        w, z = complex(real_x.w), complex(real_x.z)
+        assert w.imag == 0.0 and z.imag == 0.0
+        assert (abs(w), abs(z)) == (abs(x.w), abs(x.z))
+        signs.update((np.sign(w.real), np.sign(z.real)))
+        assert all(-math.pi / 2 < phase <= math.pi / 2 for phase in (alpha + beta, alpha - beta))
         # populations untouched, concurrence invariant
         np.testing.assert_allclose(
             [real_x.a, real_x.b, real_x.c, real_x.d], [x.a, x.b, x.c, x.d], atol=0
@@ -370,7 +356,20 @@ def test_strip_phases_round_trip():
         rot = np.diag([1.0, np.exp(-1j * alpha)]).astype(complex)
         rot = np.kron(rot, np.diag([1.0, np.exp(-1j * beta)]))
         restored = rot @ real_x.matrix() @ rot.conj().T
-        np.testing.assert_allclose(restored, x.matrix(), atol=1e-13)
+        np.testing.assert_allclose(restored, x.matrix(), rtol=0, atol=1e-15)
+    assert signs == {-1.0, 1.0}
+
+
+def test_strip_phases_takes_phases_modulo_pi_and_none_of_roundoff_sized_corners():
+    # mu = arg w and nu = arg z modulo pi, in (-pi/2, pi/2]: a phase of
+    # -pi/2 turns into +pi/2 and a negative real corner keeps its sign
+    for (w, z), (mu, nu), signed in (((0.1j, -0.1j), (math.pi / 2, math.pi / 2), (0.1, -0.1)),
+                                     ((-0.2, 0.1 - 0.1j), (0.0, -math.pi / 4), (-0.2, math.hypot(0.1, 0.1))),
+                                     ((-0.2 + 0j, 1e-12j), (0.0, 0.0), (-0.2, 1e-12)),
+                                     ((-1e-13 + 1e-13j, 0j), (0.0, 0.0), (math.hypot(1e-13, 1e-13), 0.0))):
+        real_x, (alpha, beta) = strip_phases(XState(0.3, 0.2, 0.2, 0.3, w, z))
+        assert (alpha + beta, alpha - beta) == pytest.approx((mu, nu), abs=1e-16)
+        assert (complex(real_x.w), complex(real_x.z)) == signed
 
 
 def test_strip_phases_preserves_spectrum():
