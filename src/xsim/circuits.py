@@ -20,15 +20,14 @@ the density matrices of the qubits it keeps, tracing every other qubit out
 after its last gate. The points of a sweep share a few op lists and differ
 only in their angles, so it groups circuits by (width, ops), checks each op
 list once (``_plan``), and stacks a group's angle rows into one float64
-table of shape (P, n_rot): a column that is constant gives one shared
-matrix, any other column a (P, 2, 2) stack, both from one array pass of
-numpy's ``cos`` and ``sin`` that equals the scalar ``math``/``cmath`` rows
-bit for bit. The steps up to the trace of the last qubit not kept are the
-group's ancilla stage. In a group of at least ``_SHARE_FROM`` circuits,
-points whose angles up to there are equal bit for bit share one evolution
-of it, and each takes a copy of its state: a time sweep's stage depends
-only on its initial populations, so it runs a few times per op list, not
-once per point. The preparation builders take a block of points too: IEEE
+table of shape (P, n_rot): a column that is constant (bit for bit) gives
+one shared matrix, any other column a (P, 2, 2) stack, both from one array
+pass of numpy's ``cos`` and ``sin`` that equals the scalar
+``math``/``cmath`` rows bit for bit. A group's state is one row until the
+first gate whose column is not constant, which splits it into one row per
+circuit: a time sweep's ancilla angles depend only on its initial
+populations, so its block evolves one three-qubit state per op list, not
+one per point. The preparation builders take a block of points too: IEEE
 arithmetic, ``sqrt``, ``cos`` and ``sin`` run as numpy array passes, float
 squares are IEEE products, and ``asin`` and ``atan2`` are ``math``
 functions mapped over the block (``linalg.mathmap``), since numpy's arcsin
@@ -108,13 +107,10 @@ class Circuit(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _plan(width: int, ops: tuple, keep: tuple) -> tuple:
-    """(number of rotations, steps, stage, stage rotations) of an op list
-    run for ``keep``, checked once per list. A step is (kind, qubits, angle
-    column or None, the qubits whose last gate it is). The ancilla stage,
-    ``steps[:stage]``, ends with the trace of the last qubit outside ``keep``
-    (it is empty when ``keep`` covers every qubit) and reads the first
-    ``stage rotations`` angle columns."""
+def _plan(width: int, ops: tuple) -> tuple:
+    """(number of rotations, steps) of an op list, checked once per list. A
+    step is (kind, qubits, angle column or None, the qubits whose last gate
+    it is)."""
     if not 1 <= width <= 4:
         raise DimensionError(f"circuit width {width} unsupported")
     last, n_rot, columns = {}, 0, []
@@ -131,28 +127,8 @@ def _plan(width: int, ops: tuple, keep: tuple) -> tuple:
         columns.append(None if kind in _FIXED else n_rot)
         n_rot += kind in _ROTATIONS
         last.update((q, index) for q in qubits)
-    steps = tuple((kind, qubits, column, tuple(q for q in qubits if last[q] == index))
-                  for index, ((kind, qubits), column) in enumerate(zip(ops, columns)))
-    stage = max((index + 1 for index, step in enumerate(steps) if set(step[3]) - set(keep)), default=0)
-    return n_rot, steps, stage, sum(column is not None for column in columns[:stage])
-
-
-# Smaller groups run their ancilla stage per point: there the bookkeeping costs
-# more than the contractions it saves (break-even about 6 points, numpy 2.4).
-_SHARE_FROM = 8
-
-
-def _distinct_rows(table: np.ndarray):
-    """(pick, owner) of a (P, m > 0) float table: the first row of each bit
-    pattern, and for each row the position of its pattern in ``pick``; None
-    when no two rows are equal bit for bit. Rows are keyed by their bytes,
-    so -0.0 and 0.0 stay apart."""
-    keys = np.ascontiguousarray(table).view(f"V{8 * table.shape[1]}").ravel().tolist()
-    first = dict(zip(keys[::-1], range(len(keys) - 1, -1, -1)))
-    if len(first) == len(keys):
-        return None
-    rank = {key: r for r, key in enumerate(first)}
-    return list(first.values()), list(map(rank.__getitem__, keys))
+    return n_rot, tuple((kind, qubits, column, tuple(q for q in qubits if last[q] == index))
+                        for index, ((kind, qubits), column) in enumerate(zip(ops, columns)))
 
 
 def _enter(state: np.ndarray, live: list, qubits) -> np.ndarray:
@@ -188,14 +164,12 @@ def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
     superoperator of the noise on the touched qubits, or to None
     (``NoiseModel.gate_noise``); it is composed into each gate's
     superoperator, so a noisy gate is one contraction. Circuits of equal
-    width and ops share one gate loop over the table of their angles, with
-    one operator per gate where the column is constant (built once per call
-    for each angle) and a stack of them elsewhere. In a group of at least
-    ``_SHARE_FROM`` circuits, the ancilla stage, the steps up to the trace
-    of the last qubit outside ``keep``, runs once per distinct prefix of
-    angle rows, compared by their bits so that -0.0 and 0.0 differ, and
-    each circuit takes a copy of its prefix's state. So each state gets the
-    arithmetic of its own run.
+    width and ops share one gate loop over the table of their angles: a
+    column equal bit for bit (-0.0 is not 0.0) gives one operator, built
+    once per call for each angle, and any other a stack of them, whose first
+    gate splits the group's one-row state into one row per circuit; a group
+    with no such gate hands its one output to every member. So each state
+    gets the arithmetic of its own run.
     """
     keep = sorted(set(int(q) for q in keep))
     k, gate_noise = len(keep), gate_noise or {1: None, 2: None}
@@ -204,23 +178,22 @@ def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
     for index, c in enumerate(circuits):
         groups.setdefault((c.width, c.ops), []).append(index)
     for (width, ops), members in groups.items():
-        n_rot, steps, stage, stage_rot = _plan(width, ops, tuple(keep))
+        n_rot, steps = _plan(width, ops)
         if not keep or keep[0] < 0 or keep[-1] >= width:
             raise DimensionError(f"keep={keep} invalid for circuit width {width}")
         rows = [circuits[i].angles for i in members]
         if any(len(row) != n_rot for row in rows):
             raise ContractError(f"a circuit of {n_rot} rotations needs {n_rot} angles")
         table = np.array(rows, dtype=float).reshape(len(members), n_rot)
-        shared, bits = (table == table[0]).all(axis=0), table[0].view(np.int64).tolist()
-        sharing = _distinct_rows(table[:, :stage_rot]) if stage_rot and len(members) >= _SHARE_FROM else None
-        angles = table[sharing[0]] if sharing else table
-        state, live = np.ones(len(angles), dtype=complex), []
-        for index, (kind, qubits, column, frees) in enumerate(steps):
+        bits = table.view(np.int64)
+        shared, first = (bits == bits[0]).all(axis=0), bits[0].tolist()
+        state, live = np.ones(1, dtype=complex), []
+        for kind, qubits, column, frees in steps:
             state = _enter(state, live, qubits)
             if column is not None and not shared[column]:
-                s = _gate_superop(rotation_stack(kind, angles[:, column]), gate_noise[1])
+                s = _gate_superop(rotation_stack(kind, table[:, column]), gate_noise[1])
             else:
-                key = kind if column is None else (kind, bits[column])
+                key = kind if column is None else (kind, first[column])
                 if key not in fixed:
                     u = _FIXED[kind] if column is None else rotation_stack(kind, table[:1, column])[0]
                     fixed[key] = _gate_superop(u, gate_noise[len(qubits)])
@@ -232,12 +205,10 @@ def run_stack(circuits, keep, gate_noise=None) -> np.ndarray:
                     a = live.index(q)
                     state = np.trace(state, axis1=1 + a, axis2=1 + len(live) + a)
                     live.remove(q)
-            if sharing and index + 1 == stage:  # the shared stage is done: each point takes its state
-                state, angles = state[sharing[1]], table
         state = _enter(state, live, keep)
         at = [1 + live.index(q) for q in keep]
         state = state.transpose([0] + at + [k + a for a in at])
-        out[members] = state.reshape(len(members), 2**k, 2**k)
+        out[members] = state.reshape(-1, 2**k, 2**k)
     return out
 
 
@@ -298,15 +269,17 @@ def build_xstate_circuit(p: np.ndarray, theta, phi, phases=(0.0, 0.0), earlier=(
     return out
 
 
-def build_complex_xstate_circuit(x: XState) -> tuple:
+def build_complex_xstate_circuit(x: XState, weights=None) -> tuple:
     """(circuits, spectral, (alpha, beta)) for a stack of arbitrary
     (complex) X-state targets, every time sweep's route: strips the corner
     phases modulo pi, inverts the shape map to signed angles, builds the
-    real preparations and restores the phases with RZ gates. Infeasible
-    weights raise before an invalid distribution."""
+    real preparations and restores the phases with RZ gates, with
+    ``weights`` (p00, p01, p10, p11) for every point if given. Infeasible
+    recovered weights raise before an invalid distribution."""
     real_x, phases = strip_phases(x)
     s, infeasible = to_spectral(real_x)
-    return build_xstate_circuit(np.column_stack(s.probs), s.theta, s.phi, phases, (infeasible,)), s, phases
+    p = np.column_stack(s.probs) if weights is None else np.tile(weights, (len(s.theta), 1))
+    return build_xstate_circuit(p, s.theta, s.phi, phases, (infeasible,)), s, phases
 
 
 @dataclass(frozen=True)

@@ -257,10 +257,13 @@ def _time_grid(params: dict, hp: HeisenbergParams) -> np.ndarray:
         if scale <= 0.0:
             raise ConfigError("all energy scales vanish; give t_max explicitly")
         t_max = 2.0 * math.pi / scale
+        if not math.isfinite(t_max):
+            raise ConfigError(f"phases overflow: the default t_max 2 pi / {scale} is infinite; give t_max explicitly")
     if t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
-    if not math.isfinite(t_max * max(scale, abs(hp.Jz))):
-        raise ConfigError(f"phases overflow: t_max {t_max} times the coupling scale {scale}")
+    rate, name = (scale, "the coupling scale") if scale >= abs(hp.Jz) else (abs(hp.Jz), "|Jz|")
+    if not math.isfinite(t_max * rate):
+        raise ConfigError(f"phases overflow: t_max {t_max} times {name} {rate}")
     return np.linspace(0.0, t_max, params["time_points"])
 
 
@@ -334,11 +337,14 @@ def run_tetra_sweep(params: dict) -> ExperimentResult:
 
 def _time_block(params: dict, hp: HeisenbergParams, ts: np.ndarray) -> tuple:
     """(XState stack, circuits) of the exact evolution of the diagonal state
-    (q0 r0, q1 r1, q0 r1, q1 r0) at times ``ts``, in the time sweeps' frame."""
+    (q0 r0, q1 r1, q0 r1, q1 r0) at times ``ts``, in the time sweeps' frame.
+    The evolution is unitary in each sector, so every preparation takes the
+    initial sector populations, larger first, as its weights."""
     w00, w01, w10, w11 = _circuit_weights(params)
     x = evolve_diagonal(hp, (w00, w11, w01, w10), ts)
     targets = XState(x.a, x.b, x.c, x.d, -1j * x.w, 1j * x.z)
-    return targets, build_complex_xstate_circuit(targets)[0]
+    weights = (max(w00, w10), max(w11, w01), min(w00, w10), min(w11, w01))
+    return targets, build_complex_xstate_circuit(targets, weights)[0]
 
 
 def _time_sweep(params: dict, columns, names: tuple) -> ExperimentResult:

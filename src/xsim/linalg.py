@@ -83,7 +83,8 @@ def apply_local(state: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
 
     ``state`` has shape ``(P,) + (2,)*k``: P tensors of k axes each, a stack
     of one for a single state. ``op`` is one 2^m x 2^m matrix shared by the
-    whole stack, or a ``(P, 2^m, 2^m)`` stack of them, one per tensor; its m
+    whole stack, or a ``(P, 2^m, 2^m)`` stack of them, one per tensor (a
+    stack of one tensor meets P operators as P copies of itself); its m
     tensor factors act on ``axes`` (counted within each tensor, the stack
     axis excluded) in the order listed, and every other axis is left alone.
     On a density tensor of n qubits, row axis q is qubit q and column axis
@@ -94,7 +95,7 @@ def apply_local(state: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
     perm, inverse = _permutations(state.ndim, tuple(axes))
     moved = state.transpose(perm)
     out = op @ moved.reshape(moved.shape[0], op.shape[-1], -1)
-    return out.reshape(moved.shape).transpose(inverse)
+    return out.reshape((-1,) + moved.shape[1:]).transpose(inverse)
 
 
 @lru_cache(maxsize=None)

@@ -522,12 +522,14 @@ def build_xstate_circuit_scalar(p, theta: float, phi: float) -> Circuit:
     return Circuit(4, prep_ops + ops, prep_angles + angles)
 
 
-def build_complex_xstate_circuit_scalar(x: XState) -> tuple:
+def build_complex_xstate_circuit_scalar(x: XState, weights=None) -> tuple:
     """(circuit, spectral, (alpha, beta)) of one X-state target, as
-    ``circuits.build_complex_xstate_circuit`` gives them for a stack."""
+    ``circuits.build_complex_xstate_circuit`` gives them for a stack;
+    ``weights``, when given, stand in for the recovered ones in the circuit."""
     real_x, (alpha, beta) = strip_phases_scalar(x)
     spectral = to_spectral_scalar(real_x)
-    width, ops, angles = build_xstate_circuit_scalar(spectral.probs, spectral.theta, spectral.phi)
+    probs = spectral.probs if weights is None else weights
+    width, ops, angles = build_xstate_circuit_scalar(probs, spectral.theta, spectral.phi)
     for qubit, phase in ((2, alpha), (3, beta)):
         if abs(phase) > 1e-14:
             ops, angles = ops + (("rz", (qubit,)),), angles + (-phase,)

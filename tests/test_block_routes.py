@@ -54,7 +54,9 @@ def _scalar_block(experiment, params):
     for t in _time_grid(params, hp).tolist():
         x = evolve_diagonal_scalar(hp, (w00, w11, w01, w10), t)
         targets.append(XState(x.a, x.b, x.c, x.d, -1j * x.w, 1j * x.z))  # the time sweeps' frame
-    return targets, [build_complex_xstate_circuit_scalar(x)[0] for x in targets]
+    # each sector's populations are its eigenvalues at every time, larger first
+    weights = (max(w00, w10), max(w11, w01), min(w00, w10), min(w11, w01))
+    return targets, [build_complex_xstate_circuit_scalar(x, weights)[0] for x in targets]
 
 
 def _block(experiment, params):
@@ -112,6 +114,23 @@ def test_random_field_blocks_equal_the_scalar_routes_bit_for_bit():
                   "gamma": rng.uniform(0, math.pi), "lambda": rng.uniform(-1, 1), "B": rng.uniform(-2, 2),
                   "b": rng.uniform(-2, 2), "time_points": int(rng.integers(2, 100))}
         assert_block_equals_scalar("field_fidelity" if k % 2 else "field_conc", config)
+
+
+TIME_CONFIGS = [(e, {"time_points": 256}) for e in ("heisenberg_conc", "field_conc", "heisenberg_fidelity",
+                                                     "field_fidelity")]
+TIME_CONFIGS += [(e, c) for e, c in EDGE_CONFIGS if e != "tetra_sweep"]
+
+
+@pytest.mark.parametrize("experiment, config", TIME_CONFIGS, ids=[f"{e}-{c}" for e, c in TIME_CONFIGS])
+def test_each_op_list_of_a_time_block_has_one_ancilla_stage(experiment, config):
+    # the rotations on the ancilla pair (0, 1) set the preparation weights,
+    # which do not depend on time: one bit pattern per op list
+    stages = {}
+    for c in _block(experiment, resolve_params(experiment, config))[1]:
+        rotations = [q for kind, (*_, q) in c.ops if kind != "cnot"]
+        stage = tuple(_bits([a for a, q in zip(c.angles, rotations) if q in (0, 1)]))
+        stages.setdefault(c.ops, set()).add(stage)
+    assert stages and all(len(patterns) == 1 for patterns in stages.values())
 
 
 def test_the_degenerate_and_factorized_branches_are_reached():

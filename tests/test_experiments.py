@@ -542,6 +542,9 @@ def test_cli_exact_flag_reaches_runner(tmp_path):
     ("heisenberg_conc", {"noise": [1]}, "noise must be a JSON object or null"),
     ("xprep_single", {"target": {"kind": "spectral", "p": [1, 0, 0], "theta": 0, "phi": 0}}, "malformed spectral target"),
     ("xprep_single", {"target": {"kind": "xstate", "a": 1}}, "malformed xstate target"),
+    # the message names the factor that overflowed
+    ("heisenberg_conc", {"Jz": 1e300, "t_max": 1e10}, "phases overflow: t_max 10000000000.0 times |Jz| 1e+300"),
+    ("heisenberg_conc", {"J": 1e-320}, "phases overflow: the default t_max 2 pi / 1e-320 is infinite; give t_max"),
 ])
 def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, experiment, params, message):
     # an entry's first field may carry command-line flags after the experiment

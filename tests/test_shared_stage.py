@@ -1,7 +1,8 @@
-"""The executor evolves a group's ancilla stage once per distinct angle
-prefix and hands each point that state: every output must equal the
-point's own run bit for bit, and the sharing must show in the number of
-rows the three-qubit contractions see."""
+"""The executor evolves one state per op-list group until the group's first
+gate whose angles are not all equal bit for bit, where the state splits
+into one row per circuit: every output must equal the circuit's own run
+bit for bit, and the sharing must show in the number of rows each
+contraction sees."""
 
 import numpy as np
 import pytest
@@ -25,12 +26,14 @@ def assert_per_point(circs, keep, nm):
 
 
 def rows_seen(monkeypatch) -> list:
-    """(live qubits, rows) of every contraction run_stack makes from now on."""
+    """(live qubits, rows) of the state out of every contraction run_stack
+    makes from now on."""
     seen, apply = [], circuits.apply_local
 
     def recording(state, op, axes):
-        seen.append(((state.ndim - 1) // 2, state.shape[0]))
-        return apply(state, op, axes)
+        out = apply(state, op, axes)
+        seen.append(((out.ndim - 1) // 2, out.shape[0]))
+        return out
 
     monkeypatch.setattr(circuits, "apply_local", recording)
     return seen
@@ -55,56 +58,55 @@ def test_time_sweep_blocks_equal_each_point_run_alone(experiment, points, nm):
     assert_per_point(circs, (2, 3), nm)
 
 
-def test_a_field_block_evolves_at_most_four_states_while_three_qubits_are_live(monkeypatch):
+# the exact 256-point clean_tomography leg, and the 8-point highshot legs
+SWEEP_CASES = [("field_fidelity", 256)] + [(e, 8) for e in ("heisenberg_conc", "field_conc", "heisenberg_fidelity",
+                                                            "field_fidelity")]
+
+
+@pytest.mark.parametrize("experiment, points", SWEEP_CASES)
+def test_time_sweeps_evolve_one_state_while_three_qubits_are_live(experiment, points, monkeypatch):
+    # a time block's preparation weights do not depend on time, so its
+    # ancilla angles are one bit pattern per op list
     seen = rows_seen(monkeypatch)
-    run_experiment("field_fidelity", {"time_points": 256, "exact": True})
-    three = [rows for live, rows in seen if live == 3]
-    assert three and max(three) <= 4
-    # the per-point steps still see all 256 points
-    assert sum(rows for live, rows in seen if live == 2) >= 256
+    _, result = run_experiment(experiment, {"time_points": points, "exact": True})
+    assert {rows for live, rows in seen if live == 3} == {1}
+    # the steps after the ancilla pair still see every point
+    assert sum(rows for live, rows in seen if live == 2) >= len(result.rows)
 
 
 def test_prefixes_that_differ_only_in_the_sign_of_zero_are_not_merged(monkeypatch):
-    circs = [with_angles(FULL, a0=a, a3=0.1 * i) for i, a in enumerate((0.0, -0.0, 0.7) * 3)]
+    # the second rotation's column holds 0.0 and -0.0: it is not constant,
+    # so the state splits at that gate, after one shared RY and CNOT
+    circs = [with_angles(FULL, a1=(0.0, -0.0)[i % 2]) for i in range(6)]
     seen = rows_seen(monkeypatch)
     run_stack(circs, (2, 3))
-    assert {rows for live, rows in seen if live == 3} == {3}
+    assert [rows for _, rows in seen] == [1, 1] + [6] * (len(seen) - 2)
     monkeypatch.undo()
     for nm in NOISES:
         assert_per_point(circs, (2, 3), nm)
 
 
-def test_equal_prefixes_at_non_adjacent_points_share_one_state(monkeypatch):
-    a, b = FULL, with_angles(FULL, a1=0.4)
-    circs = [with_angles(b if i % 2 else a, a3=0.1 * i, a4=-0.2 * (i % 3)) for i in range(9)]
+def test_a_group_of_equal_circuits_evolves_one_state_for_all_of_them(monkeypatch):
+    circs = [FULL] * 5
     seen = rows_seen(monkeypatch)
-    run_stack(circs, (2, 3))
-    assert {rows for live, rows in seen if live == 3} == {2}
+    got = run_stack(circs, (2, 3))
+    assert {rows for _, rows in seen} == {1}
+    assert got.shape == (5, 4, 4) and all(np.array_equal(rho, got[0]) for rho in got)
     monkeypatch.undo()
     for nm in NOISES:
         assert_per_point(circs, (2, 3), nm)
 
 
-def test_keeping_every_qubit_leaves_no_stage_to_share(monkeypatch):
-    circs = [with_angles(FULL, a3=0.1 * i) for i in range(circuits._SHARE_FROM)]
-    assert circuits._plan(4, FULL.ops, (0, 1, 2, 3))[2] == 0
-    assert circuits._plan(4, FULL.ops, (2, 3))[2] == 6
+def test_keeping_every_qubit_shares_the_state_up_to_the_first_varying_angle(monkeypatch):
+    # the first eigenbasis rotation, the seventh gate, is the first to vary
+    circs = [with_angles(FULL, a3=0.1 * i) for i in range(8)]
     seen = rows_seen(monkeypatch)
     run_stack(circs, (0, 1, 2, 3))
-    assert {rows for _, rows in seen} == {len(circs)}
+    assert [rows for _, rows in seen] == [1] * 6 + [8] * 4
+    assert [live for live, _ in seen] == [1, 2, 2, 2, 3, 4, 4, 4, 4, 4]  # no qubit is traced out
     monkeypatch.undo()
     for nm in NOISES:
         assert_per_point(circs, (0, 1, 2, 3), nm)
-
-
-def test_a_group_below_the_sharing_size_runs_its_stage_per_point(monkeypatch):
-    circs = [with_angles(FULL, a3=0.1 * i) for i in range(circuits._SHARE_FROM - 1)]
-    seen = rows_seen(monkeypatch)
-    run_stack(circs, (2, 3))
-    assert {rows for live, rows in seen if live == 3} == {len(circs)}
-    monkeypatch.undo()
-    for nm in NOISES:
-        assert_per_point(circs, (2, 3), nm)
 
 
 def test_one_group_shares_its_stage_while_another_in_the_call_does_not(monkeypatch):
