@@ -53,7 +53,6 @@ criterion 08): it prepares the same X-state with phi replaced by pi/2 - phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -282,8 +281,7 @@ def build_complex_xstate_circuit(x: XState, weights=None) -> tuple:
     return build_xstate_circuit(p, s.theta, s.phi, phases, (infeasible,)), s, phases
 
 
-@dataclass(frozen=True)
-class XUnitaryParams:
+class XUnitaryParams(NamedTuple):
     """Parameters of the X-shaped special unitary family.
 
     The family couples only {|00>, |11>} and {|01>, |10>}:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,8 +125,7 @@ def simplex_points(resolution: int) -> np.ndarray:
     return np.column_stack([*ijk, n - ijk.sum(axis=0)]) / n
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     columns: tuple
     rows: np.ndarray  # (points, columns) float64; no rows for a report
     report: dict | None = None
@@ -238,20 +237,15 @@ def resolve_params(experiment: str, given: dict) -> dict:
 
 
 def _couplings(params: dict) -> HeisenbergParams:
-    hp = HeisenbergParams.from_j_kappa(
-        j=params["J"],
-        kappa=params["kappa"],
-        jz=params["Jz"],
-        B=params.get("B", 0.0),
-        b=params.get("b", 0.0),
-    )
-    if not all(math.isfinite(v) for v in (hp.Jx, hp.Jy, hp.j, hp.j_kappa, hp.xi, hp.eta)):
-        raise ConfigError(f"couplings overflow: {hp.to_json()}")
+    j = params["J"]
+    hp = HeisenbergParams(j, j * params["kappa"], params["Jz"], params.get("B", 0.0), params.get("b", 0.0))
+    if not all(math.isfinite(v) for v in (hp.Jk, hp.xi, hp.eta)):
+        raise ConfigError(f"couplings overflow: {hp._asdict()}")
     return hp
 
 
 def _time_grid(params: dict, hp: HeisenbergParams) -> np.ndarray:
-    scale = max(abs(hp.j), abs(hp.j_kappa), hp.xi, hp.eta)
+    scale = max(abs(hp.J), abs(hp.Jk), hp.xi, hp.eta)
     t_max = params["t_max"]
     if t_max is None:
         if scale <= 0.0:
@@ -434,7 +428,7 @@ def run_xprep_single(params: dict) -> ExperimentResult:
         phases = (0.0, 0.0)
     else:
         circuits, stack, phases = build_complex_xstate_circuit(XState.stack([target_x]))
-        circ, spectral = circuits[0], XSpectral(*(float(v[0]) for v in (*stack.probs, stack.theta, stack.phi)))
+        circ, spectral = circuits[0], XSpectral(*(float(v[0]) for v in stack))
         phases = (float(phases[0][0]), float(phases[1][0]))
     ideal_pair = run_stack((circ,), (2, 3))[0]
     noisy_pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]

@@ -8,8 +8,10 @@ The Hamiltonian, in units with hbar = 1 and the computational basis
          [0,         J,         -Jz/2 - b, 0],
          [Jk,        0,         0,        Jz/2 - B]]
 
-with J = (Jx+Jy)/2 and Jk = (Jx-Jy)/2. The local z-fields on the two sites
-are (B+b)/2 and (B-b)/2, so B is their sum and b their difference. H
+with J = (Jx+Jy)/2 and Jk = (Jx-Jy)/2; a config's anisotropy kappa gives
+Jk = J kappa. ``HeisenbergParams`` stores these entries, (J, Jk, Jz, B, b),
+and nothing else. The local z-fields on the two sites are (B+b)/2 and
+(B-b)/2, so B is their sum and b their difference. H
 commutes with sz x sz, so the even span{|00>, |11>} and odd span{|01>, |10>}
 parity sectors evolve independently. Writing xi = sqrt(B^2 + (Jk)^2) and
 eta = sqrt(b^2 + J^2), the energies are Jz/2 +/- xi and -Jz/2 +/- eta, and
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,38 +49,23 @@ from .errors import ContractError
 from .xstate import XState
 
 
-@dataclass(frozen=True)
-class HeisenbergParams:
-    """Exchange couplings and z-field parameters."""
+class HeisenbergParams(NamedTuple):
+    """Exchange couplings J = (Jx+Jy)/2 and Jk = (Jx-Jy)/2, Jz, and the
+    z-field parameters: the entries of H as written above."""
 
-    Jx: float
-    Jy: float
+    J: float
+    Jk: float
     Jz: float
     B: float = 0.0
     b: float = 0.0
 
-    @classmethod
-    def from_j_kappa(cls, j: float, kappa: float, jz: float, B: float = 0.0, b: float = 0.0):
-        return cls(Jx=j * (1.0 + kappa), Jy=j * (1.0 - kappa), Jz=jz, B=B, b=b)
-
-    @property
-    def j(self) -> float:
-        return 0.5 * (self.Jx + self.Jy)
-
-    @property
-    def j_kappa(self) -> float:
-        return 0.5 * (self.Jx - self.Jy)
-
     @property
     def xi(self) -> float:
-        return math.hypot(self.B, self.j_kappa)
+        return math.hypot(self.B, self.Jk)
 
     @property
     def eta(self) -> float:
-        return math.hypot(self.b, self.j)
-
-    def to_json(self) -> dict:
-        return {"Jx": self.Jx, "Jy": self.Jy, "Jz": self.Jz, "B": self.B, "b": self.b}
+        return math.hypot(self.b, self.J)
 
 
 def _rotor(delta: float, coupling: float, ts) -> tuple:
@@ -105,8 +92,8 @@ def evolve_diagonal(p: HeisenbergParams, populations, ts) -> XState:
     n00, n01, n10, n11 = (float(v) for v in populations)
     if min(n00, n01, n10, n11) < -1e-12 or abs(n00 + n01 + n10 + n11 - 1.0) > 1e-9:
         raise ContractError("populations must be a probability vector")
-    u, c = _rotor(p.B, p.j_kappa, ts)
-    up, cp = _rotor(p.b, p.j, ts)
+    u, c = _rotor(p.B, p.Jk, ts)
+    up, cp = _rotor(p.b, p.J, ts)
     m = np.array([u, c, up, cp])
     uu, cc, uup, ccp = m.real * m.real + m.imag * m.imag
     return XState(
@@ -129,8 +116,8 @@ def propagator_x_params(p: HeisenbergParams, t: float) -> XUnitaryParams:
         a1 = 2 arg u, b1 = 2 arg c - 2 pi,
         a2 = 2 arg u' + pi, b2 = 2 arg c' - pi.
     """
-    u, c = _rotor(p.B, p.j_kappa, t)
-    up, cp = _rotor(p.b, p.j, t)
+    u, c = _rotor(p.B, p.Jk, t)
+    up, cp = _rotor(p.b, p.J, t)
     return XUnitaryParams(
         a1=2.0 * math.atan2(u.imag, u.real),
         b1=2.0 * math.atan2(c.imag, c.real) - 2.0 * math.pi,

@@ -50,7 +50,7 @@ in (-pi/2, pi/2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ NON_X_INDICES = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
 _NON_X_ROWS, _NON_X_COLS = np.array(NON_X_INDICES).T
 
 
-@dataclass(frozen=True)
-class XState:
+class XState(NamedTuple):
     """X-shaped two-qubit density matrix, stored by its six free entries."""
 
     a: float
@@ -96,7 +95,7 @@ class XState:
     @staticmethod
     def stack(states) -> "XState":
         """One XState whose entries are arrays over the X-states ``states``."""
-        return XState(*(np.array([getattr(x, name) for x in states]) for name in ("a", "b", "c", "d", "w", "z")))
+        return XState(*(np.array(column) for column in zip(*states)))
 
     def to_json(self) -> dict:
         return {
@@ -110,8 +109,7 @@ class XState:
             "z_im": complex(self.z).imag,
         }
 
-@dataclass(frozen=True)
-class XSpectral:
+class XSpectral(NamedTuple):
     """Spectral parameters of a real X-state: four weights and two angles."""
 
     p00: float

@@ -271,8 +271,8 @@ def hamiltonian(p: HeisenbergParams) -> np.ndarray:
     h[1, 1] = -0.5 * p.Jz + p.b
     h[2, 2] = -0.5 * p.Jz - p.b
     h[3, 3] = 0.5 * p.Jz - p.B
-    h[0, 3] = h[3, 0] = p.j_kappa
-    h[1, 2] = h[2, 1] = p.j
+    h[0, 3] = h[3, 0] = p.Jk
+    h[1, 2] = h[2, 1] = p.J
     return h
 
 
@@ -448,8 +448,8 @@ def evolve_diagonal_scalar(p: HeisenbergParams, populations, t: float) -> XState
     n00, n01, n10, n11 = (float(v) for v in populations)
     if min(n00, n01, n10, n11) < -1e-12 or abs(n00 + n01 + n10 + n11 - 1.0) > 1e-9:
         raise ContractError("populations must be a probability vector")
-    u, c = rotor_scalar(p.B, p.j_kappa, t)
-    up, cp = rotor_scalar(p.b, p.j, t)
+    u, c = rotor_scalar(p.B, p.Jk, t)
+    up, cp = rotor_scalar(p.b, p.J, t)
     uu, cc, uup, ccp = (m.real * m.real + m.imag * m.imag for m in (u, c, up, cp))
     return XState(
         a=n00 * uu + n11 * cc,
@@ -593,8 +593,8 @@ def evolve_diagonal_decimal(p: HeisenbergParams, populations, t: float) -> dict:
     with localcontext() as ctx:
         ctx.prec = DIGITS
         n00, n01, n10, n11 = (Decimal(float(v)) for v in populations)
-        ur, ui, ci = rotor_decimal(p.B, p.j_kappa, t)
-        upr, upi, cpi = rotor_decimal(p.b, p.j, t)
+        ur, ui, ci = rotor_decimal(p.B, p.Jk, t)
+        upr, upi, cpi = rotor_decimal(p.b, p.J, t)
         uu, cc, uup, ccp = ur * ur + ui * ui, ci * ci, upr * upr + upi * upi, cpi * cpi
         # u c with c = i Im c, so Re(u c) = -Im u Im c and Im(u c) = Re u Im c
         return {

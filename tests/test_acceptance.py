@@ -77,7 +77,8 @@ def test_criterion_02_propagator_vs_expm_oracle():
     start = time.time()
     worst = 0.0
     for _ in range(200):
-        p = HeisenbergParams(*rng.uniform(-2.0, 2.0, size=5))
+        jx, jy, *rest = rng.uniform(-2.0, 2.0, size=5)
+        p = HeisenbergParams(0.5 * (jx + jy), 0.5 * (jx - jy), *rest)
         t = rng.uniform(0.0, 8.0)
         pops = rng.dirichlet(np.ones(4))
         u = expm_oracle(hamiltonian(p), t)
@@ -93,7 +94,8 @@ def test_criterion_03_spectrum_vs_eigensolver():
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(200):
-        p = HeisenbergParams(*rng.uniform(-2.0, 2.0, size=5))
+        jx, jy, *rest = rng.uniform(-2.0, 2.0, size=5)
+        p = HeisenbergParams(0.5 * (jx + jy), 0.5 * (jx - jy), *rest)
         energies = [0.5 * p.Jz + p.xi, 0.5 * p.Jz - p.xi, -0.5 * p.Jz + p.eta, -0.5 * p.Jz - p.eta]
         ref = np.sort(np.linalg.eigvalsh(hamiltonian(p)))
         worst = max(worst, np.max(np.abs(np.sort(energies) - ref)))
@@ -160,7 +162,7 @@ def test_criterion_06_x_unitary_decomposition():
         j, kappa = rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0)
         jz, t = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 6.0)
         field = rng.uniform(-2.0, 2.0, size=2) if draw >= 100 else (0.0, 0.0)
-        hp = HeisenbergParams.from_j_kappa(j, kappa, jz, *field)
+        hp = HeisenbergParams(j, j * kappa, jz, *field)
         q = propagator_x_params(hp, t)
         target = expm_oracle(hamiltonian(hp), t)
         assembled_worst = max(assembled_worst, diff(target, assemble_x_unitary(q)))
@@ -175,7 +177,7 @@ def test_criterion_07_analytic_concurrence_curves():
     grid = np.linspace(0.0, 2.0 * math.pi, 64)
     worst = 0.0
     # zero field, both sectors
-    p = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.4)
+    p = HeisenbergParams(1.0, 0.75, 0.4)
     lam, mu = 0.9, -0.7
     for t in grid:
         even = concurrence_x(evolve_diagonal(p, ((1.0 + lam) / 2.0, 0.0, 0.0, (1.0 - lam) / 2.0), t))
@@ -183,7 +185,7 @@ def test_criterion_07_analytic_concurrence_curves():
         odd = concurrence_x(evolve_diagonal(p, (0.0, (1.0 + mu) / 2.0, (1.0 - mu) / 2.0, 0.0), t))
         worst = max(worst, abs(odd - abs(mu * math.sin(2.0 * t))))
     # field case, even sector closed form
-    pf = HeisenbergParams.from_j_kappa(1.0, 0.95, 0.4, B=1.0, b=0.5)
+    pf = HeisenbergParams(1.0, 0.95, 0.4, B=1.0, b=0.5)
     xi = pf.xi
     for t in grid:
         even = concurrence_x(evolve_diagonal(pf, ((1.0 + lam) / 2.0, 0.0, 0.0, (1.0 - lam) / 2.0), t))
@@ -191,7 +193,7 @@ def test_criterion_07_analytic_concurrence_curves():
         closed = 2.0 * abs(lam) * (0.95 / xi) * abs(st) * math.sqrt(ct * ct + (1.0 / xi**2) * st * st)
         worst = max(worst, abs(even - closed))
     # isotropic in-plane coupling generates nothing in the even sector
-    p0 = HeisenbergParams.from_j_kappa(1.0, 0.0, 0.4, B=0.8, b=0.1)
+    p0 = HeisenbergParams(1.0, 0.0, 0.4, B=0.8, b=0.1)
     flat = max(concurrence_x(evolve_diagonal(p0, (1.0, 0.0, 0.0, 0.0), t)) for t in grid)
     ok = worst <= 1e-10 and flat == 0.0
     _line(7, "pipeline concurrence equals closed forms on 64-point grid", ok,

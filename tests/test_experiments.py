@@ -506,7 +506,7 @@ def test_cli_exact_flag_reaches_runner(tmp_path):
     ("heisenberg_conc", {"t_max": float("inf")}, "t_max must be finite"),
     ("heisenberg_conc", {"shots": 1e30}, "shots must be <="),
     ("heisenberg_conc", {"noise": {"gamma_ad": float("nan")}}, "noise.gamma_ad must be finite"),
-    ("heisenberg_conc", {"J": 1e308}, "couplings overflow"),
+    ("heisenberg_conc", {"J": 1e300, "kappa": 1e10}, "couplings overflow"),
     ("heisenberg_conc", {"J": 1e300, "t_max": 1e10}, "phases overflow"),
     ("heisenberg_conc", {"time_points": 10**6}, "time_points must be <="),
     ("tetra_sweep", {"resolution": 65}, "resolution must be <="),
@@ -545,12 +545,23 @@ def test_cli_exact_flag_reaches_runner(tmp_path):
     # the message names the factor that overflowed
     ("heisenberg_conc", {"Jz": 1e300, "t_max": 1e10}, "phases overflow: t_max 10000000000.0 times |Jz| 1e+300"),
     ("heisenberg_conc", {"J": 1e-320}, "phases overflow: the default t_max 2 pi / 1e-320 is infinite; give t_max"),
+    # xi = hypot(B, J kappa) overflows though B and J kappa do not
+    ("field_conc", {"B": 1.5e308, "J": 1.5e308, "kappa": 1}, "couplings overflow"),
 ])
 def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, experiment, params, message):
     # an entry's first field may carry command-line flags after the experiment
     cfg = _write_config(tmp_path, {"params": params})
     assert main([*experiment.split(), "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_coupling_near_the_largest_float_runs(tmp_path):
+    # J = 1e308 and J kappa = 7.5e307 are finite, though J (1 + kappa) is not
+    cfg = _write_config(tmp_path, {"params": {"J": 1e308, "time_points": 8}})
+    out = tmp_path / "big.json"
+    assert main(["heisenberg_conc", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    rows = np.array(json.loads(out.read_text())["rows"])
+    assert rows.shape == (8, 3) and np.isfinite(rows).all()
 
 
 @pytest.mark.parametrize("value, code", [(5.0, 2), (-0.1, 2), (0.0, 0), (math.pi / 2, 0)])

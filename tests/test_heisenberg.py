@@ -24,10 +24,10 @@ def _random_params(rng, field=True):
     jx, jy = rng.uniform(-2.0, 2.0, size=2)
     if abs(jx + jy) < 0.1:
         jx += 0.5
-    jz = rng.uniform(-2.0, 2.0)
+    j, jk, jz = 0.5 * (jx + jy), 0.5 * (jx - jy), rng.uniform(-2.0, 2.0)
     if field:
-        return HeisenbergParams(jx, jy, jz, rng.uniform(-2, 2), rng.uniform(-2, 2))
-    return HeisenbergParams(jx, jy, jz)
+        return HeisenbergParams(j, jk, jz, rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return HeisenbergParams(j, jk, jz)
 
 
 def _propagator(p, t):
@@ -46,13 +46,21 @@ def _odd(mu, p, t):
 
 
 def test_parameter_conversions():
-    p = HeisenbergParams.from_j_kappa(j=1.0, kappa=0.75, jz=1.0, B=1.0, b=0.5)
-    assert p.Jx == pytest.approx(1.75)
-    assert p.Jy == pytest.approx(0.25)
-    assert p.j == pytest.approx(1.0)
-    assert p.j_kappa == pytest.approx(0.75)
+    p = HeisenbergParams(J=1.0, Jk=0.75, Jz=1.0, B=1.0, b=0.5)
     assert p.xi == pytest.approx(1.25)
     assert p.eta == pytest.approx(math.sqrt(1.25))
+
+
+def test_the_coupling_record_holds_the_config_couplings_bit_for_bit():
+    # J as given and Jk = J kappa rounded once: through Jx = J (1 + kappa) and
+    # Jy = J (1 - kappa), Jk = (Jx - Jy) / 2 differs in 248 of these 400 draws
+    rng = np.random.default_rng(33)
+    for j, kappa, jz, B, b in rng.uniform(-2.0, 2.0, size=(400, 5)).tolist():
+        kappa *= 0.5
+        params = resolve_params("field_conc", {"J": j, "kappa": kappa, "Jz": jz, "B": B, "b": b})
+        assert [v.hex() for v in _couplings(params)] == [v.hex() for v in (j, j * kappa, jz, B, b)]
+        params = resolve_params("heisenberg_conc", {"J": j, "kappa": kappa, "Jz": jz})
+        assert [v.hex() for v in _couplings(params)] == [v.hex() for v in (j, j * kappa, jz, 0.0, 0.0)]
 
 
 def test_hamiltonian_matches_pauli_construction():
@@ -61,14 +69,14 @@ def test_hamiltonian_matches_pauli_construction():
         p = _random_params(rng)
         h = hamiltonian(p)
         ref = 0.5 * (
-            p.Jx * kron(SX, SX) + p.Jy * kron(SY, SY) + p.Jz * kron(SZ, SZ)
+            (p.J + p.Jk) * kron(SX, SX) + (p.J - p.Jk) * kron(SY, SY) + p.Jz * kron(SZ, SZ)
         )
         ref += 0.5 * (p.B + p.b) * kron(SZ, I2) + 0.5 * (p.B - p.b) * kron(I2, SZ)
         np.testing.assert_allclose(h, ref, atol=1e-13)
 
 
 def test_propagator_group_property_and_identity():
-    p = HeisenbergParams.from_j_kappa(1.0, 0.6, 0.8, B=0.7, b=0.2)
+    p = HeisenbergParams(1.0, 0.6, 0.8, B=0.7, b=0.2)
 
     def u(t):
         return assemble_x_unitary(propagator_x_params(p, t))
@@ -78,15 +86,15 @@ def test_propagator_group_property_and_identity():
 
 
 def test_rotor_roundtrip_unitarity():
-    p = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.5, B=1.0, b=0.5)
-    for delta, coupling in ((p.B, p.j_kappa), (p.b, p.j)):
+    p = HeisenbergParams(1.0, 0.75, 0.5, B=1.0, b=0.5)
+    for delta, coupling in ((p.B, p.Jk), (p.b, p.J)):
         u, c = _rotor(delta, coupling, 0.9)
         assert abs(u) ** 2 + abs(c) ** 2 == pytest.approx(1.0, abs=1e-12)
         assert c.real == pytest.approx(0.0, abs=1e-14)  # coupling amplitude is purely imaginary
 
 
 # the couplings of the default field sweeps: J = 1, kappa = 0.95, B = 1, b = 0.5
-FIELD_DEFAULTS = HeisenbergParams.from_j_kappa(1.0, 0.95, 0.0, B=1.0, b=0.5)
+FIELD_DEFAULTS = HeisenbergParams(1.0, 0.95, 0.0, B=1.0, b=0.5)
 
 
 @pytest.mark.parametrize("t_max", [10.0, 1e3, 1e5, 1e7, 1e9])
@@ -95,7 +103,7 @@ def test_rotor_stays_unitary_at_any_phase(t_max):
     # every t_max; a sine of a second rounding of the phase grew it with the
     # phase, to 1.9e-9 at t = 1e7 and 1.2e-7 at 1e9
     ts = np.linspace(0.0, t_max, 1001)
-    for delta, coupling in ((FIELD_DEFAULTS.B, FIELD_DEFAULTS.j_kappa), (FIELD_DEFAULTS.b, FIELD_DEFAULTS.j)):
+    for delta, coupling in ((FIELD_DEFAULTS.B, FIELD_DEFAULTS.Jk), (FIELD_DEFAULTS.b, FIELD_DEFAULTS.J)):
         m = np.array(_rotor(delta, coupling, ts))
         norm = (m.real * m.real + m.imag * m.imag).sum(axis=0)
         assert np.max(np.abs(norm - 1.0)) <= 1e-15
@@ -110,7 +118,7 @@ def test_rotor_matches_the_40_digit_oracle_up_to_its_phase_rounding():
     rng = np.random.default_rng(29)
     for t_max in (1.0, 10.0, 100.0, 1e3):
         ts = np.concatenate([np.linspace(0.0, t_max, 51), rng.uniform(0.0, t_max, 250)])
-        for delta, coupling in ((FIELD_DEFAULTS.B, FIELD_DEFAULTS.j_kappa), (FIELD_DEFAULTS.b, FIELD_DEFAULTS.j)):
+        for delta, coupling in ((FIELD_DEFAULTS.B, FIELD_DEFAULTS.Jk), (FIELD_DEFAULTS.b, FIELD_DEFAULTS.J)):
             r = math.hypot(delta, coupling)
             u, c = _rotor(delta, coupling, ts)
             for t, got in zip(ts.tolist(), zip(u.real.tolist(), u.imag.tolist(), c.imag.tolist())):
@@ -144,7 +152,7 @@ def test_evolve_diagonal_matches_the_40_digit_oracle_on_the_default_field_grid()
 
 def test_even_sector_frozen_point():
     # lambda = 1, zero field, 2 Jk t = pi/2 gives the fully entangled block
-    p = HeisenbergParams.from_j_kappa(1.0, 0.5, 0.0)
+    p = HeisenbergParams(1.0, 0.5, 0.0)
     t = math.pi / 2.0
     x = _even(1.0, p, t)
     expect = np.zeros((4, 4), dtype=complex)
@@ -155,7 +163,7 @@ def test_even_sector_frozen_point():
 
 def test_odd_sector_frozen_point():
     # mu = 1, zero field, 2 J t = pi swaps the odd populations completely
-    p = HeisenbergParams.from_j_kappa(1.0, 0.5, 0.0)
+    p = HeisenbergParams(1.0, 0.5, 0.0)
     t = math.pi / 2.0
     np.testing.assert_allclose(_odd(1.0, p, t).matrix(), np.diag([0.0, 0.0, 1.0, 0.0]), atol=1e-12)
 
@@ -196,7 +204,7 @@ def test_evolved_states_are_valid_x_states():
 
 
 def test_evolve_diagonal_rejects_non_probability_populations():
-    p = HeisenbergParams(1.0, 0.5, 0.0)
+    p = HeisenbergParams(0.75, 0.25, 0.0)
     evolve_diagonal(p, (0.6, 0.0, 0.0, 0.4), 0.1)
     with pytest.raises(ContractError):
         evolve_diagonal(p, (0.9, 0.0, 0.0, 0.4), 0.1)  # sums to 1.3
@@ -208,7 +216,7 @@ def test_evolve_diagonal_rejects_non_probability_populations():
 
 def test_sector_concurrence_closed_forms():
     # zero field: C_even = |lambda sin 2 Jk t|, C_odd = |mu sin 2 J t|
-    p = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.3)
+    p = HeisenbergParams(1.0, 0.75, 0.3)
     ts = np.linspace(0.0, 7.0, 40)
     for t in ts:
         assert concurrence_x(_even(0.8, p, t)) == pytest.approx(
@@ -218,7 +226,7 @@ def test_sector_concurrence_closed_forms():
             abs(0.6 * math.sin(2 * t)), abs=1e-12
         )
     # field case: 2|lambda| (Jk/xi) |sin xi t| sqrt(cos^2 xi t + (B/xi)^2 sin^2 xi t)
-    p = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.3, B=1.0)
+    p = HeisenbergParams(1.0, 0.75, 0.3, B=1.0)
     xi = p.xi
     for t in ts:
         s, c = math.sin(xi * t), math.cos(xi * t)
@@ -240,8 +248,8 @@ def test_sector_concurrence_matches_wootters_oracle():
 
 
 def test_concurrence_field_limit_matches_zero_field():
-    p0 = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.5)
-    p1 = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.5, B=1e-8)
+    p0 = HeisenbergParams(1.0, 0.75, 0.5)
+    p1 = HeisenbergParams(1.0, 0.75, 0.5, B=1e-8)
     for t in np.linspace(0.0, 5.0, 23):
         assert concurrence_x(_even(0.9, p1, t)) == pytest.approx(
             concurrence_x(_even(0.9, p0, t)), abs=1e-7
@@ -250,13 +258,13 @@ def test_concurrence_field_limit_matches_zero_field():
 
 def test_isotropic_exchange_generates_nothing_even():
     # kappa = 0 keeps the even sector diagonal for all times
-    p = HeisenbergParams.from_j_kappa(1.0, 0.0, 0.7, B=0.9, b=0.1)
+    p = HeisenbergParams(1.0, 0.0, 0.7, B=0.9, b=0.1)
     for t in np.linspace(0.0, 9.0, 30):
         assert concurrence_x(_even(1.0, p, t)) == 0.0
 
 
 def test_concurrence_periodicity_zero_field():
-    p = HeisenbergParams.from_j_kappa(1.0, 0.75, 0.0)
+    p = HeisenbergParams(1.0, 0.75, 0.0)
     period = math.pi / (2.0 * 0.75)
     for t in np.linspace(0.0, 3.0, 11):
         assert concurrence_x(_even(0.7, p, t)) == pytest.approx(
@@ -287,7 +295,7 @@ def test_propagator_x_params_covers_field_case():
     rng = np.random.default_rng(37)
     for _ in range(40):
         j, kappa, jz, t = rng.uniform(0.2, 2.0), rng.uniform(-1, 1), rng.uniform(-2, 2), rng.uniform(0, 6)
-        hp = HeisenbergParams.from_j_kappa(j, kappa, jz)
+        hp = HeisenbergParams(j, j * kappa, jz)
         q = propagator_x_params(hp, t)
         np.testing.assert_allclose(assemble_x_unitary(q), _propagator(hp, t), atol=1e-12)
 
