@@ -20,11 +20,12 @@ and noise touch only the simulated columns, evolved by ``circuits.run_stack``.
 Every concurrence is the closed form ``concurrence_x``, the simulated ones
 of outputs read through ``xstate_from_matrix``: the noise model keeps every
 output X-shaped, and an output that left the shape would raise ShapeError.
-Setting s of sweep point i draws shots from the stream keyed by the seed
-and 9 i + s, so rerunning any experiment with the same config is
-byte-identical. A sweep builds, evolves, measures, reconstructs and scores
-its points in one pass over blocks of 256, as (P, ...) stacks; a point's
-row does not depend on the block it falls in.
+A sweep builds, evolves, measures, reconstructs and scores its points in
+one pass over blocks of 256 (``_BLOCK``), as (P, ...) stacks. A sampled
+block draws all its shots from the stream keyed by the seed and the index
+of its first point, so rerunning any experiment with the same config is
+byte-identical; a sampled row depends on the block it falls in, an exact
+row does not.
 
 The time-sweep initial state is a two-sector classical mixture: sector
 weights (r0, r1) = (cos^2(gamma/2), sin^2(gamma/2)) and an imbalance lambda
@@ -273,9 +274,11 @@ def _circuit_weights(params: dict) -> tuple:
 
 
 # Sweep points that go through build, evolution, measurement and scoring
-# together; only each point's row outlives its block. 256 runs every default
-# sweep as one executor batch, and the traced peak of 4,096- and 8,192-point
-# sweeps stays flat at 1.0-2.1 MB (0.4-1.1 MB at 64 points, 4.2-8.0 at 1,024).
+# together; only each point's row outlives its block. A sampled block draws
+# from one stream keyed by its first point, so this size is part of the
+# replay rule. 256 runs every default sweep as one executor batch, and the
+# traced peak of 4,096- and 8,192-point sweeps stays flat at 1.0-2.1 MB
+# (0.4-1.1 MB at 64 points, 4.2-8.0 at 1,024).
 _BLOCK = 256
 
 

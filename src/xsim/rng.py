@@ -1,27 +1,25 @@
 """Deterministic random-stream plumbing.
 
 Sampling uses numpy's Philox generator, which is counter based: a stream is
-fully determined by its two-word key. The split rules are fixed so that every
+fully determined by its two-word key. The split rule is fixed so that every
 sampled artifact can be replayed byte for byte from (seed, structure):
 
-* setting s of point i draws from the Philox stream keyed by
-  (seed, 9 i + s), seed being the run's seed and s the setting index, which
-  enumerates Pauli pairs row-major (XX=0, XY=1, ..., ZZ=8); a one-state run
-  is point 0; readout bit-flips are folded into the setting's distribution
-  and take no stream of their own,
-* the samplers get these streams from ``keyed_stream``, which re-keys one
-  shared Generator (checked against ``substream`` in ``tests/oracles.py``).
+* a measured block whose first point is point ``first`` of its run draws
+  all its shots from the one Philox stream keyed by (seed, first), seed
+  being the run's seed; a sweep's blocks are its consecutive runs of
+  ``experiments._BLOCK`` (256) points and a one-state run is point 0, so a
+  sampled row depends on the block it falls in; readout bit-flips are
+  folded into each setting's distribution and take no stream of their own,
+* ``block_counts`` gets that stream from ``keyed_stream``, which re-keys
+  one shared Generator (checked against ``substream`` in ``tests/oracles.py``).
 
-Counts are those of ``multinomial_counts``: numpy's own chain of binomial
-draws, with each conditional probability snapped onto the nearby point where
-numpy's binomial sampler changes branch (``_anchors``: 0, 1/2, 1 and three
-points that depend on the shot count) when it lies within ``SNAP_ATOL`` of
-one, so that roundoff in the probabilities cannot change the counts.
-``block_counts`` draws a block of them with numpy's C-level multinomial, the
-same chain without the snaps, and redraws through ``multinomial_counts``
-only the draws that one array pass over the same anchors finds a snap could
-have moved; a block of fewer than ``CHAIN_BELOW`` draws goes through
-``multinomial_counts`` alone.
+Counts are those of ``block_counts``: per row numpy's own multinomial chain
+of binomial draws, one per outcome but the last, drawn step-major over the
+block's rows, with each conditional probability snapped onto the nearby
+point where numpy's binomial sampler changes branch (``_snap``: 0, 1/2, 1
+and three points that depend on the shot count) when it lies within
+``SNAP_ATOL`` of one, so that roundoff in the probabilities cannot change
+the counts.
 """
 
 from __future__ import annotations
@@ -68,114 +66,83 @@ def keyed_stream(seed: int, stream: int) -> np.random.Generator:
 SNAP_ATOL = 1e-12
 
 
-def _anchors(p, n) -> tuple:
-    """The snap anchors of a conditional p of n draws (the points above), in
-    ``_snap``'s order, for floats (``round``) or arrays of one shape
-    (``np.rint``); both round half to even."""
-    k = round(p * (n + 1)) if isinstance(p, float) else np.rint(p * (n + 1))
-    return 0.0, 0.5, 1.0, 30.0 / n, 1.0 - 30.0 / n, k / (n + 1)
+def _snap(p: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Each conditional p of n draws (arrays of one shape) moved onto the
+    first of its anchors (the points above, in this order) within SNAP_ATOL,
+    then clipped to [0, 1]. For large n, 30/n and k/(n+1) can both lie that
+    near p. k is p (n+1) rounded half to even."""
+    anchors = 0.0, 0.5, 1.0, 30.0 / n, 1.0 - 30.0 / n, np.rint(p * (n + 1)) / (n + 1)
+    out = p.copy()
+    for anchor in anchors[::-1]:
+        np.copyto(out, anchor, where=np.abs(p - anchor) <= SNAP_ATOL)
+    return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
-def _snap(p: float, n: int) -> float:
-    # The first anchor within SNAP_ATOL wins: for large n, 30/n and
-    # k/(n+1) can both lie that near p.
-    for anchor in _anchors(p, n):
-        if abs(p - anchor) <= SNAP_ATOL:
-            return anchor
-    return min(max(p, 0.0), 1.0)
+# From this many rows on, block_counts draws each step as one array call.
+# On a 2-core Xeon VM with Python 3.11 and numpy 2.4, at 50 to 10^6 shots,
+# the scalar loop takes 39-42, 74-79 and 109-117 us at 9, 18 and 27 rows
+# and the array steps 95-102, 97-103 and 101-106 us: a one-point draw is
+# 9 rows, a default sweep block 576 or more.
+ARRAY_FROM = 27
 
 
-def _may_snap(p: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Where ``_snap`` could move p of n draws (arrays): p outside [0, 1], or
-    off an anchor by at most SNAP_ATOL, any anchor, not only the one it picks."""
-    with np.errstate(all="ignore"):
-        off = np.abs([p - anchor for anchor in _anchors(p, n)])
-    return ((off > 0.0) & (off <= SNAP_ATOL)).any(axis=0) | (p < 0.0) | (p > 1.0)
+def block_counts(rows: np.ndarray, shots: int, seed: int, stream: int) -> np.ndarray:
+    """Counts (R, 4) of ``shots`` draws over each outcome distribution of
+    ``rows`` (R, 4), all from the stream (seed, stream).
 
-
-def multinomial_counts(rng: np.random.Generator, n: int, probs) -> tuple:
-    """Counts of n draws over the outcome probabilities ``probs``.
-
-    The same chain as ``Generator.multinomial``, one binomial per outcome but
-    the last, consuming the generator in the same order; only the snapped
-    conditional probabilities differ. O(1) in n; n = 0 draws nothing.
+    Row r is numpy's multinomial chain: step j draws binomial(left_r,
+    p_rj / (1 - p_r0 - ... - p_r(j-1))) of the shots left_r that earlier
+    steps left, the conditional snapped by ``_snap`` (1 where no mass is
+    left), and the last outcome takes the rest. The chain runs step-major:
+    step j of every row, in row order, before step j + 1 of any. A step
+    with no shots left or a zero conditional consumes nothing, as in
+    numpy. From ``ARRAY_FROM`` rows on, each step is one array call to
+    numpy's binomial; below, a scalar loop makes the same calls one by one.
+    O(1) per row in ``shots``.
     """
-    if n < 0:
-        raise ContractError(f"cannot draw {n} shots")
-    binomial = rng.binomial
-    counts = [0] * len(probs)
-    left = int(n)
-    remaining = 1.0
-    for j in range(len(probs) - 1):
-        if left <= 0:
-            break
-        pj = float(probs[j])
-        p = _snap(pj / remaining, left) if remaining > 0.0 else 1.0
-        if p > 0.0:
-            counts[j] = int(binomial(left, p))
-            left -= counts[j]
-        remaining -= pj
-    if left > 0:
-        counts[-1] = left
-    return tuple(counts)
-
-
-# Below this many draws the chain draws every row: on a 2-core Xeon with
-# numpy 2.4 at 8,000 shots, 3, 5 and 9 draws take about 50, 83 and 150 us
-# through it and 131, 143 and 165 us through numpy's draws and the array
-# passes. A one-point call draws 3, 5 or 9; a default sweep block, 192-576.
-CHAIN_BELOW = 9
-
-
-def _numpy_draws(rows: np.ndarray, shots: int, seed: int, streams: list) -> tuple:
-    """numpy's multinomial draws of ``rows`` (N, 4), row n on the stream
-    (seed, streams[n]), and the indices that ``multinomial_counts`` must
-    draw again: the draws a snap could have moved and the rows numpy
-    rejects."""
-    # the mass r_j left before each step, step-major (3, N), in numpy's order
-    remaining = np.array([np.ones(len(rows)), 1.0 - rows[:, 0], 1.0 - rows[:, 0] - rows[:, 1]])
-    # numpy gets the last step snapped where p2 / r2 is near 0, 1/2 or 1: p2
-    # becomes s r2, which numpy divides back to s exactly, s being 0 or a
-    # power of two. No step after the last reads p2.
-    lean, rest = rows.copy(), remaining[2]
-    with np.errstate(all="ignore"):
-        last = rows[:, 2] / rest
-        for anchor in _anchors(last, shots)[:3]:
-            np.copyto(lean[:, 2], anchor * rest, where=np.abs(last - anchor) <= SNAP_ATOL)
-        p = lean[:, :3].T / remaining
-    drawn, rejected = [], []
-    for stream, row in zip(streams, lean):
-        try:
-            drawn.append(keyed_stream(seed, stream).multinomial(shots, row))
-        except ValueError:  # a row numpy rejects, such as one with a NaN
-            rejected.append(len(drawn))
-            drawn.append(np.zeros(4, dtype=np.int64))
-    counts = np.array(drawn, dtype=np.int64).reshape(-1, 4)
-    # A draw is redrawn if a drawn step j (shots left) has r_j <= 0 or a
-    # conditional p_j / r_j, as numpy divides it, that a snap could move.
-    left = np.full((3, len(rows)), shots, dtype=np.int64)
-    left[1:] -= np.cumsum(counts[:, :2], axis=1).T
-    moved = (_may_snap(p, left) | (remaining <= 0.0)) & (left > 0)
-    return counts, sorted(set(np.flatnonzero(moved.any(axis=0)).tolist() + rejected))
-
-
-def block_counts(probs: np.ndarray, shots: int, seed: int, streams: np.ndarray) -> np.ndarray:
-    """Counts (P, S, 4) of ``shots`` draws over each outcome distribution of
-    ``probs`` (P, S, 4): [i, k] is ``multinomial_counts(keyed_stream(seed,
-    streams[i, k]), shots, probs[i, k])``, bit for bit, with ``streams`` a
-    (P, S) array of stream numbers.
-
-    From ``CHAIN_BELOW`` draws on, every draw is first made by numpy's own
-    multinomial, the same binomial chain on the same stream without the
-    snaps; one pass over the block then finds the draws that a snap could
-    have moved, and only those are drawn again through
-    ``multinomial_counts``.
-    """
-    rows, streams = probs.reshape(-1, 4), np.ravel(streams).tolist()
-    if len(rows) < CHAIN_BELOW:
-        counts, redraw = np.zeros(rows.shape, dtype=np.int64), range(len(rows))
-    else:
-        counts, redraw = _numpy_draws(rows, shots, seed, streams)
-    for i in redraw:
-        counts[i] = multinomial_counts(keyed_stream(seed, streams[i]), shots, rows[i].tolist())
-    return counts.reshape(probs.shape)
+    if shots < 0:
+        raise ContractError(f"cannot draw {shots} shots")
+    binomial = keyed_stream(seed, stream).binomial
+    if len(rows) < ARRAY_FROM:
+        # The same calls one draw at a time, with _snap written out for one
+        # float: a function call per draw makes a one-point draw a sixth slower.
+        atol, rows = SNAP_ATOL, rows.tolist()
+        counts = [[0, 0, 0, shots] for _ in rows]
+        remaining = [1.0] * len(rows)
+        for j in range(3):
+            for i, row in enumerate(rows):
+                count = counts[i]
+                left = count[3]
+                if left > 0:
+                    p = row[j] / remaining[i] if remaining[i] > 0.0 else 1.0
+                    c, grid = 30.0 / left, round(p * (left + 1)) / (left + 1)
+                    if -atol <= p <= atol:
+                        p = 0.0
+                    elif -atol <= p - 0.5 <= atol:
+                        p = 0.5
+                    elif -atol <= p - 1.0 <= atol:
+                        p = 1.0
+                    elif -atol <= p - c <= atol:
+                        p = c
+                    elif -atol <= p - (1.0 - c) <= atol:
+                        p = 1.0 - c
+                    elif -atol <= p - grid <= atol:
+                        p = grid
+                    if not 0.0 <= p <= 1.0:
+                        p = 0.0 if p < 0.0 else 1.0
+                    if p > 0.0:
+                        count[j] = drawn = int(binomial(left, p))
+                        count[3] = left - drawn
+                remaining[i] -= row[j]
+        return np.array(counts, dtype=np.int64).reshape(-1, 4)
+    counts = np.empty(rows.shape, dtype=np.int64)
+    left = np.full(len(rows), shots, dtype=np.int64)
+    remaining = np.ones(len(rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(3):
+            p = np.where(remaining > 0.0, _snap(rows[:, j] / remaining, left), 1.0)
+            counts[:, j] = binomial(left, p)
+            left -= counts[:, j]
+            remaining -= rows[:, j]
+    counts[:, 3] = left
+    return counts

@@ -16,9 +16,8 @@ so the reconstructors use Re w = (<XX> - <YY>)/4, Re z = (<XX> + <YY>)/4,
 Im w = -(<XY> + <YX>)/4, Im z = (<XY> - <YX>)/4, with the ZZ outcome
 frequencies giving the diagonal directly.
 
-Setting (i, j), with Pauli indices in (X, Y, Z) order, of point n draws
-from rng.keyed_stream(seed, 9n + 3i + j); row k of a measured stack is
-point first + k.
+Setting (i, j), with Pauli indices in (X, Y, Z) order, has setting index
+3i + j; row k of a measured stack is point first + k.
 
 Readout error flips each recorded outcome bit independently with probability
 p_readout. A shot drawn from probs and then flipped is one draw from
@@ -29,12 +28,14 @@ one multinomial chain or recorded exactly.
 Every measurement is recorded as a frequency stack. ``measure_block``
 takes a (P, 4, 4) stack of states and returns the (P, S, 4) outcome
 frequencies of the S listed settings: exact, they are the distributions
-from one contraction of the stack; sampled, each (point, setting) is one
-snapped multinomial chain, drawn for the whole block by ``rng.block_counts``,
-point-major with the settings in the listed order.
-A row therefore depends only on (state, point, setting, shots, seed,
-p_readout), not on the block or the other settings. The reconstructions and
-``psd_project`` take these stacks; one state is a stack of one.
+from one contraction of the stack; sampled, the block draws all nine
+settings of every point, point-major in setting-index order, as one
+snapped multinomial chain per row on the one stream
+rng.keyed_stream(seed, first), and returns the listed ones. A sampled row
+therefore depends on (block, point, setting, shots, seed, p_readout) but
+not on the other settings listed; an exact row depends on its state and
+setting alone. The reconstructions and ``psd_project`` take these stacks;
+one state is a stack of one.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def setting_probabilities(rho: np.ndarray, settings, p_readout: float = 0.0) -> 
     if rho.shape[-2:] != (4, 4):
         raise ContractError("outcome probabilities need 4x4 density matrices")
     maps = _OUTCOME_MAPS[[setting_index(s) for s in settings]].reshape(-1, 16)
-    probs = np.clip(np.matmul(maps, rho.reshape(-1, 16, 1))[..., 0].real, 0.0, None)
+    probs = np.maximum(np.matmul(maps, rho.reshape(-1, 16, 1))[..., 0].real, 0.0)
     probs = probs.reshape(rho.shape[:-2] + (len(settings), 4))
     total = probs.sum(axis=-1, keepdims=True)
     if not (total > 0.0).all():
@@ -125,20 +126,19 @@ def measure_block(rho: np.ndarray, settings, shots: int, seed: int, first: int, 
     """Recorded outcome frequencies (P, S, 4) of a (P, 4, 4) stack of states
     in each of the S listed settings.
 
-    The distributions come from one ``setting_probabilities`` contraction;
-    exact, they are the frequencies. Sampled, each (point, setting) is the
-    ``multinomial_counts`` draw of ``shots`` on the stream (seed, 9 (first
-    + k) + s) of row k and setting index s, made for the block by
-    ``block_counts``.
+    Exact, the frequencies are the distributions of one
+    ``setting_probabilities`` contraction. Sampled, the block draws all nine
+    settings of every point, point-major in FULL order, as one
+    ``block_counts`` call on the stream (seed, first), ``first`` being the
+    index of its first point, and returns the listed settings.
     """
-    probs = setting_probabilities(rho, settings, p_readout)
     if exact:
-        return probs
+        return setting_probabilities(rho, settings, p_readout)
+    index = [setting_index(s) for s in settings]
+    probs = setting_probabilities(rho, FULL, p_readout)
     if shots < 1:
         raise ContractError("shots must be >= 1; the exact limit is measured with exact=True")
-    points = np.arange(first, first + len(probs))
-    streams = 9 * points[:, None] + [setting_index(s) for s in settings]
-    return block_counts(probs, shots, seed, streams) / shots
+    return block_counts(probs.reshape(-1, 4), shots, seed, first).reshape(probs.shape)[:, index] / shots
 
 
 def _last_axis_first(a: np.ndarray) -> np.ndarray:

@@ -35,7 +35,10 @@ The other references are what the program does not run:
   that of ``circuits.build_xstate_circuit`` at phi -> pi/2 - phi,
 * ``relative_phase``, for unitaries equal up to a global phase,
 * ``substream``, a Philox generator built afresh per key, which
-  ``rng.keyed_stream`` must match draw for draw,
+  ``rng.keyed_stream`` must match draw for draw, and
+  ``block_counts_reference``, the step-major snapped multinomial chain of a
+  block drawn one scalar binomial at a time on such a generator, which
+  ``rng.block_counts`` must equal count for count on either route,
 * the scalar routes of the block builders, one point per call in Python
   floats (``evolve_diagonal_scalar``, ``strip_phases_scalar``,
   ``to_spectral_scalar``, ``build_xstate_circuit_scalar``,
@@ -425,6 +428,38 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     """Independent generator keyed by (seed, stream), built afresh."""
     key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def snap_reference(p: float, n: int) -> float:
+    """A conditional p of n draws moved onto the first of the points where
+    numpy's binomial sampler branches (0, 1/2, 1, 30/n, 1 - 30/n, then the
+    grid point k/(n+1) nearest p) within 1e-12, then clipped to [0, 1]."""
+    k = round(p * (n + 1))
+    for anchor in (0.0, 0.5, 1.0, 30.0 / n, 1.0 - 30.0 / n, k / (n + 1)):
+        if abs(p - anchor) <= 1e-12:
+            p = anchor
+            break
+    return min(max(p, 0.0), 1.0)
+
+
+def block_counts_reference(rows, shots: int, seed: int, stream: int) -> list:
+    """Counts of ``shots`` draws over each outcome distribution of ``rows``
+    (a list of four-probability rows), as nested lists: numpy's multinomial
+    chain of each row with snapped conditionals, drawn step-major (step j of
+    every row before step j + 1 of any), one scalar binomial at a time, on a
+    generator built afresh under the key (seed, stream)."""
+    binomial = substream(seed, stream).binomial
+    counts = [[0, 0, 0, shots] for _ in rows]
+    remaining = [1.0] * len(rows)
+    for j in range(3):
+        for r, (row, count) in enumerate(zip(rows, counts)):
+            if count[3] > 0:
+                p = snap_reference(float(row[j]) / remaining[r], count[3]) if remaining[r] > 0.0 else 1.0
+                if p > 0.0:
+                    count[j] = int(binomial(count[3], p))
+                    count[3] -= count[j]
+            remaining[r] -= float(row[j])
+    return counts
 
 
 # The scalar routes, one point per call, that the block routes of the

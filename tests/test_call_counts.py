@@ -2,9 +2,10 @@
 
 A sweep block runs as arrays, so the Python calls of a sweep are a constant
 per block plus a small slope per point: one generator step per circuit in
-``run_stack``, and in sampled mode one ``keyed_stream`` call per (point,
-setting) plus ``multinomial_counts``, ``_anchors`` and ``_snap`` per redrawn
-draw. Two sizes inside one block give both numbers. Frames of numpy's own
+``run_stack``. A sampled block re-keys its one stream and draws its shots in
+three array steps, so sampling adds a constant and no slope: a sampler call
+per (point, setting), such as a stream keyed per draw, fails here. Two sizes
+inside one block give both numbers. Frames of numpy's own
 Python dispatchers are not counted, so the counts do not depend on the numpy
 version; a ``NamedTuple`` constructor runs in a frame of its own module and is
 not counted either.
@@ -20,9 +21,10 @@ from collections import Counter
 
 import pytest
 
-from xsim import experiments
+from xsim import experiments, tomography
 from xsim.experiments import run_experiment
 from xsim.heisenberg import evolve_diagonal
+from xsim.rng import block_counts, keyed_stream
 
 # experiment -> (size key, two sizes, points at each size)
 SIZES = {
@@ -40,11 +42,11 @@ CEILINGS = {
     ("field_conc", True): (1.5, 228),  # 1, 208
     ("heisenberg_fidelity", True): (1.5, 224),  # 1, 204
     ("field_fidelity", True): (1.5, 256),  # 1, 236
-    ("tetra_sweep", False): (4.5, 214),  # 4, 194
-    ("heisenberg_conc", False): (4.5, 190),  # 4, 170
-    ("field_conc", False): (6.5, 256),  # 6, 236
-    ("heisenberg_fidelity", False): (15.5, 256),  # 15, 236
-    ("field_fidelity", False): (10.5, 288),  # 10, 268
+    ("tetra_sweep", False): (1.5, 219),  # 1, 199
+    ("heisenberg_conc", False): (1.5, 187),  # 1, 167
+    ("field_conc", False): (1.5, 243),  # 1, 223
+    ("heisenberg_fidelity", False): (1.5, 239),  # 1, 219
+    ("field_fidelity", False): (1.5, 271),  # 1, 251
 }
 
 
@@ -90,3 +92,18 @@ def test_the_counter_sees_a_per_point_loop(monkeypatch):
 
     monkeypatch.setattr(experiments, "evolve_diagonal", per_point)
     assert xsim_calls("heisenberg_conc", params) - base >= 16
+
+
+def test_the_counter_sees_a_stream_keyed_per_draw(monkeypatch):
+    # keying a stream per (point, setting) before the block's draw adds nine
+    # xsim calls per point
+    params = {"time_points": 16, "seed": 0}
+    base = xsim_calls("heisenberg_fidelity", params)
+
+    def per_draw(rows, shots, seed, stream):
+        for row in range(len(rows)):
+            keyed_stream(seed, 9 * stream + row)
+        return block_counts(rows, shots, seed, stream)
+
+    monkeypatch.setattr(tomography, "block_counts", per_draw)
+    assert xsim_calls("heisenberg_fidelity", params) - base >= 9 * 16

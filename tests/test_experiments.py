@@ -36,7 +36,6 @@ from xsim import experiments, tomography
 from xsim.heisenberg import evolve_diagonal
 from xsim.linalg import dagger
 from xsim.noise import NoiseModel
-from xsim.rng import multinomial_counts
 from xsim.tomography import FULL, PARTIAL3, PARTIAL5, reconstruct_full, reconstruct_x3, reconstruct_x5
 from xsim.xstate import XSpectral, XState, concurrence_x, fidelity_x, from_spectral, leakage, sqrt_x, xstate_from_matrix
 
@@ -761,23 +760,20 @@ def test_sweep_builds_each_circuit_once_unless_the_circuits_are_read(experiment,
 
 
 @pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
-def test_rows_and_circuit_dumps_do_not_depend_on_the_block_size(experiment, monkeypatch):
-    # Seeds come per point, draws per (point, setting), the executor's
-    # arithmetic per state and LAPACK per matrix, so the output is the same
-    # bytes at any block size, sampled and exact; the sweep spans two blocks
-    # of 256 points.
+def test_exact_rows_and_circuit_dumps_do_not_depend_on_the_block_size(experiment, monkeypatch):
+    # The executor's arithmetic is per state and LAPACK per matrix, so the
+    # exact output and the circuits are the same bytes at any block size;
+    # the sweep spans two blocks of 256 points. Sampled rows draw from one
+    # stream per block and depend on it.
     size = _sweep_size(experiment, 260)
     outputs = set()
     for block in (1, 7, 64, 256):
         monkeypatch.setattr(experiments, "_BLOCK", block)
-        texts = []
-        for exact in (False, True):
-            _, result = run_experiment(experiment, {**size, "exact": exact, "seed": 5, "shots": 700})
-            text = io.StringIO()
-            format_csv(result, text)
-            texts.append(text.getvalue())
-        format_circuit_dump(result, text)
-        outputs.add((*texts, text.getvalue()))
+        _, result = run_experiment(experiment, {**size, "exact": True, "seed": 5, "shots": 700})
+        text, dump = io.StringIO(), io.StringIO()
+        format_csv(result, text)
+        format_circuit_dump(result, dump)
+        outputs.add((text.getvalue(), dump.getvalue()))
     assert len(outputs) == 1
 
 
@@ -835,41 +831,6 @@ def test_sampled_sweep_rows_do_not_depend_on_earlier_draws():
     run_experiment("xprep_single", {"target": XSTATE_TARGET, "shots": 10**6, "seed": 4})
     _, after = run_experiment("heisenberg_fidelity", raw)
     np.testing.assert_array_equal(before.rows, after.rows)
-
-
-def test_default_sampled_sweeps_redraw_few_draws_through_the_chain(monkeypatch):
-    # numpy's multinomial draws every (point, setting); only a draw that a
-    # snap could have moved is drawn again through multinomial_counts. The
-    # snapped last step leaves none in tetra_sweep, and the only frequent
-    # ones are middle steps near 1/3 on a grid point k / (left + 1). The
-    # redraws are pinned: a change to the redraw mask shows here even when
-    # every shot count stays as it was.
-    chain, measure = multinomial_counts, tomography.measure_block
-    redraws, draws = [], []
-
-    def counting(*args):
-        redraws.append(1)
-        return chain(*args)
-
-    def measuring(rho, settings, shots, seed, first, p_readout=0.0, exact=False):
-        draws.append(len(rho) * len(settings))
-        return measure(rho, settings, shots, seed, first, p_readout, exact)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("xsim") and getattr(module, "multinomial_counts", None) is chain:
-            monkeypatch.setattr(module, "multinomial_counts", counting)
-    monkeypatch.setattr(experiments, "measure_block", measuring)
-    seen = {}
-    for experiment in ("tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"):
-        for seed in (0, 7):
-            redraws.clear(), draws.clear()
-            run_experiment(experiment, {"seed": seed})
-            seen[experiment, seed] = (len(redraws), sum(draws))
-    assert seen == {("tetra_sweep", 0): (0, 495), ("tetra_sweep", 7): (0, 495),
-                    ("heisenberg_conc", 0): (1, 192), ("heisenberg_conc", 7): (0, 192),
-                    ("field_conc", 0): (2, 320), ("field_conc", 7): (1, 320),
-                    ("heisenberg_fidelity", 0): (42, 576), ("heisenberg_fidelity", 7): (34, 576),
-                    ("field_fidelity", 0): (2, 576), ("field_fidelity", 7): (1, 576)}
 
 
 @pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "heisenberg_fidelity", "field_fidelity"])
@@ -1006,9 +967,27 @@ def test_sweep_rows_are_one_float_table_led_by_the_points(experiment):
     np.testing.assert_array_equal(result.rows[:, : points.shape[1]], points)
 
 
-def _per_point_rows(experiment, params):
-    """A sweep's rows computed one point at a time, each point measured as
-    a stack of one."""
+def _recording_draws(monkeypatch) -> dict:
+    """Wrap ``measure_block`` to record each sampled frequency row of a run,
+    keyed by (point, setting)."""
+    drawn, measure = {}, tomography.measure_block
+
+    def recording(rho, settings, shots, seed, first, p_readout=0.0, exact=False):
+        frequencies = measure(rho, settings, shots, seed, first, p_readout, exact)
+        if not exact:
+            drawn.update(((index, setting), row) for index, point in enumerate(frequencies, first)
+                         for setting, row in zip(settings, point))
+        return frequencies
+
+    for module in (experiments, tomography):
+        monkeypatch.setattr(module, "measure_block", recording)
+    return drawn
+
+
+def _per_point_rows(experiment, params, drawn):
+    """A sweep's rows computed one point at a time: exact, each point is
+    measured as a stack of one; sampled, it reads the frequencies that
+    ``drawn`` holds for its (point, setting) pairs."""
     nm = params["noise"]
     if experiment == "tetra_sweep":
         theta, phi = params["theta"], params["phi"]
@@ -1026,16 +1005,21 @@ def _per_point_rows(experiment, params):
     for index, p in enumerate(points):
         target, circ = build(p)
         pair = run_stack((circ,), (2, 3), nm.gate_noise)[0]
-        draw = (params["shots"], params["seed"], index, nm.p_readout, params["exact"])
+
+        def measure(settings):
+            if params["exact"]:
+                return tomography.measure_block(pair[None], settings, params["shots"], params["seed"], index, nm.p_readout, True)[0]
+            return np.array([drawn[index, s] for s in settings])
+
         if experiment == "tetra_sweep":
-            c_shot = concurrence_x(reconstruct_x3(tomography.measure_block(pair[None], PARTIAL3, *draw)[0]))
+            c_shot = concurrence_x(reconstruct_x3(measure(PARTIAL3)))
             rows.append((*p, concurrence_x(target), concurrence_x(xstate_from_matrix(pair)), c_shot))
         elif experiment.endswith("conc"):
             settings, reconstruct = (PARTIAL5, reconstruct_x5) if experiment == "field_conc" else (PARTIAL3, reconstruct_x3)
-            estimate = reconstruct(tomography.measure_block(pair[None], settings, *draw)[0])
+            estimate = reconstruct(measure(settings))
             rows.append((p, concurrence_x(target), concurrence_x(estimate)))
         else:
-            f = tomography.measure_block(pair[None], FULL, *draw)[0]
+            f = measure(FULL)
             # the full estimate's factor against the target's closed-form root, the X estimates in closed form
             overlap = dagger(reconstruct_full(f)) @ sqrt_x(target).matrix()
             scores = [np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2,
@@ -1051,18 +1035,12 @@ def _per_point_rows(experiment, params):
 def test_blocked_row_stage_matches_the_per_point_route(experiment, exact, monkeypatch):
     # 150 time points (165 simplex points) are not a multiple of the block;
     # at 50 shots with readout error, PSD repairs and corner clamps fire.
+    # Sampled, the per-point route reconstructs and scores the frequencies
+    # that the blocked route drew.
     size = {"resolution": 8} if experiment == "tetra_sweep" else {"time_points": 150}
     raw = {**size, "shots": 50, "seed": 5, "noise": READOUT_NOISE, "exact": exact}
-    draws, repairs, clamps = [], [], []
-    measure, psd, clamp = tomography.measure_block, tomography.psd_project, tomography._clamped_corner
-
-    def recording(rho, settings, shots, seed, first, p_readout=0.0, exact=False):
-        frequencies = measure(rho, settings, shots, seed, first, p_readout, exact)
-        if not exact:
-            counts = np.rint(frequencies * shots).astype(int).tolist()
-            draws.extend((seed, index, setting, tuple(c)) for index, point in enumerate(counts, first)
-                         for setting, c in zip(settings, point))
-        return frequencies
+    repairs, clamps = [], []
+    psd, clamp = tomography.psd_project, tomography._clamped_corner
 
     def repairing(rho_hat):
         repairs.append(int(np.sum(np.linalg.eigvalsh(rho_hat)[..., 0] < 0.0)))
@@ -1073,32 +1051,30 @@ def test_blocked_row_stage_matches_the_per_point_route(experiment, exact, monkey
         clamps.append(int(np.sum(out != value)))
         return out
 
-    for module in (experiments, tomography):
-        monkeypatch.setattr(module, "measure_block", recording)
+    drawn = _recording_draws(monkeypatch)
     monkeypatch.setattr(tomography, "psd_project", repairing)
     monkeypatch.setattr(tomography, "_clamped_corner", clamping)
     params, blocked = run_experiment(experiment, raw)
     if not exact:
         assert sum(clamps) > 0
         assert sum(repairs) > 0 or not experiment.endswith("fidelity")
-    blocked_draws = list(draws)
-    draws.clear()
-    per_point = _per_point_rows(experiment, params)
-    assert blocked_draws == draws
+    per_point = _per_point_rows(experiment, params, drawn)
     settings = {"tetra_sweep": 3, "heisenberg_conc": 3, "field_conc": 5}.get(experiment, 9)
-    assert len(draws) == (0 if exact else settings * len(per_point))
+    assert len(drawn) == (0 if exact else settings * len(per_point))
     assert len(blocked.rows) == len(per_point)
     for got, want in zip(blocked.rows, per_point):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("experiment", ["heisenberg_fidelity", "field_fidelity"])
-def test_f_full_of_a_point_alone_equals_its_row_in_a_full_block(experiment):
+def test_f_full_of_a_point_alone_equals_its_row_in_a_full_block(experiment, monkeypatch):
     # 256 points are one full block; at 50 shots with readout error most
-    # full estimates need a repair, and the factor carries it to the score.
+    # full estimates need a repair, and the factor carries it to the score
+    # of each point's own frequencies.
+    drawn = _recording_draws(monkeypatch)
     params, blocked = run_experiment(experiment, {"time_points": 256, "shots": 50, "seed": 3, "noise": READOUT_NOISE})
     column = blocked.columns.index("f_full")
-    assert blocked.rows[:, column].tolist() == [row[column] for row in _per_point_rows(experiment, params)]
+    assert blocked.rows[:, column].tolist() == [row[column] for row in _per_point_rows(experiment, params, drawn)]
 
 
 @pytest.mark.parametrize("experiment, partial3", [("field_fidelity", False), ("heisenberg_fidelity", True)])

@@ -18,7 +18,7 @@ from conftest import (
     random_xstate_raw,
     run_channel,
 )
-from oracles import partial_trace
+from oracles import block_counts_reference, partial_trace
 from xsim import experiments
 from xsim.circuits import run_stack
 from xsim.errors import ContractError
@@ -31,8 +31,7 @@ from xsim.noise import (
     depolarizing_kraus,
     phase_damping_kraus,
 )
-from xsim.rng import keyed_stream, multinomial_counts
-from xsim.tomography import measure_block, setting_index, setting_probabilities
+from xsim.tomography import FULL, measure_block, setting_probabilities
 from xsim.xstate import leakage
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -185,8 +184,8 @@ def test_readout_flip_identity_at_zero():
     rho = random_density(np.random.default_rng(4))
     probs = setting_probabilities(rho, ("ZZ",))[0]
     assert tuple(_frequencies(rho, "ZZ", 100, 1, p_readout=0.0, exact=True)) == tuple(probs)
-    unflipped = multinomial_counts(keyed_stream(1, setting_index("ZZ")), 100, probs)
-    assert _counts(rho, "ZZ", 100, 1, p_readout=0.0) == unflipped
+    unflipped = block_counts_reference(setting_probabilities(rho, FULL).tolist(), 100, 1, 0)[FULL.index("ZZ")]
+    assert _counts(rho, "ZZ", 100, 1, p_readout=0.0) == tuple(unflipped)
 
 
 def test_readout_flip_preserves_shots_and_setting():

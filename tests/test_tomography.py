@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_xstate, random_xstate_raw
-from oracles import fidelity, psd_factor, psd_project_matrix, substream
+from oracles import block_counts_reference, fidelity, psd_factor, psd_project_matrix
 from xsim.errors import ContractError, ProtocolError
 from xsim.experiments import run_experiment
 from xsim.linalg import PAULI, dagger, kron
-from xsim.rng import multinomial_counts
 from xsim.xstate import strip_phases
 from xsim.tomography import (
     FULL,
@@ -133,21 +132,21 @@ def test_measure_block_rejects_a_state_with_a_nan_entry(exact):
 
 
 @pytest.mark.filterwarnings("error")
-def test_measure_block_rows_match_a_fresh_stream_per_draw():
-    # Each row is numpy's multinomial, redrawn through the snapped chain
-    # where a snap could have moved it; it must be the chain's draw on a
-    # generator built afresh for its (point, setting), keyed by the seed and
-    # 9 (first + k) + s for row k and setting index s. The inputs are dense
-    # in the conditional probabilities where numpy's sampler branches:
-    # uniform rows off by 1e-16, exact zeros, two outcomes summing to 1 and
-    # weights k/8, in all nine settings (diagonal states read their weights
-    # in ZZ and near-uniform rows elsewhere), at shot counts around the
-    # switch to BTPE (n p = 30) and where (n + 1) p is integral. The
-    # samplers share one Generator, whose binomial set-up numpy keeps and
-    # reuses while (n, p) repeats: the maximally mixed state gives every
-    # setting the same distribution, the shot counts and the keys repeat,
-    # and a small outcome probability goes both ways across the switch
-    # between inversion and BTPE from one call to the next.
+def test_measure_block_draws_the_reference_chain_on_a_fresh_stream_per_block():
+    # A sampled block is the reference step-major chain over all nine
+    # settings of its points, point-major in FULL order, on a generator
+    # built afresh under (seed, first); the listed settings are read out of
+    # it. The inputs are dense in the conditional probabilities where
+    # numpy's sampler branches: uniform rows off by 1e-16, exact zeros, two
+    # outcomes summing to 1 and weights k/8, in all nine settings (diagonal
+    # states read their weights in ZZ and near-uniform rows elsewhere), at
+    # shot counts around the switch to BTPE (n p = 30) and where (n + 1) p
+    # is integral. The samplers share one Generator, whose binomial set-up
+    # numpy keeps and reuses while (n, p) repeats: the maximally mixed state
+    # gives every setting the same distribution, the shot counts and the
+    # keys repeat, and a small outcome probability goes both ways across the
+    # switch between inversion and BTPE from one call to the next. Whole
+    # stacks take the array steps, their first two states the scalar loop.
     src = np.random.default_rng(18)
     eighths = [w for w in itertools.product(range(9), repeat=4) if sum(w) == 8]
     diagonals = [np.array(eighths[k]) / 8.0 for k in src.choice(len(eighths), size=24, replace=False)]
@@ -160,13 +159,14 @@ def test_measure_block_rows_match_a_fresh_stream_per_draw():
     rho = np.array([np.diag(d).astype(complex) for d in diagonals] + [mixed, mixed, mixed, tilted, tilted, noisy, mixed])
     keys = itertools.cycle([(int(src.integers(0, 2**63)), 0), (7, 3), (2**64 - 1, 10**6), (0, 0), (7, 3)])
     for settings in (FULL, ("ZZ",)):
-        probs = setting_probabilities(rho, settings)
+        index = [FULL.index(s) for s in settings]
         for shots in (1, 2, 29, 30, 31, 59, 60, 61, 119, 120, 121, 5954, 8000, 8001, 10**6, 10**9, 50, 8000):
             seed, first = next(keys)
-            want = [[multinomial_counts(substream(seed, 9 * (first + k) + setting_index(s)), shots, p)
-                     for s, p in zip(settings, point)] for k, point in enumerate(probs.tolist())]
-            got = measure_block(rho, settings, shots, seed, first)
-            np.testing.assert_array_equal(got, np.array(want, dtype=float) / shots)
+            for stack in (rho, rho[-2:]):
+                rows = setting_probabilities(stack, FULL).reshape(-1, 4).tolist()
+                want = np.array(block_counts_reference(rows, shots, seed, first)).reshape(-1, 9, 4)[:, index]
+                got = measure_block(stack, settings, shots, seed, first)
+                np.testing.assert_array_equal(got, want / shots)
 
 
 def test_shot_error_shrinks_with_more_shots():
