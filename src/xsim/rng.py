@@ -10,8 +10,9 @@ sampled artifact can be replayed byte for byte from (seed, structure):
   ``experiments._BLOCK`` (256) points and a one-state run is point 0, so a
   sampled row depends on the block it falls in; readout bit-flips are
   folded into each setting's distribution and take no stream of their own,
-* ``block_counts`` gets that stream from ``keyed_stream``, which re-keys
-  one shared Generator (checked against ``substream`` in ``tests/oracles.py``).
+* ``block_counts`` gets that stream from ``keyed_stream``, a Generator
+  built afresh for the block, so the module keeps no state between calls
+  and concurrent runs replay as serial ones do.
 
 Counts are those of ``block_counts``: per row numpy's own multinomial chain
 of binomial draws, one per outcome but the last, drawn step-major over the
@@ -28,30 +29,14 @@ import numpy as np
 
 from .errors import ContractError
 
-# The one bit generator that keyed_stream re-keys and the one Generator over
-# it, made on first use: a run that draws nothing never imports numpy.random.
-# The state setter copies the values out of _STATE (lists set faster than
-# arrays), so a re-key only rewrites _KEY. The Generator's only own state is
-# its binomial set-up, a function of (n, p) that it redoes when either changes.
-_philox = _generator = None
-_KEY = [0, 0]
-_STATE = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": _KEY},
-          "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
 
 def keyed_stream(seed: int, stream: int) -> np.random.Generator:
-    """The shared Generator, its Philox reset to counter 0 under the key
-    (seed, stream): it draws exactly what a fresh
-    ``Generator(Philox(key=(seed, stream)))`` draws, until the next call
-    re-keys it. Keep no reference to it; not safe to share between threads.
-    """
-    global _philox, _generator
-    if _generator is None:
-        _philox = np.random.Philox(0)
-        _generator = np.random.Generator(_philox)
-    _KEY[:] = int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)
-    _philox.state = _STATE
-    return _generator
+    """A new Generator over Philox keyed by (seed mod 2^64, stream), at
+    counter 0. numpy.random is first touched here, so a run that draws
+    nothing never imports it."""
+    # a list key would reach Philox as float64, which casts 2^64 - 1 to 0
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # numpy's binomial sampler for n draws is discontinuous in p at a few known

@@ -30,8 +30,8 @@ takes a (P, 4, 4) stack of states and returns the (P, S, 4) outcome
 frequencies of the S listed settings: exact, they are the distributions
 from one contraction of the stack; sampled, the block draws all nine
 settings of every point, point-major in setting-index order, as one
-snapped multinomial chain per row on the one stream
-rng.keyed_stream(seed, first), and returns the listed ones. A sampled row
+snapped multinomial chain per row on one Philox stream built afresh
+under the key (seed, first), and returns the listed ones. A sampled row
 therefore depends on (block, point, setting, shots, seed, p_readout) but
 not on the other settings listed; an exact row depends on its state and
 setting alone. The reconstructions and ``psd_project`` take these stacks;
@@ -85,7 +85,8 @@ _SETTING_INDEX = {setting: index for index, setting in enumerate(FULL)}
 
 
 def setting_index(setting: str) -> int:
-    """Substream index of a setting: 3*first + second in (X, Y, Z) order."""
+    """Position of a setting in FULL, the order a block draws and stores
+    its settings in: 3*first + second in (X, Y, Z) order."""
     index = _SETTING_INDEX.get(setting) if isinstance(setting, str) else None
     if index is None:
         raise ProtocolError(f"unknown setting {setting!r}")

@@ -34,8 +34,8 @@ The other references are what the program does not run:
 * ``build_xstate_circuit_alt``, the three-CNOT preparation whose output is
   that of ``circuits.build_xstate_circuit`` at phi -> pi/2 - phi,
 * ``relative_phase``, for unitaries equal up to a global phase,
-* ``substream``, a Philox generator built afresh per key, which
-  ``rng.keyed_stream`` must match draw for draw, and
+* ``substream``, a Philox generator built afresh per key, whose key
+  packing ``rng.keyed_stream`` must match draw for draw, and
   ``block_counts_reference``, the step-major snapped multinomial chain of a
   block drawn one scalar binomial at a time on such a generator, which
   ``rng.block_counts`` must equal count for count on either route,

@@ -2,7 +2,7 @@
 
 A sweep block runs as arrays, so the Python calls of a sweep are a constant
 per block plus a small slope per point: one generator step per circuit in
-``run_stack``. A sampled block re-keys its one stream and draws its shots in
+``run_stack``. A sampled block keys its one stream and draws its shots in
 three array steps, so sampling adds a constant and no slope: a sampler call
 per (point, setting), such as a stream keyed per draw, fails here. Two sizes
 inside one block give both numbers. Frames of numpy's own

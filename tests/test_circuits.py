@@ -171,6 +171,21 @@ def test_build_xstate_circuit_matches_shape_map():
         np.testing.assert_allclose(pair, from_spectral(s).matrix(), atol=1e-12)
 
 
+def test_the_first_block_drops_its_entangling_pair_up_to_alpha_1e_12(monkeypatch):
+    # alpha ~ 4 delta for weights (1/4 + delta, 1/4 - delta, 1/4 - delta,
+    # 1/4 + delta): 0.96e-12 factorizes, 1.04e-12 does not
+    def entangles(deltas) -> list:
+        p = np.array([[0.25 + d, 0.25 - d, 0.25 - d, 0.25 + d] for d in deltas])
+        return [("cnot", (0, 1)) in c.ops for c in build_xstate_circuit(p, 0.3, 0.2)]
+
+    assert entangles([0.0, 2.4e-13, -2.4e-13, 2.6e-13, -2.6e-13]) == [False, False, False, True, True]
+    # at the margin itself, which no distribution's alpha lands on exactly
+    past = np.nextafter(1e-12, 1.0)
+    alpha = np.array([1e-12, -1e-12, past, -past])
+    monkeypatch.setattr(circuits, "classical_prep_angles", lambda p: (alpha, 0.0 * alpha, 0.0 * alpha))
+    assert entangles([0.0] * 4) == [False, False, True, True]
+
+
 def test_alt_block_equals_standard_with_reflected_angle():
     rng = np.random.default_rng(19)
     for _ in range(40):

@@ -61,6 +61,23 @@ def test_simplex_grid_point_count_and_normalization():
         resolve_params("tetra_sweep", {"resolution": 0})
 
 
+def test_one_shot_is_accepted_and_draws_frequencies_of_0_or_1(monkeypatch):
+    # the smallest shot count a config may ask for: each setting of each
+    # point records its one shot as a frequency of 1 on one outcome
+    assert resolve_params("heisenberg_fidelity", {"shots": 1})["shots"] == 1
+    seen, measure = [], experiments.measure_block
+
+    def record(*args, **draw):
+        seen.append(measure(*args, **draw))
+        return seen[-1]
+
+    monkeypatch.setattr(experiments, "measure_block", record)
+    run_experiment("heisenberg_fidelity", {"shots": 1, "time_points": 16})
+    (f,) = seen
+    assert f.shape == (16, 9, 4)
+    assert set(f.ravel().tolist()) == {0.0, 1.0} and (f.sum(axis=-1) == 1.0).all()
+
+
 def test_resolve_params_defaults_and_rejection():
     params = resolve_params("heisenberg_conc", {})
     assert params["shots"] == 8000

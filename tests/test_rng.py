@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -100,8 +106,8 @@ def test_array_snap_equals_the_reference_on_random_and_anchor_adjacent_inputs():
 
 
 def test_keyed_stream_draws_what_substream_draws():
-    # numpy keeps its binomial set-up per Generator and reuses it when
-    # (n, p) repeats; a re-keyed stream must still match a fresh one
+    # the two words of the key, seed mod 2^64 and stream, reach Philox as
+    # the reference packs them, at seeds above 2^63 too
     cases = [(8000, (0.3, 0.2, 0.4, 0.1)), (8000, (0.3, 0.2, 0.4, 0.1)), (50, (0.5, 0.5, 0.0, 0.0)),
              (8000, (0.3, 0.2, 0.4, 0.1)), (10**6, (0.25, 0.25, 0.25, 0.25)), (10**6, (0.25, 0.25, 0.25, 0.25))]
     for seed in (0, 7, 2**63 + 5):
@@ -149,3 +155,38 @@ def test_scalar_and_array_routes_give_the_same_counts(monkeypatch):
             scalar, array = _both_routes(rows, shots, 9, size, monkeypatch)
             assert scalar == array
         assert block_counts(rows, 8000, 9, size).tolist() == block_counts_reference(rows.tolist(), 8000, 9, size)
+
+
+def test_concurrent_sampled_runs_replay_the_serial_rows():
+    # Four threads each run one seeded sampled sweep 40 times, started
+    # together and switched often; every run must return the serial run's
+    # rows byte for byte. A generator shared between calls, re-keyed per
+    # block, lets one thread's draws come from another's key.
+    params = {"time_points": 64, "shots": 50, "seed": 3}
+    want = run_experiment("heisenberg_fidelity", params)[1].rows.tobytes()
+    start = threading.Barrier(4, timeout=60)
+
+    def differing_runs(_) -> int:
+        start.wait()
+        return sum(run_experiment("heisenberg_fidelity", params)[1].rows.tobytes() != want for _ in range(40))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            assert sum(pool.map(differing_runs, range(4), timeout=60)) == 0
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_only_a_sampled_run_imports_numpy_random():
+    # keyed_stream is the package's one use of numpy.random, so an exact run
+    # never imports it
+    code = ("import sys; from xsim.experiments import run_experiment; "
+            "run_experiment('field_fidelity', {'time_points': 4, 'exact': %s}); "
+            "print('numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rng.__file__))}
+    for exact in (True, False):
+        proc = subprocess.run([sys.executable, "-c", code % exact], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert (proc.returncode, proc.stdout) == (0, f"{not exact}\n"), proc.stderr

@@ -6,7 +6,7 @@ under seeds 0-199. Each (seed, point, setting) draw must then be an
 independent multinomial over the readout-folded outcome distribution: the
 cell means and variances must be binomial, and counts must be uncorrelated
 between the settings of one point, between adjacent points and between
-seeds s and s + 1. A re-keyed stream that collides with another, a lost
+seeds s and s + 1. A stream key that collides with another, a lost
 readout fold or a redraw that biases the counts fails here, where tests
 that pin the program's own bytes would be re-recorded along with it.
 
@@ -131,20 +131,20 @@ def residuals(counts, p, shots):
 
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_cell_means_match_the_readout_folded_distribution(draws, sweep):
-    # bound |z| <= 6.61; observed max 3.32 (heisenberg) and 3.30 (field)
+    # bound |z| <= 6.61; observed max 3.84 (heisenberg) and 3.91 (field)
     counts, p, unfolded, shots = draws[sweep]
     z = residuals(counts, p, shots).mean(axis=0) * math.sqrt(SEEDS)
     assert np.abs(z).max() <= Z_BOUND
     # the same means against the unfolded distribution are rejected outright:
-    # max |z| 256 and 175
+    # max |z| 260 and 178
     assert np.abs(residuals(counts, unfolded, shots).mean(axis=0) * math.sqrt(SEEDS)).max() > 10 * Z_BOUND
 
 
 @pytest.mark.parametrize("sweep", SWEEPS)
 def test_cell_variances_are_binomial(draws, sweep):
     # (m - 1) s^2 / (n p (1 - p)) ~ chi-square(m - 1), two-sided: the ratio
-    # s^2 / (n p (1 - p)) within [0.473, 1.811]; observed 0.701-1.372 and
-    # 0.716-1.423. The binomial's excess kurtosis, about 1 / (n p (1 - p)), is
+    # s^2 / (n p (1 - p)) within [0.473, 1.811]; observed 0.698-1.378 and
+    # 0.714-1.395. The binomial's excess kurtosis, about 1 / (n p (1 - p)), is
     # under 0.01 at the smallest n p (1 - p), 109, and widens the ratio's
     # spread by under 1%.
     counts, p, _, shots = draws[sweep]
@@ -159,8 +159,8 @@ def test_cell_variances_are_binomial(draws, sweep):
 def test_counts_are_uncorrelated_across_settings_points_and_seeds(draws, sweep):
     # the first outcome of each setting; |r sqrt(m)| <= 6.61 for each of the
     # setting pairs of one point, the setting pairs of adjacent points and
-    # seeds s, s + 1 of one cell; observed 3.85, 3.75 and 3.25 (heisenberg),
-    # 3.89, 4.03 and 3.19 (field)
+    # seeds s, s + 1 of one cell; observed 3.97, 4.60 and 3.33 (heisenberg),
+    # 3.82, 4.00 and 3.14 (field)
     counts, p, _, shots = draws[sweep]
     z = residuals(counts, p, shots)[..., 0]  # (seed, point, setting)
     within = np.einsum("mps,mpt->pst", z, z) / math.sqrt(SEEDS)

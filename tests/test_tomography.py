@@ -220,6 +220,16 @@ def test_psd_project_preserves_trace_and_idempotent():
 def test_psd_project_rejects_non_hermitian():
     with pytest.raises(ContractError):
         psd_project(np.array([[1.0, 0.2], [0.0, 0.0]]))
+    # up to linalg.HERMITIAN_ATOL, 1e-10, passes; one entry without its
+    # partner: |m - m^dagger| is the entry's magnitude
+    past = np.nextafter(1e-10, 1.0)
+    for unit in (1.0, 1j):
+        m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        m[0, 1] = 1e-10 * unit
+        psd_project(m)
+        m[0, 1] = past * unit
+        with pytest.raises(ContractError, match="expects Hermitian"):
+            psd_project(m)
 
 
 def test_reconstruct_full_exact_identity():

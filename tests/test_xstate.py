@@ -273,6 +273,20 @@ def test_to_spectral_rejects_complex_corners():
     x = XState(0.4, 0.1, 0.15, 0.35, 0.1j, 0.0)
     with pytest.raises(ContractError):
         to_spectral(x)
+    # imaginary parts up to 1e-10 pass as roundoff
+    past = np.nextafter(1e-10, 1.0)
+    for w, z in ((0.1 + 1e-10j, 0.0), (0.1, -0.05 - 1e-10j)):
+        to_spectral(XState(0.4, 0.1, 0.15, 0.35, w, z))
+    for w, z in ((0.1 + past * 1j, 0.0), (0.1, -0.05 - past * 1j)):
+        with pytest.raises(ContractError, match="needs a real X-state"):
+            to_spectral(XState(0.4, 0.1, 0.15, 0.35, w, z))
+
+
+def test_spectral_weights_may_fall_1e_12_below_zero():
+    past = np.nextafter(1e-12, 1.0)
+    XSpectral(0.5 + 1e-12, 0.3, 0.2, -1e-12, 0.3, 0.2).validate()
+    with pytest.raises(ContractError, match="spectral weights invalid"):
+        XSpectral(0.5 + past, 0.3, 0.2, -past, 0.3, 0.2).validate()
 
 
 def test_leakage_and_xstate_from_matrix():
@@ -288,6 +302,23 @@ def test_leakage_and_xstate_from_matrix():
     with pytest.raises(ShapeError) as err:
         xstate_from_matrix(rho)
     assert err.value.leakage == pytest.approx(1.0, abs=1e-14)
+
+
+def test_leakage_reads_each_off_x_entry_of_a_non_hermitian_matrix():
+    # one nonzero entry at a time, without its Hermitian partner: each of
+    # the eight entries off the diagonal and anti-diagonal leaks its
+    # magnitude, each entry of the X shape leaks nothing
+    for i in range(4):
+        for j in range(4):
+            rho = np.zeros((4, 4), dtype=complex)
+            rho[i, j] = 0.3j
+            if i == j or i + j == 3:
+                assert leakage(rho) == 0.0
+                xstate_from_matrix(rho)
+            else:
+                assert leakage(rho) == 0.3, (i, j)
+                with pytest.raises(ShapeError):
+                    xstate_from_matrix(rho)
 
 
 def test_xstate_from_matrix_reads_a_stack_as_its_matrices_one_by_one():
