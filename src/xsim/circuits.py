@@ -242,21 +242,24 @@ def eigenbasis_block(theta, phi, pair=(0, 1)) -> tuple:
 
 def build_xstate_circuit(p: np.ndarray, theta, phi, phases=(0.0, 0.0), earlier=()) -> list:
     """Four-qubit circuits preparing the real X-states with the weights of
-    the rows of a (P, 4) array ``p`` and eigenbasis angles (theta, phi), per
-    point or shared, on qubits (2, 3), then RZ(-alpha) on qubit 2 and
-    RZ(-beta) on qubit 3 where ``phases`` = (alpha, beta) exceed 1e-14 in
-    magnitude. The first block drops its leading rotation and CNOT where
-    the distribution factorizes (|alpha| <= 1e-12): they act trivially on
-    |0000>. The first point that fails ``earlier`` checks or is no
-    probability vector raises."""
+    the rows of a (P, 4) array ``p``, or of its one row shared by every
+    point, and eigenbasis angles (theta, phi), per point or shared, on
+    qubits (2, 3), then RZ(-alpha) on qubit 2 and RZ(-beta) on qubit 3
+    where ``phases`` = (alpha, beta) exceed 1e-14 in magnitude. The first
+    block drops its leading rotation and CNOT where the distribution
+    factorizes (|alpha| <= 1e-12): they act trivially on |0000>. The first
+    point that fails ``earlier`` checks or is no probability vector
+    raises."""
     invalid = (np.minimum.reduce(p, axis=1) < -1e-12) | (np.abs(p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3] - 1.0) > 1e-9)
     raise_first(*earlier, (invalid, lambda i: ContractError(f"classical distribution invalid: {p[i]}")))
     alpha, beta, gamma = classical_prep_angles(p)
     eig_ops, eig_angles = eigenbasis_block(theta, phi, pair=(2, 3))
-    table = np.empty((len(p), 7))
-    for k, column in enumerate((alpha, beta, gamma, *eig_angles, -phases[0], -phases[1])):
+    columns = (alpha, beta, gamma, *eig_angles, -phases[0], -phases[1])
+    table = np.empty(np.broadcast(*columns).shape + (7,))
+    for k, column in enumerate(columns):
         table[:, k] = column
-    kinds = ((np.abs(alpha) > 1e-12) * 4 + (np.abs(phases[0]) > 1e-14) * 2 + (np.abs(phases[1]) > 1e-14)).tolist()
+    kinds = (np.abs(alpha) > 1e-12) * 4 + (np.abs(phases[0]) > 1e-14) * 2 + (np.abs(phases[1]) > 1e-14)
+    kinds = np.broadcast_to(kinds, len(table)).tolist()
     out = [None] * len(table)
     for kind in set(kinds):
         full, tail2, tail3 = kind >> 2, (kind >> 1) & 1, kind & 1
@@ -277,7 +280,7 @@ def build_complex_xstate_circuit(x: XState, weights=None) -> tuple:
     recovered weights raise before an invalid distribution."""
     real_x, phases = strip_phases(x)
     s, infeasible = to_spectral(real_x)
-    p = np.column_stack(s.probs) if weights is None else np.tile(weights, (len(s.theta), 1))
+    p = np.column_stack(s.probs) if weights is None else np.array([weights])
     return build_xstate_circuit(p, s.theta, s.phi, phases, (infeasible,)), s, phases
 
 

@@ -1,9 +1,9 @@
 """Shot-sampled Pauli-pair measurements and state reconstruction.
 
-Three protocols: FULL measures all nine two-qubit Pauli pairs and inverts
-the Pauli expansion; PARTIAL5 measures {XX, YY, ZZ, XY, YX}, enough to fix
-the six parameters of an X-state; PARTIAL3 measures {XX, YY, ZZ}, enough
-when the X-state is real. Outcome order within a setting is (++, +-, -+, --)
+Three protocols: FULL measures all nine two-qubit Pauli pairs and takes
+the least-squares inverse of their outcome maps; PARTIAL5 measures
+{XX, YY, ZZ, XY, YX}, enough to fix the six parameters of an X-state;
+PARTIAL3 measures {XX, YY, ZZ}, enough when the X-state is real. Outcome order within a setting is (++, +-, -+, --)
 with + the +1 eigenvalue of the local Pauli.
 
 For an X-state with corners w = <00|rho|11> and z = <01|rho|10> the relevant
@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .errors import ContractError, ProtocolError
-from .linalg import PAULI, cabs, is_hermitian, kron
+from .linalg import cabs, is_hermitian, kron
 from .rng import block_counts
 from .xstate import XState, sqrt_nonneg
 
@@ -75,10 +75,9 @@ _OUTCOME_MAPS = np.array([_outcome_map(setting) for setting in FULL])
 # _XOR[k, j] = k ^ j: flip pattern m moves outcome k to k ^ m.
 _XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
-# [i, j] -> sigma_i (x) sigma_j with sigma = (I, X, Y, Z): the operator basis
-# of the linear inversion.
-_PAULI_STACK = np.array([PAULI[k] for k in "IXYZ"])
-_PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULI_STACK, _PAULI_STACK).reshape(4, 4, 4, 4)
+# The (36, 16) least-squares inverse of the stacked outcome maps, transposed:
+# a row of 36 frequencies times it is the flattened full estimate.
+_FULL_INVERSE = np.linalg.pinv(_OUTCOME_MAPS.reshape(36, 16)).T
 
 
 _SETTING_INDEX = {setting: index for index, setting in enumerate(FULL)}
@@ -147,11 +146,10 @@ def _last_axis_first(a: np.ndarray) -> np.ndarray:
     return a.transpose(-1, *range(a.ndim - 1))
 
 
-def _correlators(f: np.ndarray) -> tuple:
-    """(joint, first-qubit marginal, second-qubit marginal) of outcome
-    frequencies f of shape (..., 4)."""
+def _correlator(f: np.ndarray) -> np.ndarray:
+    """Joint correlator <AB> of outcome frequencies f of shape (..., 4)."""
     fpp, fpm, fmp, fmm = _last_axis_first(f)
-    return fpp - fpm - fmp + fmm, fpp + fpm - fmp - fmm, fpp - fpm + fmp - fmm
+    return fpp - fpm - fmp + fmm
 
 
 def _frequency_stack(f, settings) -> np.ndarray:
@@ -196,24 +194,20 @@ def psd_project(rho_hat: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_full(data) -> np.ndarray:
-    """Linear inversion from all nine settings, then PSD repair: the factor
-    L (..., 4, 4) of the estimate L L^dagger, from frequencies (..., 9, 4)
-    in FULL order.
+    """Least-squares inverse of the nine settings' outcome maps, then PSD
+    repair: the factor L (..., 4, 4) of the estimate L L^dagger, from
+    frequencies (..., 9, 4) in FULL order.
 
-    The two single-qubit terms are each estimable from three settings;
-    averaging the three estimates uses every setting's marginals.
+    For normalized frequencies this is linear inversion of the Pauli
+    expansion: each joint term from its setting, each single-qubit term
+    the mean of its three settings' marginals, unit trace. Each point is
+    its own (1, 36) row of a stacked product, which numpy hands to BLAS
+    one row at a time, so its estimate is the same floats in a stack of
+    any size.
     """
     f = _frequency_stack(data, FULL)
-    t = np.zeros(f.shape[:-2] + (4, 4))
-    t[..., 0, 0] = 1.0
-    joint, first, second = _correlators(f)
-    for i in range(3):
-        for j in range(3):
-            t[..., i + 1, j + 1] = joint[..., 3 * i + j]
-            t[..., i + 1, 0] += first[..., 3 * i + j] / 3.0
-            t[..., 0, j + 1] += second[..., 3 * i + j] / 3.0
-    rho_hat = np.einsum("...ij,ijab->...ab", t, _PAULI_PAIRS)
-    return psd_project(rho_hat / 4.0)
+    rho_hat = f.reshape(f.shape[:-2] + (1, 36)) @ _FULL_INVERSE
+    return psd_project(rho_hat.reshape(f.shape[:-2] + (4, 4)))
 
 
 def _complex(re, im) -> np.ndarray:
@@ -239,7 +233,7 @@ def reconstruct_x5(data) -> XState:
     """X-state estimate from {XX, YY, ZZ, XY, YX}; corners block-clamped.
     Frequencies (..., 5, 4) in PARTIAL5 order give a stack of X-states."""
     f = _frequency_stack(data, PARTIAL5)
-    xx, yy, _, xy, yx = _last_axis_first(_correlators(f)[0])
+    xx, yy, _, xy, yx = _last_axis_first(_correlator(f))
     return _clamped_xstate(f[..., 2, :], _complex(np.array([xx - yy, xx + yy]) / 4.0,
                                                   np.array([-(xy + yx), xy - yx]) / 4.0))
 
@@ -249,7 +243,7 @@ def reconstruct_x3(data) -> XState:
     protocol assumption. Frequencies (..., 3, 4) in PARTIAL3 order give a
     stack of X-states."""
     f = _frequency_stack(data, PARTIAL3)
-    xx, yy, _ = _last_axis_first(_correlators(f)[0])
+    xx, yy, _ = _last_axis_first(_correlator(f))
     return _clamped_xstate(f[..., 2, :], _complex(np.array([xx - yy, xx + yy]) / 4.0, 0.0))
 
 

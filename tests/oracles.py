@@ -31,6 +31,8 @@ The other references are what the program does not run:
 * ``rotor_decimal`` and ``evolve_diagonal_decimal``, the closed form of the
   dynamics to 40 digits in the stdlib's ``decimal``, against which
   ``heisenberg._rotor`` and ``evolve_diagonal`` are held to error budgets,
+  and ``concurrence_x_decimal``, the X-state concurrence to 40 digits,
+  which budgets ``xstate.concurrence_x``,
 * ``build_xstate_circuit_alt``, the three-CNOT preparation whose output is
   that of ``circuits.build_xstate_circuit`` at phi -> pi/2 - phi,
 * ``relative_phase``, for unitaries equal up to a global phase,
@@ -638,3 +640,14 @@ def evolve_diagonal_decimal(p: HeisenbergParams, populations, t: float) -> dict:
             "w_re": (n11 - n00) * -ui * ci, "w_im": (n11 - n00) * ur * ci,
             "z_re": (n10 - n01) * -upi * cpi, "z_im": (n10 - n01) * upr * cpi,
         }
+
+
+def concurrence_x_decimal(x: XState) -> Decimal:
+    """``xstate.concurrence_x`` of one X-state to DIGITS digits, from the
+    exact values of its float entries: 2 max(0, |w| - sqrt(b c), |z| - sqrt(a d)),
+    with a negative product's root taken as zero."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        a, b, c, d = (Decimal(float(v)) for v in (x.a, x.b, x.c, x.d))
+        w, z = ((Decimal(float(v.real)) ** 2 + Decimal(float(v.imag)) ** 2).sqrt() for v in map(complex, (x.w, x.z)))
+        return 2 * max(Decimal(0), w - max(b * c, Decimal(0)).sqrt(), z - max(a * d, Decimal(0)).sqrt())

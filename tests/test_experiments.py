@@ -1037,9 +1037,11 @@ def _per_point_rows(experiment, params, drawn):
             rows.append((p, concurrence_x(target), concurrence_x(estimate)))
         else:
             f = measure(FULL)
-            # the full estimate's factor against the target's closed-form root, the X estimates in closed form
+            # the full estimate's factor against the target's closed-form root, the X estimates in closed form;
+            # squared as x * x, as the block's array power is: a scalar's ** 2 calls libm pow, which can
+            # round the other way (0.9360851676131455 ** 2 under OPENBLAS_CORETYPE=Haswell)
             overlap = dagger(reconstruct_full(f)) @ sqrt_x(target).matrix()
-            scores = [np.linalg.svd(overlap, compute_uv=False).sum(axis=-1) ** 2,
+            scores = [np.square(np.linalg.svd(overlap, compute_uv=False).sum(axis=-1)),
                       fidelity_x(reconstruct_x5(f[[FULL.index(s) for s in PARTIAL5]]), target)]
             if experiment == "heisenberg_fidelity":
                 scores.append(fidelity_x(reconstruct_x3(f[[FULL.index(s) for s in PARTIAL3]]), target))

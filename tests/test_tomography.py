@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_density, random_xstate, random_xstate_raw
 from oracles import block_counts_reference, fidelity, psd_factor, psd_project_matrix
+from xsim import tomography
 from xsim.errors import ContractError, ProtocolError
 from xsim.experiments import run_experiment
 from xsim.linalg import PAULI, dagger, kron
@@ -131,6 +132,13 @@ def test_measure_block_rejects_a_state_with_a_nan_entry(exact):
                     measure_block(rho, PARTIAL5, 100, 7, 1, p_readout, exact)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_measure_block_rejects_a_state_whose_outcomes_sum_to_zero(exact):
+    # the zero matrix gives every setting a total of 0: a contract violation, not 0 / 0
+    with pytest.raises(ContractError, match="sum to zero"):
+        measure_block(np.zeros((1, 4, 4), dtype=complex), PARTIAL5, 100, 7, 1, 0.0, exact)
+
+
 @pytest.mark.filterwarnings("error")
 def test_measure_block_draws_the_reference_chain_on_a_fresh_stream_per_block():
     # A sampled block is the reference step-major chain over all nine
@@ -232,12 +240,52 @@ def test_psd_project_rejects_non_hermitian():
             psd_project(m)
 
 
+def test_psd_project_rejects_a_trace_off_by_more_than_1e_10():
+    # near 1, tr - 1 is a multiple of 2^-53, so no trace lands on 1e-10 itself
+    for off in (-1.2e-10, 1.2e-10):
+        with pytest.raises(ContractError, match="expects unit trace"):
+            psd_project(np.diag([0.4, 0.3, 0.2, 0.1 + off]))
+    for off in (-0.9e-10, 0.9e-10):
+        psd_project(np.diag([0.4, 0.3, 0.2, 0.1 + off]))
+
+
 def test_reconstruct_full_exact_identity():
     rng = np.random.default_rng(11)
     for _ in range(25):
         rho = random_density(rng)
         factor = reconstruct_full(_exact(rho, FULL))
         np.testing.assert_allclose(factor @ dagger(factor), rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("shots", [1, 7, 50, 8000])
+def test_full_estimate_is_the_pauli_inversion_of_sampled_frequencies(shots):
+    # The estimate before repair, from frequencies of settings that no one
+    # state need explain: each joint term is its setting's correlator, each
+    # one-qubit term the mean of its three settings' marginals, unit trace.
+    rng = np.random.default_rng(29 + shots)
+    f = rng.multinomial(shots, rng.dirichlet(np.ones(4), size=(200, 9))) / shots
+    rho = (f.reshape(-1, 1, 36) @ tomography._FULL_INVERSE).reshape(-1, 4, 4)
+    joint, first, second = np.einsum("cs,pks->cpk", CORRELATORS, f)
+    sigma = [PAULI[k] for k in "XYZ"]
+
+    def expectation(op):
+        return np.trace(rho @ op, axis1=1, axis2=2)
+
+    for i in range(3):
+        # seen: 1.5e-15 and 1.4e-15 over the four shot counts
+        np.testing.assert_allclose(expectation(kron(sigma[i], PAULI["I"])), first[:, 3 * i:3 * i + 3].mean(axis=1),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(expectation(kron(PAULI["I"], sigma[i])), second[:, i::3].mean(axis=1),
+                                   rtol=0, atol=1e-14)
+        for j in range(3):
+            # seen: 2.4e-15
+            np.testing.assert_allclose(expectation(kron(sigma[i], sigma[j])), joint[:, 3 * i + j], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.trace(rho, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-14)  # seen: 8.9e-16
+
+
+def test_full_inverse_inverts_the_outcome_maps():
+    maps = tomography._OUTCOME_MAPS.reshape(36, 16)
+    np.testing.assert_allclose(tomography._FULL_INVERSE.T @ maps, np.eye(16), rtol=0, atol=1e-14)  # seen: 6.7e-16
 
 
 def test_reconstruct_x5_exact_on_complex_xstates():

@@ -1,13 +1,14 @@
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from conftest import checked_spectral, random_spectral, random_xstate, random_xstate_raw
-from oracles import concurrence_wootters_oracle, fidelity, fidelity_oracle, psd_factor, sqrtm_psd
+from oracles import concurrence_wootters_oracle, concurrence_x_decimal, fidelity, fidelity_oracle, psd_factor, sqrtm_psd
 from xsim.errors import ContractError, ShapeError
-from xsim.experiments import _couplings, _parse_target, _time_block, _time_grid, resolve_params
+from xsim.experiments import _couplings, _parse_target, _time_block, _time_grid, resolve_params, simplex_points
 from xsim.linalg import PSD_ATOL
 from xsim.xstate import (
     XSpectral,
@@ -51,6 +52,31 @@ def test_concurrence_matches_oracle_on_random_states():
         assert concurrence_x(x) == pytest.approx(
             concurrence_wootters_oracle(x.matrix()), abs=1e-12
         )
+
+
+def _default_targets(experiment):
+    params = resolve_params(experiment, {})
+    if experiment == "tetra_sweep":
+        return from_spectral(XSpectral(*simplex_points(params["resolution"]).T, params["theta"], params["phi"]))
+    hp = _couplings(params)
+    return _time_block(params, hp, _time_grid(params, hp))[0]
+
+
+@pytest.mark.parametrize("experiment", ["tetra_sweep", "heisenberg_conc", "field_conc", "random"])
+def test_concurrence_x_matches_the_40_digit_oracle(experiment):
+    # within one ulp of 1 of the exact concurrence of the float entries;
+    # seen 3.7e-17 (tetra_sweep, 165 targets), 5.9e-17 (heisenberg_conc),
+    # 1.15e-16 (field_conc, 64 each) and 1.05e-16 on 2,000 random states
+    if experiment == "random":
+        rng = np.random.default_rng(59)
+        targets = XState.stack([random_xstate_raw(rng) for _ in range(2000)])
+    else:
+        targets = _default_targets(experiment)
+    got = concurrence_x(targets)
+    assert (got > 0.0).any()
+    for k, value in enumerate(got.tolist()):
+        want = concurrence_x_decimal(XState(*(field[k] for field in targets)))
+        assert abs(Decimal(value) - want) <= Decimal(2.3e-16), (experiment, k)
 
 
 def _pure_sectors(rng):
